@@ -16,14 +16,16 @@ from pathlib import Path
 
 import numpy as np
 
+from . import example
+from . import invariants as inv
 from . import pencil as pencils
-from .curvature import reports_to_csv, ricci_expanded, zeta_check
-from .example import (ExampleParams, NoParamsFound, find_example_params,
-                      verify_example)
+from .curvature import (COND_LIMIT, ZETA_DET_RATIO_TOL, reports_to_csv,
+                        ricci_expanded, zeta_check)
+from .example import ExampleParams, find_example_params, verify_example
 from .germ import Germ
 from .invariants import (audit_codim2, audit_hypersurface, audit_ruled,
                          point_invariants, sphere_grid)
-from .minkowski import NormModel, validate_norm
+from .minkowski import VALIDATION_SAMPLES, NormModel, validate_norm
 from .norm_expr import ArityError, ExprSyntaxError, UnknownVariable
 
 
@@ -54,6 +56,8 @@ def _number(data, key: str, path: str) -> float:
     val = _require(data, key, path)
     if isinstance(val, bool) or not isinstance(val, (int, float)):
         raise ConfigError(f"{path}/{key}: expected a number")
+    if not np.isfinite(val):
+        raise ConfigError(f"{path}/{key}: not finite: {val}")
     return float(val)
 
 
@@ -67,9 +71,15 @@ def _integer(data, key: str, path: str) -> int:
 def _array(data, key: str, path: str) -> np.ndarray:
     val = _require(data, key, path)
     try:
-        return np.asarray(val, dtype=np.float64)
+        arr = np.asarray(val, dtype=np.float64)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{path}/{key}: not a numeric array: {exc}") from exc
+    bad = np.argwhere(~np.isfinite(arr))
+    if len(bad):
+        where = "".join(f"/{i}" for i in bad[0])
+        raise ConfigError(f"{path}/{key}{where}: not finite: "
+                          f"{arr[tuple(bad[0])]}")
+    return arr
 
 
 def norm_from_config(data, path: str) -> NormModel:
@@ -150,19 +160,9 @@ def _parse_direction(text: str, n: int) -> np.ndarray:
     if len(parts) != n:
         raise ConfigError(f"--direction: expected {n} components, "
                           f"got {len(parts)}")
+    if not np.all(np.isfinite(parts)):
+        raise ConfigError("--direction: components must be finite")
     return np.asarray(parts)
-
-
-def _jsonable(x):
-    if isinstance(x, np.ndarray):
-        return x.tolist()
-    if isinstance(x, (np.floating, np.integer)):
-        return x.item()
-    if isinstance(x, dict):
-        return {k: _jsonable(v) for k, v in x.items()}
-    if isinstance(x, (list, tuple)):
-        return [_jsonable(v) for v in x]
-    return x
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -172,7 +172,9 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _emit_json(obj: dict, out: str | None) -> None:
-    _emit(json.dumps(_jsonable(obj), sort_keys=True, indent=2) + "\n", out)
+    # numpy arrays and scalars serialize through their tolist()
+    _emit(json.dumps(obj, sort_keys=True, indent=2, allow_nan=False,
+                     default=lambda x: x.tolist()) + "\n", out)
 
 
 # -- subcommand handlers ------------------------------------------------------
@@ -180,7 +182,7 @@ def _emit_json(obj: dict, out: str | None) -> None:
 
 def _cmd_check_norm(args) -> int:
     norm = _norm_section(_load_json(args.config))
-    samples = args.grid if args.grid else 2000
+    samples = args.grid or VALIDATION_SAMPLES
     report = validate_norm(norm, samples=samples, seed=args.seed,
                            min_axis_fraction=args.min_axis_fraction)
     out = report.to_dict()
@@ -204,8 +206,9 @@ def _cmd_curvature(args) -> int:
                 "xi": rep.xi, "zeta": zeta, "eta": rep.eta, "rho": rep.rho,
                 "Rik": rep.Rik,
                 "zetaDetRatioResidual": zres,
-                "tolerances": {"condLimit": 1e12,
-                               "zetaDetRatioTol": 1e-10}}, args.out)
+                "tolerances": {"condLimit": COND_LIMIT,
+                               "zetaDetRatioTol": ZETA_DET_RATIO_TOL}},
+               args.out)
     return 0
 
 
@@ -213,7 +216,7 @@ def _cmd_ricci_grid(args) -> int:
     data = _load_json(args.config)
     norm = _norm_section(data)
     germ = _germ_section(data)
-    grid = args.grid if args.grid else (720 if germ.n == 2 else 4096)
+    grid = args.grid or inv.default_grid(germ.n)
     reports = [ricci_expanded(norm, germ, u)
                for u in sphere_grid(germ.n, grid)]
     _emit(reports_to_csv(reports), args.out)
@@ -222,27 +225,21 @@ def _cmd_ricci_grid(args) -> int:
 
 def _cmd_invariants(args) -> int:
     germ = _germ_section(_load_json(args.config))
-    inv = point_invariants(germ)
-    out = inv.to_dict()
+    out = point_invariants(germ, seed=args.seed).to_dict()
     out["seed"] = args.seed
-    out["tolerances"] = {"rankTol": 1e-9}
+    out["tolerances"] = {"rankTol": inv.RANK_TOL}
     _emit_json(out, args.out)
     return 0
 
 
 def _cmd_pencil_type(args) -> int:
     pen, _, _ = pencil_from_config(_load_json(args.file))
-    method = "spectral"
-    samples = None
-    try:
-        t = pencils.type_exact(pencils.spectral_split(pen))
-    except (pencils.SingularA2, pencils.NotSemisimple):
-        method = "sampled"
-        samples = 10000
-        t = pencils.type_sampled(pen, samples)
+    t, method = pencils.pencil_type(pen)
+    samples = pencils.MEMBER_SAMPLES if method == "sampled" else None
     _emit_json({"type": t, "method": method, "samples": samples,
                 "seed": args.seed,
-                "tolerances": {"eigTol": 1e-9, "clusterTol": 1e-6}},
+                "tolerances": {"eigTol": pencils.EIG_TOL,
+                               "clusterTol": pencils.CLUSTER_TOL}},
                args.out)
     return 0
 
@@ -253,8 +250,9 @@ def _cmd_pencil_classify(args) -> int:
     out = {"seed": args.seed, "genericity": gen.to_dict(),
            "spectral": None, "canonical": None, "topology": None,
            "type": None, "notes": [],
-           "tolerances": {"eigTol": 1e-9, "clusterTol": 1e-6,
-                          "canonicalAngleTol": 1e-6}}
+           "tolerances": {"eigTol": pencils.EIG_TOL,
+                          "clusterTol": pencils.CLUSTER_TOL,
+                          "canonicalAngleTol": pencils.CANONICAL_ANGLE_TOL}}
     try:
         spec = pencils.spectral_split(pen)
         out["spectral"] = {"realPairs": [list(p) for p in spec.real_pairs],
@@ -291,7 +289,7 @@ def _cmd_pencil_common_zero(args) -> int:
                 "point": point if found else None,
                 "residual": residual,
                 "budget": args.budget, "seed": args.seed,
-                "tolerances": {"residualSq": 1e-16}}, args.out)
+                "tolerances": {"residualSq": pencils.RESIDUAL_SQ}}, args.out)
     return 0 if found else 1
 
 
@@ -302,11 +300,11 @@ def _cmd_verify_example(args) -> int:
         params = ExampleParams.from_dict(_load_json(args.params))
     else:
         raise ConfigError("/: verify-example needs --params FILE or --auto")
-    grid = args.grid if args.grid else 720
-    report = verify_example(params, grid=grid)
+    report = verify_example(params, grid=args.grid or example.GRID)
     out = report.to_dict()
     out["seed"] = args.seed
-    out["tolerances"] = {"relTol": 1e-6, "gridRefinementRad": 0.01}
+    out["tolerances"] = {"relTol": example.REL_TOL,
+                         "gridRefinementRad": example.REFINE_HALF_WIDTH}
     _emit_json(out, args.out)
     if args.csv:
         Path(args.csv).write_text(report.csv_text())
@@ -324,7 +322,7 @@ def _cmd_audit(args) -> int:
     data = _load_json(args.config)
     norm = _norm_section(data)
     germ = _germ_section(data)
-    tol = args.tol if args.tol else 1e-8
+    tol = args.tol or inv.RIC_NONNEG_TOL
     if args.audit_cmd == "hyper":
         report = audit_hypersurface(norm, germ, grid=args.grid, tol=tol)
     elif args.audit_cmd == "codim2":
@@ -334,7 +332,7 @@ def _cmd_audit(args) -> int:
         report = audit_ruled(norm, germ, u, grid=args.grid, tol=tol)
     out = report.to_dict()
     out["seed"] = args.seed
-    out["tolerances"] = {"ricNonnegTol": tol, "ruledTol": 1e-10}
+    out["tolerances"] = {"ricNonnegTol": tol, "ruledTol": inv.RULED_TOL}
     _emit_json(out, args.out)
     return 0 if report.verdict == "CONSISTENT" else 1
 
@@ -393,7 +391,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_pencil_classify)
     p = pencil_sub.add_parser("common-zero", parents=[common])
     p.add_argument("--file", required=True)
-    p.add_argument("--budget", type=int, default=64)
+    p.add_argument("--budget", type=int, default=pencils.ZERO_SEARCH_BUDGET)
     p.set_defaults(handler=_cmd_pencil_common_zero)
 
     p = sub.add_parser("verify-example", parents=[common],
@@ -402,14 +400,14 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="JSON file with A, B, eps1, eps2, eps3, C")
     p.add_argument("--auto", action="store_true",
                    help="search the parameter grid first")
-    p.add_argument("--budget", type=int, default=729)
+    p.add_argument("--budget", type=int, default=example.SEARCH_BUDGET)
     p.add_argument("--csv", default=None,
                    help="write per-angle closed-form vs pipeline CSV here")
     p.set_defaults(handler=_cmd_verify_example)
 
     p = sub.add_parser("find-params", parents=[common],
                        help="search the example parameter grid")
-    p.add_argument("--budget", type=int, default=729)
+    p.add_argument("--budget", type=int, default=example.SEARCH_BUDGET)
     p.set_defaults(handler=_cmd_find_params)
 
     audit_parser = sub.add_parser("audit", help="proposition auditors")

@@ -40,11 +40,12 @@ from io import StringIO
 
 import numpy as np
 
-from .germ import Germ
+from .germ import Germ, taylor_jets
 from .jets import Jet4
 from .minkowski import NormModel
 
 COND_LIMIT = 1e12
+ZETA_DET_RATIO_TOL = 1e-10  # zeta = det(Hess H) / det(g) for p = 1
 
 
 class NonPDTensor(ValueError):
@@ -222,35 +223,6 @@ def ricci_expanded(norm: NormModel, germ: Germ, u) -> CurvatureReport:
 # -- oracle route -------------------------------------------------------------
 
 
-def _germ_position_jets(germ: Germ, xjets):
-    """Jets of f^a_i(x) and f^a_kl(x) in the doubled variables."""
-    n, p = germ.n, germ.p
-    dim = xjets[0].dim
-    pair = [[xjets[i] * xjets[j] for j in range(n)] for i in range(n)]
-    fi = [[None] * n for _ in range(p)]
-    fkl = [[[None] * n for _ in range(n)] for _ in range(p)]
-    for a in range(p):
-        for i in range(n):
-            acc = Jet4.constant(dim, 0.0)
-            for j in range(n):
-                if germ.d2[a, i, j] != 0.0:
-                    acc = acc + xjets[j] * germ.d2[a, i, j]
-                for k in range(n):
-                    c = 0.5 * germ.d3[a, i, j, k]
-                    if c != 0.0:
-                        acc = acc + pair[j][k] * c
-            fi[a][i] = acc
-        for k in range(n):
-            for l in range(n):
-                acc = Jet4.constant(dim, germ.d2[a, k, l])
-                for m in range(n):
-                    c = germ.d3[a, k, l, m]
-                    if c != 0.0:
-                        acc = acc + xjets[m] * c
-                fkl[a][k][l] = acc
-    return fi, fkl
-
-
 def _spray_jets(norm: NormModel, germ: Germ, u: np.ndarray):
     """Order-2-exact jets of G^i in the doubled variables (x, u - u0)."""
     n, p = germ.n, germ.p
@@ -260,7 +232,8 @@ def _spray_jets(norm: NormModel, germ: Germ, u: np.ndarray):
 
     xjets = [Jet4.variable(dim, i) for i in range(n)]
     ujets = [Jet4.variable(dim, n + i, u[i]) for i in range(n)]
-    fi, fkl = _germ_position_jets(germ, xjets)
+    fi = taylor_jets([None, germ.d2, germ.d3], xjets)     # f^a_i(x)
+    fkl = taylor_jets([germ.d2, germ.d3], xjets)         # f^a_kl(x)
 
     # ambient displacement of the lifted direction: delta = yhat(x,u) - (u0, 0)
     delta = [Jet4.variable(dim, n + i) for i in range(n)]

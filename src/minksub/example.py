@@ -35,6 +35,7 @@ TRANSCRIPTION_NOTE = ("closed-form third group reads its final factor as the "
 REL_TOL = 1e-6
 REFINE_HALF_WIDTH = 0.01
 REFINE_POINTS = 50
+GRID = 720              # uniform circle angles before refinement
 
 
 class NoParamsFound(RuntimeError):
@@ -189,7 +190,7 @@ def _grid_angles(grid: int) -> np.ndarray:
     return np.unique(np.concatenate([base] + windows) % (2.0 * np.pi))
 
 
-def verify_example(params: ExampleParams, grid: int = 720) -> ExampleReport:
+def verify_example(params: ExampleParams, grid: int = GRID) -> ExampleReport:
     """Check the four claims about the example configuration.
 
     (a) the Gauss determinant is -eps3 (exact algebra: f12 is defined by
@@ -276,10 +277,11 @@ SEARCH_GRID = {
     "eps3": (0.1, 0.01, 0.001),
     "C": (100.0, 1000.0, 10000.0),
 }
+SEARCH_BUDGET = 729  # the whole grid
 
 
-def find_example_params(search_budget: int = 729,
-                        grid: int = 720) -> ExampleParams:
+def find_example_params(search_budget: int = SEARCH_BUDGET,
+                        grid: int = GRID) -> ExampleParams:
     """First parameter combination on the logarithmic grid that verifies.
 
     Iterates the grid in fixed lexicographic order (A, B, eps1, eps2,

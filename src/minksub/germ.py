@@ -23,16 +23,24 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from math import factorial
 
 import numpy as np
 
 from .jets import Jet4
 
 SYMMETRY_WARN_TOL = 1e-10
+COND_LIMIT = 1e12  # larger condition numbers count as singular
 
 
 class NonInvertibleFrame(ValueError):
     """Frame basis or coordinate substitution is numerically singular."""
+
+
+def _check_conditioned(M: np.ndarray, message: str) -> None:
+    svals = np.linalg.svd(M, compute_uv=False)
+    if svals[-1] == 0.0 or svals[0] / svals[-1] > COND_LIMIT:
+        raise NonInvertibleFrame(message)
 
 
 def sym2(arr: np.ndarray) -> np.ndarray:
@@ -110,9 +118,7 @@ class AmbientFrame:
         dim = self.origin.shape[0]
         if self.basis.shape != (dim, dim):
             raise ValueError("basis shape does not match origin")
-        svals = np.linalg.svd(self.basis, compute_uv=False)
-        if svals[-1] == 0.0 or svals[0] / svals[-1] > 1e12:
-            raise NonInvertibleFrame("frame basis is numerically singular")
+        _check_conditioned(self.basis, "frame basis is numerically singular")
 
     def sheared(self, d1: np.ndarray) -> "AmbientFrame":
         """Compose with the shear that absorbs the first jet d1 (p, n)."""
@@ -139,27 +145,22 @@ def adapt_germ(raw_d1, raw_d2, raw_d3, frame: AmbientFrame | None = None):
     return germ, frame.sheared(raw_d1)
 
 
-def _eval_poly_jets(d1, d2, d3, xjets):
-    """Jets of f^alpha(x) = d1 x + d2 x x / 2 + d3 x x x / 6 at jet arguments."""
-    p, n = d2.shape[:2]
-    dim = xjets[0].dim
-    out = []
-    pair = [[xjets[i] * xjets[j] for j in range(n)] for i in range(n)]
-    for a in range(p):
-        acc = Jet4.constant(dim, 0.0)
-        for i in range(n):
-            if d1 is not None and d1[a, i] != 0.0:
-                acc = acc + xjets[i] * d1[a, i]
-            for j in range(n):
-                c2 = 0.5 * d2[a, i, j]
-                if c2 != 0.0:
-                    acc = acc + pair[i][j] * c2
-                for k in range(n):
-                    c3 = d3[a, i, j, k] / 6.0
-                    if c3 != 0.0:
-                        acc = acc + pair[i][j] * xjets[k] * c3
-        out.append(acc)
-    return out
+def taylor_jets(coeffs, xjets) -> np.ndarray:
+    """Jets of p(x) = sum_k c_k[..., i1..ik] x_i1 ... x_ik / k! at jets x.
+
+    ``coeffs`` lists c_0, c_1, ... by order, None for an absent order; c_k
+    ends in k axes of length len(xjets) after leading axes shared by all
+    orders.  Returns an object array of jets shaped like the leading axes.
+    """
+    x = np.array(xjets, dtype=object)
+    acc = 0.0
+    # Horner in the trailing axis: ((c_3/3! . x + c_2/2!) . x + c_1) . x + c_0
+    for k in reversed(range(len(coeffs))):
+        if coeffs[k] is not None:
+            acc = acc + coeffs[k] / factorial(k)
+        if k:
+            acc = acc @ x
+    return acc
 
 
 def transform_germ(germ: Germ, transform) -> tuple:
@@ -174,43 +175,23 @@ def transform_germ(germ: Germ, transform) -> tuple:
     N = n + p
     if T.shape != (N, N):
         raise ValueError(f"transform must have shape ({N}, {N})")
-    svals = np.linalg.svd(T, compute_uv=False)
-    if svals[-1] == 0.0 or svals[0] / svals[-1] > 1e12:
-        raise NonInvertibleFrame("ambient transform is numerically singular")
+    _check_conditioned(T, "ambient transform is numerically singular")
     T11, T12 = T[:n, :n], T[:n, n:]
     T21, T22 = T[n:, :n], T[n:, n:]
     # df(0) = 0, so the tangent substitution u = T11 x + T12 f(x) has linear
     # part T11; it must be invertible for the image to stay a graph.
-    sv11 = np.linalg.svd(T11, compute_uv=False)
-    if sv11[-1] == 0.0 or sv11[0] / sv11[-1] > 1e12:
-        raise NonInvertibleFrame("image is not a graph over the tangent block")
+    _check_conditioned(T11, "image is not a graph over the tangent block")
     M = np.linalg.inv(T11)
 
-    ujets = [Jet4.variable(n, i) for i in range(n)]
+    def f(xjets):
+        return taylor_jets([None, None, germ.d2, germ.d3], xjets)
+
+    ujets = np.array(Jet4.variables(n, np.zeros(n)), dtype=object)
     # invert u = T11 x + T12 f(x) by fixed point iteration; each sweep gains
     # one order, three sweeps are exact through order 4
-    xjets = [sum((M[i, j] * ujets[j] for j in range(n)),
-                 Jet4.constant(n, 0.0)) for i in range(n)]
+    xjets = M @ ujets
     for _ in range(3):
-        fx = _eval_poly_jets(None, germ.d2, germ.d3, xjets)
-        rhs = [ujets[j] - sum((T12[j, a] * fx[a] for a in range(p)),
-                              Jet4.constant(n, 0.0)) for j in range(n)]
-        xjets = [sum((M[i, j] * rhs[j] for j in range(n)),
-                     Jet4.constant(n, 0.0)) for i in range(n)]
-
-    fx = _eval_poly_jets(None, germ.d2, germ.d3, xjets)
-    gjets = [sum((T21[a, j] * xjets[j] for j in range(n)),
-                 Jet4.constant(n, 0.0))
-             + sum((T22[a, b] * fx[b] for b in range(p)),
-                   Jet4.constant(n, 0.0))
-             for a in range(p)]
-
-    d1 = np.zeros((p, n))
-    d2 = np.zeros((p, n, n))
-    d3 = np.zeros((p, n, n, n))
-    for a, jet in enumerate(gjets):
-        _, t1, t2, t3 = jet.partial_tensors(3)
-        d1[a] = t1
-        d2[a] = t2
-        d3[a] = t3
-    return d1, d2, d3
+        xjets = M @ (ujets - T12 @ f(xjets))
+    gjets = T21 @ xjets + T22 @ f(xjets)
+    tensors = [jet.partial_tensors(3)[1:] for jet in gjets]
+    return tuple(np.stack(t) for t in zip(*tensors))

@@ -15,8 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtri
-from scipy.stats import qmc
 
 from . import pencil as pencils
 from .curvature import ricci_expanded
@@ -26,7 +24,7 @@ from .minkowski import NormModel
 RANK_TOL = 1e-9
 RIC_NONNEG_TOL = 1e-8       # Ric >= -1e-8 counts as nonnegative
 RULED_TOL = 1e-10
-NORMAL_SAMPLES = 10000
+NORMAL_SAMPLES = 10000      # normal directions sampled when p >= 3
 
 
 class NotRuledDirection(ValueError):
@@ -45,6 +43,10 @@ class Interval:
     upper: int
 
 
+def _type_json(t):
+    return [t.lower, t.upper] if isinstance(t, Interval) else int(t)
+
+
 @dataclass(frozen=True)
 class PointInvariants:
     mu: int
@@ -54,8 +56,7 @@ class PointInvariants:
     def to_dict(self) -> dict:
         t = self.type_t
         return {"mu": self.mu,
-                "type": [t.lower, t.upper] if isinstance(t, Interval)
-                else int(t),
+                "type": _type_json(t),
                 "typeExact": not isinstance(t, Interval),
                 "nullBasis": self.null_basis.T.tolist()}
 
@@ -77,13 +78,13 @@ def _complement(basis: np.ndarray, n: int) -> np.ndarray:
     return u[:, basis.shape[1]:]
 
 
-def point_type(germ: Germ):
+def point_type(germ: Germ, seed: int = 0):
     """Point type t(P): exact for p <= 2, sampled Interval bounds for p >= 3.
 
     For a single normal both orientations are admitted, so the type is
     the smaller of the two inertia counts.  For p = 2 the pencil machinery
     runs on the forms restricted to the complement of L(P); for p >= 3 the
-    normal sphere is sampled and only bounds are reported.
+    normal sphere is sampled from ``seed`` and only bounds are reported.
     """
     if germ.p == 1:
         pos, neg, _ = pencils.inertia(germ.d2[0])
@@ -95,28 +96,26 @@ def point_type(germ: Germ):
             return 0
         pen = pencils.SymPencil.make(W.T @ germ.d2[0] @ W,
                                      W.T @ germ.d2[1] @ W)
-        try:
-            return pencils.type_exact(pencils.spectral_split(pen))
-        except (pencils.SingularA2, pencils.NotSemisimple):
-            return pencils.type_sampled(pen, NORMAL_SAMPLES)
+        return pencils.pencil_type(pen)[0]
 
-    rng = np.random.default_rng(0)
+    rng = np.random.default_rng(seed)
     normals = rng.standard_normal((NORMAL_SAMPLES, germ.p))
     normals /= np.linalg.norm(normals, axis=1, keepdims=True)
     forms = np.einsum("sa,aij->sij", normals, germ.d2)
-    evals = np.linalg.eigvalsh(forms)
-    tol = RANK_TOL * (1.0 + np.abs(evals).max(axis=1, keepdims=True))
-    pos = (evals > tol).sum(axis=1)
-    neg = (evals < -tol).sum(axis=1)
-    rank = pos + neg
-    at_max = rank == rank.max()
-    bound = int(pos[at_max].min())
+    pos, _ = pencils.max_rank_inertia(forms, RANK_TOL)
+    bound = int(pos.min())
     return Interval(bound, bound)
 
 
-def point_invariants(germ: Germ) -> PointInvariants:
+def point_invariants(germ: Germ, seed: int = 0) -> PointInvariants:
     mu, basis = nullity(germ)
-    return PointInvariants(mu=mu, type_t=point_type(germ), null_basis=basis)
+    return PointInvariants(mu=mu, type_t=point_type(germ, seed),
+                           null_basis=basis)
+
+
+def default_grid(n: int) -> int:
+    """Direction count used when no grid size is given."""
+    return 720 if n == 2 else 4096
 
 
 def sphere_grid(n: int, count: int) -> np.ndarray:
@@ -125,6 +124,9 @@ def sphere_grid(n: int, count: int) -> np.ndarray:
     if n == 2:
         th = np.arange(count) * (2.0 * np.pi / count)
         return np.stack([np.cos(th), np.sin(th)], axis=1)
+    # scipy costs most of a cold start; only n >= 3 grids need it
+    from scipy.special import ndtri
+    from scipy.stats import qmc
     sob = qmc.Sobol(d=n, scramble=False)
     # a power-of-two draw keeps the sequence balanced (and scipy quiet)
     raw = sob.random(1 << int(np.ceil(np.log2(2 * count + 2))))
@@ -150,11 +152,9 @@ class AuditReport:
     notes: tuple
 
     def to_dict(self) -> dict:
-        t = self.type_t
         return {"minRic": self.min_ric,
                 "argminDirection": list(self.argmin_direction),
-                "type": [t.lower, t.upper] if isinstance(t, Interval)
-                else int(t),
+                "type": _type_json(self.type_t),
                 "mu": self.mu,
                 "verdict": self.verdict,
                 "notes": list(self.notes)}
@@ -162,7 +162,7 @@ class AuditReport:
 
 def _grid_min_ric(norm: NormModel, germ: Germ, grid: int | None):
     if grid is None:
-        grid = 720 if germ.n == 2 else 4096
+        grid = default_grid(germ.n)
     dirs = sphere_grid(germ.n, grid)
     best = None
     arg = None
@@ -185,8 +185,7 @@ def audit_hypersurface(norm: NormModel, germ: Germ,
     min_ric, arg = _grid_min_ric(norm, germ, grid)
     mu, _ = nullity(germ)
     t = point_type(germ)
-    pos, neg, _ = pencils.inertia(germ.d2[0])
-    semidefinite = min(pos, neg) == 0
+    semidefinite = t == 0  # for p = 1, t is the smaller inertia count
 
     notes = []
     if min_ric < -tol:

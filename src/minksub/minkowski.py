@@ -2,7 +2,8 @@
 
 Everything downstream consumes a norm through two entry points: ``value``
 (float evaluation of H = F^2/2) and ``jet`` (the order-4 Taylor jet of H
-about a base direction).  Four families are provided:
+about a base direction), both served by one ring function per model (see
+:class:`NormModel`).  Four constructors provide the families:
 
 * ``euclidean``:   H(y) = |y|^2 / 2.
 * ``randers``:     F(y) = sqrt(y.a.y) + b.y with a symmetric positive
@@ -19,46 +20,90 @@ about a base direction).  Four families are provided:
                    the y3-axis, where the rational terms have no limit.
 * ``expression``:  any tree accepted by :mod:`minksub.norm_expr`.
 
-Both evaluation paths run the same arithmetic (operator overloading on
-jets), so a jet coefficient can never drift from the float value it
-truncates.
+Each built-in family is a module-level function of its parameters and the
+coordinates, so shared subexpressions (F in F*F) are computed once.  Float
+and jet evaluation run the same arithmetic (operator overloading on jets),
+so a jet coefficient can never drift from the float value it truncates.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, field
+from functools import partial
+from typing import Callable
 
 import numpy as np
 
 from .jets import Jet4
-from .norm_expr import evaluate, parse_norm, to_text
+from .norm_expr import evaluate, parse_norm
 
-AXIS_EXCLUSION = 1e-12  # example4: excluded when y1^2+y2^2 < AXIS_EXCLUSION*|y|^2
+AXIS_EXCLUSION = 1e-12  # excluded when off-axis |y|^2 < AXIS_EXCLUSION*|y|^2
 
 EULER_TOL = 1e-9
+VALIDATION_SAMPLES = 2000
 
 
 class SingularDirection(ValueError):
     """The norm is not smooth (or not defined) along the requested direction."""
 
 
-def _sqrt(x):
-    return x.sqrt() if isinstance(x, Jet4) else math.sqrt(x)
+def _euclidean_h(ys):
+    acc = ys[0] * ys[0]
+    for y in ys[1:]:
+        acc = acc + y * y
+    return acc * 0.5
+
+
+def _randers_h(a, b, ys):
+    dim = len(ys)
+    q = 0.0
+    for i in range(dim):
+        for j in range(dim):
+            aij = a[i, j]
+            if aij != 0.0:
+                q = q + ys[i] * ys[j] * aij
+    f = q.sqrt() if isinstance(q, Jet4) else math.sqrt(q)
+    for i in range(dim):
+        if b[i] != 0.0:
+            f = f + ys[i] * b[i]
+    return f * f * 0.5
+
+
+def _example4_h(A, B, eps1, eps2, ys):
+    y1, y2, y3 = ys
+    s1 = y1 * y1
+    s2 = y2 * y2
+    r2 = s1 + s2
+    cubic = (s1 * y2) * 3.0 - s2 * y2
+    s1sq = s1 * s1
+    s2sq = s2 * s2
+    sext = (s1sq * s1 - s2sq * s2) - (s1sq * s2 - s1 * s2sq) * 15.0
+    return (r2 * A
+            + y3 * cubic / r2 * eps1
+            + (y3 * y3) * (B + sext / (r2 * r2 * r2) * eps2))
+
+
+def _expression_h(tree, ys):
+    # looks ``evaluate`` up per call, so a wrapped evaluate is honoured
+    return evaluate(tree, ys)
 
 
 @dataclass(frozen=True)
 class NormModel:
+    """A Minkowski norm: ``h(ys)`` computes H = F^2/2 from a list of ``dim``
+    coordinates, floats or jets alike (a family function bound to its
+    parameters with :func:`functools.partial`, so models pickle).
+    ``config`` rebuilds the model; ``excluded_axis``, set by the example
+    family only, indexes the coordinate axis along which H is singular.
+    """
+
     kind: str
     dim: int
-    a: np.ndarray | None = None
-    b: np.ndarray | None = None
-    A: float | None = None
-    B: float | None = None
-    eps1: float | None = None
-    eps2: float | None = None
-    text: str | None = None
-    tree: object = field(default=None, repr=False)
+    h: Callable = field(repr=False, compare=False)
+    config: dict = field(repr=False, hash=False)
+    excluded_axis: int | None = None
 
     # -- constructors ------------------------------------------------------
 
@@ -66,7 +111,8 @@ class NormModel:
     def euclidean(dim: int) -> "NormModel":
         if dim < 1:
             raise ValueError("dimension must be positive")
-        return NormModel(kind="euclidean", dim=dim)
+        return NormModel("euclidean", dim, _euclidean_h,
+                         {"kind": "euclidean", "dim": dim})
 
     @staticmethod
     def randers(a, b) -> "NormModel":
@@ -84,69 +130,44 @@ class NormModel:
         bnorm = float(np.sqrt(b @ np.linalg.solve(a, b)))
         if bnorm >= 1.0:
             raise ValueError(f"drift covector too long: |b|_a = {bnorm:.6g} >= 1")
-        return NormModel(kind="randers", dim=dim, a=a, b=b)
+        return NormModel("randers", dim, partial(_randers_h, a, b),
+                         {"kind": "randers", "a": a.tolist(),
+                          "b": b.tolist()})
 
     @staticmethod
     def example4(A: float, B: float, eps1: float, eps2: float) -> "NormModel":
         if A <= 0.0 or B <= 0.0:
             raise ValueError("A and B must be positive")
-        return NormModel(kind="example4", dim=3, A=float(A), B=float(B),
-                         eps1=float(eps1), eps2=float(eps2))
+        A, B, eps1, eps2 = float(A), float(B), float(eps1), float(eps2)
+        return NormModel("example4", 3, partial(_example4_h, A, B, eps1, eps2),
+                         {"kind": "example4", "A": A, "B": B,
+                          "eps1": eps1, "eps2": eps2}, excluded_axis=2)
 
     @staticmethod
     def expression(text: str, dim: int) -> "NormModel":
         tree = parse_norm(text, dim)
-        return NormModel(kind="expression", dim=dim, text=text, tree=tree)
+        return NormModel("expression", dim, partial(_expression_h, tree),
+                         {"kind": "expression", "dim": dim, "text": text})
 
     # -- evaluation --------------------------------------------------------
-
-    def _h(self, ys):
-        """H over any ring; ys is a list of dim floats or jets."""
-        if self.kind == "euclidean":
-            acc = ys[0] * ys[0]
-            for y in ys[1:]:
-                acc = acc + y * y
-            return acc * 0.5
-        if self.kind == "randers":
-            q = 0.0
-            for i in range(self.dim):
-                for j in range(self.dim):
-                    aij = self.a[i, j]
-                    if aij != 0.0:
-                        q = q + ys[i] * ys[j] * aij
-            f = _sqrt(q)
-            for i in range(self.dim):
-                if self.b[i] != 0.0:
-                    f = f + ys[i] * self.b[i]
-            return f * f * 0.5
-        if self.kind == "example4":
-            y1, y2, y3 = ys
-            s1 = y1 * y1
-            s2 = y2 * y2
-            r2 = s1 + s2
-            cubic = (s1 * y2) * 3.0 - s2 * y2
-            s1sq = s1 * s1
-            s2sq = s2 * s2
-            sext = (s1sq * s1 - s2sq * s2) - (s1sq * s2 - s1 * s2sq) * 15.0
-            return (r2 * self.A
-                    + y3 * cubic / r2 * self.eps1
-                    + (y3 * y3) * (self.B + sext / (r2 * r2 * r2) * self.eps2))
-        if self.kind == "expression":
-            return evaluate(self.tree, ys)
-        raise ValueError(f"unknown norm kind {self.kind!r}")
 
     def value(self, y) -> float:
         y = np.asarray(y, dtype=np.float64)
         self.check_admissible(y)
-        return float(self._h(list(y)))
+        return float(self.h(list(y)))
 
     def jet(self, base) -> Jet4:
         """Order-4 jet of H about ``base`` (must be admissible)."""
         base = np.asarray(base, dtype=np.float64)
         self.check_admissible(base)
-        return self._h(Jet4.variables(self.dim, base))
+        return self.h(Jet4.variables(self.dim, base))
 
     # -- admissibility -----------------------------------------------------
+
+    def _off_axis_sq(self, y) -> float:
+        """|y|^2 minus the excluded-axis component squared, summed directly."""
+        return sum(y[i] ** 2 for i in range(self.dim)
+                   if i != self.excluded_axis)
 
     def check_admissible(self, y) -> None:
         y = np.asarray(y, dtype=np.float64)
@@ -155,27 +176,14 @@ class NormModel:
         sq = float(y @ y)
         if sq == 0.0:
             raise SingularDirection("zero direction")
-        if self.kind == "example4" and y[0] ** 2 + y[1] ** 2 < AXIS_EXCLUSION * sq:
+        if (self.excluded_axis is not None
+                and self._off_axis_sq(y) < AXIS_EXCLUSION * sq):
             raise SingularDirection(
-                "direction lies on the excluded y3-axis of the example norm")
-
-    @property
-    def excluded_rays(self) -> str | None:
-        if self.kind == "example4":
-            return ("the y3-axis: directions with y1^2 + y2^2 < "
-                    f"{AXIS_EXCLUSION:g} * |y|^2")
-        return None
+                f"direction lies on the excluded y{self.excluded_axis + 1}"
+                "-axis of the norm")
 
     def to_config(self) -> dict:
-        if self.kind == "euclidean":
-            return {"kind": "euclidean", "dim": self.dim}
-        if self.kind == "randers":
-            return {"kind": "randers", "a": self.a.tolist(), "b": self.b.tolist()}
-        if self.kind == "example4":
-            return {"kind": "example4", "A": self.A, "B": self.B,
-                    "eps1": self.eps1, "eps2": self.eps2}
-        return {"kind": "expression", "dim": self.dim,
-                "text": self.text if self.text is not None else to_text(self.tree)}
+        return copy.deepcopy(self.config)
 
 
 # -- validation --------------------------------------------------------------
@@ -218,31 +226,32 @@ def _sample_directions(model: NormModel, samples: int, rng,
         if norm < 1e-8:
             continue
         y /= norm
-        if model.kind == "example4":
-            r2 = y[0] ** 2 + y[1] ** 2
-            if r2 < max(AXIS_EXCLUSION, min_axis_fraction ** 2):
-                continue
+        if (model.excluded_axis is not None and model._off_axis_sq(y)
+                < max(AXIS_EXCLUSION, min_axis_fraction ** 2)):
+            continue
         out[count] = y
         count += 1
     return out
 
 
 def _near_ray_probes(model: NormModel, count: int, rng) -> np.ndarray:
-    """Points approaching each excluded ray, log-spaced in angular distance."""
-    if model.excluded_rays is None or count == 0:
+    """Points approaching both rays of the excluded axis of a norm on R^3,
+    log-spaced in angular distance."""
+    axis = model.excluded_axis
+    if axis is None or count == 0:
         return np.zeros((0, model.dim))
-    probes = []
-    angles = np.logspace(-3, -1, count // 2)
+    probes = []  # built about the y3-axis, then moved to the excluded one
     for sign in (1.0, -1.0):
-        for phi in angles:
+        for phi in np.logspace(-3, -1, count // 2):
             theta = rng.uniform(0.0, 2.0 * np.pi)
-            w = np.array([np.cos(theta), np.sin(theta), 0.0])
-            probes.append(np.array([0.0, 0.0, sign]) * np.cos(phi)
-                          + w * np.sin(phi))
-    return np.asarray(probes)
+            probes.append([np.cos(theta) * np.sin(phi),
+                           np.sin(theta) * np.sin(phi), sign * np.cos(phi)])
+    order = [i for i in range(3) if i != axis] + [axis]
+    return np.asarray(probes)[:, np.argsort(order)]
 
 
-def validate_norm(model: NormModel, samples: int = 2000, seed: int = 0,
+def validate_norm(model: NormModel, samples: int = VALIDATION_SAMPLES,
+                  seed: int = 0,
                   min_axis_fraction: float = 0.0) -> ValidationReport:
     """Sample-based certificate that H behaves like a Minkowski norm.
 

@@ -16,6 +16,8 @@ from math import atan2, cos, pi, sin
 
 import numpy as np
 
+from .germ import sym3
+
 SYM_TOL = 1e-12
 EIG_TOL = 1e-9          # scaled by (1 + spectral radius)
 CLUSTER_TOL = 1e-6      # eigenvalue clustering, scaled the same way
@@ -23,6 +25,8 @@ CANONICAL_ANGLE_TOL = 1e-6
 ANTIPODAL_TOL = 1e-9
 COND_LIMIT = 1e10
 RESIDUAL_SQ = 1e-16     # success threshold for common_zero_search
+MEMBER_SAMPLES = 10000  # members sampled by type_sampled
+ZERO_SEARCH_BUDGET = 64
 
 
 class ZeroPencil(ValueError):
@@ -49,17 +53,6 @@ def _sym_matrix(M, name: str) -> np.ndarray:
     if float(np.abs(M - M.T).max(initial=0.0)) > SYM_TOL * scale:
         raise ValueError(f"{name} is not symmetric to {SYM_TOL}")
     return 0.5 * (M + M.T)
-
-
-def _sym_cubic(T, name: str) -> np.ndarray:
-    T = np.asarray(T, dtype=np.float64)
-    if T.ndim != 3 or len(set(T.shape)) != 1:
-        raise ValueError(f"{name} must be a cubic coefficient array (N,N,N)")
-    out = np.zeros_like(T)
-    for perm in ((0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1),
-                 (2, 1, 0)):
-        out += np.transpose(T, perm)
-    return out / 6.0
 
 
 @dataclass(frozen=True)
@@ -104,7 +97,29 @@ def inertia(M, tol: float | None = None) -> tuple:
     return pos, neg, M.shape[0] - pos - neg
 
 
-def type_sampled(P: SymPencil, samples: int = 10000) -> int:
+def _half_circle_members(P: SymPencil, count: int) -> np.ndarray:
+    """Members cos(t) A1 + sin(t) A2 at count equispaced t in [0, pi)."""
+    th = np.linspace(0.0, np.pi, count, endpoint=False)
+    return (np.cos(th)[:, None, None] * P.A1
+            + np.sin(th)[:, None, None] * P.A2)
+
+
+def max_rank_inertia(members: np.ndarray, tol: float = EIG_TOL) -> tuple:
+    """Positive and negative inertia counts of the maximal-rank members.
+
+    ``members`` stacks symmetric matrices; eigenvalues within
+    tol * (1 + spectral radius) of zero count as zero, member by member.
+    """
+    evals = np.linalg.eigvalsh(members)
+    tol = tol * (1.0 + np.abs(evals).max(axis=1, keepdims=True))
+    pos = (evals > tol).sum(axis=1)
+    neg = (evals < -tol).sum(axis=1)
+    rank = pos + neg
+    at_max = rank == rank.max()
+    return pos[at_max], neg[at_max]
+
+
+def type_sampled(P: SymPencil, samples: int = MEMBER_SAMPLES) -> int:
     """Minimum positive inertia over sampled maximal-rank members.
 
     Samples lam on the half-circle lam2 >= 0; the antipodal member -M has
@@ -115,16 +130,8 @@ def type_sampled(P: SymPencil, samples: int = 10000) -> int:
     if np.abs(P.A1).max(initial=0.0) == 0.0 and \
             np.abs(P.A2).max(initial=0.0) == 0.0:
         raise ZeroPencil("both pencil matrices are zero")
-    th = np.linspace(0.0, np.pi, samples, endpoint=False)
-    members = (np.cos(th)[:, None, None] * P.A1
-               + np.sin(th)[:, None, None] * P.A2)
-    evals = np.linalg.eigvalsh(members)
-    tol = EIG_TOL * (1.0 + np.abs(evals).max(axis=1, keepdims=True))
-    pos = (evals > tol).sum(axis=1)
-    neg = (evals < -tol).sum(axis=1)
-    rank = pos + neg
-    at_max = rank == rank.max()
-    return int(min(pos[at_max].min(), neg[at_max].min()))
+    pos, neg = max_rank_inertia(_half_circle_members(P, samples))
+    return int(min(pos.min(), neg.min()))
 
 
 @dataclass(frozen=True)
@@ -321,6 +328,15 @@ def type_exact(S: SpectralData) -> int:
     return s + int(min(counts))
 
 
+def pencil_type(P: SymPencil) -> tuple:
+    """(type, method): exact from the spectral split, or sampled over
+    MEMBER_SAMPLES members when the pencil is singular or not semisimple."""
+    try:
+        return type_exact(spectral_split(P)), "spectral"
+    except (SingularA2, NotSemisimple):
+        return type_sampled(P), "sampled"
+
+
 @dataclass(frozen=True)
 class CanonicalData:
     """Angle-block configuration: 2l-1 real blocks plus s hyperbolic pairs.
@@ -506,10 +522,7 @@ def genericity_check(P: SymPencil, seed: int = 0) -> GenericityReport:
     """The three genericity conditions, reported rather than enforced."""
     scale = 1.0 + max(float(np.abs(P.A1).max(initial=0.0)),
                       float(np.abs(P.A2).max(initial=0.0)))
-    th = np.linspace(0.0, np.pi, 64, endpoint=False)
-    members = (np.cos(th)[:, None, None] * P.A1
-               + np.sin(th)[:, None, None] * P.A2)
-    sv = np.linalg.svd(members, compute_uv=False)
+    sv = np.linalg.svd(_half_circle_members(P, 64), compute_uv=False)
     det_ok = bool(sv[:, -1].max() > EIG_TOL * scale)
 
     notes = []
@@ -676,8 +689,8 @@ def _single_descent(A1, A2, T1, T2, seed_seq):
     return None
 
 
-def common_zero_search(phi1, phi2, psi1, psi2, budget: int = 64,
-                       seed: int = 0):
+def common_zero_search(phi1, phi2, psi1, psi2,
+                       budget: int = ZERO_SEARCH_BUDGET, seed: int = 0):
     """Unit-sphere common zero of two quadratics and two cubics, or None.
 
     Runs ``budget`` independent descents (quadric projection, tangent-space
@@ -687,8 +700,12 @@ def common_zero_search(phi1, phi2, psi1, psi2, budget: int = 64,
     """
     A1 = _sym_matrix(phi1, "phi1")
     A2 = _sym_matrix(phi2, "phi2")
-    T1 = _sym_cubic(psi1, "psi1")
-    T2 = _sym_cubic(psi2, "psi2")
+    T1, T2 = (np.asarray(T, dtype=np.float64) for T in (psi1, psi2))
+    for name, T in (("psi1", T1), ("psi2", T2)):
+        if T.ndim != 3 or len(set(T.shape)) != 1:
+            raise ValueError(f"{name} must be a cubic coefficient array "
+                             "(N,N,N)")
+    T1, T2 = sym3(T1), sym3(T2)
     if budget < 1:
         raise ValueError("budget must be positive")
 

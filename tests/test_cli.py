@@ -1,11 +1,17 @@
 """CLI surface: exit codes, JSON shapes, determinism, config errors."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from minksub import cli
+from minksub.germ import Germ
+from minksub.invariants import point_invariants
 from minksub.pencil import CanonicalData, build_canonical
 
 PARABOLOID = {
@@ -330,3 +336,66 @@ def test_runtime_error_exits_one(tmp_path, capsys):
                                 "--direction", "1,0"])
     assert code == 1
     assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("bad, pointer", [
+    (float("nan"), "/germ/d2/0/1/0"),
+    (float("inf"), "/germ/d2/0/1/0"),
+    (-float("inf"), "/germ/d2/0/1/0"),
+])
+def test_non_finite_config_array_exits_two(tmp_path, capsys, bad, pointer):
+    cfg = json.loads(json.dumps(PARABOLOID))
+    cfg["germ"]["d2"][0][1][0] = bad
+    path = write(tmp_path, "c.json", cfg)
+    code, out, err = run(capsys, ["curvature", "--config", path,
+                                  "--direction", "1,0"])
+    assert code == 2 and out == ""
+    assert err.startswith(f"config error: {pointer}: not finite")
+
+
+def test_non_finite_config_number_exits_two(tmp_path, capsys):
+    path = write(tmp_path, "n.json",
+                 {"kind": "example4", "A": float("inf"), "B": 10.0,
+                  "eps1": 0.1, "eps2": 0.1})
+    code, out, err = run(capsys, ["check-norm", "--config", path])
+    assert code == 2 and out == ""
+    assert err.startswith("config error: /A: not finite")
+
+
+def test_non_finite_direction_exits_two(tmp_path, capsys):
+    cfg = write(tmp_path, "c.json", PARABOLOID)
+    code, _, err = run(capsys, ["curvature", "--config", cfg,
+                                "--direction", "nan,1"])
+    assert code == 2
+    assert err.startswith("config error: --direction")
+
+
+def test_json_output_is_strict():
+    with pytest.raises(ValueError):
+        cli._emit_json({"Ric": float("nan")}, None)
+
+
+def test_invariants_seed_reaches_the_sampler(tmp_path, capsys):
+    d2 = [[[1.0, 0.0, 0.0], [0.0, -1.0, 0.0], [0.0, 0.0, 0.5]],
+          [[0.0, 1.0, 0.0], [1.0, 0.0, 0.5], [0.0, 0.5, 0.0]],
+          [[2.0, 0.0, 1.0], [0.0, 1.0, 0.0], [1.0, 0.0, -1.0]]]
+    germ = {"n": 3, "p": 3, "d2": d2, "d3": np.zeros((3, 3, 3, 3)).tolist()}
+    cfg = write(tmp_path, "g.json", germ)
+    code, out, _ = run(capsys, ["invariants", "--config", cfg,
+                                "--seed", "5"])
+    assert code == 0
+    rep = json.loads(out)
+    expected = point_invariants(Germ.from_dict(germ), seed=5).to_dict()
+    assert rep["seed"] == 5
+    assert {k: rep[k] for k in expected} == expected
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    src = Path(cli.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, minksub.cli; print('scipy' in sys.modules)"],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

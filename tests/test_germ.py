@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from minksub.germ import (AmbientFrame, Germ, NonInvertibleFrame, adapt_germ,
-                          sym3, transform_germ)
+                          sym3, taylor_jets, transform_germ)
+from minksub.jets import Jet4
 
 
 def random_germ(rng, n, p, scale=1.0):
@@ -134,3 +135,26 @@ def test_transform_rejects_bad_maps():
     swap[0, 2] = swap[2, 0] = swap[1, 1] = 1.0
     with pytest.raises(NonInvertibleFrame):
         transform_germ(g, swap)
+
+
+def test_taylor_jets_value_and_gradient():
+    rng = np.random.default_rng(4)
+    g = random_germ(rng, 3, 2)
+    x0 = rng.standard_normal(3)
+    xjets = Jet4.variables(3, x0)
+    # f^a(x) = d2 x x / 2 + d3 x x x / 6 and f^a_kl(x) = d2_kl + d3_klm x_m
+    f = taylor_jets([None, None, g.d2, g.d3], xjets)
+    fkl = taylor_jets([g.d2, g.d3], xjets)
+    assert len(f) == 2 and len(fkl) == 2 and len(fkl[0]) == 3
+    for a in range(2):
+        value = (0.5 * np.einsum("ij,i,j->", g.d2[a], x0, x0)
+                 + np.einsum("ijk,i,j,k->", g.d3[a], x0, x0, x0) / 6.0)
+        grad = g.d2[a] @ x0 + 0.5 * np.einsum("ijk,j,k->i", g.d3[a], x0, x0)
+        assert f[a].value == pytest.approx(value, rel=1e-12)
+        assert np.allclose(f[a].gradient(), grad, rtol=1e-12)
+        for k in range(3):
+            for l in range(3):
+                jet = fkl[a][k][l]
+                assert jet.value == pytest.approx(
+                    g.d2[a, k, l] + g.d3[a, k, l] @ x0, rel=1e-12)
+                assert np.allclose(jet.gradient(), g.d3[a, k, l])

@@ -1,5 +1,7 @@
 """Norm models against symbolic oracles and the sampling validator."""
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -129,6 +131,7 @@ def test_config_round_trip():
             "expression": lambda c: NormModel.expression(c["text"], c["dim"]),
         }[cfg["kind"]](cfg)
         assert rebuilt.value(y) == pytest.approx(m.value(y), rel=1e-14)
+        assert pickle.loads(pickle.dumps(m)).value(y) == m.value(y)
 
 
 def test_validate_norm_accepts_good_models():

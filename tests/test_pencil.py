@@ -8,9 +8,9 @@ from minksub.pencil import (CanonicalData, NotSemisimple, SingularA2,
                             build_canonical, build_from_spectral,
                             canonical_from_spectral, canonical_type,
                             classify_topology, common_zero_search,
-                            genericity_check, inertia, perturb,
-                            spectral_split, type_exact, type_sampled,
-                            _residuals)
+                            genericity_check, inertia, max_rank_inertia,
+                            pencil_type, perturb, spectral_split,
+                            type_exact, type_sampled, _residuals)
 
 
 def congruent(P, S):
@@ -347,3 +347,21 @@ def test_common_zero_not_found_on_empty_intersection():
     A2 = np.diag([1.0, 2.0, 3.0])
     zeros = np.zeros((3, 3, 3))
     assert common_zero_search(A1, A2, zeros, zeros, budget=6, seed=0) is None
+
+
+def test_pencil_type_reports_its_method():
+    # every nonzero member of this pencil has inertia (1, 1)
+    hyperbolic = SymPencil.make(np.diag([1.0, -1.0]),
+                                np.array([[0.0, 1.0], [1.0, 0.0]]))
+    assert pencil_type(hyperbolic) == (1, "spectral")
+    # nilpotent B^-1 C: not semisimple, so the sampler answers
+    jordan = SymPencil.make(np.diag([1.0, 0.0]),
+                            np.array([[0.0, 1.0], [1.0, 0.0]]))
+    assert pencil_type(jordan) == (type_sampled(jordan), "sampled")
+
+
+def test_max_rank_inertia_keeps_only_maximal_rank_members():
+    members = np.stack([np.diag([1.0, -1.0, 0.0]), np.diag([2.0, 0.0, 0.0]),
+                        np.diag([-1.0, -1.0, 0.0])])
+    pos, neg = max_rank_inertia(members)
+    assert pos.tolist() == [1, 0] and neg.tolist() == [1, 2]
