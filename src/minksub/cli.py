@@ -19,10 +19,10 @@ import numpy as np
 from . import example
 from . import invariants as inv
 from . import pencil as pencils
-from .curvature import (COND_LIMIT, ZETA_DET_RATIO_TOL, reports_to_csv,
-                        ricci_expanded, zeta_check)
+from .curvature import (ZETA_DET_RATIO_TOL, reports_to_csv, ricci_expanded,
+                        zeta_check)
 from .example import ExampleParams, find_example_params, verify_example
-from .germ import Germ
+from .germ import COND_LIMIT, Germ
 from .invariants import (audit_codim2, audit_hypersurface, audit_ruled,
                          point_invariants, sphere_grid)
 from .minkowski import VALIDATION_SAMPLES, NormModel, validate_norm
@@ -182,8 +182,7 @@ def _emit_json(obj: dict, out: str | None) -> None:
 
 def _cmd_check_norm(args) -> int:
     norm = _norm_section(_load_json(args.config))
-    samples = args.grid or VALIDATION_SAMPLES
-    report = validate_norm(norm, samples=samples, seed=args.seed,
+    report = validate_norm(norm, samples=args.grid, seed=args.seed,
                            min_axis_fraction=args.min_axis_fraction)
     out = report.to_dict()
     out["norm"] = norm.to_config()
@@ -216,7 +215,7 @@ def _cmd_ricci_grid(args) -> int:
     data = _load_json(args.config)
     norm = _norm_section(data)
     germ = _germ_section(data)
-    grid = args.grid or inv.default_grid(germ.n)
+    grid = inv.default_grid(germ.n) if args.grid is None else args.grid
     reports = [ricci_expanded(norm, germ, u)
                for u in sphere_grid(germ.n, grid)]
     _emit(reports_to_csv(reports), args.out)
@@ -295,12 +294,12 @@ def _cmd_pencil_common_zero(args) -> int:
 
 def _cmd_verify_example(args) -> int:
     if args.auto:
-        params = find_example_params(args.budget)
+        params = find_example_params(args.budget, grid=args.grid)
     elif args.params:
         params = ExampleParams.from_dict(_load_json(args.params))
     else:
         raise ConfigError("/: verify-example needs --params FILE or --auto")
-    report = verify_example(params, grid=args.grid or example.GRID)
+    report = verify_example(params, grid=args.grid)
     out = report.to_dict()
     out["seed"] = args.seed
     out["tolerances"] = {"relTol": example.REL_TOL,
@@ -312,7 +311,7 @@ def _cmd_verify_example(args) -> int:
 
 
 def _cmd_find_params(args) -> int:
-    params = find_example_params(args.budget)
+    params = find_example_params(args.budget, grid=args.grid)
     _emit_json({"params": params.to_dict(), "budget": args.budget,
                 "seed": args.seed}, args.out)
     return 0
@@ -322,17 +321,19 @@ def _cmd_audit(args) -> int:
     data = _load_json(args.config)
     norm = _norm_section(data)
     germ = _germ_section(data)
-    tol = args.tol or inv.RIC_NONNEG_TOL
+    tolerances = {"ricNonnegTol": args.tol, "ruledTol": inv.RULED_TOL}
     if args.audit_cmd == "hyper":
-        report = audit_hypersurface(norm, germ, grid=args.grid, tol=tol)
+        report = audit_hypersurface(norm, germ, grid=args.grid, tol=args.tol)
     elif args.audit_cmd == "codim2":
-        report = audit_codim2(norm, germ, grid=args.grid, tol=tol)
+        report = audit_codim2(norm, germ, grid=args.grid, tol=args.tol)
     else:
         u = _parse_direction(args.direction, germ.n)
-        report = audit_ruled(norm, germ, u, grid=args.grid, tol=tol)
+        report = audit_ruled(norm, germ, u, tol=args.tol)
+        tolerances.update(ruledAgreeTol=inv.RULED_AGREE_TOL,
+                          ruledInLTol=inv.RULED_IN_L_TOL)
     out = report.to_dict()
     out["seed"] = args.seed
-    out["tolerances"] = {"ricNonnegTol": tol, "ruledTol": inv.RULED_TOL}
+    out["tolerances"] = tolerances
     _emit_json(out, args.out)
     return 0 if report.verdict == "CONSISTENT" else 1
 
@@ -344,12 +345,10 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0,
                         help="seed for all randomized steps (default 0)")
-    common.add_argument("--grid", type=int, default=None,
-                        help="direction-grid size (default per command)")
-    common.add_argument("--tol", type=float, default=None,
-                        help="override the command's main tolerance")
     common.add_argument("--out", default=None,
                         help="also write the report to this file")
+    directions = "direction-grid size (default depends on n)"
+    angles = "circle angles before refinement (default %(default)d)"
 
     parser = argparse.ArgumentParser(
         prog="minksub",
@@ -361,6 +360,8 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="validate a norm config")
     p.add_argument("--config", required=True)
     p.add_argument("--min-axis-fraction", type=float, default=0.0)
+    p.add_argument("--grid", type=int, default=VALIDATION_SAMPLES,
+                   help="sampled directions (default %(default)d)")
     p.set_defaults(handler=_cmd_check_norm)
 
     p = sub.add_parser("curvature", parents=[common],
@@ -373,6 +374,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ricci-grid", parents=[common],
                        help="CSV sweep of curvature reports")
     p.add_argument("--config", required=True)
+    p.add_argument("--grid", type=int, help=directions)
     p.set_defaults(handler=_cmd_ricci_grid)
 
     p = sub.add_parser("invariants", parents=[common],
@@ -403,11 +405,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", type=int, default=example.SEARCH_BUDGET)
     p.add_argument("--csv", default=None,
                    help="write per-angle closed-form vs pipeline CSV here")
+    p.add_argument("--grid", type=int, default=example.GRID, help=angles)
     p.set_defaults(handler=_cmd_verify_example)
 
     p = sub.add_parser("find-params", parents=[common],
                        help="search the example parameter grid")
     p.add_argument("--budget", type=int, default=example.SEARCH_BUDGET)
+    p.add_argument("--grid", type=int, default=example.GRID, help=angles)
     p.set_defaults(handler=_cmd_find_params)
 
     audit_parser = sub.add_parser("audit", help="proposition auditors")
@@ -417,6 +421,11 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True)
         if name == "ruled":
             p.add_argument("--direction", required=True)
+        else:
+            p.add_argument("--grid", type=int, help=directions)
+        p.add_argument("--tol", type=float, default=inv.RIC_NONNEG_TOL,
+                       help="Ric >= -tol counts as nonnegative "
+                            "(default %(default)g)")
         p.set_defaults(handler=_cmd_audit)
     return parser
 
@@ -425,6 +434,10 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        if getattr(args, "grid", None) is not None and args.grid < 1:
+            parser.error(f"--grid must be at least 1, got {args.grid}")
+        if not 0.0 <= getattr(args, "tol", 0.0) < float("inf"):
+            parser.error(f"--tol must be finite and >= 0, got {args.tol}")
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -40,11 +40,10 @@ from io import StringIO
 
 import numpy as np
 
-from .germ import Germ, taylor_jets
+from .germ import COND_LIMIT, Germ, taylor_jets
 from .jets import Jet4
 from .minkowski import NormModel
 
-COND_LIMIT = 1e12
 ZETA_DET_RATIO_TOL = 1e-10  # zeta = det(Hess H) / det(g) for p = 1
 
 
@@ -73,7 +72,8 @@ def _pd_inverse(g: np.ndarray) -> np.ndarray:
     if evals[0] <= 0.0:
         raise NonPDTensor(f"fundamental tensor has eigenvalue {evals[0]:.6g}")
     if evals[-1] / evals[0] > COND_LIMIT:
-        raise NonPDTensor("fundamental tensor condition number exceeds 1e12")
+        raise NonPDTensor("fundamental tensor condition number exceeds "
+                          f"{COND_LIMIT:g}")
     return (vecs / evals) @ vecs.T
 
 

@@ -20,7 +20,7 @@ and every report carries a note saying so.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from itertools import islice, product
 from math import sqrt
 
 import numpy as np
@@ -228,8 +228,7 @@ def verify_example(params: ExampleParams, grid: int = GRID) -> ExampleReport:
 
     norm_valid = None
     if ok_b:
-        report = validate_norm(norm, samples=2000, seed=0,
-                               min_axis_fraction=0.5)
+        report = validate_norm(norm, min_axis_fraction=0.5)
         norm_valid = report.valid
         if not norm_valid:
             notes.append("norm validation failed off-axis: "
@@ -289,12 +288,10 @@ def find_example_params(search_budget: int = SEARCH_BUDGET,
     """
     if search_budget < 1:
         raise ValueError("search budget must be positive")
-    tried = 0
-    for A, B, e1, e2, e3, C in product(*SEARCH_GRID.values()):
-        if tried >= search_budget:
-            break
-        tried += 1
+    combos = list(islice(product(*SEARCH_GRID.values()), search_budget))
+    for A, B, e1, e2, e3, C in combos:
         params = ExampleParams(A=A, B=B, eps1=e1, eps2=e2, eps3=e3, C=C)
         if verify_example(params, grid=grid).verdict == "SUCCESS":
             return params
-    raise NoParamsFound(f"no parameters verified within {tried} combinations")
+    raise NoParamsFound(f"no parameters verified within {len(combos)} "
+                        "combinations")

@@ -13,18 +13,28 @@ checks of the curvature pipeline.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from statistics import NormalDist
 
 import numpy as np
 
 from . import pencil as pencils
 from .curvature import ricci_expanded
 from .germ import Germ
+from .jets import MAX_DIM
 from .minkowski import NormModel
 
 RANK_TOL = 1e-9
 RIC_NONNEG_TOL = 1e-8       # Ric >= -1e-8 counts as nonnegative
-RULED_TOL = 1e-10
+RULED_TOL = 1e-10           # kappa(u) and the cubic vanish at a ruling
+RULED_AGREE_TOL = 1e-9      # full Ricci vs reduced contraction, relative
+RULED_IN_L_TOL = 1e-8       # u lies in L(P): f(u, .) below this, scaled
 NORMAL_SAMPLES = 10000      # normal directions sampled when p >= 3
+
+SOBOL_BITS = 30
+# Joe & Kuo (SIAM J. Sci. Comput. 30, 2008) rows (a, m) of Sobol dimensions
+# 2..MAX_DIM: inner primitive-polynomial coefficients, initial integers
+_JOE_KUO = ((0, (1,)), (1, (1, 3)), (1, (1, 3, 1)), (2, (1, 1, 1)),
+            (1, (1, 1, 3, 3)), (4, (1, 3, 5, 13)), (2, (1, 1, 5, 5, 17)))
 
 
 class NotRuledDirection(ValueError):
@@ -118,27 +128,38 @@ def default_grid(n: int) -> int:
     return 720 if n == 2 else 4096
 
 
+def _sobol_points(n: int, count: int) -> np.ndarray:
+    """Unscrambled Sobol points 2 .. count + 1 of [0, 1)^n; point k is point
+    k - 1 XOR the direction numbers at the lowest set bit of k.  Points 0
+    and 1 (corner, centre) go to infinity and 0 under the normal map."""
+    rows = [[1] * SOBOL_BITS]  # van der Corput
+    for a, m in _JOE_KUO[:n - 1]:
+        s, v = len(m), list(m)
+        for k in range(s, SOBOL_BITS):
+            mk = v[k - s] ^ (v[k - s] << s)
+            for i in range(1, s):
+                mk ^= ((a >> (s - 1 - i)) & 1) * (v[k - i] << i)
+            v.append(mk)
+        rows.append(v)
+    dirs = np.array(rows, dtype=np.int64) << (SOBOL_BITS - 1
+                                              - np.arange(SOBOL_BITS))
+    k = np.arange(1, count + 2)
+    steps = dirs[:, np.log2(k & -k).astype(np.int64)].T
+    return np.bitwise_xor.accumulate(steps, axis=0)[1:] * 2.0 ** -SOBOL_BITS
+
+
 def sphere_grid(n: int, count: int) -> np.ndarray:
-    """Deterministic direction grid: uniform angles for n = 2,
-    low-discrepancy (Sobol through the normal map) points for n >= 3."""
+    """Deterministic direction grid: uniform angles for n = 2, else Sobol
+    points mapped coordinatewise through the inverse normal CDF
+    (``statistics.NormalDist``) and normalised."""
+    if not 1 <= n <= MAX_DIM:
+        raise ValueError(f"sphere dimension must be in 1..{MAX_DIM}, got {n}")
+    if count < 1:
+        raise ValueError(f"direction count must be positive, got {count}")
     if n == 2:
         th = np.arange(count) * (2.0 * np.pi / count)
         return np.stack([np.cos(th), np.sin(th)], axis=1)
-    # scipy costs most of a cold start; only n >= 3 grids need it
-    from scipy.special import ndtri
-    from scipy.stats import qmc
-    sob = qmc.Sobol(d=n, scramble=False)
-    # a power-of-two draw keeps the sequence balanced (and scipy quiet)
-    raw = sob.random(1 << int(np.ceil(np.log2(2 * count + 2))))
-    # drop cube points that the inverse normal map sends to the origin
-    # or to infinity (the unscrambled sequence starts at 0 and 1/2)
-    raw = raw[np.all((raw > 0.0) & (raw < 1.0), axis=1)]
-    pts = ndtri(raw)
-    norms = np.linalg.norm(pts, axis=1)
-    pts = pts[norms > 1e-9]
-    if pts.shape[0] < count:
-        raise ValueError(f"could not build {count} sphere points")
-    pts = pts[:count]
+    pts = np.vectorize(NormalDist().inv_cdf)(_sobol_points(n, count))
     return pts / np.linalg.norm(pts, axis=1, keepdims=True)
 
 
@@ -161,16 +182,10 @@ class AuditReport:
 
 
 def _grid_min_ric(norm: NormModel, germ: Germ, grid: int | None):
-    if grid is None:
-        grid = default_grid(germ.n)
-    dirs = sphere_grid(germ.n, grid)
-    best = None
-    arg = None
-    for u in dirs:
-        ric = ricci_expanded(norm, germ, u).Ric
-        if best is None or ric < best:
-            best, arg = ric, u
-    return best, arg
+    dirs = sphere_grid(germ.n, default_grid(germ.n) if grid is None else grid)
+    rics = [ricci_expanded(norm, germ, u).Ric for u in dirs]
+    k = int(np.argmin(rics))
+    return rics[k], dirs[k]
 
 
 def audit_hypersurface(norm: NormModel, germ: Germ,
@@ -224,15 +239,11 @@ def audit_codim2(norm: NormModel, germ: Germ,
 
 
 def audit_ruled(norm: NormModel, germ: Germ, ruling_direction,
-                grid: int | None = None,
                 tol: float = RIC_NONNEG_TOL) -> AuditReport:
     """Ruled-direction check at one direction u with kappa(u) = 0 and
     vanishing cubic: the full Ricci must equal the reduced contraction
     -zeta_ab g^il f^b_jl f^a_ir u^j u^r, and Ric(u) >= 0 must place u in
-    L(P).  The grid argument is accepted for signature uniformity with
-    the other audits; the hypothesis concerns a single direction.
-    """
-    del grid
+    L(P)."""
     u = np.asarray(ruling_direction, dtype=np.float64)
     if u.shape != (germ.n,):
         raise ValueError(f"ruling direction must have shape ({germ.n},)")
@@ -247,10 +258,10 @@ def audit_ruled(norm: NormModel, germ: Germ, ruling_direction,
     gi = np.linalg.inv(rep.g)
     fu = np.einsum("ajl,l->aj", germ.d2, u)
     reduced = -float(np.einsum("il,ab,bl,ai->", gi, rep.zeta, fu, fu))
-    agree = abs(rep.Ric - reduced) <= 1e-9 * (1.0 + abs(rep.Ric))
+    agree = abs(rep.Ric - reduced) <= RULED_AGREE_TOL * (1.0 + abs(rep.Ric))
 
     mu, basis = nullity(germ)
-    in_L = np.abs(fu).max(initial=0.0) <= 1e-8 * scale2
+    in_L = np.abs(fu).max(initial=0.0) <= RULED_IN_L_TOL * scale2
 
     notes = [f"reduced contraction = {reduced!r}"]
     if not agree:

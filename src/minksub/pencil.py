@@ -386,27 +386,15 @@ def canonical_type(C: CanonicalData) -> int:
 
 def build_canonical(C: CanonicalData) -> SymPencil:
     """Pencil with cos/sin angle blocks and hyperbolic pairs."""
-    N = C.dim
-    A1 = np.zeros((N, N))
-    A2 = np.zeros((N, N))
-    idx = 0
     K = 2 * C.l - 1
-    for j, size in enumerate(C.n, start=1):
-        # j = K closes the circle: take the angle 0 branch exactly, so the
-        # l = 1 block writes sin = 0.0 rather than sin(2*pi) rounding dirt
-        # (a 1x1 A2 holding only that dirt would pass the conditioning
-        # gate and poison the split)
-        th = 2.0 * pi * (j % K) / K
-        for _ in range(size):
-            A1[idx, idx] = cos(th)
-            A2[idx, idx] = sin(th)
-            idx += 1
-    for _ in range(C.s):
-        A1[idx, idx] = 1.0
-        A1[idx + 1, idx + 1] = -1.0
-        A2[idx, idx + 1] = A2[idx + 1, idx] = 1.0
-        idx += 2
-    return SymPencil.make(A1, A2)
+    # j = K closes the circle: take the angle 0 branch exactly, so the
+    # l = 1 block writes sin = 0.0 rather than sin(2*pi) rounding dirt
+    # (a 1x1 A2 holding only that dirt would pass the conditioning
+    # gate and poison the split)
+    angles = [2.0 * pi * (j % K) / K
+              for j, size in enumerate(C.n, start=1) for _ in range(size)]
+    return build_from_spectral(SpectralData(
+        tuple((cos(th), sin(th)) for th in angles), ((0.0, 1.0),) * C.s))
 
 
 def canonical_from_spectral(S: SpectralData,
@@ -598,27 +586,36 @@ def _jacobian(A1, A2, T1, T2, x):
                      3.0 * np.einsum("ijk,j,k->i", T2, x, x)])
 
 
-def _project_to_quadrics(A1, A2, x, iters: int = 60):
-    """Newton least squares onto {phi1 = 0, phi2 = 0, |x| = 1}."""
+def _gauss_newton(residual, jacobian, x, iters: int, stop: float):
+    """Damped Gauss-Newton: halve each least-squares step (up to 25 times)
+    until the squared residual drops; stop once it is <= ``stop``, when no
+    halving improves, or after ``iters`` steps.  Returns (x, residual^2)."""
+    r = residual(x)
+    val = float(r @ r)
     for _ in range(iters):
-        r = np.array([x @ A1 @ x, x @ A2 @ x, x @ x - 1.0])
-        val = float(r @ r)
-        if val <= 1e-28:
-            return x, val
-        J = np.stack([2.0 * A1 @ x, 2.0 * A2 @ x, 2.0 * x])
-        step, *_ = np.linalg.lstsq(J, -r, rcond=None)
+        if val <= stop:
+            break
+        step, *_ = np.linalg.lstsq(jacobian(x), -r, rcond=None)
         scale = 1.0
         for _ in range(25):
             xn = x + scale * step
-            rn = np.array([xn @ A1 @ xn, xn @ A2 @ xn, xn @ xn - 1.0])
-            if float(rn @ rn) < val:
-                x = xn
+            rn = residual(xn)
+            vn = float(rn @ rn)
+            if vn < val:
+                x, r, val = xn, rn, vn
                 break
             scale *= 0.5
         else:
-            return x, val
-    r = np.array([x @ A1 @ x, x @ A2 @ x, x @ x - 1.0])
-    return x, float(r @ r)
+            break
+    return x, val
+
+
+def _project_to_quadrics(A1, A2, x, iters: int = 60):
+    """Newton least squares onto {phi1 = 0, phi2 = 0, |x| = 1}."""
+    return _gauss_newton(
+        lambda y: np.array([y @ A1 @ y, y @ A2 @ y, y @ y - 1.0]),
+        lambda y: np.stack([2.0 * A1 @ y, 2.0 * A2 @ y, 2.0 * y]),
+        x, iters, 1e-28)
 
 
 def _single_descent(A1, A2, T1, T2, seed_seq):
@@ -647,40 +644,22 @@ def _single_descent(A1, A2, T1, T2, seed_seq):
         if gn <= 1e-14:
             break
         eta = min(1.0, 1.0 / gn)
-        improved = False
         for _ in range(30):
             xn, _ = _project_to_quadrics(A1, A2, x - eta * tangent, iters=8)
             rn = _residuals(A1, A2, T1, T2, xn)
             if rn[2] ** 2 + rn[3] ** 2 < h:
                 x = xn
-                improved = True
                 break
             eta *= 0.5
-        if not improved:
+        else:
             break
 
     # damped Gauss-Newton polish on all residuals plus the sphere constraint
-    for _ in range(50):
-        r = _residuals(A1, A2, T1, T2, x)
-        full = np.concatenate([r, [x @ x - 1.0]])
-        val = float(full @ full)
-        if val <= 1e-30:
-            break
-        J = np.concatenate([_jacobian(A1, A2, T1, T2, x), [2.0 * x]])
-        step, *_ = np.linalg.lstsq(J, -full, rcond=None)
-        scale = 1.0
-        improved = False
-        for _ in range(25):
-            xn = x + scale * step
-            rn = _residuals(A1, A2, T1, T2, xn)
-            fn = np.concatenate([rn, [xn @ xn - 1.0]])
-            if float(fn @ fn) < val:
-                x = xn
-                improved = True
-                break
-            scale *= 0.5
-        if not improved:
-            break
+    x, _ = _gauss_newton(
+        lambda y: np.concatenate([_residuals(A1, A2, T1, T2, y),
+                                  [y @ y - 1.0]]),
+        lambda y: np.concatenate([_jacobian(A1, A2, T1, T2, y), [2.0 * y]]),
+        x, 50, 1e-30)
 
     x = x / np.linalg.norm(x)
     r = _residuals(A1, A2, T1, T2, x)

@@ -4,12 +4,14 @@ import json
 import os
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from minksub import cli
+from minksub import cli, example
+from minksub import invariants as inv
 from minksub.germ import Germ
 from minksub.invariants import point_invariants
 from minksub.pencil import CanonicalData, build_canonical
@@ -257,12 +259,71 @@ def test_audit_ruled_with_direction_and_tol(tmp_path, capsys):
                          "d3": np.zeros((1, 2, 2, 2)).tolist()}}
     cfg = write(tmp_path, "c.json", cylinder)
     code, out, _ = run(capsys, ["audit", "ruled", "--config", cfg,
-                                "--direction", "1,0", "--grid", "72",
-                                "--tol", "1e-7"])
+                                "--direction", "1,0", "--tol", "1e-7"])
     assert code == 0
     rep = json.loads(out)
     assert rep["verdict"] == "CONSISTENT"
     assert rep["tolerances"]["ricNonnegTol"] == 1e-7
+    assert rep["tolerances"]["ruledAgreeTol"] == inv.RULED_AGREE_TOL
+    assert rep["tolerances"]["ruledInLTol"] == inv.RULED_IN_L_TOL
+
+
+@pytest.mark.parametrize("argv", [
+    ["curvature", "--config", "c.json", "--direction", "1,0", "--tol", "5"],
+    ["curvature", "--config", "c.json", "--direction", "1,0", "--grid", "9"],
+    ["invariants", "--config", "c.json", "--grid", "9"],
+    ["invariants", "--config", "c.json", "--tol", "5"],
+    ["pencil", "type", "--file", "c.json", "--grid", "9"],
+    ["check-norm", "--config", "c.json", "--tol", "5"],
+    ["ricci-grid", "--config", "c.json", "--tol", "5"],
+    ["audit", "ruled", "--config", "c.json", "--direction", "1,0",
+     "--grid", "72"],
+])
+def test_flag_a_command_does_not_use_exits_two(tmp_path, capsys, argv):
+    cfg = write(tmp_path, "c.json", PARABOLOID)
+    code, out, err = run(capsys, [cfg if a == "c.json" else a for a in argv])
+    assert code == 2 and out == ""
+    assert "unrecognized arguments" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["ricci-grid", "--config", "c.json", "--grid", "0"],
+    ["ricci-grid", "--config", "c.json", "--grid", "-3"],
+    ["check-norm", "--config", "c.json", "--grid", "0"],
+    ["audit", "hyper", "--config", "c.json", "--grid", "0"],
+    ["find-params", "--grid", "0"],
+    ["audit", "hyper", "--config", "c.json", "--tol", "-1e-8"],
+    ["audit", "hyper", "--config", "c.json", "--tol", "nan"],
+    ["audit", "codim2", "--config", "c.json", "--tol", "inf"],
+])
+def test_out_of_range_grid_or_tol_exits_two(tmp_path, capsys, argv):
+    cfg = write(tmp_path, "c.json", PARABOLOID)
+    code, out, err = run(capsys, [cfg if a == "c.json" else a for a in argv])
+    assert code == 2 and out == ""
+    assert "--grid" in err or "--tol" in err
+
+
+def test_audit_zero_tol_is_used_and_reported(tmp_path, capsys):
+    cfg = write(tmp_path, "c.json", PARABOLOID)
+    code, out, _ = run(capsys, ["audit", "hyper", "--config", cfg,
+                                "--grid", "8", "--tol", "0"])
+    assert code == 0
+    assert json.loads(out)["tolerances"]["ricNonnegTol"] == 0.0
+
+
+def test_find_params_grid_reaches_verify_example(monkeypatch, capsys):
+    seen = []
+    real = example.verify_example
+
+    def spy(params, grid=example.GRID):
+        seen.append(grid)
+        return real(params, grid=grid)
+
+    monkeypatch.setattr(example, "verify_example", spy)
+    code, _, _ = run(capsys, ["find-params", "--budget", "1",
+                              "--grid", "360"])
+    assert seen == [360]
+    assert code == 1  # the first combination does not verify
 
 
 def test_config_error_unknown_kind(tmp_path, capsys):
@@ -390,7 +451,7 @@ def test_invariants_seed_reaches_the_sampler(tmp_path, capsys):
     assert {k: rep[k] for k in expected} == expected
 
 
-def test_cli_import_leaves_scipy_unloaded():
+def test_cli_import_leaves_scipy_unloaded(tmp_path):
     src = Path(cli.__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=str(src))
     proc = subprocess.run(
@@ -399,3 +460,24 @@ def test_cli_import_leaves_scipy_unloaded():
         env=env, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+    # n = 3 direction grids need no scipy either
+    cfg = write(tmp_path, "c.json",
+                {"norm": {"kind": "euclidean", "dim": 4},
+                 "germ": {"n": 3, "p": 1, "d2": np.eye(3)[None].tolist(),
+                          "d3": np.zeros((1, 3, 3, 3)).tolist()}})
+    script = textwrap.dedent("""
+        import sys
+        sys.modules["scipy"] = None  # every scipy import now fails
+        from minksub.cli import main
+        cfg = sys.argv[1]
+        for argv in (["ricci-grid", "--config", cfg, "--grid", "64"],
+                     ["audit", "hyper", "--config", cfg, "--grid", "64"]):
+            if main(argv) != 0:
+                sys.exit(f"{argv[0]} failed")
+        """)
+    proc = subprocess.run([sys.executable, "-c", script, cfg], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.count("\n") > 64
+    assert '"verdict": "CONSISTENT"' in proc.stdout

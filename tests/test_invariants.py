@@ -6,7 +6,9 @@ import pytest
 from minksub.germ import Germ, sym3
 from minksub.invariants import (Interval, NotRuledDirection, audit_codim2,
                                 audit_hypersurface, audit_ruled, nullity,
-                                point_invariants, point_type, sphere_grid)
+                                point_invariants, point_type, sphere_grid,
+                                _sobol_points)
+from minksub.jets import MAX_DIM
 from minksub.minkowski import NormModel
 
 
@@ -95,6 +97,26 @@ def test_sphere_grid_circle():
     # evenly spaced, starts at angle zero
     assert np.allclose(grid[0], [1.0, 0.0])
     assert np.allclose(grid[2], [0.0, 1.0], atol=1e-12)
+
+
+def test_sphere_grid_rejects_empty_counts_and_bad_dimensions():
+    for n, count in ((3, 0), (2, 0), (1, -1), (0, 8), (MAX_DIM + 1, 8)):
+        with pytest.raises(ValueError):
+            sphere_grid(n, count)
+
+
+def test_sphere_grid_matches_scipy_sobol():
+    # pins the in-repo construction to the reference implementation
+    qmc = pytest.importorskip("scipy.stats.qmc")
+    ndtri = pytest.importorskip("scipy.special").ndtri
+    for d in range(1, MAX_DIM + 1):
+        ref = qmc.Sobol(d=d, scramble=False).random(1024)
+        assert np.array_equal(_sobol_points(d, 1022), ref[2:])
+    for n in (1, 3, 4, 5, 6, 7, 8):
+        ref = ndtri(qmc.Sobol(d=n, scramble=False).random(1024)[2:])
+        ref /= np.linalg.norm(ref, axis=1, keepdims=True)
+        for count in (1, 7, 256, 1022):
+            assert np.abs(sphere_grid(n, count) - ref[:count]).max() <= 1e-15
 
 
 def test_sphere_grid_higher_dimensions():
