@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -199,8 +200,7 @@ def _cmd_curvature(args) -> int:
     zeta, zres = zeta_check(norm, germ, u)
     parts = dict(zip(("cubicGroup", "zetaGroup", "etaGroup", "rhoGroup"),
                      rep.ric_parts))
-    _emit_json({"seed": args.seed,
-                "u": rep.u, "S": rep.S, "Ric": rep.Ric, "ricParts": parts,
+    _emit_json({"u": rep.u, "S": rep.S, "Ric": rep.Ric, "ricParts": parts,
                 "g": rep.g, "h": rep.h, "kappa": rep.kappa, "G": rep.G,
                 "xi": rep.xi, "zeta": zeta, "eta": rep.eta, "rho": rep.rho,
                 "Rik": rep.Rik,
@@ -236,7 +236,6 @@ def _cmd_pencil_type(args) -> int:
     t, method = pencils.pencil_type(pen)
     samples = pencils.MEMBER_SAMPLES if method == "sampled" else None
     _emit_json({"type": t, "method": method, "samples": samples,
-                "seed": args.seed,
                 "tolerances": {"eigTol": pencils.EIG_TOL,
                                "clusterTol": pencils.CLUSTER_TOL}},
                args.out)
@@ -294,12 +293,15 @@ def _cmd_pencil_common_zero(args) -> int:
 
 def _cmd_verify_example(args) -> int:
     if args.auto:
-        params = find_example_params(args.budget, grid=args.grid)
+        params = find_example_params(args.budget, grid=args.grid,
+                                     seed=args.seed)
     elif args.params:
-        params = ExampleParams.from_dict(_load_json(args.params))
+        data = _load_json(args.params)
+        params = ExampleParams(**{f.name: _number(data, f.name, "")
+                                  for f in fields(ExampleParams)})
     else:
         raise ConfigError("/: verify-example needs --params FILE or --auto")
-    report = verify_example(params, grid=args.grid)
+    report = verify_example(params, grid=args.grid, seed=args.seed)
     out = report.to_dict()
     out["seed"] = args.seed
     out["tolerances"] = {"relTol": example.REL_TOL,
@@ -311,7 +313,7 @@ def _cmd_verify_example(args) -> int:
 
 
 def _cmd_find_params(args) -> int:
-    params = find_example_params(args.budget, grid=args.grid)
+    params = find_example_params(args.budget, grid=args.grid, seed=args.seed)
     _emit_json({"params": params.to_dict(), "budget": args.budget,
                 "seed": args.seed}, args.out)
     return 0
@@ -321,19 +323,19 @@ def _cmd_audit(args) -> int:
     data = _load_json(args.config)
     norm = _norm_section(data)
     germ = _germ_section(data)
-    tolerances = {"ricNonnegTol": args.tol, "ruledTol": inv.RULED_TOL}
+    out = {"tolerances": {"ricNonnegTol": args.tol}}
     if args.audit_cmd == "hyper":
         report = audit_hypersurface(norm, germ, grid=args.grid, tol=args.tol)
     elif args.audit_cmd == "codim2":
         report = audit_codim2(norm, germ, grid=args.grid, tol=args.tol)
     else:
         u = _parse_direction(args.direction, germ.n)
-        report = audit_ruled(norm, germ, u, tol=args.tol)
-        tolerances.update(ruledAgreeTol=inv.RULED_AGREE_TOL,
-                          ruledInLTol=inv.RULED_IN_L_TOL)
-    out = report.to_dict()
-    out["seed"] = args.seed
-    out["tolerances"] = tolerances
+        report = audit_ruled(norm, germ, u, tol=args.tol, seed=args.seed)
+        out["seed"] = args.seed
+        out["tolerances"].update(ruledTol=inv.RULED_TOL,
+                                 ruledAgreeTol=inv.RULED_AGREE_TOL,
+                                 ruledInLTol=inv.RULED_IN_L_TOL)
+    out.update(report.to_dict())
     _emit_json(out, args.out)
     return 0 if report.verdict == "CONSISTENT" else 1
 
@@ -342,11 +344,14 @@ def _cmd_audit(args) -> int:
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    # every leaf command takes --out; only those with a randomized step
+    # take --seed
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0,
-                        help="seed for all randomized steps (default 0)")
     common.add_argument("--out", default=None,
                         help="also write the report to this file")
+    seeded = argparse.ArgumentParser(add_help=False, parents=[common])
+    seeded.add_argument("--seed", type=int, default=0,
+                        help="seed for all randomized steps (default 0)")
     directions = "direction-grid size (default depends on n)"
     angles = "circle angles before refinement (default %(default)d)"
 
@@ -356,7 +361,7 @@ def _build_parser() -> argparse.ArgumentParser:
                     "spaces")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("check-norm", parents=[common],
+    p = sub.add_parser("check-norm", parents=[seeded],
                        help="validate a norm config")
     p.add_argument("--config", required=True)
     p.add_argument("--min-axis-fraction", type=float, default=0.0)
@@ -377,7 +382,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", type=int, help=directions)
     p.set_defaults(handler=_cmd_ricci_grid)
 
-    p = sub.add_parser("invariants", parents=[common],
+    p = sub.add_parser("invariants", parents=[seeded],
                        help="relative nullity, point type, kernel basis")
     p.add_argument("--config", required=True)
     p.set_defaults(handler=_cmd_invariants)
@@ -388,15 +393,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p = pencil_sub.add_parser("type", parents=[common])
     p.add_argument("--file", required=True)
     p.set_defaults(handler=_cmd_pencil_type)
-    p = pencil_sub.add_parser("classify", parents=[common])
+    p = pencil_sub.add_parser("classify", parents=[seeded])
     p.add_argument("--file", required=True)
     p.set_defaults(handler=_cmd_pencil_classify)
-    p = pencil_sub.add_parser("common-zero", parents=[common])
+    p = pencil_sub.add_parser("common-zero", parents=[seeded])
     p.add_argument("--file", required=True)
     p.add_argument("--budget", type=int, default=pencils.ZERO_SEARCH_BUDGET)
     p.set_defaults(handler=_cmd_pencil_common_zero)
 
-    p = sub.add_parser("verify-example", parents=[common],
+    p = sub.add_parser("verify-example", parents=[seeded],
                        help="reproduce the surface example")
     p.add_argument("--params", default=None,
                    help="JSON file with A, B, eps1, eps2, eps3, C")
@@ -408,7 +413,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", type=int, default=example.GRID, help=angles)
     p.set_defaults(handler=_cmd_verify_example)
 
-    p = sub.add_parser("find-params", parents=[common],
+    p = sub.add_parser("find-params", parents=[seeded],
                        help="search the example parameter grid")
     p.add_argument("--budget", type=int, default=example.SEARCH_BUDGET)
     p.add_argument("--grid", type=int, default=example.GRID, help=angles)
@@ -417,7 +422,8 @@ def _build_parser() -> argparse.ArgumentParser:
     audit_parser = sub.add_parser("audit", help="proposition auditors")
     audit_sub = audit_parser.add_subparsers(dest="audit_cmd", required=True)
     for name in ("hyper", "codim2", "ruled"):
-        p = audit_sub.add_parser(name, parents=[common])
+        p = audit_sub.add_parser(name, parents=[seeded if name == "ruled"
+                                                else common])
         p.add_argument("--config", required=True)
         if name == "ruled":
             p.add_argument("--direction", required=True)
@@ -434,8 +440,14 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        if getattr(args, "grid", None) is not None and args.grid < 1:
-            parser.error(f"--grid must be at least 1, got {args.grid}")
+        min_grid = (example.MIN_GRID
+                    if args.command in ("verify-example", "find-params")
+                    else 1)
+        if getattr(args, "grid", None) is not None and args.grid < min_grid:
+            parser.error(f"--grid must be at least {min_grid}, "
+                         f"got {args.grid}")
+        if getattr(args, "budget", 1) < 1:
+            parser.error(f"--budget must be at least 1, got {args.budget}")
         if not 0.0 <= getattr(args, "tol", 0.0) < float("inf"):
             parser.error(f"--tol must be finite and >= 0, got {args.tol}")
     except SystemExit as exc:

@@ -26,11 +26,12 @@ expressible entirely through the jets of H at the lifted direction
   spray-to-Ricci contraction
 
       R^i_k = 2 dG^i/dx^k - u^j d2G^i/dx^j du^k
-            + 2 G^j d2G^i/du^j du^k - dG^i/du^j dG^j/du^k,
+            + 2 G^j d2G^i/du^j du^k - dG^i/du^j dG^j/du^k.
 
-  differentiating either with jets in the doubled variables (x, u) or
-  with central finite differences.  Agreement of the two routes is the
-  main correctness gate of the package.
+  The spray is written once, in ``_spray``, and differentiated by two
+  schemes: evaluated on jets in the doubled variables (x, u), or on
+  floats under central finite differences.  Agreement of the two routes
+  is the main correctness gate of the package.
 """
 
 from __future__ import annotations
@@ -59,12 +60,12 @@ class StepUnderflow(ValueError):
     """Finite-difference step too small to resolve against roundoff."""
 
 
-def _lift(germ: Germ, u: np.ndarray) -> np.ndarray:
+def _lift(germ: Germ, u) -> np.ndarray:
+    """The ambient point (u, 0) over the tangent direction u."""
+    u = np.asarray(u, dtype=np.float64)
+    if u.shape != (germ.n,):
+        raise ValueError(f"direction must have shape ({germ.n},)")
     return np.concatenate([u, np.zeros(germ.p)])
-
-
-def _h_tensors(norm: NormModel, point: np.ndarray):
-    return norm.jet(point).partial_tensors(4)
 
 
 def _pd_inverse(g: np.ndarray) -> np.ndarray:
@@ -75,65 +76,6 @@ def _pd_inverse(g: np.ndarray) -> np.ndarray:
         raise NonPDTensor("fundamental tensor condition number exceeds "
                           f"{COND_LIMIT:g}")
     return (vecs / evals) @ vecs.T
-
-
-class _Geometry:
-    """All u-derivative tensors of the expanded formula at one direction."""
-
-    def __init__(self, norm: NormModel, germ: Germ, u):
-        u = np.asarray(u, dtype=np.float64)
-        if u.shape != (germ.n,):
-            raise ValueError(f"direction must have shape ({germ.n},)")
-        n = germ.n
-        self.u = u
-        self.norm = norm
-        self.germ = germ
-        h0, _, d2, d3, d4 = _h_tensors(norm, _lift(germ, u))
-        self.S = float(np.sqrt(2.0 * h0))
-        g = d2[:n, :n]
-        gi = _pd_inverse(g)
-        dg = d3[:n, :n, :n]
-        d2g = d4[:n, :n, :n, :n]
-        A = d2[:n, n:]
-        dA = d3[:n, n:, :n]
-        d2A = d4[:n, n:, :n, :n]
-        B = d2[n:, n:]
-        dB = d3[n:, n:, :n]
-        d2B = d4[n:, n:, :n, :n]
-
-        dgi = -np.einsum("ia,abk,bj->ijk", gi, dg, gi)
-        d2gi = (-np.einsum("ia,abkl,bj->ijkl", gi, d2g, gi)
-                + np.einsum("ia,abk,bc,cdl,dj->ijkl", gi, dg, gi, dg, gi)
-                + np.einsum("ia,abl,bc,cdk,dj->ijkl", gi, dg, gi, dg, gi))
-        h = gi @ A
-        dh = (np.einsum("ijk,ja->iak", dgi, A)
-              + np.einsum("ij,jak->iak", gi, dA))
-        d2h = (np.einsum("ijkl,ja->iakl", d2gi, A)
-               + np.einsum("ijk,jal->iakl", dgi, dA)
-               + np.einsum("ijl,jak->iakl", dgi, dA)
-               + np.einsum("ij,jakl->iakl", gi, d2A))
-        zeta = B - np.einsum("sa,sb->ab", h, A)
-        dzeta = (dB - np.einsum("sak,sb->abk", dh, A)
-                 - np.einsum("sa,sbk->abk", h, dA))
-        d2zeta = (d2B - np.einsum("sakl,sb->abkl", d2h, A)
-                  - np.einsum("sak,sbl->abkl", dh, dA)
-                  - np.einsum("sal,sbk->abkl", dh, dA)
-                  - np.einsum("sa,sbkl->abkl", h, d2A))
-
-        self.g, self.gi, self.dgi, self.d2gi = g, gi, dgi, d2gi
-        self.ambient_hessian = d2
-        self.h, self.dh, self.d2h = h, dh, d2h
-        self.zeta, self.dzeta, self.d2zeta = zeta, dzeta, d2zeta
-        self.xi = -0.5 * np.einsum("iai->a", dh)
-        self.eta = (0.75 * np.einsum("iaj,jbi->ab", dh, dh)
-                    + 0.5 * (np.einsum("iji,abj->ab", dgi, dzeta)
-                             + np.einsum("ij,abij->ab", gi, d2zeta)))
-        self.rho = (3.0 * np.einsum("a,ib->iab", self.xi, h)
-                    + 0.5 * np.einsum("ijj,ab->iab", dgi, zeta)
-                    + np.einsum("ij,abj->iab", gi, dzeta))
-        self.kappa = germ.kappa(u)
-        self.cubic = germ.cubic(u)
-        self.fu = np.einsum("ajl,l->aj", germ.d2, u)
 
 
 @dataclass(frozen=True)
@@ -155,7 +97,6 @@ class CurvatureReport:
 
 def fundamental_tensor(norm: NormModel, germ: Germ, u) -> np.ndarray:
     """g_ij(0, u) = H_ij(u, 0): the tangent block of the ambient Hessian."""
-    u = np.asarray(u, dtype=np.float64)
     n = germ.n
     d2 = norm.jet(_lift(germ, u)).partial_tensors(2)[2]
     g = d2[:n, :n]
@@ -165,40 +106,77 @@ def fundamental_tensor(norm: NormModel, germ: Germ, u) -> np.ndarray:
 
 def spray_at_origin(norm: NormModel, germ: Germ, u) -> np.ndarray:
     """G^i(0, u) = 1/2 h^i_a kappa^a(u)."""
-    geo = _Geometry(norm, germ, u)
-    return 0.5 * geo.h @ geo.kappa
+    fundamental_tensor(norm, germ, u)  # raises NonPDTensor when unusable
+    return spray_field(norm, germ, np.zeros(germ.n), u)
 
 
 def zeta_check(norm: NormModel, germ: Germ, u) -> tuple:
     """Return (zeta, residual) and enforce positive definiteness.
 
-    For one codimension, zeta has the closed form det(Hess H) / det(g)
-    with both determinants taken at the lifted direction; the residual
+    zeta is the Schur complement B - A^T g^-1 A of the tangent block g in
+    the ambient Hessian [[g, A], [A^T, B]] at the lifted direction.  For
+    one codimension it therefore equals det(Hess H) / det(g); the residual
     reports the relative mismatch of that identity.  For p > 1 the
     residual is None.
     """
-    geo = _Geometry(norm, germ, u)
-    zeta = geo.zeta
+    n = germ.n
+    d2 = norm.jet(_lift(germ, u)).partial_tensors(2)[2]
+    g, A = d2[:n, :n], d2[:n, n:]
+    zeta = d2[n:, n:] - np.einsum("sa,sb->ab", _pd_inverse(g) @ A, A)
     if np.linalg.eigvalsh(zeta)[0] <= 0.0:
         raise NonPDZeta("zeta is not positive definite at this direction")
     residual = None
     if germ.p == 1:
-        ratio = (np.linalg.det(geo.ambient_hessian)
-                 / np.linalg.det(geo.g))
+        ratio = np.linalg.det(d2) / np.linalg.det(g)
         residual = abs(zeta[0, 0] - ratio) / (1.0 + abs(ratio))
     return zeta, residual
 
 
 def ricci_expanded(norm: NormModel, germ: Germ, u) -> CurvatureReport:
     """Ricci curvature and the full curvature tensor via the expanded formula."""
-    geo = _Geometry(norm, germ, u)
     n = germ.n
-    gi, dgi, d2gi = geo.gi, geo.dgi, geo.d2gi
-    h, dh = geo.h, geo.dh
-    zeta, dzeta, d2zeta = geo.zeta, geo.dzeta, geo.d2zeta
-    kap, cub, fu = geo.kappa, geo.cubic, geo.fu
+    lift = _lift(germ, u)
+    u = lift[:n]
+    h0, _, d2, d3, d4 = norm.jet(lift).partial_tensors(4)
+    g = d2[:n, :n]
+    gi = _pd_inverse(g)
+    dg = d3[:n, :n, :n]
+    d2g = d4[:n, :n, :n, :n]
+    A = d2[:n, n:]
+    dA = d3[:n, n:, :n]
+    d2A = d4[:n, n:, :n, :n]
+    B = d2[n:, n:]
+    dB = d3[n:, n:, :n]
+    d2B = d4[n:, n:, :n, :n]
+
+    dgi = -np.einsum("ia,abk,bj->ijk", gi, dg, gi)
+    d2gi = (-np.einsum("ia,abkl,bj->ijkl", gi, d2g, gi)
+            + np.einsum("ia,abk,bc,cdl,dj->ijkl", gi, dg, gi, dg, gi)
+            + np.einsum("ia,abl,bc,cdk,dj->ijkl", gi, dg, gi, dg, gi))
+    h = gi @ A
+    dh = (np.einsum("ijk,ja->iak", dgi, A)
+          + np.einsum("ij,jak->iak", gi, dA))
+    d2h = (np.einsum("ijkl,ja->iakl", d2gi, A)
+           + np.einsum("ijk,jal->iakl", dgi, dA)
+           + np.einsum("ijl,jak->iakl", dgi, dA)
+           + np.einsum("ij,jakl->iakl", gi, d2A))
+    zeta = B - np.einsum("sa,sb->ab", h, A)
+    dzeta = (dB - np.einsum("sak,sb->abk", dh, A)
+             - np.einsum("sa,sbk->abk", h, dA))
+    d2zeta = (d2B - np.einsum("sakl,sb->abkl", d2h, A)
+              - np.einsum("sak,sbl->abkl", dh, dA)
+              - np.einsum("sal,sbk->abkl", dh, dA)
+              - np.einsum("sa,sbkl->abkl", h, d2A))
+    xi = -0.5 * np.einsum("iai->a", dh)
+    eta = (0.75 * np.einsum("iaj,jbi->ab", dh, dh)
+           + 0.5 * (np.einsum("iji,abj->ab", dgi, dzeta)
+                    + np.einsum("ij,abij->ab", gi, d2zeta)))
+    rho = (3.0 * np.einsum("a,ib->iab", xi, h)
+           + 0.5 * np.einsum("ijj,ab->iab", dgi, zeta)
+           + np.einsum("ij,abj->iab", gi, dzeta))
+    kap, cub = germ.kappa(u), germ.cubic(u)
     d2f = germ.d2
-    u = geo.u
+    fu = np.einsum("ajl,l->aj", d2f, u)
 
     T1 = -0.5 * np.einsum("iak,a->ik", dh, cub)
     T2 = -(0.75 * np.einsum("iaj,jbk,a,b->ik", dh, dh, kap, kap)
@@ -214,96 +192,68 @@ def ricci_expanded(norm: NormModel, germ: Germ, u) -> CurvatureReport:
     ric = float(np.trace(Rik))
     parts = (float(np.trace(T1)), float(np.trace(T5)),
              float(np.trace(T2)), float(np.trace(T3) + np.trace(T4)))
-    return CurvatureReport(u=u, S=geo.S, g=geo.g, h=h, kappa=kap,
-                           G=0.5 * h @ kap, xi=geo.xi, zeta=zeta,
-                           eta=geo.eta, rho=geo.rho, Rik=Rik, Ric=ric,
+    return CurvatureReport(u=u, S=float(np.sqrt(2.0 * h0)), g=g, h=h,
+                           kappa=kap, G=0.5 * h @ kap, xi=xi, zeta=zeta,
+                           eta=eta, rho=rho, Rik=Rik, Ric=ric,
                            ric_parts=parts)
 
 
 # -- oracle route -------------------------------------------------------------
 
 
+def _spray(H, fi, fkl, u, solve):
+    """G^i = 1/2 g^ij f^a_kl u^k u^l (H_ja + H_ab f^b_j).
+
+    H is the ambient Hessian at the graph point over (x, u), fi = f^a_i(x)
+    and fkl = f^a_kl(x); ``solve(g, b)`` returns g^-1 b.  Every operation
+    is a numpy product, so the same code runs on floats and on object
+    arrays of jets.
+    """
+    n = len(u)
+    A, B = H[:n, n:], H[n:, n:]
+    Af, fB = A @ fi, fi.T @ B
+    g = H[:n, :n] + Af + Af.T + fB @ fi  # H pulled back to the frame (I, fi)
+    return 0.5 * solve(g, (A + fB) @ (fkl @ u @ u))
+
+
+def _neumann_solve(g, b):
+    """g^-1 b through jet order 2 for a matrix g of jets.
+
+    With g0 the value of g and E = g0^-1 (g - g0), g = g0 (I + E) and E has
+    no constant term, so (I - E + E^2) g0^-1 inverts g through order 2,
+    which is all the Ricci contraction reads.
+    """
+    g0 = np.array([[jet.value for jet in row] for row in g])
+    gi0 = _pd_inverse(g0)
+    E = gi0 @ (g - g0)
+    x = gi0 @ b
+    return x - E @ (x - E @ x)
+
+
 def _spray_jets(norm: NormModel, germ: Germ, u: np.ndarray):
     """Order-2-exact jets of G^i in the doubled variables (x, u - u0)."""
-    n, p = germ.n, germ.p
-    N = n + p
+    n = germ.n
     dim = 2 * n
-    _, _, D2, D3, D4 = _h_tensors(norm, _lift(germ, u))
-
-    xjets = [Jet4.variable(dim, i) for i in range(n)]
-    ujets = [Jet4.variable(dim, n + i, u[i]) for i in range(n)]
+    _, _, D2, D3, D4 = norm.jet(_lift(germ, u)).partial_tensors(4)
+    xjets, du = np.array(Jet4.variables(dim, np.zeros(dim)),
+                         dtype=object).reshape(2, n)
+    ujets = du + u
     fi = taylor_jets([None, germ.d2, germ.d3], xjets)     # f^a_i(x)
     fkl = taylor_jets([germ.d2, germ.d3], xjets)         # f^a_kl(x)
 
     # ambient displacement of the lifted direction: delta = yhat(x,u) - (u0, 0)
-    delta = [Jet4.variable(dim, n + i) for i in range(n)]
-    for a in range(p):
-        acc = Jet4.constant(dim, 0.0)
-        for i in range(n):
-            acc = acc + ujets[i] * fi[a][i]
-        delta.append(acc)
-
-    ncoef = delta[0].coeffs.shape[0]
-    dmat = np.stack([d.coeffs for d in delta])
-    ddmat = np.zeros((N, N, ncoef))
-    for c in range(N):
-        for d in range(c, N):
-            prod = (delta[c] * delta[d]).coeffs
-            ddmat[c, d] = prod
-            if d != c:
-                ddmat[d, c] = prod
+    delta = np.concatenate([du, fi @ ujets])
+    dmat = np.array([d.coeffs for d in delta])
+    ddmat = np.array([[d.coeffs for d in row]
+                      for row in np.outer(delta, delta)])
     # second-order Taylor of every H_ab around the lift, composed with delta;
     # exact through jet order 2, which is all the Ricci contraction reads
     h2coef = (np.einsum("abc,cX->abX", D3, dmat)
               + 0.5 * np.einsum("abcd,cdX->abX", D4, ddmat))
     h2coef[:, :, 0] += D2
-    H2 = [[Jet4(dim, h2coef[a, b]) for b in range(N)] for a in range(N)]
-
-    # fundamental tensor jets and their order-2 Neumann inverse
-    gjet = [[None] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            acc = H2[i][j]
-            for a in range(p):
-                acc = acc + H2[i][n + a] * fi[a][j] + H2[j][n + a] * fi[a][i]
-                for b in range(p):
-                    acc = acc + H2[n + a][n + b] * (fi[a][i] * fi[b][j])
-            gjet[i][j] = acc
-            if j != i:
-                gjet[j][i] = acc
-    g0 = np.array([[gjet[i][j].value for j in range(n)] for i in range(n)])
-    gi0 = _pd_inverse(g0)
-    E = [[sum((gi0[i, k] * (gjet[k][j] - g0[k, j]) for k in range(n)),
-              Jet4.constant(dim, 0.0)) for j in range(n)] for i in range(n)]
-    E2 = [[sum((E[i][k] * E[k][j] for k in range(n)), Jet4.constant(dim, 0.0))
-           for j in range(n)] for i in range(n)]
-    # Neumann series (I - E + E^2) gi0 is inverse to g through jet order 2
-    ginv = [[sum(((Jet4.constant(dim, float(i == k)) - E[i][k] + E2[i][k])
-                  * gi0[k, j] for k in range(n)), Jet4.constant(dim, 0.0))
-             for j in range(n)] for i in range(n)]
-
-    uu = [[ujets[k] * ujets[l] for l in range(n)] for k in range(n)]
-    kt = []
-    for a in range(p):
-        acc = Jet4.constant(dim, 0.0)
-        for k in range(n):
-            for l in range(n):
-                acc = acc + fkl[a][k][l] * uu[k][l]
-        kt.append(acc)
-
-    G = []
-    for i in range(n):
-        acc = Jet4.constant(dim, 0.0)
-        for j in range(n):
-            s = Jet4.constant(dim, 0.0)
-            for a in range(p):
-                rhs = H2[j][n + a]
-                for b in range(p):
-                    rhs = rhs + H2[n + a][n + b] * fi[b][j]
-                s = s + kt[a] * rhs
-            acc = acc + ginv[i][j] * s
-        G.append(acc * 0.5)
-    return G
+    H = np.array([[Jet4(dim, c) for c in row] for row in h2coef],
+                 dtype=object)
+    return _spray(H, fi, fkl, ujets, _neumann_solve)
 
 
 def _assemble_ricci(n, u, G0, Gx, Gv, Gxv, Gvv) -> float:
@@ -316,38 +266,21 @@ def _assemble_ricci(n, u, G0, Gx, Gv, Gxv, Gvv) -> float:
 
 def _ricci_oracle_jets(norm: NormModel, germ: Germ, u: np.ndarray) -> float:
     n = germ.n
-    G = _spray_jets(norm, germ, u)
-    G0 = np.array([g.value for g in G])
-    Gx = np.zeros((n, n))
-    Gv = np.zeros((n, n))
-    Gxv = np.zeros((n, n, n))
-    Gvv = np.zeros((n, n, n))
-    for i, jet in enumerate(G):
-        _, t1, t2 = jet.partial_tensors(2)
-        Gx[i] = t1[:n]
-        Gv[i] = t1[n:]
-        Gxv[i] = t2[:n, n:]
-        Gvv[i] = t2[n:, n:]
-    return _assemble_ricci(n, u, G0, Gx, Gv, Gxv, Gvv)
+    tensors = [jet.partial_tensors(2) for jet in _spray_jets(norm, germ, u)]
+    G0, G1, G2 = (np.stack(t) for t in zip(*tensors))
+    return _assemble_ricci(n, u, G0, G1[:, :n], G1[:, n:], G2[:, :n, n:],
+                           G2[:, n:, n:])
 
 
 def spray_field(norm: NormModel, germ: Germ, x, u) -> np.ndarray:
     """Float evaluation of G^i(x, u) from second derivatives of H alone."""
     x = np.asarray(x, dtype=np.float64)
     u = np.asarray(u, dtype=np.float64)
-    n, p = germ.n, germ.p
     fi = (np.einsum("aij,j->ai", germ.d2, x)
           + 0.5 * np.einsum("aijk,j,k->ai", germ.d3, x, x))
     fkl = germ.d2 + np.einsum("aklm,m->akl", germ.d3, x)
-    yhat = np.concatenate([u, fi @ u])
-    D2 = norm.jet(yhat).partial_tensors(2)[2]
-    g = (D2[:n, :n]
-         + np.einsum("ia,aj->ij", D2[:n, n:], fi)
-         + np.einsum("ja,ai->ij", D2[:n, n:], fi)
-         + np.einsum("ab,ai,bj->ij", D2[n:, n:], fi, fi))
-    kt = np.einsum("akl,k,l->a", fkl, u, u)
-    rhs = D2[:n, n:] + np.einsum("ab,bj->ja", D2[n:, n:], fi)
-    return 0.5 * np.linalg.solve(g, rhs @ kt)
+    H = norm.jet(np.concatenate([u, fi @ u])).partial_tensors(2)[2]
+    return _spray(H, fi, fkl, u, np.linalg.solve)
 
 
 def _ricci_oracle_fd(norm: NormModel, germ: Germ, u: np.ndarray,

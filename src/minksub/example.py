@@ -36,6 +36,7 @@ REL_TOL = 1e-6
 REFINE_HALF_WIDTH = 0.01
 REFINE_POINTS = 50
 GRID = 720              # uniform circle angles before refinement
+MIN_GRID = 360
 
 
 class NoParamsFound(RuntimeError):
@@ -54,12 +55,6 @@ class ExampleParams:
     def to_dict(self) -> dict:
         return {"A": self.A, "B": self.B, "eps1": self.eps1,
                 "eps2": self.eps2, "eps3": self.eps3, "C": self.C}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ExampleParams":
-        return cls(A=float(data["A"]), B=float(data["B"]),
-                   eps1=float(data["eps1"]), eps2=float(data["eps2"]),
-                   eps3=float(data["eps3"]), C=float(data["C"]))
 
 
 def build_example(params: ExampleParams):
@@ -190,7 +185,8 @@ def _grid_angles(grid: int) -> np.ndarray:
     return np.unique(np.concatenate([base] + windows) % (2.0 * np.pi))
 
 
-def verify_example(params: ExampleParams, grid: int = GRID) -> ExampleReport:
+def verify_example(params: ExampleParams, grid: int = GRID,
+                   seed: int = 0) -> ExampleReport:
     """Check the four claims about the example configuration.
 
     (a) the Gauss determinant is -eps3 (exact algebra: f12 is defined by
@@ -198,12 +194,13 @@ def verify_example(params: ExampleParams, grid: int = GRID) -> ExampleReport:
     (b) the closed-form Ricci curvature is positive on the refined grid;
     (c) the closed form agrees with the curvature pipeline at every grid
         angle to relative 1e-6;
-    (d) the norm passes validation away from its singular axis.
+    (d) the norm passes validation away from its singular axis, on
+        directions sampled from ``seed``.
     Later steps are skipped once an earlier one fails; skipped fields stay
     None and the notes say which condition failed.
     """
-    if grid < 360:
-        raise ValueError("grid must be at least 360")
+    if grid < MIN_GRID:
+        raise ValueError(f"grid must be at least {MIN_GRID}")
     notes = [TRANSCRIPTION_NOTE]
     norm, germ = build_example(params)
 
@@ -228,7 +225,7 @@ def verify_example(params: ExampleParams, grid: int = GRID) -> ExampleReport:
 
     norm_valid = None
     if ok_b:
-        report = validate_norm(norm, min_axis_fraction=0.5)
+        report = validate_norm(norm, seed=seed, min_axis_fraction=0.5)
         norm_valid = report.valid
         if not norm_valid:
             notes.append("norm validation failed off-axis: "
@@ -280,18 +277,19 @@ SEARCH_BUDGET = 729  # the whole grid
 
 
 def find_example_params(search_budget: int = SEARCH_BUDGET,
-                        grid: int = GRID) -> ExampleParams:
+                        grid: int = GRID, seed: int = 0) -> ExampleParams:
     """First parameter combination on the logarithmic grid that verifies.
 
     Iterates the grid in fixed lexicographic order (A, B, eps1, eps2,
-    eps3, C), so the result is a pure function of the budget.
+    eps3, C), so the result is a pure function of the budget, grid and
+    seed.
     """
     if search_budget < 1:
         raise ValueError("search budget must be positive")
     combos = list(islice(product(*SEARCH_GRID.values()), search_budget))
     for A, B, e1, e2, e3, C in combos:
         params = ExampleParams(A=A, B=B, eps1=e1, eps2=e2, eps3=e3, C=C)
-        if verify_example(params, grid=grid).verdict == "SUCCESS":
+        if verify_example(params, grid=grid, seed=seed).verdict == "SUCCESS":
             return params
     raise NoParamsFound(f"no parameters verified within {len(combos)} "
                         "combinations")

@@ -239,11 +239,11 @@ def audit_codim2(norm: NormModel, germ: Germ,
 
 
 def audit_ruled(norm: NormModel, germ: Germ, ruling_direction,
-                tol: float = RIC_NONNEG_TOL) -> AuditReport:
+                tol: float = RIC_NONNEG_TOL, seed: int = 0) -> AuditReport:
     """Ruled-direction check at one direction u with kappa(u) = 0 and
     vanishing cubic: the full Ricci must equal the reduced contraction
     -zeta_ab g^il f^b_jl f^a_ir u^j u^r, and Ric(u) >= 0 must place u in
-    L(P)."""
+    L(P).  ``seed`` feeds the sampled point type for p >= 3."""
     u = np.asarray(ruling_direction, dtype=np.float64)
     if u.shape != (germ.n,):
         raise ValueError(f"ruling direction must have shape ({germ.n},)")
@@ -278,5 +278,5 @@ def audit_ruled(norm: NormModel, germ: Germ, ruling_direction,
             notes.append("ruling direction escapes L(P) despite "
                          "nonnegative Ricci")
     verdict = "CONSISTENT" if (agree and implication) else "VIOLATION"
-    t = point_type(germ)
+    t = point_type(germ, seed)
     return AuditReport(rep.Ric, u, t, mu, verdict, tuple(notes))

@@ -136,14 +136,19 @@ def test_criterion_4_surface_example():
                    f" (tol 1e-6), {elapsed:.1f}s (cap 300s)")
 
 
-def _canonical_cases(max_block, max_s, max_l):
+def _canonical_cases(max_block, max_s, max_l, max_dim=None):
     for l in range(max_l + 1):
         blocks = 2 * l - 1 if l else 0
-        for n in itertools.product(range(1, max_block + 1), repeat=blocks):
+        top = max_block
+        if max_dim is not None:
+            # the other blocks take at least 1 each
+            top = min(max_block, max_dim - blocks + 1)
+        for n in itertools.product(range(1, top + 1), repeat=blocks):
             for s in range(max_s + 1):
                 if l == 0 and s == 0:
                     continue
-                yield pc.CanonicalData(l=l, n=n, s=s)
+                if max_dim is None or sum(n) + 2 * s <= max_dim:
+                    yield pc.CanonicalData(l=l, n=n, s=s)
 
 
 def test_criterion_5_pencil_type():
@@ -206,9 +211,8 @@ def test_criterion_6_topology_labels():
         (2, (1, 1, 1), 0): ("ProductThreeSpheres", (0, 0, 0)),
     }
     cases = 0
-    for C in _canonical_cases(max_block=7, max_s=3, max_l=4):
-        if C.dim > 7:
-            continue
+    for C in _canonical_cases(max_block=7, max_s=3, max_l=4, max_dim=7):
+        assert C.dim <= 7, C
         label = pc.classify_topology(C)
         assert label.case in ("Empty", "UnitTangentBundleOfSphere",
                               "ProductTwoSpheres", "ProductThreeSpheres",

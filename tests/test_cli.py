@@ -278,6 +278,11 @@ def test_audit_ruled_with_direction_and_tol(tmp_path, capsys):
     ["ricci-grid", "--config", "c.json", "--tol", "5"],
     ["audit", "ruled", "--config", "c.json", "--direction", "1,0",
      "--grid", "72"],
+    ["curvature", "--config", "c.json", "--direction", "1,0", "--seed", "5"],
+    ["ricci-grid", "--config", "c.json", "--seed", "5"],
+    ["pencil", "type", "--file", "c.json", "--seed", "5"],
+    ["audit", "hyper", "--config", "c.json", "--seed", "5"],
+    ["audit", "codim2", "--config", "c.json", "--seed", "5"],
 ])
 def test_flag_a_command_does_not_use_exits_two(tmp_path, capsys, argv):
     cfg = write(tmp_path, "c.json", PARABOLOID)
@@ -295,12 +300,44 @@ def test_flag_a_command_does_not_use_exits_two(tmp_path, capsys, argv):
     ["audit", "hyper", "--config", "c.json", "--tol", "-1e-8"],
     ["audit", "hyper", "--config", "c.json", "--tol", "nan"],
     ["audit", "codim2", "--config", "c.json", "--tol", "inf"],
+    ["verify-example", "--auto", "--grid", "100"],
+    ["find-params", "--grid", "100"],
 ])
 def test_out_of_range_grid_or_tol_exits_two(tmp_path, capsys, argv):
     cfg = write(tmp_path, "c.json", PARABOLOID)
     code, out, err = run(capsys, [cfg if a == "c.json" else a for a in argv])
     assert code == 2 and out == ""
     assert "--grid" in err or "--tol" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify-example", "--auto", "--budget", "0"],
+    ["find-params", "--budget", "0"],
+    ["pencil", "common-zero", "--file", "c.json", "--budget", "0"],
+])
+def test_budget_below_one_exits_two(tmp_path, capsys, argv):
+    cfg = write(tmp_path, "c.json", {"A1": np.eye(2).tolist(),
+                                     "A2": np.diag([1.0, -1.0]).tolist()})
+    code, out, err = run(capsys, [cfg if a == "c.json" else a for a in argv])
+    assert code == 2 and out == ""
+    assert "--budget must be at least 1" in err
+
+
+@pytest.mark.parametrize("params, pointer", [
+    ({"B": 10.0, "eps1": 0.1, "eps2": 0.1, "eps3": 0.001, "C": 100.0},
+     "/A: missing"),
+    ([10.0, 10.0, 0.1, 0.1, 0.001, 100.0], "/: expected a JSON object"),
+    ({"A": "x", "B": 10.0, "eps1": 0.1, "eps2": 0.1, "eps3": 0.001,
+      "C": 100.0}, "/A: expected a number"),
+    ({"A": float("nan"), "B": 10.0, "eps1": 0.1, "eps2": 0.1,
+      "eps3": 0.001, "C": 100.0}, "/A: not finite"),
+])
+def test_malformed_example_params_exit_two(tmp_path, capsys, params,
+                                           pointer):
+    path = write(tmp_path, "params.json", params)
+    code, out, err = run(capsys, ["verify-example", "--params", path])
+    assert code == 2 and out == ""
+    assert err.startswith(f"config error: {pointer}")
 
 
 def test_audit_zero_tol_is_used_and_reported(tmp_path, capsys):
@@ -315,14 +352,14 @@ def test_find_params_grid_reaches_verify_example(monkeypatch, capsys):
     seen = []
     real = example.verify_example
 
-    def spy(params, grid=example.GRID):
-        seen.append(grid)
-        return real(params, grid=grid)
+    def spy(params, grid=example.GRID, seed=0):
+        seen.append((grid, seed))
+        return real(params, grid=grid, seed=seed)
 
     monkeypatch.setattr(example, "verify_example", spy)
     code, _, _ = run(capsys, ["find-params", "--budget", "1",
-                              "--grid", "360"])
-    assert seen == [360]
+                              "--grid", "360", "--seed", "3"])
+    assert seen == [(360, 3)]
     assert code == 1  # the first combination does not verify
 
 
@@ -449,6 +486,32 @@ def test_invariants_seed_reaches_the_sampler(tmp_path, capsys):
     expected = point_invariants(Germ.from_dict(germ), seed=5).to_dict()
     assert rep["seed"] == 5
     assert {k: rep[k] for k in expected} == expected
+
+
+def test_audit_ruled_seed_reaches_the_sampler(tmp_path, capsys,
+                                              monkeypatch):
+    # p = 3 germ ruled along e1: kappa(e1) = 0 and the cubic vanishes
+    d2 = np.zeros((3, 3, 3))
+    d2[:, 1:, 1:] = [[[1.0, 0.0], [0.0, -1.0]], [[0.0, 1.0], [1.0, 0.0]],
+                     [[2.0, 0.5], [0.5, 1.0]]]
+    germ = {"n": 3, "p": 3, "d2": d2.tolist(),
+            "d3": np.zeros((3, 3, 3, 3)).tolist()}
+    cfg = write(tmp_path, "c.json",
+                {"norm": {"kind": "euclidean", "dim": 6}, "germ": germ})
+    seeds = []
+    real = inv.point_type
+
+    def spy(germ, seed=0):
+        seeds.append(seed)
+        return real(germ, seed)
+
+    monkeypatch.setattr(inv, "point_type", spy)
+    code, out, _ = run(capsys, ["audit", "ruled", "--config", cfg,
+                                "--direction", "1,0,0", "--seed", "5"])
+    assert code == 0
+    rep = json.loads(out)
+    assert seeds == [5] and rep["seed"] == 5
+    assert rep["type"] == inv._type_json(real(Germ.from_dict(germ), seed=5))
 
 
 def test_cli_import_leaves_scipy_unloaded(tmp_path):

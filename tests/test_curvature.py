@@ -12,7 +12,7 @@ import pytest
 
 from minksub.curvature import (NonPDTensor, StepUnderflow, fundamental_tensor,
                                reports_to_csv, ricci_expanded, ricci_oracle,
-                               spray_at_origin, spray_field, zeta_check)
+                               spray_at_origin, zeta_check)
 from minksub.germ import Germ, sym3
 from minksub.minkowski import NormModel
 
@@ -83,13 +83,13 @@ def test_fundamental_tensor_is_ambient_hessian_block():
 
 
 def test_spray_origin_matches_field():
+    # the spray route's G(0, u) against the expanded route's 1/2 h kappa
     rng = np.random.default_rng(12)
     norm = random_randers(rng, 3)
     germ = random_germ(rng, 2, 1)
     u = np.array([1.1, 0.4])
     G0 = spray_at_origin(norm, germ, u)
-    Gf = spray_field(norm, germ, np.zeros(2), u)
-    assert np.allclose(G0, Gf, atol=1e-12)
+    assert np.allclose(G0, ricci_expanded(norm, germ, u).G, atol=1e-12)
 
 
 def test_spray_vanishes_without_cubic_jet():
@@ -117,6 +117,16 @@ def test_expanded_vs_finite_difference_oracle(seed):
     norm = random_randers(rng, 3)
     germ = random_germ(rng, 2, 1, scale=0.8)
     u = rng.standard_normal(2)
+    ric = ricci_expanded(norm, germ, u).Ric
+    oracle = ricci_oracle(norm, germ, u, scheme="finite_difference")
+    assert abs(ric - oracle) <= 1e-5
+
+
+def test_expanded_vs_finite_difference_oracle_two_normals():
+    rng = np.random.default_rng(8)
+    norm = random_randers(rng, 5)
+    germ = random_germ(rng, 3, 2, scale=0.8)
+    u = rng.standard_normal(3)
     ric = ricci_expanded(norm, germ, u).Ric
     oracle = ricci_oracle(norm, germ, u, scheme="finite_difference")
     assert abs(ric - oracle) <= 1e-5
@@ -184,6 +194,8 @@ def test_non_positive_definite_tensor_raises():
     germ = Germ.make(2, 1, np.eye(2)[None], np.zeros((1, 2, 2, 2)))
     with pytest.raises(NonPDTensor):
         ricci_expanded(norm, germ, [1.0, 0.0])
+    with pytest.raises(NonPDTensor):
+        spray_at_origin(norm, germ, [1.0, 0.0])
 
 
 def test_finite_difference_step_underflow():

@@ -120,7 +120,7 @@ def test_verify_example_fails_on_negative_ricci():
 
 def test_params_dict_round_trip():
     d = DEFAULT.to_dict()
-    assert ex.ExampleParams.from_dict(d) == DEFAULT
+    assert ex.ExampleParams(**d) == DEFAULT
     assert set(d) == {"A", "B", "eps1", "eps2", "eps3", "C"}
 
 
