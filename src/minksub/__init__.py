@@ -28,7 +28,7 @@ from .pencil import (CanonicalData, GenericityReport, NotSemisimple,
                      UnclassifiedConfiguration, ZeroPencil, build_canonical,
                      build_from_spectral, canonical_from_spectral,
                      canonical_type, classify_topology, common_zero_search,
-                     genericity_check, inertia, perturb, spectral_split,
+                     genericity_check, pencil_type, spectral_split,
                      type_exact, type_sampled)
 
 __version__ = "0.1.0"

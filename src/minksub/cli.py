@@ -233,12 +233,8 @@ def _cmd_invariants(args) -> int:
 
 def _cmd_pencil_type(args) -> int:
     pen, _, _ = pencil_from_config(_load_json(args.file))
-    t, method = pencils.pencil_type(pen)
-    samples = pencils.MEMBER_SAMPLES if method == "sampled" else None
-    _emit_json({"type": t, "method": method, "samples": samples,
-                "tolerances": {"eigTol": pencils.EIG_TOL,
-                               "clusterTol": pencils.CLUSTER_TOL}},
-               args.out)
+    _emit_json({"type": pencils.pencil_type(pen), "method": "arcs",
+                "tolerances": {"eigTol": pencils.EIG_TOL}}, args.out)
     return 0
 
 
@@ -247,7 +243,7 @@ def _cmd_pencil_classify(args) -> int:
     gen = pencils.genericity_check(pen, seed=args.seed)
     out = {"seed": args.seed, "genericity": gen.to_dict(),
            "spectral": None, "canonical": None, "topology": None,
-           "type": None, "notes": [],
+           "type": pencils.pencil_type(pen), "notes": [],
            "tolerances": {"eigTol": pencils.EIG_TOL,
                           "clusterTol": pencils.CLUSTER_TOL,
                           "canonicalAngleTol": pencils.CANONICAL_ANGLE_TOL}}
@@ -256,7 +252,6 @@ def _cmd_pencil_classify(args) -> int:
         out["spectral"] = {"realPairs": [list(p) for p in spec.real_pairs],
                            "complexPairs": [list(p)
                                             for p in spec.complex_pairs]}
-        out["type"] = pencils.type_exact(spec)
     except (pencils.SingularA2, pencils.NotSemisimple) as exc:
         out["notes"].append(f"spectral split unavailable: {exc}")
         spec = None
@@ -293,14 +288,12 @@ def _cmd_pencil_common_zero(args) -> int:
 
 def _cmd_verify_example(args) -> int:
     if args.auto:
-        params = find_example_params(args.budget, grid=args.grid,
-                                     seed=args.seed)
-    elif args.params:
+        budget = example.SEARCH_BUDGET if args.budget is None else args.budget
+        params = find_example_params(budget, grid=args.grid, seed=args.seed)
+    else:
         data = _load_json(args.params)
         params = ExampleParams(**{f.name: _number(data, f.name, "")
                                   for f in fields(ExampleParams)})
-    else:
-        raise ConfigError("/: verify-example needs --params FILE or --auto")
     report = verify_example(params, grid=args.grid, seed=args.seed)
     out = report.to_dict()
     out["seed"] = args.seed
@@ -403,11 +396,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify-example", parents=[seeded],
                        help="reproduce the surface example")
-    p.add_argument("--params", default=None,
-                   help="JSON file with A, B, eps1, eps2, eps3, C")
-    p.add_argument("--auto", action="store_true",
-                   help="search the parameter grid first")
-    p.add_argument("--budget", type=int, default=example.SEARCH_BUDGET)
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--params",
+                        help="JSON file with A, B, eps1, eps2, eps3, C")
+    source.add_argument("--auto", action="store_true",
+                        help="search the parameter grid first")
+    p.add_argument("--budget", type=int,
+                   help="search budget of --auto (default "
+                        f"{example.SEARCH_BUDGET})")
     p.add_argument("--csv", default=None,
                    help="write per-angle closed-form vs pipeline CSV here")
     p.add_argument("--grid", type=int, default=example.GRID, help=angles)
@@ -446,8 +442,10 @@ def main(argv=None) -> int:
         if getattr(args, "grid", None) is not None and args.grid < min_grid:
             parser.error(f"--grid must be at least {min_grid}, "
                          f"got {args.grid}")
-        if getattr(args, "budget", 1) < 1:
+        if getattr(args, "budget", None) is not None and args.budget < 1:
             parser.error(f"--budget must be at least 1, got {args.budget}")
+        if not getattr(args, "auto", True) and args.budget is not None:
+            parser.error("--budget needs --auto")
         if not 0.0 <= getattr(args, "tol", 0.0) < float("inf"):
             parser.error(f"--tol must be finite and >= 0, got {args.tol}")
     except SystemExit as exc:

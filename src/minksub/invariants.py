@@ -80,33 +80,19 @@ def nullity(germ: Germ, tol: float = RANK_TOL) -> tuple:
     return int(mask.sum()), vt[mask].T
 
 
-def _complement(basis: np.ndarray, n: int) -> np.ndarray:
-    """Orthonormal basis of the orthogonal complement of the column span."""
-    if basis.shape[1] == 0:
-        return np.eye(n)
-    u, _, _ = np.linalg.svd(basis, full_matrices=True)
-    return u[:, basis.shape[1]:]
-
-
 def point_type(germ: Germ, seed: int = 0):
     """Point type t(P): exact for p <= 2, sampled Interval bounds for p >= 3.
 
-    For a single normal both orientations are admitted, so the type is
-    the smaller of the two inertia counts.  For p = 2 the pencil machinery
-    runs on the forms restricted to the complement of L(P); for p >= 3 the
-    normal sphere is sampled from ``seed`` and only bounds are reported.
+    For p <= 2 it is the type of the pencil of the second fundamental
+    forms (d2[0] and 0 when p = 1, so both orientations of the single
+    normal count), and 0 when they all vanish; the common kernel L(P)
+    only adds zero eigenvalues to every member.  For p >= 3 the normal
+    sphere is sampled from ``seed`` and only bounds are reported.
     """
-    if germ.p == 1:
-        pos, neg, _ = pencils.inertia(germ.d2[0])
-        return min(pos, neg)
-    if germ.p == 2:
-        mu, basis = nullity(germ)
-        W = _complement(basis, germ.n)
-        if W.shape[1] == 0:
-            return 0
-        pen = pencils.SymPencil.make(W.T @ germ.d2[0] @ W,
-                                     W.T @ germ.d2[1] @ W)
-        return pencils.pencil_type(pen)[0]
+    if germ.p <= 2:
+        A2 = germ.d2[1] if germ.p == 2 else np.zeros_like(germ.d2[0])
+        pen = pencils.SymPencil.make(germ.d2[0], A2)
+        return pencils.pencil_type(pen) if germ.d2.any() else 0
 
     rng = np.random.default_rng(seed)
     normals = rng.standard_normal((NORMAL_SAMPLES, germ.p))

@@ -2,9 +2,9 @@
 
 A pencil is the two-parameter family lam1*A1 + lam2*A2 of symmetric N x N
 matrices.  This module computes its inertia-based *type* (the minimum
-positive index of inertia over members of maximal rank), normalizes
-generic pencils to spectral data (real eigendirections plus complex
-blocks), recognizes canonical angle configurations, classifies the
+positive index of inertia over members of maximal rank) exactly,
+normalizes generic pencils to spectral data (real eigendirections plus
+complex blocks), recognizes canonical angle configurations, classifies the
 topology of {phi1 = phi2 = 0} intersected with the unit sphere, and
 searches for common zeros of a quadratic pair together with two cubics.
 """
@@ -12,6 +12,7 @@ searches for common zeros of a quadratic pair together with two cubics.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 from math import atan2, cos, pi, sin
 
 import numpy as np
@@ -34,7 +35,7 @@ class ZeroPencil(ValueError):
 
 
 class SingularA2(ValueError):
-    """No well-conditioned member found among A2, A1, A1 + A2."""
+    """No well-conditioned member among the probes of ``_reference``."""
 
 
 class NotSemisimple(ValueError):
@@ -86,24 +87,6 @@ class SymPencil:
                         np.asarray(data["A2"], dtype=np.float64))
 
 
-def inertia(M, tol: float | None = None) -> tuple:
-    """Counts (pos, neg, zero) of eigenvalues of a symmetric matrix."""
-    M = _sym_matrix(M, "matrix")
-    evals = np.linalg.eigvalsh(M)
-    if tol is None:
-        tol = EIG_TOL * (1.0 + float(np.abs(evals).max(initial=0.0)))
-    pos = int((evals > tol).sum())
-    neg = int((evals < -tol).sum())
-    return pos, neg, M.shape[0] - pos - neg
-
-
-def _half_circle_members(P: SymPencil, count: int) -> np.ndarray:
-    """Members cos(t) A1 + sin(t) A2 at count equispaced t in [0, pi)."""
-    th = np.linspace(0.0, np.pi, count, endpoint=False)
-    return (np.cos(th)[:, None, None] * P.A1
-            + np.sin(th)[:, None, None] * P.A2)
-
-
 def max_rank_inertia(members: np.ndarray, tol: float = EIG_TOL) -> tuple:
     """Positive and negative inertia counts of the maximal-rank members.
 
@@ -127,10 +110,10 @@ def type_sampled(P: SymPencil, samples: int = MEMBER_SAMPLES) -> int:
     """
     if samples < 8:
         raise ValueError("samples must be at least 8")
-    if np.abs(P.A1).max(initial=0.0) == 0.0 and \
-            np.abs(P.A2).max(initial=0.0) == 0.0:
+    if not (P.A1.any() or P.A2.any()):
         raise ZeroPencil("both pencil matrices are zero")
-    pos, neg = max_rank_inertia(_half_circle_members(P, samples))
+    th = np.linspace(0.0, np.pi, samples, endpoint=False)[:, None, None]
+    pos, neg = max_rank_inertia(P.member(np.cos(th), np.sin(th)))
     return int(min(pos.min(), neg.min()))
 
 
@@ -169,14 +152,28 @@ class SpectralData:
         return self.r + 2 * self.s
 
 
-def _pick_invertible(A1: np.ndarray, A2: np.ndarray):
-    """First well-conditioned member among A2, A1, A1+A2, with complement."""
-    for B, C, name in ((A2, A1, "A2"), (A1, A2, "A1"), (A1 + A2, A1, "A1+A2")):
-        sv = np.linalg.svd(B, compute_uv=False)
-        if sv[-1] > 0.0 and sv[0] / sv[-1] < COND_LIMIT:
-            return B, C, name
-    raise SingularA2("no member among A2, A1, A1+A2 is invertible "
-                     f"below condition {COND_LIMIT:g}")
+def _rank(sv: np.ndarray) -> int:
+    """Numerical rank at condition COND_LIMIT (full means well-conditioned)."""
+    return int((sv * COND_LIMIT > sv[0]).sum())
+
+
+def _reference(P: SymPencil):
+    """(b, c, singular values of B) for B = b . (A1, A2), C = c . (A1, A2):
+    the first of full ``_rank`` among A2, A1, A1 + A2 (complements A1, A2,
+    A1) and 2N + 1 angles t of the half circle (complement at t + pi/2),
+    else the first of largest rank, which is the pencil's: rank drops at
+    no more than N angles of the half circle."""
+    N = P.dim
+    angles = (k * pi / (2 * N + 1) for k in range(2 * N + 1))
+    probes = chain([((0.0, 1.0), (1.0, 0.0)), ((1.0, 0.0), (0.0, 1.0)),
+                    ((1.0, 1.0), (1.0, 0.0))],
+                   (((cos(t), sin(t)), (-sin(t), cos(t))) for t in angles))
+    found = []
+    for b, c in probes:
+        found.append((b, c, np.linalg.svd(P.member(*b), compute_uv=False)))
+        if _rank(found[-1][2]) == N:
+            break
+    return max(found, key=lambda f: _rank(f[2]))
 
 
 def _cluster_1d(values: np.ndarray, tol: float) -> list:
@@ -216,14 +213,18 @@ def spectral_split(P: SymPencil) -> SpectralData:
     """Decompose a generic pencil into real directions and complex blocks.
 
     Works through the eigenstructure of B^-1 C where B is the first
-    invertible matrix among A2, A1, A1 + A2 and C the complementary one.
+    well-conditioned reference member (A2, A1, A1 + A2, then equispaced
+    angles) and C its complement; raises SingularA2 when none is.
     Root subspaces of that operator are the common invariant subspaces of
     the pencil, so the extracted (alpha, beta) data do not depend on
     which member was inverted.
     """
     A1, A2 = P.A1, P.A2
     N = P.dim
-    B, C, _ = _pick_invertible(A1, A2)
+    b, c, sv = _reference(P)
+    if _rank(sv) < N:
+        raise SingularA2(f"no probe has condition below {COND_LIMIT:g}")
+    B, C = P.member(*b), P.member(*c)
     W = np.linalg.solve(B, C)
     evals = np.linalg.eigvals(W)
     specrad = float(np.abs(evals).max(initial=0.0))
@@ -328,13 +329,28 @@ def type_exact(S: SpectralData) -> int:
     return s + int(min(counts))
 
 
-def pencil_type(P: SymPencil) -> tuple:
-    """(type, method): exact from the spectral split, or sampled over
-    MEMBER_SAMPLES members when the pencil is singular or not semisimple."""
-    try:
-        return type_exact(spectral_split(P)), "spectral"
-    except (SingularA2, NotSemisimple):
-        return type_sampled(P), "sampled"
+def pencil_type(P: SymPencil) -> int:
+    """Pencil type by an exact sweep over the arcs of constant inertia.
+
+    Maximal-rank members keep their inertia between the angles where the
+    rank drops (Lancaster & Rodman, SIAM Review 47, 2005).  There Q^T A Q
+    is singular, Q spanning the range of the reference B, so the member A
+    is a multiple of C - mu B for an eigenvalue mu of (Q^T B Q)^-1 Q^T C Q.
+    The real parts of complex mu and the reference angle (a root when B
+    is singular; never an empty list) add angles, which only split arcs.
+    """
+    b, c, sv = _reference(P)
+    if sv[0] == 0.0:
+        raise ZeroPencil("both pencil matrices are zero")
+    B, C = P.member(*b), P.member(*c)
+    d, V = np.linalg.eigh(B)
+    Q = V[:, np.abs(d) * COND_LIMIT > sv[0]]  # the range of B at _rank's cut
+    mu = np.linalg.eigvals(np.linalg.solve(Q.T @ B @ Q, Q.T @ C @ Q)).real
+    th = np.arctan2(c[1] - mu * b[1], c[0] - mu * b[0])
+    crit = np.unique(np.append(th, atan2(b[1], b[0])) % np.pi)
+    mids = (crit + np.diff(crit, append=crit[0] + np.pi) / 2.0)[:, None, None]
+    pos, neg = max_rank_inertia(P.member(np.cos(mids), np.sin(mids)))
+    return int(min(pos.min(), neg.min()))
 
 
 @dataclass(frozen=True)
@@ -508,10 +524,7 @@ class GenericityReport:
 
 def genericity_check(P: SymPencil, seed: int = 0) -> GenericityReport:
     """The three genericity conditions, reported rather than enforced."""
-    scale = 1.0 + max(float(np.abs(P.A1).max(initial=0.0)),
-                      float(np.abs(P.A2).max(initial=0.0)))
-    sv = np.linalg.svd(_half_circle_members(P, 64), compute_uv=False)
-    det_ok = bool(sv[:, -1].max() > EIG_TOL * scale)
+    det_ok = _rank(_reference(P)[2]) == P.dim
 
     notes = []
     spectral = None
@@ -562,13 +575,6 @@ def _smooth_sampled(P: SymPencil, seed: int) -> tuple:
     return bool(worst > 1e-6 * scale), (
         f"sampled dependency functional minimum {worst:.3e} over "
         f"{len(found)} located points",)
-
-
-def perturb(P: SymPencil, eps: float, seed: int = 0) -> SymPencil:
-    """Symmetric random perturbation of A1 only, for near-defective pencils."""
-    rng = np.random.default_rng(seed)
-    noise = rng.standard_normal((P.dim, P.dim))
-    return SymPencil.make(P.A1 + eps * 0.5 * (noise + noise.T), P.A2)
 
 
 # -- common zero search -------------------------------------------------------

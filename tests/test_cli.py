@@ -125,22 +125,43 @@ def test_pencil_type_spectral(tmp_path, capsys):
     code, out, _ = run(capsys, ["pencil", "type", "--file", cfg])
     assert code == 0
     rep = json.loads(out)
-    assert rep["type"] == 0
-    assert rep["method"] == "spectral"
-    assert rep["samples"] is None
+    assert rep == {"type": 0, "method": "arcs",
+                   "tolerances": {"eigTol": 1e-9}}
 
 
 def test_pencil_type_sampled_fallback(tmp_path, capsys):
-    # A2 singular on the pencil: det(A1 - t A2) has a root structure the
-    # eigen route rejects, the sampler still answers
+    # A2 vanishes and A1 is singular: no member is invertible, the arc
+    # sweep still answers
     cfg = write(tmp_path, "p.json",
                 {"A1": [[1.0, 0.0], [0.0, 0.0]],
                  "A2": [[0.0, 0.0], [0.0, 0.0]]})
     code, out, _ = run(capsys, ["pencil", "type", "--file", cfg])
     rep = json.loads(out)
-    assert rep["method"] == "sampled"
-    assert rep["samples"] == 10000
+    assert rep["method"] == "arcs"
+    assert rep["type"] == 0
+    assert "samples" not in rep
     assert code == 0
+
+
+def test_pencil_type_finds_a_narrow_arc(tmp_path, capsys):
+    # the spectral split rejects this pencil, and 10^4 samples step over
+    # its negative definite members on an arc 1e-4 wide
+    phi = np.array([4.05, 2.33, 3.14, 4.05 + np.pi + 1e-4])
+    cfg = write(tmp_path, "p.json", {"A1": np.diag(np.cos(phi)).tolist(),
+                                     "A2": np.diag(np.sin(phi)).tolist()})
+    code, out, _ = run(capsys, ["pencil", "type", "--file", cfg])
+    assert code == 0
+    rep = json.loads(out)
+    assert (rep["type"], rep["method"]) == (0, "arcs")
+
+
+def test_zero_pencil_has_no_type(tmp_path, capsys):
+    cfg = write(tmp_path, "p.json", {"A1": np.zeros((2, 2)).tolist(),
+                                     "A2": np.zeros((2, 2)).tolist()})
+    for command in ("type", "classify"):
+        code, out, err = run(capsys, ["pencil", command, "--file", cfg])
+        assert code == 1 and out == ""
+        assert "both pencil matrices are zero" in err
 
 
 def test_pencil_classify_canonical(tmp_path, capsys):
@@ -167,6 +188,19 @@ def test_pencil_classify_off_canonical_still_reports(tmp_path, capsys):
     assert rep["canonical"] is None
     assert any("canonical" in n for n in rep["notes"])
     assert rep["spectral"] is not None
+
+
+def test_pencil_classify_types_a_jordan_pencil(tmp_path, capsys):
+    cfg = write(tmp_path, "p.json",
+                {"A1": [[0.0, 0.0], [0.0, 1.0]],
+                 "A2": [[0.0, 1.0], [1.0, 0.0]]})
+    code, out, _ = run(capsys, ["pencil", "classify", "--file", cfg])
+    assert code == 0
+    rep = json.loads(out)
+    assert rep["type"] == 1
+    assert rep["spectral"] is None
+    assert any(n.startswith("spectral split unavailable")
+               for n in rep["notes"])
 
 
 def test_pencil_common_zero_found(tmp_path, capsys):
@@ -216,9 +250,24 @@ def test_verify_example_failure_exit(tmp_path, capsys):
 
 
 def test_verify_example_needs_a_source(tmp_path, capsys):
-    code, _, err = run(capsys, ["verify-example"])
-    assert code == 2
-    assert err.startswith("config error:")
+    code, out, err = run(capsys, ["verify-example"])
+    assert code == 2 and out == ""
+    assert "one of the arguments --params --auto is required" in err
+
+
+@pytest.mark.parametrize("extra, message", [
+    (["--budget", "5"], "--budget needs --auto"),
+    (["--auto"], "not allowed with argument --params"),
+])
+def test_verify_example_rejects_unused_flags(tmp_path, capsys, extra,
+                                             message):
+    params = write(tmp_path, "params.json",
+                   {"A": 10.0, "B": 10.0, "eps1": 0.1, "eps2": 0.1,
+                    "eps3": 0.001, "C": 100.0})
+    code, out, err = run(capsys, ["verify-example", "--params", params,
+                                  *extra])
+    assert code == 2 and out == ""
+    assert message in err
 
 
 def test_find_params(capsys):

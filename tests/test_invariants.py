@@ -10,6 +10,8 @@ from minksub.invariants import (Interval, NotRuledDirection, audit_codim2,
                                 _sobol_points)
 from minksub.jets import MAX_DIM
 from minksub.minkowski import NormModel
+from minksub.pencil import (SymPencil, max_rank_inertia, spectral_split,
+                            type_exact)
 
 
 def flat_germ(d2_list, n=None):
@@ -64,6 +66,32 @@ def test_point_type_codim_two_restricts_to_complement():
     inv = point_invariants(g)
     assert inv.mu == 1
     assert inv.type_t == 1
+
+
+def restricted_point_type(germ):
+    """The point type through the forms restricted to the orthogonal
+    complement of L(P): inertia for p = 1, the spectral split for p = 2."""
+    mu, basis = nullity(germ)
+    W = np.linalg.svd(basis, full_matrices=True)[0][:, mu:]
+    forms = [W.T @ A @ W for A in germ.d2]
+    if germ.p == 1:
+        pos, neg = max_rank_inertia(forms[0][None])
+        return int(min(pos[0], neg[0]))
+    return type_exact(spectral_split(SymPencil.make(*forms)))
+
+
+@pytest.mark.parametrize("p", [1, 2])
+def test_point_type_on_planted_kernels_matches_the_restriction(p):
+    rng = np.random.default_rng(40 + p)
+    for _ in range(30):
+        n = int(rng.integers(2, 6))
+        k = int(rng.integers(1, n))
+        U = np.linalg.qr(rng.standard_normal((n, n)))[0][:, k:]
+        S = rng.standard_normal((p, n - k, n - k))
+        g = flat_germ([U @ (M + M.T) @ U.T for M in S])
+        assert nullity(g)[0] == k
+        assert point_type(g) == restricted_point_type(g)
+    assert point_type(flat_germ(np.zeros((p, 3, 3)))) == 0
 
 
 def test_point_type_codim_three_interval():

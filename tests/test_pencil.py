@@ -8,9 +8,9 @@ from minksub.pencil import (CanonicalData, NotSemisimple, SingularA2,
                             build_canonical, build_from_spectral,
                             canonical_from_spectral, canonical_type,
                             classify_topology, common_zero_search,
-                            genericity_check, inertia, max_rank_inertia,
-                            pencil_type, perturb, spectral_split,
-                            type_exact, type_sampled, _residuals)
+                            genericity_check, max_rank_inertia, pencil_type,
+                            spectral_split, type_exact, type_sampled,
+                            _residuals)
 
 
 def congruent(P, S):
@@ -39,9 +39,13 @@ def test_member_and_dict_round_trip():
 
 
 def test_inertia_counts():
-    assert inertia(np.diag([1.0, -2.0, 0.0])) == (1, 1, 1)
-    assert inertia(np.zeros((3, 3))) == (0, 0, 3)
-    assert inertia(np.diag([5.0, 1e-15])) == (1, 0, 1)  # relative tolerance
+    def counts(M):
+        pos, neg = max_rank_inertia(M[None])
+        return int(pos[0]), int(neg[0])
+
+    assert counts(np.diag([1.0, -2.0, 0.0])) == (1, 1)
+    assert counts(np.zeros((3, 3))) == (0, 0)
+    assert counts(np.diag([5.0, 1e-15])) == (1, 0)  # relative tolerance
 
 
 def test_type_sampled_basics():
@@ -293,16 +297,6 @@ def test_genericity_flags_degenerate_determinant():
     assert rep.method == "sampled"
 
 
-def test_perturb_is_symmetric_and_deterministic():
-    P = SymPencil.make(np.diag([1.0, -1.0]), np.diag([2.0, 1.0]))
-    Q1 = perturb(P, 1e-3, seed=4)
-    Q2 = perturb(P, 1e-3, seed=4)
-    assert np.array_equal(Q1.A1, Q2.A1)
-    assert np.allclose(Q1.A1, Q1.A1.T)
-    assert np.max(np.abs(Q1.A1 - P.A1)) <= 1e-2
-    assert np.array_equal(Q1.A2, P.A2)
-
-
 def clifford_pencil():
     A1 = np.diag([1.0, 1.0, 1.0, -1.0, -1.0, -1.0])
     A2 = np.zeros((6, 6))
@@ -353,11 +347,92 @@ def test_pencil_type_reports_its_method():
     # every nonzero member of this pencil has inertia (1, 1)
     hyperbolic = SymPencil.make(np.diag([1.0, -1.0]),
                                 np.array([[0.0, 1.0], [1.0, 0.0]]))
-    assert pencil_type(hyperbolic) == (1, "spectral")
-    # nilpotent B^-1 C: not semisimple, so the sampler answers
+    assert pencil_type(hyperbolic) == 1
+    # nilpotent B^-1 C: not semisimple, and the same sweep answers
     jordan = SymPencil.make(np.diag([1.0, 0.0]),
                             np.array([[0.0, 1.0], [1.0, 0.0]]))
-    assert pencil_type(jordan) == (type_sampled(jordan), "sampled")
+    assert pencil_type(jordan) == type_sampled(jordan) == 1
+    with pytest.raises(ZeroPencil):
+        pencil_type(SymPencil.make(np.zeros((2, 2)), np.zeros((2, 2))))
+
+
+def narrow_arc_pencil():
+    """Four real directions; two are antipodal up to 1e-4, so the only
+    negative definite members sit on an arc 1e-4 wide."""
+    phi = np.array([4.05, 2.33, 3.14, 4.05 + np.pi + 1e-4])
+    return SymPencil.make(np.diag(np.cos(phi)), np.diag(np.sin(phi)))
+
+
+def test_pencil_type_finds_a_narrow_arc():
+    P = narrow_arc_pencil()
+    with pytest.raises(NotSemisimple):
+        spectral_split(P)
+    assert type_sampled(P) == 1  # 10^4 samples step over the arc
+    assert pencil_type(P) == 0 == type_sampled(P, 10**6)
+
+
+def test_pencil_type_on_singular_pencils():
+    # A2, A1 and A1 + A2 are all singular, det is not identically zero
+    P = SymPencil.make(np.diag([1.0, 0.0, 1.0]), np.diag([0.0, 1.0, -1.0]))
+    assert pencil_type(P) == 0 == type_sampled(P)
+    # the split inverts a member at another angle of the half circle
+    pairs_close(sorted(spectral_split(P).real_pairs),
+                [(0.0, 1.0), (1.0, -1.0), (1.0, 0.0)])
+    # det vanishes identically and the forms have no common kernel: every
+    # nonzero member has inertia (1, 1)
+    A1 = np.zeros((3, 3))
+    A1[0, 1] = A1[1, 0] = 1.0
+    A2 = np.zeros((3, 3))
+    A2[0, 2] = A2[2, 0] = 1.0
+    P = SymPencil.make(A1, A2)
+    assert pencil_type(P) == 1 == type_sampled(P)
+    # a common kernel next to a hyperbolic pair
+    P = SymPencil.make(np.diag([1.0, -1.0, 0.0]),
+                       np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0],
+                                 [0.0, 0.0, 0.0]]))
+    assert pencil_type(P) == 1
+
+
+def test_pencil_type_on_jordan_pencils_matches_the_regular_part():
+    rng = np.random.default_rng(12)
+    for _ in range(20):
+        N = int(rng.integers(3, 8))
+        blocks = int(rng.integers(1, N // 2 + 1))
+        r = N - 2 * blocks
+        phis = rng.uniform(0.0, 2 * np.pi, size=r)
+        A1 = np.zeros((N, N))
+        A2 = np.zeros((N, N))
+        for k in range(blocks):
+            # 2x2 Jordan block A1 = E J, A2 = E (E the exchange matrix)
+            lam = rng.uniform(-1.0, 1.0)
+            j = 2 * k
+            A1[j:j + 2, j:j + 2] = [[0.0, lam], [lam, 1.0]]
+            A2[j:j + 2, j:j + 2] = [[0.0, 1.0], [1.0, 0.0]]
+        A1[2 * blocks:, 2 * blocks:] = np.diag(np.cos(phis))
+        A2[2 * blocks:, 2 * blocks:] = np.diag(np.sin(phis))
+        T = np.eye(N) + 0.3 * rng.standard_normal((N, N))
+        P = congruent(SymPencil.make(A1, A2), T)
+        # a Jordan block has inertia (1, 1) on every member of full rank,
+        # like a complex pair
+        regular = SpectralData(
+            tuple((np.cos(f), np.sin(f)) for f in phis),
+            ((0.0, 1.0),) * blocks)
+        assert pencil_type(P) == type_exact(regular)
+
+
+def test_pencil_type_matches_the_spectral_route():
+    rng = np.random.default_rng(21)
+    for _ in range(40):
+        N = int(rng.integers(2, 7))
+        s = int(rng.integers(0, N // 2 + 1))
+        S = SpectralData(
+            tuple((np.cos(f), np.sin(f))
+                  for f in rng.uniform(0.0, 2 * np.pi, N - 2 * s)),
+            tuple((rng.uniform(-1, 1), rng.uniform(0.5, 2.0))
+                  for _ in range(s)))
+        P = congruent(build_from_spectral(S),
+                      np.eye(N) + 0.3 * rng.standard_normal((N, N)))
+        assert pencil_type(P) == type_exact(S)
 
 
 def test_max_rank_inertia_keeps_only_maximal_rank_members():
