@@ -21,7 +21,7 @@ from . import example
 from . import invariants as inv
 from . import pencil as pencils
 from .curvature import (ZETA_DET_RATIO_TOL, reports_to_csv, ricci_expanded,
-                        zeta_check)
+                        ricci_expanded_batch, zeta_check)
 from .example import ExampleParams, find_example_params, verify_example
 from .germ import COND_LIMIT, Germ
 from .invariants import (audit_codim2, audit_hypersurface, audit_ruled,
@@ -216,9 +216,8 @@ def _cmd_ricci_grid(args) -> int:
     norm = _norm_section(data)
     germ = _germ_section(data)
     grid = inv.default_grid(germ.n) if args.grid is None else args.grid
-    reports = [ricci_expanded(norm, germ, u)
-               for u in sphere_grid(germ.n, grid)]
-    _emit(reports_to_csv(reports), args.out)
+    sweep = ricci_expanded_batch(norm, germ, sphere_grid(germ.n, grid))
+    _emit(reports_to_csv(sweep), args.out)
     return 0
 
 
@@ -317,17 +316,18 @@ def _cmd_audit(args) -> int:
     norm = _norm_section(data)
     germ = _germ_section(data)
     out = {"tolerances": {"ricNonnegTol": args.tol}}
-    if args.audit_cmd == "hyper":
-        report = audit_hypersurface(norm, germ, grid=args.grid, tol=args.tol)
-    elif args.audit_cmd == "codim2":
-        report = audit_codim2(norm, germ, grid=args.grid, tol=args.tol)
-    else:
+    if args.audit_cmd == "ruled":
         u = _parse_direction(args.direction, germ.n)
         report = audit_ruled(norm, germ, u, tol=args.tol, seed=args.seed)
         out["seed"] = args.seed
         out["tolerances"].update(ruledTol=inv.RULED_TOL,
                                  ruledAgreeTol=inv.RULED_AGREE_TOL,
                                  ruledInLTol=inv.RULED_IN_L_TOL)
+    else:
+        report = (audit_hypersurface if args.audit_cmd == "hyper" else
+                  audit_codim2)(norm, germ, grid=args.grid, tol=args.tol)
+        out["grid"] = {"kind": "circle" if germ.n == 2 else "sobol",
+                       "directions": args.grid or inv.default_grid(germ.n)}
     out.update(report.to_dict())
     _emit_json(out, args.out)
     return 0 if report.verdict == "CONSISTENT" else 1

@@ -5,7 +5,9 @@ on the submanifold has fundamental tensor, spray, and Ricci curvature
 expressible entirely through the jets of H at the lifted direction
 (u, 0) and the germ arrays f_ij, f_ijk.  Two independent routes are kept:
 
-* :func:`ricci_expanded` evaluates the expanded coefficient formula.
+* :func:`ricci_expanded` evaluates the expanded coefficient formula, and
+  :func:`ricci_expanded_batch` the same formula for a block of directions
+  at once, as matmuls over a leading direction axis (direction sweeps).
   Writing zeta_ab = H_ab - h^s_a H_sb and h^i_a = g^ij H_ja, the Ricci
   scalar splits into four groups,
 
@@ -42,7 +44,7 @@ from io import StringIO
 import numpy as np
 
 from .germ import COND_LIMIT, Germ, taylor_jets
-from .jets import Jet4
+from .jets import BATCH_BLOCK, Jet4
 from .minkowski import NormModel
 
 ZETA_DET_RATIO_TOL = 1e-10  # zeta = det(Hess H) / det(g) for p = 1
@@ -68,14 +70,18 @@ def _lift(germ: Germ, u) -> np.ndarray:
     return np.concatenate([u, np.zeros(germ.p)])
 
 
-def _pd_inverse(g: np.ndarray) -> np.ndarray:
+def _pd_inverse(g: np.ndarray, first: int = 0) -> np.ndarray:
+    """g^-1 of g or of each of a stack (rows numbered from ``first``)."""
     evals, vecs = np.linalg.eigh(g)
-    if evals[0] <= 0.0:
-        raise NonPDTensor(f"fundamental tensor has eigenvalue {evals[0]:.6g}")
-    if evals[-1] / evals[0] > COND_LIMIT:
-        raise NonPDTensor("fundamental tensor condition number exceeds "
-                          f"{COND_LIMIT:g}")
-    return (vecs / evals) @ vecs.T
+    where = "" if g.ndim == 2 else " at direction {}"
+    for k, ev in enumerate(evals if g.ndim == 3 else [evals]):
+        if ev[0] <= 0.0:
+            raise NonPDTensor(f"fundamental tensor has eigenvalue {ev[0]:.6g}"
+                              + where.format(first + k))
+        if ev[-1] / ev[0] > COND_LIMIT:
+            raise NonPDTensor("fundamental tensor condition number exceeds "
+                              f"{COND_LIMIT:g}" + where.format(first + k))
+    return (vecs / evals[..., None, :]) @ vecs.swapaxes(-1, -2)
 
 
 @dataclass(frozen=True)
@@ -196,6 +202,85 @@ def ricci_expanded(norm: NormModel, germ: Germ, u) -> CurvatureReport:
                            kappa=kap, G=0.5 * h @ kap, xi=xi, zeta=zeta,
                            eta=eta, rho=rho, Rik=Rik, Ric=ric,
                            ric_parts=parts)
+
+
+def _ricci_block(norm: NormModel, germ: Germ, u: np.ndarray,
+                 first: int) -> tuple:
+    """ricci_expanded's fields for the rows of u, by matmuls over a leading
+    direction axis.  H's derivative tensors are symmetric, so u-derivative
+    indices move to the front: X[k] is x[..., k] of ricci_expanded
+    (dgi[i, j, k] is DGI[k, i, j], d2h[i, a, k, l] is D2H[k, l, i, a])."""
+    n, p, rows = germ.n, germ.p, len(u)
+    lift = np.hstack([u, np.zeros((rows, p))])
+    h0, _, d2, d3, d4 = norm.jet(lift).partial_tensors(4)
+    t, s = slice(None, n), slice(n, None)       # tangent and normal blocks
+    g, A = d2[:, t, t], d2[:, t, s]
+    DA, D2A = d3[:, t, t, s], d4[:, t, t, t, s]
+    gi = _pd_inverse(g, first)
+    g1, g2 = gi[:, None], gi[:, None, None]     # broadcast over k, (k, l)
+    M = g1 @ d3[:, t, t, t]                     # gi dg_k
+    MM = M[:, :, None] @ M[:, None]
+    DGI = -M @ g1
+    D2GI = (MM + MM.swapaxes(1, 2) - g2 @ d4[:, t, t, t, t]) @ g2
+    h = gi @ A
+    DH = DGI @ A[:, None] + g1 @ DA
+    D2H = (D2GI @ A[:, None, None] + DGI[:, :, None] @ DA[:, None]
+           + DGI[:, None] @ DA[:, :, None] + g2 @ D2A)
+    hT, DHT = h.swapaxes(1, 2), DH.swapaxes(2, 3)
+    zeta = d2[:, s, s] - hT @ A
+    DZ = d3[:, t, s, s] - DHT @ A[:, None] - hT[:, None] @ DA
+    D2Z = (d4[:, t, t, s, s] - D2H.swapaxes(3, 4) @ A[:, None, None]
+           - DHT[:, :, None] @ DA[:, None] - DHT[:, None] @ DA[:, :, None]
+           - hT[:, None, None] @ D2A)
+
+    def act(X, y):   # (X[k] @ y)[i] as the matrix [i, k]
+        return (X @ y[:, None, :, None])[..., 0].swapaxes(1, 2)
+
+    xi = -0.5 * np.einsum("rkka->ra", DH)
+    eta = 0.75 * (DH.reshape(rows, n * n, p).swapaxes(1, 2)
+                  @ DH.swapaxes(1, 2).reshape(rows, n * n, p)) + 0.5 * (
+        np.einsum("rkkj->rj", DGI)[:, None] @ DZ.reshape(rows, n, p * p)
+        + gi.reshape(rows, 1, n * n) @ D2Z.reshape(rows, n * n, p * p)
+    ).reshape(rows, p, p)
+    rho = (3.0 * xi[:, None, :, None] * h[:, :, None, :]
+           + 0.5 * np.einsum("rjij->ri", DGI)[..., None, None] * zeta[:, None]
+           + (gi @ DZ.reshape(rows, n, p * p)).reshape(rows, n, p, p))
+    fu = (u @ germ.d2.reshape(p * n, n).T).reshape(rows, p, n)
+    fuT = fu.swapaxes(1, 2)
+    kap = (fu @ u[:, :, None])[..., 0]
+    cub = (u @ germ.d3.reshape(p * n * n, n).T).reshape(rows, p * n, n)
+    cub = ((cub @ u[:, :, None]).reshape(rows, p, n) @ u[:, :, None])[..., 0]
+    Q = act(DZ, kap)                            # dzeta[a, b, k] kap[b]
+    z_kl = (kap[:, None, None, None, :] @ D2Z
+            @ kap[:, None, None, :, None])[..., 0, 0]
+    T1 = -0.5 * act(DH, cub)
+    E = act(DH, kap)
+    T2 = -(0.75 * (E @ E) + 0.5 * (act(DGI, (kap[:, None] @ Q)[:, 0])
+                                   + gi @ z_kl))
+    T3 = (1.5 * act(DH, (fu @ h @ kap[:, :, None])[..., 0])
+          - 0.5 * (act(DGI, (fuT @ zeta @ kap[:, :, None])[..., 0])
+                   + gi @ fuT @ Q))
+    T4 = -0.5 * (gi @ Q.swapaxes(1, 2) @ fu)
+    X = (kap[:, None] @ zeta).reshape(rows, p) @ germ.d2.reshape(p, n * n)
+    T5 = gi @ (X.reshape(rows, n, n) - fuT @ zeta @ fu).swapaxes(1, 2)
+    parts = [np.einsum("rii->r", T) for T in (T1, T5, T2, T3 + T4)]
+    Rik = T1 + T2 + T3 + T4 + T5
+    G = 0.5 * (h @ kap[:, :, None])[..., 0]
+    return (u, np.sqrt(2.0 * h0), g, h, kap, G, xi, zeta, eta, rho, Rik,
+            np.einsum("rii->r", Rik), np.stack(parts, 1))
+
+
+def ricci_expanded_batch(norm: NormModel, germ: Germ, U) -> CurvatureReport:
+    """ricci_expanded for each row of U (N, n), in blocks of BATCH_BLOCK: one
+    report whose fields gain a leading direction axis (ric_parts (N, 4)).
+    H's jets are ricci_expanded's bit for bit; the contraction order
+    differs, so fields differ by a few ulp."""
+    U = np.asarray(U, dtype=np.float64)
+    if U.ndim != 2 or U.shape[1] != germ.n or len(U) == 0:
+        raise ValueError(f"directions must have shape (N, {germ.n}), N >= 1")
+    blocks = [_ricci_block(norm, germ, U[s:s + BATCH_BLOCK], s)
+              for s in range(0, len(U), BATCH_BLOCK)]
+    return CurvatureReport(*(np.concatenate(f) for f in zip(*blocks)))
 
 
 # -- oracle route -------------------------------------------------------------
@@ -358,33 +443,24 @@ def ricci_oracle(norm: NormModel, germ: Germ, u, scheme: str = "jet",
 # -- report serialization -----------------------------------------------------
 
 
-def _csv_columns(n: int, p: int) -> list:
-    cols = [f"u_{i + 1}" for i in range(n)] + ["S", "Ric"]
-    cols += [f"kappa_{a + 1}" for a in range(p)]
-    cols += [f"G_{i + 1}" for i in range(n)]
-    cols += [f"xi_{a + 1}" for a in range(p)]
-    cols += [f"g_{i + 1}_{j + 1}" for i in range(n) for j in range(n)]
-    cols += [f"h_{i + 1}_{a + 1}" for i in range(n) for a in range(p)]
-    cols += [f"zeta_{a + 1}_{b + 1}" for a in range(p) for b in range(p)]
-    cols += [f"eta_{a + 1}_{b + 1}" for a in range(p) for b in range(p)]
-    cols += [f"rho_{i + 1}_{a + 1}_{b + 1}"
-             for i in range(n) for a in range(p) for b in range(p)]
-    cols += [f"Rik_{i + 1}_{k + 1}" for i in range(n) for k in range(n)]
-    return cols
+_CSV_FIELDS = ("u", "S", "Ric", "kappa", "G", "xi", "g", "h", "zeta", "eta",
+               "rho", "Rik")
 
 
 def reports_to_csv(reports) -> str:
-    """Serialize a direction sweep; field order is fixed by _csv_columns."""
-    reports = list(reports)
-    if not reports:
-        return ""
-    n = reports[0].u.shape[0]
-    p = reports[0].kappa.shape[0]
-    buf = StringIO()
-    buf.write(",".join(_csv_columns(n, p)) + "\n")
-    for r in reports:
-        vals = ([*r.u, r.S, r.Ric, *r.kappa, *r.G, *r.xi]
-                + [*r.g.ravel(), *r.h.ravel(), *r.zeta.ravel(),
-                   *r.eta.ravel(), *r.rho.ravel(), *r.Rik.ravel()])
-        buf.write(",".join(repr(float(v)) for v in vals) + "\n")
-    return buf.getvalue()
+    """A direction sweep (reports, or one report with a direction axis) as
+    CSV: _CSV_FIELDS in order, arrays flattened, named g_1_2, rho_2_1_1."""
+    if not isinstance(reports, CurvatureReport):
+        reports = list(reports)
+        if not reports:
+            return ""
+        reports = CurvatureReport(*map(np.array, zip(
+            *(vars(r).values() for r in reports))))
+    fields = [np.asarray(getattr(reports, f)) for f in _CSV_FIELDS]
+    rows = len(fields[0])
+    lines = [",".join("_".join([name, *(str(i + 1) for i in index)])
+                      for name, f in zip(_CSV_FIELDS, fields)
+                      for index in np.ndindex(f.shape[1:]))]
+    table = np.concatenate([f.reshape(rows, -1) for f in fields], axis=1)
+    lines += [",".join(map(repr, row)) for row in table.tolist()]
+    return "\n".join(lines) + "\n"

@@ -18,7 +18,7 @@ from statistics import NormalDist
 import numpy as np
 
 from . import pencil as pencils
-from .curvature import ricci_expanded
+from .curvature import ricci_expanded, ricci_expanded_batch
 from .germ import Germ
 from .jets import MAX_DIM
 from .minkowski import NormModel
@@ -169,9 +169,9 @@ class AuditReport:
 
 def _grid_min_ric(norm: NormModel, germ: Germ, grid: int | None):
     dirs = sphere_grid(germ.n, default_grid(germ.n) if grid is None else grid)
-    rics = [ricci_expanded(norm, germ, u).Ric for u in dirs]
+    rics = ricci_expanded_batch(norm, germ, dirs).Ric
     k = int(np.argmin(rics))
-    return rics[k], dirs[k]
+    return float(rics[k]), dirs[k]
 
 
 def audit_hypersurface(norm: NormModel, germ: Germ,

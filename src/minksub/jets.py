@@ -18,6 +18,11 @@ encoding the product of two monomials is just multiset concatenation,
 which makes the multiplication table a flat triple of index arrays; a jet
 product is one gather-multiply-scatter pass over that table.  Tables are
 cached per dimension.
+
+A jet may carry a leading batch axis, coefficients (B, ncoef), for B base
+points; unbatched jets and per-row (B,) scalars mix with it row by row.  A
+batched product is one bincount over row-shifted indices; it sums in input
+order, so each row is bit-identical to the unbatched product.
 """
 
 from __future__ import annotations
@@ -31,6 +36,7 @@ import numpy as np
 
 MAX_ORDER = 4
 MAX_DIM = 8
+BATCH_BLOCK = 64  # directions per batched jet evaluation in a sweep
 
 
 class OrderExceeded(ValueError):
@@ -117,9 +123,9 @@ class Jet4:
     def __init__(self, dim: int, coeffs: np.ndarray):
         t = _tables(dim)
         c = np.asarray(coeffs, dtype=np.float64)
-        if c.shape != (t.ncoef,):
-            raise ValueError(f"expected {t.ncoef} coefficients for dim {dim}, "
-                             f"got shape {c.shape}")
+        if c.shape != (t.ncoef,) and (c.ndim != 2 or c.shape[1] != t.ncoef):
+            raise ValueError(f"expected {t.ncoef} coefficients (or a batch of "
+                             f"them) for dim {dim}, got shape {c.shape}")
         self.dim = dim
         self.coeffs = c
 
@@ -143,7 +149,13 @@ class Jet4:
 
     @classmethod
     def variables(cls, dim: int, base) -> list:
+        """Jets of y_1 .. y_dim about ``base``, or batched about its rows."""
         base = np.asarray(base, dtype=np.float64)
+        if base.ndim == 2 and base.shape[1] == dim:
+            c = np.zeros((dim, len(base), _tables(dim).ncoef))
+            c[:, :, 0] = base.T
+            c[range(dim), :, range(1, dim + 1)] = 1.0
+            return [cls(dim, ci) for ci in c]
         if base.shape != (dim,):
             raise ValueError(f"base point must have shape ({dim},)")
         return [cls.variable(dim, i, base[i]) for i in range(dim)]
@@ -151,8 +163,10 @@ class Jet4:
     # -- inspection --------------------------------------------------------
 
     @property
-    def value(self) -> float:
-        return float(self.coeffs[0])
+    def value(self):
+        """The constant term: a float, or a (B,) array for a batch."""
+        c = self.coeffs
+        return float(c[0]) if c.ndim == 1 else c[:, 0].copy()
 
     def derivative(self, multi_index) -> float:
         """Partial derivative d^m f / dy^m at the base point (m! * c_m)."""
@@ -169,7 +183,7 @@ class Jet4:
         return float(t.fact[i] * self.coeffs[i])
 
     def gradient(self) -> np.ndarray:
-        return self.coeffs[1:1 + self.dim].copy()
+        return self.coeffs[..., 1:1 + self.dim].copy()
 
     def hessian(self) -> np.ndarray:
         return self.partial_tensors(2)[2]
@@ -178,18 +192,23 @@ class Jet4:
         """Dense symmetric derivative tensors (value, D1, ..., D_max_order).
 
         Entry k of the returned tuple is the full order-k derivative tensor
-        of shape (dim,)*k, with every index permutation filled in.
+        of shape (dim,)*k, with every index permutation filled in; for a
+        batch, every entry gains a leading axis of B rows.
         """
         if not 0 <= max_order <= MAX_ORDER:
             raise OrderExceeded(f"order {max_order} not in 0..{MAX_ORDER}")
         t = _tables(self.dim)
         scaled = t.fact * self.coeffs
-        out = [float(self.coeffs[0])]
+        lead = self.coeffs.shape[:-1]
+        out = [self.value]
         for deg in range(1, max_order + 1):
             coef_idx, flat_idx = t.scatter[deg]
-            tensor = np.zeros(self.dim ** deg)
-            tensor[flat_idx] = scaled[coef_idx]
-            out.append(tensor.reshape((self.dim,) * deg))
+            tensor = np.zeros(lead + (self.dim ** deg,))
+            if lead:
+                tensor[:, flat_idx] = scaled[:, coef_idx]
+            else:
+                tensor[flat_idx] = scaled[coef_idx]
+            out.append(tensor.reshape(lead + (self.dim,) * deg))
         return tuple(out)
 
     # -- ring operations ---------------------------------------------------
@@ -203,7 +222,10 @@ class Jet4:
             self._check_same(other)
             return Jet4(self.dim, self.coeffs + other.coeffs)
         c = self.coeffs.copy()
-        c[0] += other
+        if c.ndim == 1:
+            c[0] += other
+        else:
+            c[:, 0] += other
         return Jet4(self.dim, c)
 
     __radd__ = __add__
@@ -212,19 +234,28 @@ class Jet4:
         return Jet4(self.dim, -self.coeffs)
 
     def __sub__(self, other):
-        return self + (-other if isinstance(other, Jet4) else -float(other))
+        return self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
         if not isinstance(other, Jet4):
-            return Jet4(self.dim, self.coeffs * float(other))
+            if self.coeffs.ndim == 1:
+                return Jet4(self.dim, self.coeffs * float(other))
+            return Jet4(self.dim, self.coeffs  # other: float or one per row
+                        * np.asarray(other, dtype=np.float64)[..., None])
         self._check_same(other)
         t = _tables(self.dim)
-        prod = self.coeffs[t.mul_i] * other.coeffs[t.mul_j]
-        return Jet4(self.dim, np.bincount(t.mul_k, weights=prod,
-                                          minlength=t.ncoef))
+        if self.coeffs.ndim == other.coeffs.ndim == 1:
+            prod = self.coeffs[t.mul_i] * other.coeffs[t.mul_j]
+            return Jet4(self.dim, np.bincount(t.mul_k, weights=prod,
+                                              minlength=t.ncoef))
+        prod = self.coeffs[..., t.mul_i] * other.coeffs[..., t.mul_j]
+        rows = len(prod)
+        flat = (t.mul_k + t.ncoef * np.arange(rows)[:, None]).ravel()
+        return Jet4(self.dim, np.bincount(flat, prod.ravel(), rows * t.ncoef)
+                    .reshape(rows, t.ncoef))
 
     __rmul__ = __mul__
 
@@ -232,15 +263,20 @@ class Jet4:
         # Horner evaluation of sum_k series[k] * q^k where q = self with the
         # constant term dropped; q^5 vanishes in the truncated ring.
         q = Jet4(self.dim, self.coeffs.copy())
-        q.coeffs[0] = 0.0
+        q.coeffs[..., 0] = 0.0
         acc = Jet4.constant(self.dim, series[-1])
         for a in reversed(series[:-1]):
             acc = acc * q + a
         return acc
 
     def reciprocal(self) -> "Jet4":
-        b0 = self.coeffs[0]
-        if b0 == 0.0:
+        if self.coeffs.ndim == 1:
+            b0 = self.coeffs[0]
+            zero = b0 == 0.0
+        else:   # every row is checked
+            b0 = self.coeffs[:, 0]
+            zero = np.any(b0 == 0.0)
+        if zero:
             raise DivisionByZeroJet("divisor jet has zero constant term")
         q = self * (1.0 / b0)
         return q._series([1.0, -1.0, 1.0, -1.0, 1.0]) * (1.0 / b0)
@@ -248,19 +284,24 @@ class Jet4:
     def __truediv__(self, other):
         if isinstance(other, Jet4):
             return self * other.reciprocal()
-        return self * (1.0 / float(other))
+        return self * (1.0 / other)
 
     def __rtruediv__(self, other):
-        return self.reciprocal() * float(other)
+        return self.reciprocal() * other
 
     def sqrt(self) -> "Jet4":
-        b0 = self.coeffs[0]
-        if b0 <= 0.0:
+        if self.coeffs.ndim == 1:
+            b0 = self.coeffs[0]
+            negative = b0 <= 0.0
+        else:
+            b0 = self.coeffs[:, 0]
+            negative = np.any(b0 <= 0.0)
+        if negative:
             raise NegativeSqrtJet("sqrt of jet with non-positive constant term")
         q = self * (1.0 / b0)
         # binomial series for (1+x)^(1/2), truncated at x^4
         s = q._series([1.0, 0.5, -0.125, 0.0625, -0.0390625])
-        return s * float(np.sqrt(b0))
+        return s * np.sqrt(b0)
 
     def __pow__(self, exponent):
         if not isinstance(exponent, (int, np.integer)):

@@ -36,7 +36,7 @@ from typing import Callable
 
 import numpy as np
 
-from .jets import Jet4
+from .jets import BATCH_BLOCK, Jet4
 from .norm_expr import evaluate, parse_norm
 
 AXIS_EXCLUSION = 1e-12  # excluded when off-axis |y|^2 < AXIS_EXCLUSION*|y|^2
@@ -157,9 +157,10 @@ class NormModel:
         return float(self.h(list(y)))
 
     def jet(self, base) -> Jet4:
-        """Order-4 jet of H about ``base`` (must be admissible)."""
+        """Order-4 jet of H about admissible ``base`` (dim,), or (B, dim)."""
         base = np.asarray(base, dtype=np.float64)
-        self.check_admissible(base)
+        for k, y in enumerate(base if base.ndim == 2 else [base]):
+            self.check_admissible(y, k if base.ndim == 2 else None)
         return self.h(Jet4.variables(self.dim, base))
 
     # -- admissibility -----------------------------------------------------
@@ -169,18 +170,20 @@ class NormModel:
         return sum(y[i] ** 2 for i in range(self.dim)
                    if i != self.excluded_axis)
 
-    def check_admissible(self, y) -> None:
+    def check_admissible(self, y, row: int | None = None) -> None:
+        """Raise SingularDirection where H is not smooth (``row``: batch)."""
         y = np.asarray(y, dtype=np.float64)
         if y.shape != (self.dim,):
             raise ValueError(f"direction must have shape ({self.dim},)")
+        where = "" if row is None else f" (batch row {row})"
         sq = float(y @ y)
         if sq == 0.0:
-            raise SingularDirection("zero direction")
+            raise SingularDirection("zero direction" + where)
         if (self.excluded_axis is not None
                 and self._off_axis_sq(y) < AXIS_EXCLUSION * sq):
             raise SingularDirection(
                 f"direction lies on the excluded y{self.excluded_axis + 1}"
-                "-axis of the norm")
+                "-axis of the norm" + where)
 
     def to_config(self) -> dict:
         return copy.deepcopy(self.config)
@@ -279,9 +282,11 @@ def validate_norm(model: NormModel, samples: int = VALIDATION_SAMPLES,
     max_grad = 0.0
     min_eig = np.inf
     argmin = dirs[0]
-    for y in dirs:
-        jet = model.jet(y)
-        h0, d1, d2 = jet.partial_tensors(2)
+    # batched jets; the residuals stay per-direction float arithmetic
+    tensors = zip(*(model.jet(dirs[s:s + BATCH_BLOCK]).partial_tensors(2)
+                    for s in range(0, len(dirs), BATCH_BLOCK)))
+    values, grads, hessians = (np.concatenate(t) for t in tensors)
+    for y, h0, d1, d2 in zip(dirs, values.tolist(), grads, hessians):
         scale = 1.0 + abs(h0)
         max_deg = max(max_deg, abs(float(y @ d1) - 2.0 * h0) / scale)
         max_grad = max(max_grad, float(np.max(np.abs(d2 @ y - d1))) / scale)

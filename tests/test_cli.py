@@ -301,6 +301,24 @@ def test_audit_codim2(tmp_path, capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize("n, grid_flag, grid", [
+    (2, ["--grid", "72"], {"kind": "circle", "directions": 72}),
+    (3, ["--grid", "100"], {"kind": "sobol", "directions": 100}),
+    (3, [], {"kind": "sobol", "directions": 4096}),
+])
+@pytest.mark.parametrize("audit", ["hyper", "codim2"])
+def test_grid_audits_report_their_grid(tmp_path, capsys, audit, n, grid_flag,
+                                       grid):
+    p = 1 if audit == "hyper" else 2
+    germ = {"n": n, "p": p, "d2": np.stack([np.eye(n)] * p).tolist(),
+            "d3": np.zeros((p, n, n, n)).tolist()}
+    cfg = write(tmp_path, "c.json",
+                {"norm": {"kind": "euclidean", "dim": n + p}, "germ": germ})
+    code, out, _ = run(capsys, ["audit", audit, "--config", cfg] + grid_flag)
+    assert code == 0
+    assert json.loads(out)["grid"] == grid
+
+
 def test_audit_ruled_with_direction_and_tol(tmp_path, capsys):
     cylinder = {"norm": {"kind": "euclidean", "dim": 3},
                 "germ": {"n": 2, "p": 1,
@@ -315,6 +333,7 @@ def test_audit_ruled_with_direction_and_tol(tmp_path, capsys):
     assert rep["tolerances"]["ricNonnegTol"] == 1e-7
     assert rep["tolerances"]["ruledAgreeTol"] == inv.RULED_AGREE_TOL
     assert rep["tolerances"]["ruledInLTol"] == inv.RULED_IN_L_TOL
+    assert "grid" not in rep
 
 
 @pytest.mark.parametrize("argv", [

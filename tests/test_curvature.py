@@ -7,13 +7,17 @@ differences of the spray.  The tests here pin all three to each other and
 to closed-form values.
 """
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
 from minksub.curvature import (NonPDTensor, StepUnderflow, fundamental_tensor,
-                               reports_to_csv, ricci_expanded, ricci_oracle,
+                               reports_to_csv, ricci_expanded,
+                               ricci_expanded_batch, ricci_oracle,
                                spray_at_origin, zeta_check)
 from minksub.germ import Germ, sym3
+from minksub.invariants import sphere_grid
 from minksub.minkowski import NormModel
 
 
@@ -240,3 +244,56 @@ def test_report_is_frozen():
     rep = ricci_expanded(norm, germ, [1.0, 0.0])
     with pytest.raises(AttributeError):
         rep.Ric = 0.0
+
+
+# -- batched sweeps -----------------------------------------------------------
+
+BATCH_REL_TOL = 1e-14   # matmul contraction order vs the per-direction einsums
+
+
+def _batch_cases():
+    rng = np.random.default_rng(23)
+    for n, p in ((2, 1), (3, 1), (2, 2), (3, 2)):
+        dim = n + p
+        quad = " + ".join(f"{k + 1}*y{k + 1}^2" for k in range(dim))
+        norms = [NormModel.euclidean(dim), random_randers(rng, dim),
+                 NormModel.expression(f"(sqrt({quad}) + y{dim}/5)^2 / 2",
+                                      dim)]
+        if dim == 3:
+            norms.append(NormModel.example4(10.0, 10.0, 0.1, 0.1))
+        for norm in norms:
+            yield norm, random_germ(rng, n, p, scale=0.8)
+
+
+@pytest.mark.parametrize("norm, germ", list(_batch_cases()),
+                         ids=lambda x: getattr(x, "kind", None)
+                         or f"{x.n}x{x.p}")
+def test_batch_matches_per_direction_reports(norm, germ):
+    U = sphere_grid(germ.n, 70)        # one full block of 64 and 6 more
+    batch = ricci_expanded_batch(norm, germ, U)
+    refs = [ricci_expanded(norm, germ, u) for u in U]
+    for f in fields(batch):
+        got = np.asarray(getattr(batch, f.name))
+        want = np.array([getattr(r, f.name) for r in refs])
+        assert got.shape == want.shape
+        err = np.max(np.abs(got - want))
+        assert err <= BATCH_REL_TOL * np.max(np.abs(want)), f.name
+    # a stacked report serializes with the per-direction layout
+    text = reports_to_csv(batch).splitlines()
+    ref_text = reports_to_csv(refs).splitlines()
+    assert text[0] == ref_text[0] and len(text) == len(ref_text)
+
+
+def test_batch_names_the_direction_with_an_indefinite_tensor():
+    # H = |y|^2/2 - y1^4/|y|^2 has g_11 = -1 along e1, g = I along e2
+    norm = NormModel.expression(
+        "(y1^2 + y2^2 + y3^2) / 2 - y1^4 / (y1^2 + y2^2 + y3^2)", 3)
+    germ = Germ.make(2, 1, np.eye(2)[None], np.zeros((1, 2, 2, 2)))
+    t = np.linspace(-0.2, 0.2, 70)
+    U = np.stack([np.sin(t), np.cos(t)], axis=1)
+    ricci_expanded_batch(norm, germ, U)
+    U[67] = [1.0, 0.0]
+    with pytest.raises(NonPDTensor, match="direction 67"):
+        ricci_expanded_batch(norm, germ, U)
+    with pytest.raises(NonPDTensor):
+        ricci_expanded(norm, germ, U[67])

@@ -180,3 +180,61 @@ def test_scalar_mixing():
     assert np.allclose((y + 1.0).coeffs, (1.0 + y).coeffs)
     assert np.allclose((1.0 - y).coeffs, (-(y - 1.0)).coeffs)
     assert np.allclose((y / 2.0).coeffs, (y * 0.5).coeffs)
+
+
+# -- batched jets -------------------------------------------------------------
+
+
+def _batch(dim, rows, seed):
+    rng = np.random.default_rng(seed)
+    return Jet4.variables(dim, rng.uniform(0.5, 2.0, (rows, dim)))
+
+
+def test_batch_mixes_with_unbatched_constants_row_by_row():
+    ys = _batch(3, 65, 1)
+    c = Jet4.variables(3, np.array([0.5, 1.0, 2.0]))[1] * 1.5 + 0.25
+    batch = [c * ys[0], ys[1] * c, c + ys[2], ys[2] - c, c / ys[0],
+             ys[1] / c, 2.0 / ys[2], (ys[0] * c).sqrt(), ys[1] ** 3]
+    for k in (0, 17, 64):
+        row = [Jet4(3, y.coeffs[k]) for y in ys]
+        single = [c * row[0], row[1] * c, c + row[2], row[2] - c,
+                  c / row[0], row[1] / c, 2.0 / row[2], (row[0] * c).sqrt(),
+                  row[1] ** 3]
+        for b, s in zip(batch, single):
+            assert b.coeffs.shape == (65, 35)
+            assert np.array_equal(b.coeffs[k], s.coeffs)
+
+
+def test_batch_takes_per_row_scalars():
+    y0 = _batch(2, 4, 2)[0]
+    scale = np.array([1.0, -2.0, 0.5, 3.0])
+    assert np.array_equal((y0 * scale).coeffs, y0.coeffs * scale[:, None])
+    assert np.array_equal((y0 + scale).coeffs[:, 0], y0.coeffs[:, 0] + scale)
+    assert np.array_equal(y0.value, y0.coeffs[:, 0])
+
+
+def test_mismatched_batch_sizes_raise():
+    a = _batch(2, 4, 3)[0]
+    b = _batch(2, 5, 4)[0]
+    for op in (lambda: a * b, lambda: a + b, lambda: b - a,
+               lambda: a * np.ones(3), lambda: a + np.ones(5)):
+        with pytest.raises(ValueError):
+            op()
+    # a batch of one broadcasts like an unbatched jet
+    one = _batch(2, 1, 5)[0]
+    single = Jet4(2, one.coeffs[0])
+    assert np.array_equal((a * one).coeffs, (a * single).coeffs)
+    assert np.array_equal((one + a).coeffs, (single + a).coeffs)
+
+
+def test_batch_series_check_every_row():
+    y = _batch(1, 5, 6)[0]
+    y.coeffs[3, 0] = 0.0
+    with pytest.raises(DivisionByZeroJet):
+        y.reciprocal()
+    y.coeffs[3, 0] = 1.0
+    y.coeffs[1, 0] = -1.0
+    with pytest.raises(NegativeSqrtJet):
+        y.sqrt()
+    y.coeffs[1, 0] = 1.0
+    y.sqrt().reciprocal()

@@ -172,3 +172,44 @@ def test_validator_determinism():
     r1 = validate_norm(norm, samples=150, seed=5)
     r2 = validate_norm(norm, samples=150, seed=5)
     assert r1.to_dict() == r2.to_dict()
+
+
+# -- batched jets -------------------------------------------------------------
+
+
+def _norm_cases():
+    rng = np.random.default_rng(41)
+    for dim in (3, 4, 5):
+        m = rng.standard_normal((dim, dim)) * 0.3
+        b = rng.standard_normal(dim)
+        a = np.eye(dim) + m @ m.T
+        b *= 0.4 / np.sqrt(b @ np.linalg.solve(a, b))
+        quad = " + ".join(f"{k + 1}*y{k + 1}^2" for k in range(dim))
+        yield NormModel.euclidean(dim)
+        yield NormModel.randers(a, b)
+        yield NormModel.expression(f"(sqrt({quad}) + y1/4)^2 / 2", dim)
+    yield NormModel.example4(10.0, 12.0, 0.1, 0.05)
+
+
+@pytest.mark.parametrize("norm", list(_norm_cases()),
+                         ids=lambda m: f"{m.kind}{m.dim}")
+def test_batched_jet_is_bit_identical_to_the_loop(norm):
+    rng = np.random.default_rng(norm.dim)
+    for rows in (1, 63, 64, 65):
+        Y = rng.standard_normal((rows, norm.dim))
+        batch = norm.jet(Y).partial_tensors(4)
+        for k, y in enumerate(Y):
+            single = norm.jet(y).partial_tensors(4)
+            assert batch[0][k] == single[0]
+            for deg in range(1, 5):
+                assert np.array_equal(batch[deg][k], single[deg])
+
+
+def test_batched_jet_rejects_singular_rows():
+    Y = np.ones((5, 3))
+    Y[2] = 0.0
+    with pytest.raises(SingularDirection, match="batch row 2"):
+        NormModel.euclidean(3).jet(Y)
+    Y[2] = [0.0, 0.0, -2.0]   # on example4's excluded y3-axis
+    with pytest.raises(SingularDirection, match="batch row 2"):
+        NormModel.example4(1.0, 1.0, 0.1, 0.1).jet(Y)
