@@ -448,6 +448,9 @@ def main(argv=None) -> int:
             parser.error("--budget needs --auto")
         if not 0.0 <= getattr(args, "tol", 0.0) < float("inf"):
             parser.error(f"--tol must be finite and >= 0, got {args.tol}")
+        if not 0.0 <= getattr(args, "min_axis_fraction", 0.0) < 1.0:
+            parser.error("--min-axis-fraction must lie in [0, 1), "
+                         f"got {args.min_axis_fraction}")
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -23,6 +23,12 @@ A jet may carry a leading batch axis, coefficients (B, ncoef), for B base
 points; unbatched jets and per-row (B,) scalars mix with it row by row.  A
 batched product is one bincount over row-shifted indices; it sums in input
 order, so each row is bit-identical to the unbatched product.
+
+Every jet also carries a structural degree bound ``deg``: each coefficient
+of a monomial of degree above ``deg`` is exactly 0.0.  A product gathers
+only the table terms whose factors lie within their operands' bounds; the
+dropped terms would each add an exact zero to a bincount bin, so with
+finite coefficients every result is bit-identical to the full-table one.
 """
 
 from __future__ import annotations
@@ -115,12 +121,29 @@ def _tables(dim: int) -> _Tables:
                    scatter=scatter)
 
 
+@lru_cache(maxsize=None)
+def _mul_terms(dim: int, da: int, db: int) -> tuple:
+    """Product-table terms (i, j, k) with deg(i) <= da and deg(j) <= db,
+    in table order."""
+    t = _tables(dim)
+    deg = t.exponents.sum(axis=1)
+    keep = (deg[t.mul_i] <= da) & (deg[t.mul_j] <= db)
+    return t.mul_i[keep], t.mul_j[keep], t.mul_k[keep]
+
+
 class Jet4:
-    """Order-4 Taylor jet of a scalar function of ``dim`` variables."""
+    """Order-4 Taylor jet of a scalar function of ``dim`` variables.
 
-    __slots__ = ("dim", "coeffs")
+    ``deg`` bounds the degree of the monomials with a nonzero coefficient:
+    0 for ``constant``, 1 for ``variable``/``variables``, the larger
+    operand bound for ``+``, ``-`` and scalar ``*``, and the sum (capped at
+    MAX_ORDER) for a jet product.  Coefficients supplied from outside
+    default to MAX_ORDER, which claims nothing.
+    """
 
-    def __init__(self, dim: int, coeffs: np.ndarray):
+    __slots__ = ("dim", "coeffs", "deg")
+
+    def __init__(self, dim: int, coeffs: np.ndarray, deg: int = MAX_ORDER):
         t = _tables(dim)
         c = np.asarray(coeffs, dtype=np.float64)
         if c.shape != (t.ncoef,) and (c.ndim != 2 or c.shape[1] != t.ncoef):
@@ -128,6 +151,7 @@ class Jet4:
                              f"them) for dim {dim}, got shape {c.shape}")
         self.dim = dim
         self.coeffs = c
+        self.deg = deg
 
     # -- constructors ------------------------------------------------------
 
@@ -135,7 +159,7 @@ class Jet4:
     def constant(cls, dim: int, value: float) -> "Jet4":
         c = np.zeros(_tables(dim).ncoef)
         c[0] = value
-        return cls(dim, c)
+        return cls(dim, c, 0)
 
     @classmethod
     def variable(cls, dim: int, index: int, value: float = 0.0) -> "Jet4":
@@ -145,7 +169,7 @@ class Jet4:
         c = np.zeros(_tables(dim).ncoef)
         c[0] = value
         c[1 + index] = 1.0  # degree-1 monomials sit right after the constant
-        return cls(dim, c)
+        return cls(dim, c, 1)
 
     @classmethod
     def variables(cls, dim: int, base) -> list:
@@ -155,7 +179,7 @@ class Jet4:
             c = np.zeros((dim, len(base), _tables(dim).ncoef))
             c[:, :, 0] = base.T
             c[range(dim), :, range(1, dim + 1)] = 1.0
-            return [cls(dim, ci) for ci in c]
+            return [cls(dim, ci, 1) for ci in c]
         if base.shape != (dim,):
             raise ValueError(f"base point must have shape ({dim},)")
         return [cls.variable(dim, i, base[i]) for i in range(dim)]
@@ -220,18 +244,19 @@ class Jet4:
     def __add__(self, other):
         if isinstance(other, Jet4):
             self._check_same(other)
-            return Jet4(self.dim, self.coeffs + other.coeffs)
+            return Jet4(self.dim, self.coeffs + other.coeffs,
+                        max(self.deg, other.deg))
         c = self.coeffs.copy()
         if c.ndim == 1:
             c[0] += other
         else:
             c[:, 0] += other
-        return Jet4(self.dim, c)
+        return Jet4(self.dim, c, self.deg)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Jet4(self.dim, -self.coeffs)
+        return Jet4(self.dim, -self.coeffs, self.deg)
 
     def __sub__(self, other):
         return self + (-other)
@@ -242,27 +267,30 @@ class Jet4:
     def __mul__(self, other):
         if not isinstance(other, Jet4):
             if self.coeffs.ndim == 1:
-                return Jet4(self.dim, self.coeffs * float(other))
+                return Jet4(self.dim, self.coeffs * float(other), self.deg)
             return Jet4(self.dim, self.coeffs  # other: float or one per row
-                        * np.asarray(other, dtype=np.float64)[..., None])
+                        * np.asarray(other, dtype=np.float64)[..., None],
+                        self.deg)
         self._check_same(other)
-        t = _tables(self.dim)
+        ncoef = _tables(self.dim).ncoef
+        mul_i, mul_j, mul_k = _mul_terms(self.dim, self.deg, other.deg)
+        deg = min(MAX_ORDER, self.deg + other.deg)
         if self.coeffs.ndim == other.coeffs.ndim == 1:
-            prod = self.coeffs[t.mul_i] * other.coeffs[t.mul_j]
-            return Jet4(self.dim, np.bincount(t.mul_k, weights=prod,
-                                              minlength=t.ncoef))
-        prod = self.coeffs[..., t.mul_i] * other.coeffs[..., t.mul_j]
+            prod = self.coeffs[mul_i] * other.coeffs[mul_j]
+            return Jet4(self.dim, np.bincount(mul_k, weights=prod,
+                                              minlength=ncoef), deg)
+        prod = self.coeffs[..., mul_i] * other.coeffs[..., mul_j]
         rows = len(prod)
-        flat = (t.mul_k + t.ncoef * np.arange(rows)[:, None]).ravel()
-        return Jet4(self.dim, np.bincount(flat, prod.ravel(), rows * t.ncoef)
-                    .reshape(rows, t.ncoef))
+        flat = (mul_k + ncoef * np.arange(rows)[:, None]).ravel()
+        return Jet4(self.dim, np.bincount(flat, prod.ravel(), rows * ncoef)
+                    .reshape(rows, ncoef), deg)
 
     __rmul__ = __mul__
 
     def _series(self, series) -> "Jet4":
         # Horner evaluation of sum_k series[k] * q^k where q = self with the
         # constant term dropped; q^5 vanishes in the truncated ring.
-        q = Jet4(self.dim, self.coeffs.copy())
+        q = Jet4(self.dim, self.coeffs.copy(), self.deg)
         q.coeffs[..., 0] = 0.0
         acc = Jet4.constant(self.dim, series[-1])
         for a in reversed(series[:-1]):

@@ -264,8 +264,11 @@ def validate_norm(model: NormModel, samples: int = VALIDATION_SAMPLES,
     extra probes approach the ray; a singular model is then honestly
     reported invalid.  Passing a positive fraction restricts the sample to
     directions with y1^2+y2^2 >= fraction^2 * |y|^2, certifying the norm on
-    that cone complement only.
+    that cone complement only; the fraction must lie in [0, 1).
     """
+    if not 0.0 <= min_axis_fraction < 1.0:
+        raise ValueError("min_axis_fraction must lie in [0, 1), got "
+                         f"{min_axis_fraction}")
     rng = np.random.default_rng(seed)
     dirs = _sample_directions(model, samples, rng, min_axis_fraction)
     notes = []
@@ -278,27 +281,23 @@ def validate_norm(model: NormModel, samples: int = VALIDATION_SAMPLES,
         notes.append(f"sample restricted to y1^2+y2^2 >= "
                      f"{min_axis_fraction ** 2:g} * |y|^2")
 
-    max_deg = 0.0
-    max_grad = 0.0
-    min_eig = np.inf
-    argmin = dirs[0]
-    # batched jets; the residuals stay per-direction float arithmetic
     tensors = zip(*(model.jet(dirs[s:s + BATCH_BLOCK]).partial_tensors(2)
                     for s in range(0, len(dirs), BATCH_BLOCK)))
     values, grads, hessians = (np.concatenate(t) for t in tensors)
-    for y, h0, d1, d2 in zip(dirs, values.tolist(), grads, hessians):
-        scale = 1.0 + abs(h0)
-        max_deg = max(max_deg, abs(float(y @ d1) - 2.0 * h0) / scale)
-        max_grad = max(max_grad, float(np.max(np.abs(d2 @ y - d1))) / scale)
-        eig = float(np.linalg.eigvalsh(d2)[0])
-        if eig < min_eig:
-            min_eig = eig
-            argmin = y
+    # stacked matmuls make per row the BLAS calls of y @ d1 and d2 @ y
+    scale = 1.0 + np.abs(values)
+    y_d1 = (dirs[:, None, :] @ grads[:, :, None])[:, 0, 0]
+    max_deg = float(np.max(np.abs(y_d1 - 2.0 * values) / scale))
+    d2_y = (hessians @ dirs[:, :, None])[:, :, 0]
+    max_grad = float(np.max(np.max(np.abs(d2_y - grads), axis=1) / scale))
+    eigs = np.linalg.eigvalsh(hessians)[:, 0]
+    k = int(np.argmin(eigs))    # the first direction of least eigenvalue
+    min_eig = float(eigs[k])
     valid = max_deg <= EULER_TOL and max_grad <= EULER_TOL and min_eig > 0.0
     return ValidationReport(valid=valid, samples=len(dirs), seed=seed,
                             max_euler_degree_residual=max_deg,
                             max_euler_gradient_residual=max_grad,
                             min_hessian_eigenvalue=min_eig,
-                            argmin_direction=np.asarray(argmin),
+                            argmin_direction=dirs[k].copy(),
                             min_axis_fraction=min_axis_fraction,
                             notes=tuple(notes))

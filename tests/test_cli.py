@@ -66,6 +66,22 @@ def test_check_norm_invalid_exits_one(tmp_path, capsys):
     assert json.loads(out)["valid"] is False
 
 
+@pytest.mark.parametrize("fraction", ["1", "nan", "-0.5", "1.5"])
+def test_out_of_range_min_axis_fraction_exits_two(tmp_path, fraction):
+    # a fresh interpreter with a timeout: a fraction of 1 used to spin
+    # forever in the example norm's rejection sampler
+    cfg = write(tmp_path, "n.json", {"kind": "example4", "A": 10.0,
+                                     "B": 10.0, "eps1": 0.1, "eps2": 0.1})
+    src = Path(cli.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-m", "minksub.cli", "check-norm", "--config", cfg,
+         "--grid", "64", "--min-axis-fraction", fraction],
+        env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True,
+        text=True, timeout=60)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert "--min-axis-fraction" in proc.stderr
+
+
 def test_curvature_report_shape(tmp_path, capsys):
     cfg = write(tmp_path, "c.json", RANDERS)
     code, out, _ = run(capsys, ["curvature", "--config", cfg,

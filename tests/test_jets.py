@@ -1,4 +1,5 @@
-"""Jet arithmetic against hand series, sympy, and exact ring laws."""
+"""Jet arithmetic against hand series, sympy, exact ring laws and full-table
+products."""
 
 import numpy as np
 import pytest
@@ -6,8 +7,9 @@ import sympy as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from minksub.jets import (DivisionByZeroJet, Jet4, NegativeSqrtJet,
-                          OrderExceeded)
+from minksub.jets import (MAX_ORDER, DivisionByZeroJet, Jet4,
+                          NegativeSqrtJet, OrderExceeded, _tables)
+from minksub.minkowski import NormModel
 
 NCOEF_1 = 5    # monomials of degree <= 4 in one variable
 NCOEF_2 = 15
@@ -238,3 +240,139 @@ def test_batch_series_check_every_row():
         y.sqrt()
     y.coeffs[1, 0] = 1.0
     y.sqrt().reciprocal()
+
+
+# -- structural degree bounds -------------------------------------------------
+
+
+def _degrees(dim):
+    return _tables(dim).exponents.sum(axis=1)
+
+
+def _full_mul(a, b, dim):
+    # the full product table, every row scattered on its own
+    t = _tables(dim)
+    prod = a[..., t.mul_i] * b[..., t.mul_j]
+    if prod.ndim == 1:
+        return np.bincount(t.mul_k, prod, t.ncoef)
+    return np.stack([np.bincount(t.mul_k, row, t.ncoef) for row in prod])
+
+
+def _full_scale(c, s):
+    return c * (np.asarray(s)[..., None] if c.ndim == 2 else float(s))
+
+
+def _full_series(c, series, dim):
+    q = c.copy()
+    q[..., 0] = 0.0
+    acc = Jet4.constant(dim, series[-1]).coeffs
+    for a in reversed(series[:-1]):
+        acc = _full_mul(acc, q, dim)
+        acc[..., 0] += a
+    return acc
+
+
+def _full_reciprocal(c, dim):
+    inv = 1.0 / c[..., 0]
+    return _full_scale(_full_series(_full_scale(c, inv), [1.0, -1.0, 1.0,
+                                                          -1.0, 1.0], dim),
+                       inv)
+
+
+def _full_sqrt(c, dim):
+    b0 = c[..., 0]
+    s = _full_series(_full_scale(c, 1.0 / b0),
+                     [1.0, 0.5, -0.125, 0.0625, -0.0390625], dim)
+    return _full_scale(s, np.sqrt(b0))
+
+
+def _full_pow(c, k, dim):
+    if k < 0:
+        return _full_pow(_full_reciprocal(c, dim), -k, dim)
+    result, base = Jet4.constant(dim, 1.0).coeffs, c
+    while k:
+        if k & 1:
+            result = _full_mul(result, base, dim)
+        base = _full_mul(base, base, dim) if k > 1 else base
+        k >>= 1
+    return result
+
+
+def _assert_within_degree(jet):
+    assert 0 <= jet.deg <= MAX_ORDER
+    assert np.all(jet.coeffs[..., _degrees(jet.dim) > jet.deg] == 0.0)
+
+
+_OPS = ("add", "sub", "neg", "mul", "scalar", "rows", "reciprocal", "sqrt",
+        "pow")
+
+
+@settings(max_examples=80, deadline=None)
+@given(dim=st.integers(1, 5), rows=st.sampled_from([None, 1, 3, 64, 65]),
+       declared=st.lists(st.integers(0, MAX_ORDER), min_size=1, max_size=3),
+       chain=st.lists(st.tuples(st.sampled_from(_OPS), st.integers(0, 99),
+                                st.integers(0, 99), st.integers(-2, 3)),
+                      min_size=1, max_size=10),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_degree_bounds_keep_products_bit_identical(dim, rows, declared,
+                                                   chain, seed):
+    rng = np.random.default_rng(seed)
+    lead = () if rows is None else (rows,)
+    ncoef = _tables(dim).ncoef
+    pool = Jet4.variables(dim, rng.uniform(0.5, 2.0, lead + (dim,)))
+    pool.append(Jet4.constant(dim, rng.uniform(0.5, 2.0)))
+    for k, d in enumerate(declared):
+        # alternate batched and unbatched jets of declared degree d
+        c = rng.uniform(-1.0, 1.0, (lead if k % 2 == 0 else ()) + (ncoef,))
+        c[..., 0] = rng.uniform(0.5, 2.0)
+        c[..., _degrees(dim) > d] = 0.0
+        pool.append(Jet4(dim, c, d))
+    ref = [jet.coeffs for jet in pool]
+    for op, i, j, k in chain:
+        a, b = pool[i % len(pool)], pool[j % len(pool)]
+        ca, cb = ref[i % len(pool)], ref[j % len(pool)]
+        if op in ("reciprocal", "sqrt", "pow") and np.any(a.value < 0.1):
+            shift = 1.5 - a.value          # a per-row (or plain) scalar add
+            a, ca = a + shift, ca.copy()
+            ca[..., 0] += shift
+        if op == "rows" and a.coeffs.ndim == 1:
+            op = "scalar"                  # per-row scalars need a batch
+        scalar = rng.uniform(-2.0, 2.0)
+        per_row = rng.uniform(-2.0, 2.0, a.coeffs.shape[:1])
+        got, want = {
+            "add": lambda: (a + b, ca + cb),
+            "sub": lambda: (a - b, ca - cb),
+            "neg": lambda: (-a, -ca),
+            "mul": lambda: (a * b, _full_mul(ca, cb, dim)),
+            "scalar": lambda: (scalar * a, _full_scale(ca, scalar)),
+            "rows": lambda: (a * per_row, _full_scale(ca, per_row)),
+            "reciprocal": lambda: (a.reciprocal(), _full_reciprocal(ca, dim)),
+            "sqrt": lambda: (a.sqrt(), _full_sqrt(ca, dim)),
+            "pow": lambda: (a ** k, _full_pow(ca, k, dim)),
+        }[op]()
+        assert np.array_equal(got.coeffs, want), op
+        _assert_within_degree(got)
+        size = np.max(np.abs(want))
+        if size > 1e3:                     # keep long chains finite
+            got, want = got * (1.0 / size), _full_scale(want, 1.0 / size)
+        pool.append(got)
+        ref.append(want)
+
+
+@pytest.mark.parametrize("rows", [None, 65])
+def test_norm_jets_stay_within_their_degree(rows):
+    rng = np.random.default_rng(9)
+    a = np.eye(4) + 0.1 * np.ones((4, 4))
+    models = [NormModel.euclidean(4),
+              NormModel.randers(a, np.array([0.2, 0.0, -0.1, 0.1])),
+              NormModel.example4(10.0, 10.0, 0.1, 0.1),
+              NormModel.expression("(y1^2 + 2*y2^2 + y3^2) / 2", 3)]
+    for model in models:
+        base = rng.uniform(0.5, 2.0, ((rows,) if rows else ()) + (model.dim,))
+        jet = model.jet(base)
+        _assert_within_degree(jet)
+        full = model.h([Jet4(model.dim, y.coeffs)
+                        for y in Jet4.variables(model.dim, base)])
+        assert np.array_equal(jet.coeffs, full.coeffs)
+    # quadratic norms keep a bound below MAX_ORDER, so it is not vacuous
+    assert models[0].jet(np.ones(4)).deg == 2

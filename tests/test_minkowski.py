@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from minksub.minkowski import (AXIS_EXCLUSION, NormModel, SingularDirection,
+                               _near_ray_probes, _sample_directions,
                                validate_norm)
 
 # Oracle values computed symbolically (sympy) for the Randers norm with
@@ -165,6 +166,52 @@ def test_validate_norm_rejects_indefinite_expression():
     assert not rep.valid
     assert rep.min_hessian_eigenvalue == pytest.approx(-1.0)
     assert rep.max_euler_degree_residual <= 1e-9
+
+
+def _validate_loop(model, samples, seed, min_axis_fraction):
+    # the per-direction residual loop that validate_norm vectorizes
+    rng = np.random.default_rng(seed)
+    dirs = _sample_directions(model, samples, rng, min_axis_fraction)
+    if min_axis_fraction == 0.0:
+        probes = _near_ray_probes(model, 200, rng)
+        if len(probes):
+            dirs = np.vstack([dirs, probes])
+    max_deg, max_grad, min_eig, argmin = 0.0, 0.0, np.inf, dirs[0]
+    for y in dirs:
+        h0, d1, d2 = model.jet(y).partial_tensors(2)
+        scale = 1.0 + abs(h0)
+        max_deg = max(max_deg, abs(float(y @ d1) - 2.0 * h0) / scale)
+        max_grad = max(max_grad, float(np.max(np.abs(d2 @ y - d1))) / scale)
+        eig = float(np.linalg.eigvalsh(d2)[0])
+        if eig < min_eig:
+            min_eig, argmin = eig, y
+    return max_deg, max_grad, min_eig, argmin
+
+
+@pytest.mark.parametrize("model, fraction", [
+    (NormModel.euclidean(4), 0.0),
+    (NormModel.randers(RANDERS_A, RANDERS_B), 0.0),
+    (NormModel.expression("(y1^2 - y2^2) / 2 + y1^4 / (y1^2 + y2^2)", 2),
+     0.0),
+    (NormModel.example4(10.0, 10.0, 0.1, 0.1), 0.0),
+    (NormModel.example4(3.0, 2.0, 0.4, -0.3), 0.5),
+], ids=lambda x: getattr(x, "kind", str(x)))
+def test_validate_norm_matches_the_per_direction_loop(model, fraction):
+    rep = validate_norm(model, samples=300, seed=4,
+                        min_axis_fraction=fraction)
+    max_deg, max_grad, min_eig, argmin = _validate_loop(model, 300, 4,
+                                                        fraction)
+    assert rep.max_euler_degree_residual == max_deg
+    assert rep.max_euler_gradient_residual == max_grad
+    assert rep.min_hessian_eigenvalue == min_eig
+    assert np.array_equal(rep.argmin_direction, argmin)
+
+
+@pytest.mark.parametrize("fraction", [1.0, float("nan"), -0.5, 1.5])
+def test_validate_norm_rejects_fractions_outside_unit_interval(fraction):
+    with pytest.raises(ValueError, match="min_axis_fraction"):
+        validate_norm(NormModel.euclidean(3), samples=10,
+                      min_axis_fraction=fraction)
 
 
 def test_validator_determinism():
