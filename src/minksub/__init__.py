@@ -20,8 +20,8 @@ from .invariants import (AuditReport, Interval, NotRuledDirection,
                          audit_ruled, nullity, point_invariants, point_type,
                          sphere_grid)
 from .jets import (DivisionByZeroJet, Jet4, NegativeSqrtJet, OrderExceeded)
-from .minkowski import (NormModel, SingularDirection, ValidationReport,
-                        validate_norm)
+from .minkowski import (ConeTooNarrow, NormModel, SingularDirection,
+                        ValidationReport, validate_norm)
 from .norm_expr import ArityError, ExprSyntaxError, UnknownVariable
 from .pencil import (CanonicalData, GenericityReport, NotSemisimple,
                      SingularA2, SpectralData, SymPencil, TopologyLabel,

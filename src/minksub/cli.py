@@ -26,7 +26,8 @@ from .example import ExampleParams, find_example_params, verify_example
 from .germ import COND_LIMIT, Germ
 from .invariants import (audit_codim2, audit_hypersurface, audit_ruled,
                          point_invariants, sphere_grid)
-from .minkowski import VALIDATION_SAMPLES, NormModel, validate_norm
+from .minkowski import (VALIDATION_SAMPLES, ConeTooNarrow, NormModel,
+                        validate_norm)
 from .norm_expr import ArityError, ExprSyntaxError, UnknownVariable
 
 
@@ -455,7 +456,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.handler(args)
-    except ConfigError as exc:
+    except (ConfigError, ConeTooNarrow) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, ZeroDivisionError, ArithmeticError,

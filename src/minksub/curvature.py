@@ -31,15 +31,14 @@ expressible entirely through the jets of H at the lifted direction
             + 2 G^j d2G^i/du^j du^k - dG^i/du^j dG^j/du^k.
 
   The spray is written once, in ``_spray``, and differentiated by two
-  schemes: evaluated on jets in the doubled variables (x, u), or on
-  floats under central finite differences.  Agreement of the two routes
-  is the main correctness gate of the package.
+  schemes: on jets in the doubled variables (x, u), or under central
+  finite differences of one stacked :func:`spray_field` evaluation.
+  Agreement of the two routes is the main correctness gate of the package.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from io import StringIO
 
 import numpy as np
 
@@ -290,15 +289,16 @@ def _spray(H, fi, fkl, u, solve):
     """G^i = 1/2 g^ij f^a_kl u^k u^l (H_ja + H_ab f^b_j).
 
     H is the ambient Hessian at the graph point over (x, u), fi = f^a_i(x)
-    and fkl = f^a_kl(x); ``solve(g, b)`` returns g^-1 b.  Every operation
-    is a numpy product, so the same code runs on floats and on object
-    arrays of jets.
+    and fkl = f^a_kl(x); ``solve(g, b)`` returns g^-1 b for columns b.  All
+    operations are numpy products on trailing axes, so the same code runs on
+    floats, on stacks of points (leading axes) and on object arrays of jets.
     """
-    n = len(u)
-    A, B = H[:n, n:], H[n:, n:]
-    Af, fB = A @ fi, fi.T @ B
-    g = H[:n, :n] + Af + Af.T + fB @ fi  # H pulled back to the frame (I, fi)
-    return 0.5 * solve(g, (A + fB) @ (fkl @ u @ u))
+    n = u.shape[-1]
+    A, B = H[..., :n, n:], H[..., n:, n:]
+    Af, fB = A @ fi, fi.swapaxes(-1, -2) @ B
+    g = H[..., :n, :n] + Af + Af.swapaxes(-1, -2) + fB @ fi  # frame (I, fi)
+    kap = (fkl @ u[..., None, :, None])[..., 0] @ u[..., None]
+    return 0.5 * solve(g, (A + fB) @ kap)[..., 0]
 
 
 def _neumann_solve(g, b):
@@ -341,7 +341,7 @@ def _spray_jets(norm: NormModel, germ: Germ, u: np.ndarray):
     return _spray(H, fi, fkl, ujets, _neumann_solve)
 
 
-def _assemble_ricci(n, u, G0, Gx, Gv, Gxv, Gvv) -> float:
+def _assemble_ricci(u, G0, Gx, Gv, Gxv, Gvv) -> float:
     R = (2.0 * Gx
          - np.einsum("j,ijk->ik", u, Gxv)
          + 2.0 * np.einsum("j,ijk->ik", G0, Gvv)
@@ -353,75 +353,88 @@ def _ricci_oracle_jets(norm: NormModel, germ: Germ, u: np.ndarray) -> float:
     n = germ.n
     tensors = [jet.partial_tensors(2) for jet in _spray_jets(norm, germ, u)]
     G0, G1, G2 = (np.stack(t) for t in zip(*tensors))
-    return _assemble_ricci(n, u, G0, G1[:, :n], G1[:, n:], G2[:, :n, n:],
+    return _assemble_ricci(u, G0, G1[:, :n], G1[:, n:], G2[:, :n, n:],
                            G2[:, n:, n:])
 
 
 def spray_field(norm: NormModel, germ: Germ, x, u) -> np.ndarray:
-    """Float evaluation of G^i(x, u) from second derivatives of H alone."""
+    """Float evaluation of G^i(x, u) from second derivatives of H alone, at
+    one point (n,) or at each row of (K, n) stacks x and u: one batched jet
+    of H per BATCH_BLOCK rows, each row bit for bit its single-point value."""
     x = np.asarray(x, dtype=np.float64)
     u = np.asarray(u, dtype=np.float64)
-    fi = (np.einsum("aij,j->ai", germ.d2, x)
-          + 0.5 * np.einsum("aijk,j,k->ai", germ.d3, x, x))
-    fkl = germ.d2 + np.einsum("aklm,m->akl", germ.d3, x)
-    H = norm.jet(np.concatenate([u, fi @ u])).partial_tensors(2)[2]
+    if x.shape != u.shape or x.ndim not in (1, 2) or x.shape[-1] != germ.n:
+        raise ValueError(f"x {x.shape}, u {u.shape}: need (n,) or (K, n) both")
+    fi = (np.einsum("aij,...j->...ai", germ.d2, x)
+          + 0.5 * np.einsum("aijk,...j,...k->...ai", germ.d3, x, x))
+    fkl = germ.d2 + np.einsum("aklm,...m->...akl", germ.d3, x)
+    lift = np.concatenate([u, (fi @ u[..., None])[..., 0]], axis=-1)
+    blocks = [lift] if lift.ndim == 1 else [
+        lift[s:s + BATCH_BLOCK] for s in range(0, len(lift), BATCH_BLOCK)]
+    H = np.concatenate([norm.jet(b).partial_tensors(2)[2] for b in blocks])
     return _spray(H, fi, fkl, u, np.linalg.solve)
 
 
 def _ricci_oracle_fd(norm: NormModel, germ: Germ, u: np.ndarray,
                      step_x: float = 1e-4, step_u: float | None = None) -> float:
     n = germ.n
-    u = np.asarray(u, dtype=np.float64)
     if step_u is None:
         step_u = 1e-4 * (1.0 + float(np.linalg.norm(u)))
     eps = np.finfo(float).eps
     if step_x < 64 * eps or step_u < 64 * eps * (1.0 + float(np.linalg.norm(u))):
         raise StepUnderflow("finite-difference step too small")
 
-    def Gw(w):
-        return spray_field(norm, germ, w[:n], w[n:])
+    # stencil first: at(w) is the row of point w in G; each partial reads G
+    rows = {}
+
+    def at(w):
+        return rows.setdefault(w.tobytes(), len(rows))
+
+    def extrapolate(fine, coarse):
+        return lambda G: (4.0 * fine(G) - coarse(G)) / 3.0
 
     w0 = np.concatenate([np.zeros(n), u])
     steps = np.concatenate([np.full(n, step_x), np.full(n, step_u)])
+    c = at(w0)
 
     def partial1(idx, h):
-        e = np.zeros(2 * n)
-        e[idx] = h
-        d = lambda hh: (Gw(w0 + (hh / h) * e) - Gw(w0 - (hh / h) * e)) / (2 * hh)
-        return (4.0 * d(h / 2) - d(h)) / 3.0
+        e = h * np.eye(2 * n)[idx]
 
-    def partial2(i, j, hi, hj):
-        ei = np.zeros(2 * n)
-        ei[i] = 1.0
-        ej = np.zeros(2 * n)
-        ej[j] = 1.0
+        def d(hh):
+            p, m = at(w0 + (hh / h) * e), at(w0 - (hh / h) * e)
+            return lambda G: (G[p] - G[m]) / (2 * hh)
+        return extrapolate(d(h / 2), d(h))
 
+    def partial2(i, j):
+        hi, hj = steps[i], steps[j]
+        ei, ej = np.eye(2 * n)[[i, j]]
         if i == j:
             def d(h):
-                return (Gw(w0 + h * ei) - 2.0 * Gw(w0) + Gw(w0 - h * ei)) / h ** 2
-            return (4.0 * d(hi / 2) - d(hi)) / 3.0
+                p, m = at(w0 + h * ei), at(w0 - h * ei)
+                return lambda G: (G[p] - 2.0 * G[c] + G[m]) / h ** 2
+            return extrapolate(d(hi / 2), d(hi))
 
         def d(scale):
             a, b = scale * hi, scale * hj
-            return (Gw(w0 + a * ei + b * ej) - Gw(w0 + a * ei - b * ej)
-                    - Gw(w0 - a * ei + b * ej)
-                    + Gw(w0 - a * ei - b * ej)) / (4 * a * b)
-        return (4.0 * d(0.5) - d(1.0)) / 3.0
+            pp, pm = at(w0 + a * ei + b * ej), at(w0 + a * ei - b * ej)
+            mp, mm = at(w0 - a * ei + b * ej), at(w0 - a * ei - b * ej)
+            return lambda G: (G[pp] - G[pm] - G[mp] + G[mm]) / (4 * a * b)
+        return extrapolate(d(0.5), d(1.0))
 
-    G0 = Gw(w0)
-    Gx = np.stack([partial1(k, steps[k]) for k in range(n)], axis=1)
-    Gv = np.stack([partial1(n + k, steps[n + k]) for k in range(n)], axis=1)
-    Gxv = np.zeros((n, n, n))
+    d1 = [partial1(k, steps[k]) for k in range(2 * n)]
+    dxv = [partial2(j, n + k) for j in range(n) for k in range(n)]
+    dvv = [(j, k, partial2(n + j, n + k)) for j in range(n)
+           for k in range(j, n)]
+
+    W = np.array([np.frombuffer(w) for w in rows])
+    G = spray_field(norm, germ, W[:, :n], W[:, n:])
+    Gx = np.stack([f(G) for f in d1[:n]], axis=1)
+    Gv = np.stack([f(G) for f in d1[n:]], axis=1)
+    Gxv = np.stack([f(G) for f in dxv], axis=1).reshape(n, n, n)
     Gvv = np.zeros((n, n, n))
-    for j in range(n):
-        for k in range(n):
-            Gxv[:, j, k] = partial2(j, n + k, steps[j], steps[n + k])
-    for j in range(n):
-        for k in range(j, n):
-            val = partial2(n + j, n + k, steps[n + j], steps[n + k])
-            Gvv[:, j, k] = val
-            Gvv[:, k, j] = val
-    return _assemble_ricci(n, u, G0, Gx, Gv, Gxv, Gvv)
+    for j, k, f in dvv:
+        Gvv[:, j, k] = Gvv[:, k, j] = f(G)
+    return _assemble_ricci(u, G[c], Gx, Gv, Gxv, Gvv)
 
 
 def ricci_oracle(norm: NormModel, germ: Germ, u, scheme: str = "jet",

@@ -159,7 +159,7 @@ class Jet4:
     def constant(cls, dim: int, value: float) -> "Jet4":
         c = np.zeros(_tables(dim).ncoef)
         c[0] = value
-        return cls(dim, c, 0)
+        return _jet(dim, c, 0)
 
     @classmethod
     def variable(cls, dim: int, index: int, value: float = 0.0) -> "Jet4":
@@ -169,20 +169,19 @@ class Jet4:
         c = np.zeros(_tables(dim).ncoef)
         c[0] = value
         c[1 + index] = 1.0  # degree-1 monomials sit right after the constant
-        return cls(dim, c, 1)
+        return _jet(dim, c, 1)
 
     @classmethod
     def variables(cls, dim: int, base) -> list:
         """Jets of y_1 .. y_dim about ``base``, or batched about its rows."""
         base = np.asarray(base, dtype=np.float64)
-        if base.ndim == 2 and base.shape[1] == dim:
-            c = np.zeros((dim, len(base), _tables(dim).ncoef))
-            c[:, :, 0] = base.T
-            c[range(dim), :, range(1, dim + 1)] = 1.0
-            return [cls(dim, ci, 1) for ci in c]
-        if base.shape != (dim,):
-            raise ValueError(f"base point must have shape ({dim},)")
-        return [cls.variable(dim, i, base[i]) for i in range(dim)]
+        if base.ndim not in (1, 2) or base.shape[-1] != dim:
+            raise ValueError(f"base {base.shape}: not ({dim},) or (B, {dim})")
+        c = np.zeros((dim,) + base.shape[:-1] + (_tables(dim).ncoef,))
+        c[..., 0] = base.T
+        for i in range(dim):
+            c[i, ..., i + 1] = 1.0
+        return [_jet(dim, ci, 1) for ci in c]
 
     # -- inspection --------------------------------------------------------
 
@@ -244,19 +243,19 @@ class Jet4:
     def __add__(self, other):
         if isinstance(other, Jet4):
             self._check_same(other)
-            return Jet4(self.dim, self.coeffs + other.coeffs,
+            return _jet(self.dim, self.coeffs + other.coeffs,
                         max(self.deg, other.deg))
         c = self.coeffs.copy()
         if c.ndim == 1:
             c[0] += other
         else:
             c[:, 0] += other
-        return Jet4(self.dim, c, self.deg)
+        return _jet(self.dim, c, self.deg)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Jet4(self.dim, -self.coeffs, self.deg)
+        return _jet(self.dim, -self.coeffs, self.deg)
 
     def __sub__(self, other):
         return self + (-other)
@@ -267,8 +266,8 @@ class Jet4:
     def __mul__(self, other):
         if not isinstance(other, Jet4):
             if self.coeffs.ndim == 1:
-                return Jet4(self.dim, self.coeffs * float(other), self.deg)
-            return Jet4(self.dim, self.coeffs  # other: float or one per row
+                return _jet(self.dim, self.coeffs * float(other), self.deg)
+            return _jet(self.dim, self.coeffs  # other: float or one per row
                         * np.asarray(other, dtype=np.float64)[..., None],
                         self.deg)
         self._check_same(other)
@@ -277,12 +276,12 @@ class Jet4:
         deg = min(MAX_ORDER, self.deg + other.deg)
         if self.coeffs.ndim == other.coeffs.ndim == 1:
             prod = self.coeffs[mul_i] * other.coeffs[mul_j]
-            return Jet4(self.dim, np.bincount(mul_k, weights=prod,
+            return _jet(self.dim, np.bincount(mul_k, weights=prod,
                                               minlength=ncoef), deg)
         prod = self.coeffs[..., mul_i] * other.coeffs[..., mul_j]
         rows = len(prod)
         flat = (mul_k + ncoef * np.arange(rows)[:, None]).ravel()
-        return Jet4(self.dim, np.bincount(flat, prod.ravel(), rows * ncoef)
+        return _jet(self.dim, np.bincount(flat, prod.ravel(), rows * ncoef)
                     .reshape(rows, ncoef), deg)
 
     __rmul__ = __mul__
@@ -290,7 +289,7 @@ class Jet4:
     def _series(self, series) -> "Jet4":
         # Horner evaluation of sum_k series[k] * q^k where q = self with the
         # constant term dropped; q^5 vanishes in the truncated ring.
-        q = Jet4(self.dim, self.coeffs.copy(), self.deg)
+        q = _jet(self.dim, self.coeffs.copy(), self.deg)
         q.coeffs[..., 0] = 0.0
         acc = Jet4.constant(self.dim, series[-1])
         for a in reversed(series[:-1]):
@@ -298,13 +297,8 @@ class Jet4:
         return acc
 
     def reciprocal(self) -> "Jet4":
-        if self.coeffs.ndim == 1:
-            b0 = self.coeffs[0]
-            zero = b0 == 0.0
-        else:   # every row is checked
-            b0 = self.coeffs[:, 0]
-            zero = np.any(b0 == 0.0)
-        if zero:
+        b0 = self.coeffs[..., 0]   # every row of a batch is checked
+        if (b0 == 0.0).any():
             raise DivisionByZeroJet("divisor jet has zero constant term")
         q = self * (1.0 / b0)
         return q._series([1.0, -1.0, 1.0, -1.0, 1.0]) * (1.0 / b0)
@@ -318,13 +312,8 @@ class Jet4:
         return self.reciprocal() * other
 
     def sqrt(self) -> "Jet4":
-        if self.coeffs.ndim == 1:
-            b0 = self.coeffs[0]
-            negative = b0 <= 0.0
-        else:
-            b0 = self.coeffs[:, 0]
-            negative = np.any(b0 <= 0.0)
-        if negative:
+        b0 = self.coeffs[..., 0]
+        if (b0 <= 0.0).any():
             raise NegativeSqrtJet("sqrt of jet with non-positive constant term")
         q = self * (1.0 / b0)
         # binomial series for (1+x)^(1/2), truncated at x^4
@@ -348,3 +337,10 @@ class Jet4:
 
     def __repr__(self):
         return f"Jet4(dim={self.dim}, value={self.value!r})"
+
+
+def _jet(dim: int, coeffs: np.ndarray, deg: int) -> Jet4:
+    """Jet4 from a float64 (ncoef,) or (B, ncoef) array, without the checks."""
+    jet = object.__new__(Jet4)
+    jet.dim, jet.coeffs, jet.deg = dim, coeffs, deg
+    return jet

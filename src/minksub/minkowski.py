@@ -43,10 +43,15 @@ AXIS_EXCLUSION = 1e-12  # excluded when off-axis |y|^2 < AXIS_EXCLUSION*|y|^2
 
 EULER_TOL = 1e-9
 VALIDATION_SAMPLES = 2000
+MAX_DRAWS_PER_SAMPLE = 1000  # rejection-sampler draws allowed per direction
 
 
 class SingularDirection(ValueError):
     """The norm is not smooth (or not defined) along the requested direction."""
+
+
+class ConeTooNarrow(ValueError):
+    """The cone of ``min_axis_fraction`` is too narrow to sample."""
 
 
 def _euclidean_h(ys):
@@ -222,8 +227,12 @@ class ValidationReport:
 def _sample_directions(model: NormModel, samples: int, rng,
                        min_axis_fraction: float) -> np.ndarray:
     out = np.empty((samples, model.dim))
-    count = 0
+    count = draws = 0
     while count < samples:
+        if draws == MAX_DRAWS_PER_SAMPLE * samples:
+            raise ConeTooNarrow(f"min_axis_fraction {min_axis_fraction!r}: "
+                                f"{count}/{samples} directions in {draws} draws")
+        draws += 1
         y = rng.standard_normal(model.dim)
         norm = np.linalg.norm(y)
         if norm < 1e-8:
@@ -264,7 +273,8 @@ def validate_norm(model: NormModel, samples: int = VALIDATION_SAMPLES,
     extra probes approach the ray; a singular model is then honestly
     reported invalid.  Passing a positive fraction restricts the sample to
     directions with y1^2+y2^2 >= fraction^2 * |y|^2, certifying the norm on
-    that cone complement only; the fraction must lie in [0, 1).
+    that cone complement only; the fraction must lie in [0, 1), and a cone
+    too narrow for the draw cap (MAX_DRAWS_PER_SAMPLE) raises ConeTooNarrow.
     """
     if not 0.0 <= min_axis_fraction < 1.0:
         raise ValueError("min_axis_fraction must lie in [0, 1), got "

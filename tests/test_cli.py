@@ -82,6 +82,21 @@ def test_out_of_range_min_axis_fraction_exits_two(tmp_path, fraction):
     assert "--min-axis-fraction" in proc.stderr
 
 
+def test_too_narrow_min_axis_cone_exits_two(tmp_path):
+    # inside [0, 1) but a cone of about 1e-6 of the sphere: the sampler's
+    # draw cap ends the run, where it used to spin past any timeout
+    cfg = write(tmp_path, "n.json", {"kind": "example4", "A": 10.0,
+                                     "B": 10.0, "eps1": 0.1, "eps2": 0.1})
+    src = Path(cli.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-m", "minksub.cli", "check-norm", "--config", cfg,
+         "--grid", "64", "--min-axis-fraction", "0.999999999999"],
+        env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True,
+        text=True, timeout=60)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert "min_axis_fraction 0.999999999999" in proc.stderr
+
+
 def test_curvature_report_shape(tmp_path, capsys):
     cfg = write(tmp_path, "c.json", RANDERS)
     code, out, _ = run(capsys, ["curvature", "--config", cfg,

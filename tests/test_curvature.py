@@ -15,7 +15,7 @@ import pytest
 from minksub.curvature import (NonPDTensor, StepUnderflow, fundamental_tensor,
                                reports_to_csv, ricci_expanded,
                                ricci_expanded_batch, ricci_oracle,
-                               spray_at_origin, zeta_check)
+                               spray_at_origin, spray_field, zeta_check)
 from minksub.germ import Germ, sym3
 from minksub.invariants import sphere_grid
 from minksub.minkowski import NormModel
@@ -297,3 +297,102 @@ def test_batch_names_the_direction_with_an_indefinite_tensor():
         ricci_expanded_batch(norm, germ, U)
     with pytest.raises(NonPDTensor):
         ricci_expanded(norm, germ, U[67])
+
+
+# -- stacked spray evaluation -------------------------------------------------
+
+
+@pytest.mark.parametrize("norm, germ", list(_batch_cases()),
+                         ids=lambda x: getattr(x, "kind", None)
+                         or f"{x.n}x{x.p}")
+def test_stacked_spray_field_matches_row_by_row(norm, germ):
+    rng = np.random.default_rng(29)
+    X = 0.05 * rng.standard_normal((70, germ.n))   # one block of 64, 6 more
+    U = rng.standard_normal((70, germ.n))
+    stacked = spray_field(norm, germ, X, U)
+    rows = np.array([spray_field(norm, germ, x, u) for x, u in zip(X, U)])
+    assert stacked.shape == (70, germ.n)
+    assert np.array_equal(stacked, rows)
+
+
+def _fd_reference(norm, germ, u, step_x=1e-4, step_u=None):
+    # the finite-difference oracle with one spray_field call per stencil
+    # point, in the order and arithmetic of its definition
+    n = germ.n
+    if step_u is None:
+        step_u = 1e-4 * (1.0 + float(np.linalg.norm(u)))
+
+    def Gw(w):
+        return spray_field(norm, germ, w[:n], w[n:])
+
+    w0 = np.concatenate([np.zeros(n), u])
+    steps = np.concatenate([np.full(n, step_x), np.full(n, step_u)])
+
+    def partial1(idx, h):
+        e = np.zeros(2 * n)
+        e[idx] = h
+
+        def d(hh):
+            return (Gw(w0 + (hh / h) * e) - Gw(w0 - (hh / h) * e)) / (2 * hh)
+        return (4.0 * d(h / 2) - d(h)) / 3.0
+
+    def partial2(i, j, hi, hj):
+        ei, ej = np.eye(2 * n)[i], np.eye(2 * n)[j]
+        if i == j:
+            def d(h):
+                return (Gw(w0 + h * ei) - 2.0 * Gw(w0)
+                        + Gw(w0 - h * ei)) / h ** 2
+            return (4.0 * d(hi / 2) - d(hi)) / 3.0
+
+        def d(scale):
+            a, b = scale * hi, scale * hj
+            return (Gw(w0 + a * ei + b * ej) - Gw(w0 + a * ei - b * ej)
+                    - Gw(w0 - a * ei + b * ej)
+                    + Gw(w0 - a * ei - b * ej)) / (4 * a * b)
+        return (4.0 * d(0.5) - d(1.0)) / 3.0
+
+    G0 = Gw(w0)
+    Gx = np.stack([partial1(k, steps[k]) for k in range(n)], axis=1)
+    Gv = np.stack([partial1(n + k, steps[n + k]) for k in range(n)], axis=1)
+    Gxv, Gvv = np.zeros((n, n, n)), np.zeros((n, n, n))
+    for j in range(n):
+        for k in range(n):
+            Gxv[:, j, k] = partial2(j, n + k, steps[j], steps[n + k])
+        for k in range(j, n):
+            Gvv[:, j, k] = Gvv[:, k, j] = partial2(
+                n + j, n + k, steps[n + j], steps[n + k])
+    R = (2.0 * Gx - np.einsum("j,ijk->ik", u, Gxv)
+         + 2.0 * np.einsum("j,ijk->ik", G0, Gvv) - Gv @ Gv)
+    return float(np.trace(R))
+
+
+@pytest.mark.parametrize("steps", [{}, {"step_x": 3e-4, "step_u": 2e-4}],
+                         ids=["default", "explicit"])
+def test_fd_oracle_equals_the_per_point_stencil(steps):
+    for k, (norm, germ) in enumerate(_batch_cases()):
+        u = np.random.default_rng(k).standard_normal(germ.n)
+        got = ricci_oracle(norm, germ, u, scheme="finite_difference", **steps)
+        assert got == _fd_reference(norm, germ, u, **steps)
+
+
+@pytest.mark.parametrize("x_shape, u_shape", [
+    ((2,), (3,)), ((4, 2), (2,)), ((4, 2), (5, 2)), ((4, 3), (4, 3)),
+    ((1, 4, 2), (1, 4, 2)), ((3,), (3,))])
+def test_spray_field_rejects_mismatched_shapes(x_shape, u_shape):
+    norm = NormModel.euclidean(3)
+    germ = Germ.make(2, 1, np.eye(2)[None], np.zeros((1, 2, 2, 2)))
+    with pytest.raises(ValueError, match=r"\(K, n\)"):
+        spray_field(norm, germ, np.zeros(x_shape), np.ones(u_shape))
+
+
+@pytest.mark.parametrize("steps", [{"step_x": 1e-18}, {"step_u": 1e-18}])
+def test_step_underflow_fires_before_any_jet(monkeypatch, steps):
+    def no_jets(self, base):
+        raise AssertionError("a jet was built")
+
+    monkeypatch.setattr(NormModel, "jet", no_jets)
+    norm = NormModel.euclidean(3)
+    germ = Germ.make(2, 1, np.eye(2)[None], np.zeros((1, 2, 2, 2)))
+    with pytest.raises(StepUnderflow):
+        ricci_oracle(norm, germ, [1.0, 0.0], scheme="finite_difference",
+                     **steps)

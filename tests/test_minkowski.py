@@ -5,7 +5,8 @@ import pickle
 import numpy as np
 import pytest
 
-from minksub.minkowski import (AXIS_EXCLUSION, NormModel, SingularDirection,
+from minksub.minkowski import (AXIS_EXCLUSION, MAX_DRAWS_PER_SAMPLE,
+                               ConeTooNarrow, NormModel, SingularDirection,
                                _near_ray_probes, _sample_directions,
                                validate_norm)
 
@@ -212,6 +213,18 @@ def test_validate_norm_rejects_fractions_outside_unit_interval(fraction):
     with pytest.raises(ValueError, match="min_axis_fraction"):
         validate_norm(NormModel.euclidean(3), samples=10,
                       min_axis_fraction=fraction)
+
+
+def test_too_narrow_cone_raises_after_the_draw_cap():
+    # the cone y1^2 + y2^2 >= f^2 |y|^2 covers sqrt(1 - f^2) of the sphere
+    model = NormModel.example4(10.0, 10.0, 0.1, 0.1)
+    rng = np.random.default_rng(0)
+    with pytest.raises(ConeTooNarrow, match="0.999999999999"):
+        _sample_directions(model, 5, rng, 0.999999999999)
+    # each of the 5 * MAX_DRAWS_PER_SAMPLE draws took 3 normals
+    ref = np.random.default_rng(0)
+    ref.standard_normal((5 * MAX_DRAWS_PER_SAMPLE, 3))
+    assert rng.standard_normal() == ref.standard_normal()
 
 
 def test_validator_determinism():
