@@ -5,9 +5,9 @@ on the submanifold has fundamental tensor, spray, and Ricci curvature
 expressible entirely through the jets of H at the lifted direction
 (u, 0) and the germ arrays f_ij, f_ijk.  Two independent routes are kept:
 
-* :func:`ricci_expanded` evaluates the expanded coefficient formula, and
-  :func:`ricci_expanded_batch` the same formula for a block of directions
-  at once, as matmuls over a leading direction axis (direction sweeps).
+* The expanded coefficient formula is written once, in ``_ricci_block``,
+  as matmuls over a leading direction axis.  :func:`ricci_expanded_batch`
+  runs it on blocks of directions, :func:`ricci_expanded` on one row.
   Writing zeta_ab = H_ab - h^s_a H_sb and h^i_a = g^ij H_ja, the Ricci
   scalar splits into four groups,
 
@@ -69,17 +69,18 @@ def _lift(germ: Germ, u) -> np.ndarray:
     return np.concatenate([u, np.zeros(germ.p)])
 
 
-def _pd_inverse(g: np.ndarray, first: int = 0) -> np.ndarray:
-    """g^-1 of g or of each of a stack (rows numbered from ``first``)."""
+def _pd_inverse(g: np.ndarray, first: int | None = None) -> np.ndarray:
+    """g^-1 of g or of each of a stack; NonPDTensor names an unusable row k
+    as direction first + k, and names none when ``first`` is None."""
     evals, vecs = np.linalg.eigh(g)
-    where = "" if g.ndim == 2 else " at direction {}"
-    for k, ev in enumerate(evals if g.ndim == 3 else [evals]):
+    for k, ev in enumerate(evals.reshape(-1, evals.shape[-1])):
+        where = "" if first is None else f" at direction {first + k}"
         if ev[0] <= 0.0:
             raise NonPDTensor(f"fundamental tensor has eigenvalue {ev[0]:.6g}"
-                              + where.format(first + k))
+                              + where)
         if ev[-1] / ev[0] > COND_LIMIT:
             raise NonPDTensor("fundamental tensor condition number exceeds "
-                              f"{COND_LIMIT:g}" + where.format(first + k))
+                              f"{COND_LIMIT:g}" + where)
     return (vecs / evals[..., None, :]) @ vecs.swapaxes(-1, -2)
 
 
@@ -138,80 +139,28 @@ def zeta_check(norm: NormModel, germ: Germ, u) -> tuple:
 
 
 def ricci_expanded(norm: NormModel, germ: Germ, u) -> CurvatureReport:
-    """Ricci curvature and the full curvature tensor via the expanded formula."""
-    n = germ.n
+    """Ricci curvature and the full curvature tensor via the expanded formula:
+    the one-row _ricci_block on the unbatched jet of H at the lift, each
+    field copied so that the report holds no views of the row arrays."""
     lift = _lift(germ, u)
-    u = lift[:n]
-    h0, _, d2, d3, d4 = norm.jet(lift).partial_tensors(4)
-    g = d2[:n, :n]
-    gi = _pd_inverse(g)
-    dg = d3[:n, :n, :n]
-    d2g = d4[:n, :n, :n, :n]
-    A = d2[:n, n:]
-    dA = d3[:n, n:, :n]
-    d2A = d4[:n, n:, :n, :n]
-    B = d2[n:, n:]
-    dB = d3[n:, n:, :n]
-    d2B = d4[n:, n:, :n, :n]
-
-    dgi = -np.einsum("ia,abk,bj->ijk", gi, dg, gi)
-    d2gi = (-np.einsum("ia,abkl,bj->ijkl", gi, d2g, gi)
-            + np.einsum("ia,abk,bc,cdl,dj->ijkl", gi, dg, gi, dg, gi)
-            + np.einsum("ia,abl,bc,cdk,dj->ijkl", gi, dg, gi, dg, gi))
-    h = gi @ A
-    dh = (np.einsum("ijk,ja->iak", dgi, A)
-          + np.einsum("ij,jak->iak", gi, dA))
-    d2h = (np.einsum("ijkl,ja->iakl", d2gi, A)
-           + np.einsum("ijk,jal->iakl", dgi, dA)
-           + np.einsum("ijl,jak->iakl", dgi, dA)
-           + np.einsum("ij,jakl->iakl", gi, d2A))
-    zeta = B - np.einsum("sa,sb->ab", h, A)
-    dzeta = (dB - np.einsum("sak,sb->abk", dh, A)
-             - np.einsum("sa,sbk->abk", h, dA))
-    d2zeta = (d2B - np.einsum("sakl,sb->abkl", d2h, A)
-              - np.einsum("sak,sbl->abkl", dh, dA)
-              - np.einsum("sal,sbk->abkl", dh, dA)
-              - np.einsum("sa,sbkl->abkl", h, d2A))
-    xi = -0.5 * np.einsum("iai->a", dh)
-    eta = (0.75 * np.einsum("iaj,jbi->ab", dh, dh)
-           + 0.5 * (np.einsum("iji,abj->ab", dgi, dzeta)
-                    + np.einsum("ij,abij->ab", gi, d2zeta)))
-    rho = (3.0 * np.einsum("a,ib->iab", xi, h)
-           + 0.5 * np.einsum("ijj,ab->iab", dgi, zeta)
-           + np.einsum("ij,abj->iab", gi, dzeta))
-    kap, cub = germ.kappa(u), germ.cubic(u)
-    d2f = germ.d2
-    fu = np.einsum("ajl,l->aj", d2f, u)
-
-    T1 = -0.5 * np.einsum("iak,a->ik", dh, cub)
-    T2 = -(0.75 * np.einsum("iaj,jbk,a,b->ik", dh, dh, kap, kap)
-           + 0.5 * (np.einsum("ijk,abj,a,b->ik", dgi, dzeta, kap, kap)
-                    + np.einsum("ij,abjk,a,b->ik", gi, d2zeta, kap, kap)))
-    T3 = (1.5 * np.einsum("iak,jb,b,aj->ik", dh, h, kap, fu)
-          - 0.5 * (np.einsum("ijk,ab,b,aj->ik", dgi, zeta, kap, fu)
-                   + np.einsum("ij,abk,b,aj->ik", gi, dzeta, kap, fu)))
-    T4 = -0.5 * np.einsum("ij,abj,b,ak->ik", gi, dzeta, kap, fu)
-    T5 = (np.einsum("il,ab,bkl,a->ik", gi, zeta, d2f, kap)
-          - np.einsum("il,ab,bl,ak->ik", gi, zeta, fu, fu))
-    Rik = T1 + T2 + T3 + T4 + T5
-    ric = float(np.trace(Rik))
-    parts = (float(np.trace(T1)), float(np.trace(T5)),
-             float(np.trace(T2)), float(np.trace(T3) + np.trace(T4)))
-    return CurvatureReport(u=u, S=float(np.sqrt(2.0 * h0)), g=g, h=h,
-                           kappa=kap, G=0.5 * h @ kap, xi=xi, zeta=zeta,
-                           eta=eta, rho=rho, Rik=Rik, Ric=ric,
-                           ric_parts=parts)
+    tensors = [np.asarray(t)[None] for t in norm.jet(lift).partial_tensors(4)]
+    u, S, g, h, kap, G, xi, zeta, eta, rho, Rik, ric, parts = (
+        f[0].copy() for f in _ricci_block(germ, lift[None, :germ.n], tensors))
+    return CurvatureReport(u=u, S=float(S), g=g, h=h, kappa=kap, G=G, xi=xi,
+                           zeta=zeta, eta=eta, rho=rho, Rik=Rik,
+                           Ric=float(ric), ric_parts=tuple(map(float, parts)))
 
 
-def _ricci_block(norm: NormModel, germ: Germ, u: np.ndarray,
-                 first: int) -> tuple:
-    """ricci_expanded's fields for the rows of u, by matmuls over a leading
-    direction axis.  H's derivative tensors are symmetric, so u-derivative
-    indices move to the front: X[k] is x[..., k] of ricci_expanded
-    (dgi[i, j, k] is DGI[k, i, j], d2h[i, a, k, l] is D2H[k, l, i, a])."""
+def _ricci_block(germ: Germ, u: np.ndarray, tensors: tuple,
+                 first: int | None = None) -> tuple:
+    """CurvatureReport's fields for the rows r of u (R, n), by matmuls over
+    r, from H's partial tensors (h0, d1, ..., d4) at the lifts (u, 0), all
+    with leading axis r.  u-derivative indices k, l follow r, then a
+    quantity's own: DGI[r, k, i, j] = d_k g^ij, DH[r, k, i, a] = d_k h^i_a,
+    D2Z[r, k, l, a, b] = d_k d_l zeta_ab (H's tensors are symmetric).
+    ``first`` numbers the rows in _pd_inverse's errors."""
     n, p, rows = germ.n, germ.p, len(u)
-    lift = np.hstack([u, np.zeros((rows, p))])
-    h0, _, d2, d3, d4 = norm.jet(lift).partial_tensors(4)
+    h0, _, d2, d3, d4 = tensors
     t, s = slice(None, n), slice(n, None)       # tangent and normal blocks
     g, A = d2[:, t, t], d2[:, t, s]
     DA, D2A = d3[:, t, t, s], d4[:, t, t, t, s]
@@ -270,15 +219,18 @@ def _ricci_block(norm: NormModel, germ: Germ, u: np.ndarray,
 
 
 def ricci_expanded_batch(norm: NormModel, germ: Germ, U) -> CurvatureReport:
-    """ricci_expanded for each row of U (N, n), in blocks of BATCH_BLOCK: one
-    report whose fields gain a leading direction axis (ric_parts (N, 4)).
-    H's jets are ricci_expanded's bit for bit; the contraction order
-    differs, so fields differ by a few ulp."""
+    """ricci_expanded for each row of U (N, n): one report whose fields gain
+    a leading direction axis (ric_parts (N, 4)).  Each block of BATCH_BLOCK
+    rows takes one batched jet of H, bit for bit the per-direction jets, and
+    one _ricci_block contraction."""
     U = np.asarray(U, dtype=np.float64)
     if U.ndim != 2 or U.shape[1] != germ.n or len(U) == 0:
         raise ValueError(f"directions must have shape (N, {germ.n}), N >= 1")
-    blocks = [_ricci_block(norm, germ, U[s:s + BATCH_BLOCK], s)
-              for s in range(0, len(U), BATCH_BLOCK)]
+    blocks = []
+    for s in range(0, len(U), BATCH_BLOCK):
+        u = U[s:s + BATCH_BLOCK]
+        jet = norm.jet(np.hstack([u, np.zeros((len(u), germ.p))]))
+        blocks.append(_ricci_block(germ, u, jet.partial_tensors(4), s))
     return CurvatureReport(*(np.concatenate(f) for f in zip(*blocks)))
 
 

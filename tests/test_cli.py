@@ -97,6 +97,21 @@ def test_too_narrow_min_axis_cone_exits_two(tmp_path):
     assert "min_axis_fraction 0.999999999999" in proc.stderr
 
 
+def test_too_narrow_cone_at_the_default_grid_exits_two_quickly(tmp_path):
+    # 2,000 samples: the sampler spends all 2,000,000 capped draws, in
+    # blocks, well inside the timeout
+    cfg = write(tmp_path, "n.json", {"kind": "example4", "A": 10.0,
+                                     "B": 10.0, "eps1": 0.1, "eps2": 0.1})
+    src = Path(cli.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-m", "minksub.cli", "check-norm", "--config", cfg,
+         "--min-axis-fraction", "0.999999999999"],
+        env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True,
+        text=True, timeout=10)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert "in 2000000 draws" in proc.stderr
+
+
 def test_curvature_report_shape(tmp_path, capsys):
     cfg = write(tmp_path, "c.json", RANDERS)
     code, out, _ = run(capsys, ["curvature", "--config", cfg,

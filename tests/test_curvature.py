@@ -196,7 +196,9 @@ def test_zeta_codim_two_no_residual():
 def test_non_positive_definite_tensor_raises():
     norm = NormModel.expression("(y1^2 - y2^2 + 4*y3^2) / 2", 3)
     germ = Germ.make(2, 1, np.eye(2)[None], np.zeros((1, 2, 2, 2)))
-    with pytest.raises(NonPDTensor):
+    # one direction: the message names no direction index
+    one = r"^fundamental tensor has eigenvalue -?[\d.e+-]+$"
+    with pytest.raises(NonPDTensor, match=one):
         ricci_expanded(norm, germ, [1.0, 0.0])
     with pytest.raises(NonPDTensor):
         spray_at_origin(norm, germ, [1.0, 0.0])
@@ -248,7 +250,9 @@ def test_report_is_frozen():
 
 # -- batched sweeps -----------------------------------------------------------
 
-BATCH_REL_TOL = 1e-14   # matmul contraction order vs the per-direction einsums
+BATCH_REL_TOL = 1e-14   # a batch row vs the same direction run alone
+JET_REL_TOL = 1e-9      # C2: expanded formula vs the jet oracle
+FIELD_TOL = 1e-12       # other fields vs their independent routes
 
 
 def _batch_cases():
@@ -265,10 +269,18 @@ def _batch_cases():
             yield norm, random_germ(rng, n, p, scale=0.8)
 
 
+def _close(got, want, tol):
+    # agreement relative to 1 + the reference's largest entry
+    err = np.max(np.abs(np.subtract(got, want)))
+    return err <= tol * (1.0 + np.max(np.abs(want)))
+
+
 @pytest.mark.parametrize("norm, germ", list(_batch_cases()),
                          ids=lambda x: getattr(x, "kind", None)
                          or f"{x.n}x{x.p}")
 def test_batch_matches_per_direction_reports(norm, germ):
+    # ricci_expanded is the batch's one-row case, so every row is also
+    # checked against routes that never see the expanded formula
     U = sphere_grid(germ.n, 70)        # one full block of 64 and 6 more
     batch = ricci_expanded_batch(norm, germ, U)
     refs = [ricci_expanded(norm, germ, u) for u in U]
@@ -278,6 +290,25 @@ def test_batch_matches_per_direction_reports(norm, germ):
         assert got.shape == want.shape
         err = np.max(np.abs(got - want))
         assert err <= BATCH_REL_TOL * np.max(np.abs(want)), f.name
+    for k, u in enumerate(U):
+        assert _close(batch.Ric[k], ricci_oracle(norm, germ, u, scheme="jet"),
+                      JET_REL_TOL), k
+        assert np.array_equal(batch.g[k], fundamental_tensor(norm, germ, u))
+        assert _close(batch.zeta[k], zeta_check(norm, germ, u)[0],
+                      FIELD_TOL), k
+        assert _close(batch.G[k], spray_at_origin(norm, germ, u),
+                      FIELD_TOL), k
+    # the four groups of the module docstring, rebuilt from the fields
+    fu = np.einsum("ajl,rl->raj", germ.d2, U)
+    cub = np.einsum("aijk,ri,rj,rk->ra", germ.d3, U, U, U)
+    gi = np.linalg.inv(batch.g)
+    groups = np.stack([
+        np.einsum("ra,ra->r", batch.xi, cub),
+        np.einsum("rab,ril,bil,ra->r", batch.zeta, gi, germ.d2, batch.kappa)
+        - np.einsum("rab,ril,rbl,rai->r", batch.zeta, gi, fu, fu),
+        -np.einsum("rab,ra,rb->r", batch.eta, batch.kappa, batch.kappa),
+        -np.einsum("riab,rb,rai->r", batch.rho, batch.kappa, fu)], axis=1)
+    assert _close(groups, batch.ric_parts, FIELD_TOL)
     # a stacked report serializes with the per-direction layout
     text = reports_to_csv(batch).splitlines()
     ref_text = reports_to_csv(refs).splitlines()

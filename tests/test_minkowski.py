@@ -227,6 +227,46 @@ def test_too_narrow_cone_raises_after_the_draw_cap():
     assert rng.standard_normal() == ref.standard_normal()
 
 
+def _sample_loop(model, samples, rng, min_axis_fraction):
+    # the one-draw-at-a-time rejection sampler that the block sampler
+    # reproduces, draw for draw
+    out = np.empty((samples, model.dim))
+    count = draws = 0
+    while count < samples:
+        if draws == MAX_DRAWS_PER_SAMPLE * samples:
+            raise ConeTooNarrow("draw cap")
+        draws += 1
+        y = rng.standard_normal(model.dim)
+        norm = np.linalg.norm(y)
+        if norm < 1e-8:
+            continue
+        y /= norm
+        if (model.excluded_axis is not None and model._off_axis_sq(y)
+                < max(AXIS_EXCLUSION, min_axis_fraction ** 2)):
+            continue
+        out[count] = y
+        count += 1
+    return out
+
+
+@pytest.mark.parametrize("model", [
+    NormModel.example4(10.0, 10.0, 0.1, 0.1),
+    NormModel.example4(3.0, 2.0, 0.4, -0.3),
+    NormModel.euclidean(4),
+], ids=["example4", "example4-A3B2", "euclidean"])
+@pytest.mark.parametrize("fraction", [0.0, 0.5, 0.9, 0.999])
+def test_block_sampler_matches_the_draw_loop(model, fraction):
+    for seed in range(4):
+        for samples in (1, 7, 300):
+            rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = _sample_directions(model, samples, rng, fraction)
+            assert np.array_equal(got, _sample_loop(model, samples, ref,
+                                                    fraction))
+            # the generator is left where the loop leaves it
+            assert np.array_equal(rng.standard_normal(5),
+                                  ref.standard_normal(5))
+
+
 def test_validator_determinism():
     norm = NormModel.randers(RANDERS_A, RANDERS_B)
     r1 = validate_norm(norm, samples=150, seed=5)
