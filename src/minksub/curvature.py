@@ -104,7 +104,7 @@ class CurvatureReport:
 def fundamental_tensor(norm: NormModel, germ: Germ, u) -> np.ndarray:
     """g_ij(0, u) = H_ij(u, 0): the tangent block of the ambient Hessian."""
     n = germ.n
-    d2 = norm.jet(_lift(germ, u)).partial_tensors(2)[2]
+    d2 = norm.jet(_lift(germ, u), 2).hessian()
     g = d2[:n, :n]
     _pd_inverse(g)  # raises NonPDTensor when unusable
     return g
@@ -126,7 +126,7 @@ def zeta_check(norm: NormModel, germ: Germ, u) -> tuple:
     residual is None.
     """
     n = germ.n
-    d2 = norm.jet(_lift(germ, u)).partial_tensors(2)[2]
+    d2 = norm.jet(_lift(germ, u), 2).hessian()
     g, A = d2[:n, :n], d2[:n, n:]
     zeta = d2[n:, n:] - np.einsum("sa,sb->ab", _pd_inverse(g) @ A, A)
     if np.linalg.eigvalsh(zeta)[0] <= 0.0:
@@ -243,7 +243,7 @@ def _spray(H, fi, fkl, u, solve):
     H is the ambient Hessian at the graph point over (x, u), fi = f^a_i(x)
     and fkl = f^a_kl(x); ``solve(g, b)`` returns g^-1 b for columns b.  All
     operations are numpy products on trailing axes, so the same code runs on
-    floats, on stacks of points (leading axes) and on object arrays of jets.
+    floats, on stacks of points (leading axes) and on jet tensors.
     """
     n = u.shape[-1]
     A, B = H[..., :n, n:], H[..., n:, n:]
@@ -253,58 +253,54 @@ def _spray(H, fi, fkl, u, solve):
     return 0.5 * solve(g, (A + fB) @ kap)[..., 0]
 
 
-def _neumann_solve(g, b):
-    """g^-1 b through jet order 2 for a matrix g of jets.
+def _neumann_solve(g: Jet4, b: Jet4) -> Jet4:
+    """g^-1 b for order-2 jet tensors g (n, n) and b (n, k).
 
     With g0 the value of g and E = g0^-1 (g - g0), g = g0 (I + E) and E has
     no constant term, so (I - E + E^2) g0^-1 inverts g through order 2,
     which is all the Ricci contraction reads.
     """
-    g0 = np.array([[jet.value for jet in row] for row in g])
+    g0 = g.value
     gi0 = _pd_inverse(g0)
     E = gi0 @ (g - g0)
     x = gi0 @ b
     return x - E @ (x - E @ x)
 
 
-def _spray_jets(norm: NormModel, germ: Germ, u: np.ndarray):
-    """Order-2-exact jets of G^i in the doubled variables (x, u - u0)."""
+def _spray_jets(norm: NormModel, germ: Germ, u: np.ndarray) -> Jet4:
+    """The order-2 jet tensor (n,) of G^i in the doubled variables
+    (x, u - u0); H at the lift is read to order 4."""
     n = germ.n
     dim = 2 * n
     _, _, D2, D3, D4 = norm.jet(_lift(germ, u)).partial_tensors(4)
-    xjets, du = np.array(Jet4.variables(dim, np.zeros(dim)),
-                         dtype=object).reshape(2, n)
+    xu = Jet4.stack(Jet4.variables(dim, np.zeros(dim), 2))
+    xjets, du = xu[:n], xu[n:]
     ujets = du + u
     fi = taylor_jets([None, germ.d2, germ.d3], xjets)     # f^a_i(x)
     fkl = taylor_jets([germ.d2, germ.d3], xjets)         # f^a_kl(x)
 
     # ambient displacement of the lifted direction: delta = yhat(x,u) - (u0, 0)
-    delta = np.concatenate([du, fi @ ujets])
-    dmat = np.array([d.coeffs for d in delta])
-    ddmat = np.array([[d.coeffs for d in row]
-                      for row in np.outer(delta, delta)])
-    # second-order Taylor of every H_ab around the lift, composed with delta;
-    # exact through jet order 2, which is all the Ricci contraction reads
-    h2coef = (np.einsum("abc,cX->abX", D3, dmat)
-              + 0.5 * np.einsum("abcd,cdX->abX", D4, ddmat))
+    delta = Jet4(dim, np.concatenate([du.coeffs, (fi @ ujets).coeffs]))
+    # second-order Taylor of every H_ab around the lift, composed with delta
+    h2coef = (np.einsum("abc,cX->abX", D3, delta.coeffs)
+              + 0.5 * np.einsum("abcd,cdX->abX", D4,
+                                (delta[:, None] * delta).coeffs))
     h2coef[:, :, 0] += D2
-    H = np.array([[Jet4(dim, c) for c in row] for row in h2coef],
-                 dtype=object)
-    return _spray(H, fi, fkl, ujets, _neumann_solve)
+    return _spray(Jet4(dim, h2coef), fi, fkl, ujets, _neumann_solve)
 
 
-def _assemble_ricci(u, G0, Gx, Gv, Gxv, Gvv) -> float:
-    R = (2.0 * Gx
-         - np.einsum("j,ijk->ik", u, Gxv)
-         + 2.0 * np.einsum("j,ijk->ik", G0, Gvv)
-         - Gv @ Gv)
-    return float(np.trace(R))
+def _assemble_ricci(u, G0, Gx, Gv, Gxv, Gvv) -> np.ndarray:
+    """R^i_k from the spray and its partials at (0, u)."""
+    return (2.0 * Gx
+            - np.einsum("j,ijk->ik", u, Gxv)
+            + 2.0 * np.einsum("j,ijk->ik", G0, Gvv)
+            - Gv @ Gv)
 
 
-def _ricci_oracle_jets(norm: NormModel, germ: Germ, u: np.ndarray) -> float:
+def _ricci_oracle_jets(norm: NormModel, germ: Germ,
+                       u: np.ndarray) -> np.ndarray:
     n = germ.n
-    tensors = [jet.partial_tensors(2) for jet in _spray_jets(norm, germ, u)]
-    G0, G1, G2 = (np.stack(t) for t in zip(*tensors))
+    G0, G1, G2 = _spray_jets(norm, germ, u).partial_tensors(2)
     return _assemble_ricci(u, G0, G1[:, :n], G1[:, n:], G2[:, :n, n:],
                            G2[:, n:, n:])
 
@@ -323,12 +319,13 @@ def spray_field(norm: NormModel, germ: Germ, x, u) -> np.ndarray:
     lift = np.concatenate([u, (fi @ u[..., None])[..., 0]], axis=-1)
     blocks = [lift] if lift.ndim == 1 else [
         lift[s:s + BATCH_BLOCK] for s in range(0, len(lift), BATCH_BLOCK)]
-    H = np.concatenate([norm.jet(b).partial_tensors(2)[2] for b in blocks])
+    H = np.concatenate([norm.jet(b, 2).hessian() for b in blocks])
     return _spray(H, fi, fkl, u, np.linalg.solve)
 
 
 def _ricci_oracle_fd(norm: NormModel, germ: Germ, u: np.ndarray,
-                     step_x: float = 1e-4, step_u: float | None = None) -> float:
+                     step_x: float = 1e-4,
+                     step_u: float | None = None) -> np.ndarray:
     n = germ.n
     if step_u is None:
         step_u = 1e-4 * (1.0 + float(np.linalg.norm(u)))
@@ -399,10 +396,12 @@ def ricci_oracle(norm: NormModel, germ: Germ, u, scheme: str = "jet",
     """
     u = np.asarray(u, dtype=np.float64)
     if scheme == "jet":
-        return _ricci_oracle_jets(norm, germ, u)
-    if scheme == "finite_difference":
-        return _ricci_oracle_fd(norm, germ, u, **fd_steps)
-    raise ValueError(f"unknown scheme {scheme!r}")
+        R = _ricci_oracle_jets(norm, germ, u)
+    elif scheme == "finite_difference":
+        R = _ricci_oracle_fd(norm, germ, u, **fd_steps)
+    else:
+        raise ValueError(f"unknown scheme {scheme!r}")
+    return float(np.trace(R))
 
 
 # -- report serialization -----------------------------------------------------

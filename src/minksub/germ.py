@@ -14,7 +14,7 @@ curvature formulas in :mod:`minksub.curvature` valid literally.
 linear shear y -> y - (df) x, which leaves second and third derivatives
 untouched.  ``transform_germ`` pushes a germ through an arbitrary
 invertible ambient linear map and re-expresses the image as a graph,
-inverting the tangent substitution with jet arithmetic; it is the
+inverting the tangent substitution with order-3 jet tensors; it is the
 workhorse behind the affine-invariance checks of the pointwise
 invariants.
 """
@@ -145,14 +145,14 @@ def adapt_germ(raw_d1, raw_d2, raw_d3, frame: AmbientFrame | None = None):
     return germ, frame.sheared(raw_d1)
 
 
-def taylor_jets(coeffs, xjets) -> np.ndarray:
-    """Jets of p(x) = sum_k c_k[..., i1..ik] x_i1 ... x_ik / k! at jets x.
+def taylor_jets(coeffs, x: Jet4) -> Jet4:
+    """Jets of p(x) = sum_k c_k[..., i1..ik] x_i1 ... x_ik / k! at the jet
+    tensor x (m,).
 
     ``coeffs`` lists c_0, c_1, ... by order, None for an absent order; c_k
-    ends in k axes of length len(xjets) after leading axes shared by all
-    orders.  Returns an object array of jets shaped like the leading axes.
+    ends in k axes of length m after leading axes shared by all orders.
+    Returns a jet tensor shaped like the leading axes.
     """
-    x = np.array(xjets, dtype=object)
     acc = 0.0
     # Horner in the trailing axis: ((c_3/3! . x + c_2/2!) . x + c_1) . x + c_0
     for k in reversed(range(len(coeffs))):
@@ -186,12 +186,11 @@ def transform_germ(germ: Germ, transform) -> tuple:
     def f(xjets):
         return taylor_jets([None, None, germ.d2, germ.d3], xjets)
 
-    ujets = np.array(Jet4.variables(n, np.zeros(n)), dtype=object)
+    ujets = Jet4.stack(Jet4.variables(n, np.zeros(n), 3))
     # invert u = T11 x + T12 f(x) by fixed point iteration; each sweep gains
-    # one order, three sweeps are exact through order 4
+    # one order, two sweeps are exact through order 3
     xjets = M @ ujets
-    for _ in range(3):
+    for _ in range(2):
         xjets = M @ (ujets - T12 @ f(xjets))
     gjets = T21 @ xjets + T22 @ f(xjets)
-    tensors = [jet.partial_tensors(3)[1:] for jet in gjets]
-    return tuple(np.stack(t) for t in zip(*tensors))
+    return gjets.partial_tensors(3)[1:]

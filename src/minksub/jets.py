@@ -1,13 +1,13 @@
-"""Truncated multivariate Taylor jets of fixed maximal order 4.
+"""Truncated multivariate Taylor jets of order at most 4.
 
-A :class:`Jet4` stores, for a scalar function of ``dim`` variables expanded
-about some base point, the coefficient
+A :class:`Jet4` of order k (1 <= k <= 4) stores, for a scalar function of
+``dim`` variables expanded about some base point, the coefficient
 
     c_m = (d^m f / dy^m)(base) / m!
 
-for every multi-index m with |m| <= 4.  Addition and multiplication act by
+for every multi-index m with |m| <= k.  Addition and multiplication act by
 truncated Cauchy products, division and square root by composed power
-series; all four are exact through order 4 whenever the constant term
+series; all four are exact through order k whenever the constant term
 permits them.  Every derivative used elsewhere in this package is read off
 a jet coefficient array, so there is exactly one differentiation engine
 and one truth about what a derivative is.
@@ -17,12 +17,16 @@ Monomials are represented as sorted multisets of variable indices
 encoding the product of two monomials is just multiset concatenation,
 which makes the multiplication table a flat triple of index arrays; a jet
 product is one gather-multiply-scatter pass over that table.  Tables are
-cached per dimension.
+cached per dimension.  A jet of order k is the prefix of the order-4
+array through degree k; its products keep only the table terms of degree
+<= k, each summed in the same order, so bit for bit the order-4 prefix.
 
-A jet may carry a leading batch axis, coefficients (B, ncoef), for B base
-points; unbatched jets and per-row (B,) scalars mix with it row by row.  A
-batched product is one bincount over row-shifted indices; it sums in input
-order, so each row is bit-identical to the unbatched product.
+A jet may carry leading axes, coefficients (..., ncoef): a jet tensor, such
+as one jet per base point or a matrix of jets.  Jets and floats mix with it
+entry by entry under numpy broadcasting, and ``@`` contracts leading axes
+as numpy's matmul; either product is one gather, one contraction for ``@``,
+and one bincount over row-shifted indices that sums in input order, so
+each entry of ``*`` is bit-identical to the product of single jets.
 
 Every jet also carries a structural degree bound ``deg``: each coefficient
 of a monomial of degree above ``deg`` is exactly 0.0.  A product gathers
@@ -46,7 +50,7 @@ BATCH_BLOCK = 64  # directions per batched jet evaluation in a sweep
 
 
 class OrderExceeded(ValueError):
-    """A derivative of total order above 4 was requested."""
+    """An order above the jet's (or above 4) was requested."""
 
 
 class DivisionByZeroJet(ZeroDivisionError):
@@ -61,6 +65,7 @@ class NegativeSqrtJet(ValueError):
 class _Tables:
     dim: int
     monos: tuple
+    sizes: tuple               # order k -> number of monomials of degree <= k
     index: dict
     exponents: np.ndarray      # (ncoef, dim) int
     fact: np.ndarray           # (ncoef,) float, m! per monomial
@@ -78,9 +83,10 @@ class _Tables:
 def _tables(dim: int) -> _Tables:
     if not 1 <= dim <= MAX_DIM:
         raise ValueError(f"jet dimension must be in 1..{MAX_DIM}, got {dim}")
-    monos = []
+    monos, sizes = [], []
     for deg in range(MAX_ORDER + 1):
         monos.extend(combinations_with_replacement(range(dim), deg))
+        sizes.append(len(monos))
     monos = tuple(monos)
     index = {m: i for i, m in enumerate(monos)}
     ncoef = len(monos)
@@ -114,7 +120,7 @@ def _tables(dim: int) -> _Tables:
                         np.asarray(flat_idx, dtype=np.int64))
 
     return _Tables(dim=dim, monos=monos, index=index, exponents=exponents,
-                   fact=fact,
+                   fact=fact, sizes=tuple(sizes),
                    mul_i=np.asarray(mul_i, dtype=np.int64),
                    mul_j=np.asarray(mul_j, dtype=np.int64),
                    mul_k=np.asarray(mul_k, dtype=np.int64),
@@ -122,88 +128,123 @@ def _tables(dim: int) -> _Tables:
 
 
 @lru_cache(maxsize=None)
-def _mul_terms(dim: int, da: int, db: int) -> tuple:
-    """Product-table terms (i, j, k) with deg(i) <= da and deg(j) <= db,
-    in table order."""
+def _mul_terms(dim: int, da: int, db: int, order: int) -> tuple:
+    """Product-table terms (i, j, k) with deg(i) <= da, deg(j) <= db and
+    deg(k) <= order, in table order."""
     t = _tables(dim)
     deg = t.exponents.sum(axis=1)
-    keep = (deg[t.mul_i] <= da) & (deg[t.mul_j] <= db)
+    keep = ((deg[t.mul_i] <= da) & (deg[t.mul_j] <= db)
+            & (deg[t.mul_k] <= order))
     return t.mul_i[keep], t.mul_j[keep], t.mul_k[keep]
 
 
+def _size(dim: int, order: int) -> int:
+    """Number of coefficients of a jet of ``order`` in ``dim`` variables."""
+    if not 1 <= order <= MAX_ORDER:
+        raise OrderExceeded(f"jet order {order} not in 1..{MAX_ORDER}")
+    return _tables(dim).sizes[order]
+
+
+def _scatter(prod: np.ndarray, mul_k: np.ndarray, ncoef: int) -> np.ndarray:
+    """Sum product terms prod (..., T) into the bins mul_k of each entry of
+    the leading axes: one bincount over row-shifted indices."""
+    lead = prod.shape[:-1]
+    rows = prod.size // len(mul_k)
+    flat = (mul_k + ncoef * np.arange(rows)[:, None]).ravel()
+    return np.bincount(flat, prod.ravel(), rows * ncoef).reshape(
+        lead + (ncoef,))
+
+
 class Jet4:
-    """Order-4 Taylor jet of a scalar function of ``dim`` variables.
+    """Taylor jet of order ``order`` <= 4 of a scalar function of ``dim``
+    variables, or a tensor of such jets: coefficients (..., ncoef).
 
     ``deg`` bounds the degree of the monomials with a nonzero coefficient:
     0 for ``constant``, 1 for ``variable``/``variables``, the larger
     operand bound for ``+``, ``-`` and scalar ``*``, and the sum (capped at
-    MAX_ORDER) for a jet product.  Coefficients supplied from outside
-    default to MAX_ORDER, which claims nothing.
+    the order) for a jet product.  Coefficients supplied from outside set
+    the order by their count and default ``deg`` to it, which claims nothing.
     """
 
-    __slots__ = ("dim", "coeffs", "deg")
+    __slots__ = ("dim", "coeffs", "deg", "order")
+    __array_ufunc__ = None  # numpy operands defer to the jet's operators
 
     def __init__(self, dim: int, coeffs: np.ndarray, deg: int = MAX_ORDER):
-        t = _tables(dim)
+        sizes = _tables(dim).sizes
         c = np.asarray(coeffs, dtype=np.float64)
-        if c.shape != (t.ncoef,) and (c.ndim != 2 or c.shape[1] != t.ncoef):
-            raise ValueError(f"expected {t.ncoef} coefficients (or a batch of "
-                             f"them) for dim {dim}, got shape {c.shape}")
+        if c.ndim == 0 or c.shape[-1] not in sizes[1:]:
+            raise ValueError(f"expected {sizes[-1]} coefficients (or the "
+                             f"order-k prefix, one of {sizes[1:-1]}) in the "
+                             f"last axis for dim {dim}, got shape {c.shape}")
         self.dim = dim
         self.coeffs = c
-        self.deg = deg
+        self.order = sizes.index(c.shape[-1])
+        self.deg = min(deg, self.order)
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def constant(cls, dim: int, value: float) -> "Jet4":
-        c = np.zeros(_tables(dim).ncoef)
-        c[0] = value
-        return _jet(dim, c, 0)
+    def constant(cls, dim: int, value, order: int = MAX_ORDER) -> "Jet4":
+        """The constant ``value``, or a tensor shaped like an array of them."""
+        c = np.zeros(np.shape(value) + (_size(dim, order),))
+        c[..., 0] = value
+        return _jet(dim, c, 0, order)
 
     @classmethod
     def variable(cls, dim: int, index: int, value: float = 0.0) -> "Jet4":
         """Jet of the coordinate function y_index (0-based) about ``value``."""
         if not 0 <= index < dim:
             raise ValueError(f"variable index {index} out of range for dim {dim}")
-        c = np.zeros(_tables(dim).ncoef)
-        c[0] = value
-        c[1 + index] = 1.0  # degree-1 monomials sit right after the constant
-        return _jet(dim, c, 1)
+        return cls.variables(dim, np.full(dim, value))[index]
 
     @classmethod
-    def variables(cls, dim: int, base) -> list:
-        """Jets of y_1 .. y_dim about ``base``, or batched about its rows."""
+    def variables(cls, dim: int, base, order: int = MAX_ORDER) -> list:
+        """Jets of y_1 .. y_dim about ``base`` (..., dim), each shaped like
+        its leading axes (a batch of base points, for example)."""
         base = np.asarray(base, dtype=np.float64)
-        if base.ndim not in (1, 2) or base.shape[-1] != dim:
-            raise ValueError(f"base {base.shape}: not ({dim},) or (B, {dim})")
-        c = np.zeros((dim,) + base.shape[:-1] + (_tables(dim).ncoef,))
-        c[..., 0] = base.T
+        if base.ndim == 0 or base.shape[-1] != dim:
+            raise ValueError(f"base {base.shape}: not (..., {dim})")
+        c = np.zeros((dim,) + base.shape[:-1] + (_size(dim, order),))
+        c[..., 0] = base.transpose((-1,) + tuple(range(base.ndim - 1)))
         for i in range(dim):
-            c[i, ..., i + 1] = 1.0
-        return [_jet(dim, ci, 1) for ci in c]
+            c[i, ..., i + 1] = 1.0  # degree 1 sits right after the constant
+        return [_jet(dim, ci, 1, order) for ci in c]
+
+    @staticmethod
+    def stack(jets) -> "Jet4":
+        """Jets of one dimension, order and shape as one jet tensor, along a
+        new first axis."""
+        return _jet(jets[0].dim, np.stack([jet.coeffs for jet in jets]),
+                    max(jet.deg for jet in jets), jets[0].order)
 
     # -- inspection --------------------------------------------------------
 
     @property
-    def value(self):
-        """The constant term: a float, or a (B,) array for a batch."""
-        c = self.coeffs
-        return float(c[0]) if c.ndim == 1 else c[:, 0].copy()
+    def shape(self) -> tuple:
+        """The leading axes: () for a single jet."""
+        return self.coeffs.shape[:-1]
 
-    def derivative(self, multi_index) -> float:
-        """Partial derivative d^m f / dy^m at the base point (m! * c_m)."""
+    @property
+    def value(self):
+        """The constant term: a float, or an array for a jet tensor."""
+        c = self.coeffs
+        return float(c[0]) if c.ndim == 1 else c[..., 0].copy()
+
+    def derivative(self, multi_index):
+        """Partial derivative d^m f / dy^m at the base point (m! * c_m): a
+        float, or an array for a jet tensor."""
         m = tuple(int(e) for e in multi_index)
         if len(m) != self.dim:
             raise ValueError(f"multi-index must have length {self.dim}")
         if any(e < 0 for e in m):
             raise ValueError("multi-index entries must be nonnegative")
-        if sum(m) > MAX_ORDER:
-            raise OrderExceeded(f"total order {sum(m)} exceeds {MAX_ORDER}")
+        if sum(m) > self.order:
+            raise OrderExceeded(f"total order {sum(m)} exceeds {self.order}")
         mono = tuple(v for v, e in enumerate(m) for _ in range(e))
         t = _tables(self.dim)
         i = t.index[mono]
-        return float(t.fact[i] * self.coeffs[i])
+        value = t.fact[i] * self.coeffs[..., i]
+        return float(value) if self.coeffs.ndim == 1 else value
 
     def gradient(self) -> np.ndarray:
         return self.coeffs[..., 1:1 + self.dim].copy()
@@ -216,23 +257,41 @@ class Jet4:
 
         Entry k of the returned tuple is the full order-k derivative tensor
         of shape (dim,)*k, with every index permutation filled in; for a
-        batch, every entry gains a leading axis of B rows.
+        jet tensor, every entry gains its leading axes.  ``max_order`` may
+        not exceed the jet's order.
         """
-        if not 0 <= max_order <= MAX_ORDER:
-            raise OrderExceeded(f"order {max_order} not in 0..{MAX_ORDER}")
+        if not 0 <= max_order <= self.order:
+            raise OrderExceeded(f"order {max_order} not in 0..{self.order}")
         t = _tables(self.dim)
-        scaled = t.fact * self.coeffs
-        lead = self.coeffs.shape[:-1]
+        lead, ncoef = self.coeffs.shape[:-1], self.coeffs.shape[-1]
+        scaled = t.fact[:ncoef] * self.coeffs
         out = [self.value]
         for deg in range(1, max_order + 1):
             coef_idx, flat_idx = t.scatter[deg]
             tensor = np.zeros(lead + (self.dim ** deg,))
             if lead:
-                tensor[:, flat_idx] = scaled[:, coef_idx]
+                tensor[..., flat_idx] = scaled[..., coef_idx]
             else:
                 tensor[flat_idx] = scaled[coef_idx]
             out.append(tensor.reshape(lead + (self.dim,) * deg))
         return tuple(out)
+
+    def __getitem__(self, key) -> "Jet4":
+        """Index the leading axes as numpy does; coefficients stay whole."""
+        key = key if isinstance(key, tuple) else (key,)
+        return _jet(self.dim, self.coeffs[key + (slice(None),)], self.deg,
+                    self.order)
+
+    def swapaxes(self, a: int, b: int) -> "Jet4":
+        axes = range(self.coeffs.ndim - 1)   # the leading axes only
+        return _jet(self.dim, self.coeffs.swapaxes(axes[a], axes[b]),
+                    self.deg, self.order)
+
+    def __matmul__(self, other):
+        return _matmul(self, other)
+
+    def __rmatmul__(self, other):
+        return _matmul(other, self)
 
     # -- ring operations ---------------------------------------------------
 
@@ -243,19 +302,25 @@ class Jet4:
     def __add__(self, other):
         if isinstance(other, Jet4):
             self._check_same(other)
-            return _jet(self.dim, self.coeffs + other.coeffs,
-                        max(self.deg, other.deg))
+            if other.order == self.order:
+                return _jet(self.dim, self.coeffs + other.coeffs,
+                            max(self.deg, other.deg), self.order)
+            order = min(self.order, other.order)  # the sum has the lower one
+            ncoef = _tables(self.dim).sizes[order]
+            return _jet(self.dim, self.coeffs[..., :ncoef]
+                        + other.coeffs[..., :ncoef],
+                        min(order, max(self.deg, other.deg)), order)
         c = self.coeffs.copy()
         if c.ndim == 1:
             c[0] += other
         else:
-            c[:, 0] += other
-        return _jet(self.dim, c, self.deg)
+            c[..., 0] += other
+        return _jet(self.dim, c, self.deg, self.order)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return _jet(self.dim, -self.coeffs, self.deg)
+        return _jet(self.dim, -self.coeffs, self.deg, self.order)
 
     def __sub__(self, other):
         return self + (-other)
@@ -266,38 +331,40 @@ class Jet4:
     def __mul__(self, other):
         if not isinstance(other, Jet4):
             if self.coeffs.ndim == 1:
-                return _jet(self.dim, self.coeffs * float(other), self.deg)
-            return _jet(self.dim, self.coeffs  # other: float or one per row
+                return _jet(self.dim, self.coeffs * float(other), self.deg,
+                            self.order)
+            return _jet(self.dim, self.coeffs  # a float, or one per entry
                         * np.asarray(other, dtype=np.float64)[..., None],
-                        self.deg)
+                        self.deg, self.order)
         self._check_same(other)
-        ncoef = _tables(self.dim).ncoef
-        mul_i, mul_j, mul_k = _mul_terms(self.dim, self.deg, other.deg)
-        deg = min(MAX_ORDER, self.deg + other.deg)
+        order = min(self.order, other.order)
+        ncoef = _tables(self.dim).sizes[order]
+        mul_i, mul_j, mul_k = _mul_terms(self.dim, self.deg, other.deg, order)
+        deg = min(order, self.deg + other.deg)
         if self.coeffs.ndim == other.coeffs.ndim == 1:
             prod = self.coeffs[mul_i] * other.coeffs[mul_j]
             return _jet(self.dim, np.bincount(mul_k, weights=prod,
-                                              minlength=ncoef), deg)
+                                              minlength=ncoef), deg, order)
         prod = self.coeffs[..., mul_i] * other.coeffs[..., mul_j]
-        rows = len(prod)
-        flat = (mul_k + ncoef * np.arange(rows)[:, None]).ravel()
-        return _jet(self.dim, np.bincount(flat, prod.ravel(), rows * ncoef)
-                    .reshape(rows, ncoef), deg)
+        return _jet(self.dim, _scatter(prod, mul_k, ncoef), deg, order)
 
     __rmul__ = __mul__
 
     def _series(self, series) -> "Jet4":
         # Horner evaluation of sum_k series[k] * q^k where q = self with the
-        # constant term dropped; q^5 vanishes in the truncated ring.
-        q = _jet(self.dim, self.coeffs.copy(), self.deg)
+        # constant term dropped; q^(order + 1) vanishes in the truncated ring.
+        q = _jet(self.dim, self.coeffs.copy(), self.deg, self.order)
         q.coeffs[..., 0] = 0.0
-        acc = Jet4.constant(self.dim, series[-1])
-        for a in reversed(series[:-1]):
+        series = series[:self.order + 1]
+        # q * c is the product with the constant c up to the sign of exact
+        # zeros, which the next product's bincount does not keep
+        acc = q * series[-1] + series[-2]
+        for a in reversed(series[:-2]):
             acc = acc * q + a
         return acc
 
     def reciprocal(self) -> "Jet4":
-        b0 = self.coeffs[..., 0]   # every row of a batch is checked
+        b0 = self.coeffs[..., 0]   # every entry of a tensor is checked
         if (b0 == 0.0).any():
             raise DivisionByZeroJet("divisor jet has zero constant term")
         q = self * (1.0 / b0)
@@ -326,11 +393,12 @@ class Jet4:
         k = int(exponent)
         if k < 0:
             return self.reciprocal() ** (-k)
-        result = Jet4.constant(self.dim, 1.0)
-        base = self
+        if k == 0:
+            return Jet4.constant(self.dim, np.ones(self.shape), self.order)
+        result, base = None, self
         while k:
             if k & 1:
-                result = result * base
+                result = base if result is None else result * base
             base = base * base if k > 1 else base
             k >>= 1
         return result
@@ -339,8 +407,32 @@ class Jet4:
         return f"Jet4(dim={self.dim}, value={self.value!r})"
 
 
-def _jet(dim: int, coeffs: np.ndarray, deg: int) -> Jet4:
-    """Jet4 from a float64 (ncoef,) or (B, ncoef) array, without the checks."""
+def _jet(dim: int, coeffs: np.ndarray, deg: int, order: int) -> Jet4:
+    """Jet4 from a float64 (..., ncoef) array of the order, without checks."""
     jet = object.__new__(Jet4)
-    jet.dim, jet.coeffs, jet.deg = dim, coeffs, deg
+    jet.dim, jet.coeffs, jet.deg, jet.order = dim, coeffs, deg, order
     return jet
+
+
+def _matmul(a, b) -> Jet4:
+    """a @ b over leading axes by numpy's matmul rules, 1-D operands
+    included, for jet tensors and float arrays: one einsum, between a
+    gather and a row-shifted bincount when both are jets."""
+    a = a if isinstance(a, Jet4) else np.asarray(a, dtype=np.float64)
+    b = b if isinstance(b, Jet4) else np.asarray(b, dtype=np.float64)
+    ia = "...ik" if len(a.shape) > 1 else "k"
+    ib = "...kj" if len(b.shape) > 1 else "k"
+    io = "..." + ia[3:4] + ib[4:]
+    if not isinstance(b, Jet4):
+        return _jet(a.dim, np.einsum(f"{ia}t,{ib}->{io}t", a.coeffs, b),
+                    a.deg, a.order)
+    if not isinstance(a, Jet4):
+        return _jet(b.dim, np.einsum(f"{ia},{ib}t->{io}t", a, b.coeffs),
+                    b.deg, b.order)
+    a._check_same(b)
+    order = min(a.order, b.order)
+    mul_i, mul_j, mul_k = _mul_terms(a.dim, a.deg, b.deg, order)
+    prod = np.einsum(f"{ia}t,{ib}t->{io}t", a.coeffs[..., mul_i],
+                     b.coeffs[..., mul_j])
+    return _jet(a.dim, _scatter(prod, mul_k, _tables(a.dim).sizes[order]),
+                min(order, a.deg + b.deg), order)

@@ -1,8 +1,9 @@
 """Minkowski norm models on R^dim.
 
 Everything downstream consumes a norm through two entry points: ``value``
-(float evaluation of H = F^2/2) and ``jet`` (the order-4 Taylor jet of H
-about a base direction), both served by one ring function per model (see
+(float evaluation of H = F^2/2) and ``jet`` (the Taylor jet of H about a
+base direction, to the order the caller reads: 2 for Hessians, 4 for the
+expanded Ricci formula), both served by one ring function per model (see
 :class:`NormModel`).  Four constructors provide the families:
 
 * ``euclidean``:   H(y) = |y|^2 / 2.
@@ -36,7 +37,7 @@ from typing import Callable
 
 import numpy as np
 
-from .jets import BATCH_BLOCK, Jet4
+from .jets import BATCH_BLOCK, MAX_ORDER, Jet4
 from .norm_expr import evaluate, parse_norm
 
 AXIS_EXCLUSION = 1e-12  # excluded when off-axis |y|^2 < AXIS_EXCLUSION*|y|^2
@@ -161,12 +162,14 @@ class NormModel:
         self.check_admissible(y)
         return float(self.h(list(y)))
 
-    def jet(self, base) -> Jet4:
-        """Order-4 jet of H about admissible ``base`` (dim,), or (B, dim)."""
+    def jet(self, base, order: int = MAX_ORDER) -> Jet4:
+        """Jet of H of ``order`` about admissible ``base`` (dim,), or about
+        each row of (B, dim); each coefficient is bit for bit the order-4
+        jet's."""
         base = np.asarray(base, dtype=np.float64)
         for k, y in enumerate(base if base.ndim == 2 else [base]):
             self.check_admissible(y, k if base.ndim == 2 else None)
-        return self.h(Jet4.variables(self.dim, base))
+        return self.h(Jet4.variables(self.dim, base, order))
 
     # -- admissibility -----------------------------------------------------
 
@@ -306,7 +309,7 @@ def validate_norm(model: NormModel, samples: int = VALIDATION_SAMPLES,
         notes.append(f"sample restricted to y1^2+y2^2 >= "
                      f"{min_axis_fraction ** 2:g} * |y|^2")
 
-    tensors = zip(*(model.jet(dirs[s:s + BATCH_BLOCK]).partial_tensors(2)
+    tensors = zip(*(model.jet(dirs[s:s + BATCH_BLOCK], 2).partial_tensors(2)
                     for s in range(0, len(dirs), BATCH_BLOCK)))
     values, grads, hessians = (np.concatenate(t) for t in tensors)
     # stacked matmuls make per row the BLAS calls of y @ d1 and d2 @ y

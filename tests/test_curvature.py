@@ -12,8 +12,9 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from minksub.curvature import (NonPDTensor, StepUnderflow, fundamental_tensor,
-                               reports_to_csv, ricci_expanded,
+from minksub.curvature import (NonPDTensor, StepUnderflow, _ricci_oracle_jets,
+                               fundamental_tensor, reports_to_csv,
+                               ricci_expanded,
                                ricci_expanded_batch, ricci_oracle,
                                spray_at_origin, spray_field, zeta_check)
 from minksub.germ import Germ, sym3
@@ -293,6 +294,10 @@ def test_batch_matches_per_direction_reports(norm, germ):
     for k, u in enumerate(U):
         assert _close(batch.Ric[k], ricci_oracle(norm, germ, u, scheme="jet"),
                       JET_REL_TOL), k
+        # every entry of R^i_k against the spray route's matrix
+        rik = batch.Rik[k]
+        err = np.max(np.abs(rik - _ricci_oracle_jets(norm, germ, u)))
+        assert err <= JET_REL_TOL * (1.0 + np.max(np.abs(rik))), k
         assert np.array_equal(batch.g[k], fundamental_tensor(norm, germ, u))
         assert _close(batch.zeta[k], zeta_check(norm, germ, u)[0],
                       FIELD_TOL), k

@@ -141,11 +141,12 @@ def test_taylor_jets_value_and_gradient():
     rng = np.random.default_rng(4)
     g = random_germ(rng, 3, 2)
     x0 = rng.standard_normal(3)
-    xjets = Jet4.variables(3, x0)
+    xjets = Jet4.stack(Jet4.variables(3, x0))
     # f^a(x) = d2 x x / 2 + d3 x x x / 6 and f^a_kl(x) = d2_kl + d3_klm x_m
     f = taylor_jets([None, None, g.d2, g.d3], xjets)
     fkl = taylor_jets([g.d2, g.d3], xjets)
-    assert len(f) == 2 and len(fkl) == 2 and len(fkl[0]) == 3
+    assert isinstance(f, Jet4) and f.shape == (2,)
+    assert isinstance(fkl, Jet4) and fkl.shape == (2, 3, 3)
     for a in range(2):
         value = (0.5 * np.einsum("ij,i,j->", g.d2[a], x0, x0)
                  + np.einsum("ijk,i,j,k->", g.d3[a], x0, x0, x0) / 6.0)
@@ -154,7 +155,7 @@ def test_taylor_jets_value_and_gradient():
         assert np.allclose(f[a].gradient(), grad, rtol=1e-12)
         for k in range(3):
             for l in range(3):
-                jet = fkl[a][k][l]
+                jet = fkl[a, k, l]
                 assert jet.value == pytest.approx(
                     g.d2[a, k, l] + g.d3[a, k, l] @ x0, rel=1e-12)
                 assert np.allclose(jet.gradient(), g.d3[a, k, l])

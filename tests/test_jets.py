@@ -289,7 +289,8 @@ def _full_sqrt(c, dim):
 def _full_pow(c, k, dim):
     if k < 0:
         return _full_pow(_full_reciprocal(c, dim), -k, dim)
-    result, base = Jet4.constant(dim, 1.0).coeffs, c
+    result, base = np.zeros_like(c), c    # the constant 1, shaped like c
+    result[..., 0] = 1.0
     while k:
         if k & 1:
             result = _full_mul(result, base, dim)
@@ -299,8 +300,9 @@ def _full_pow(c, k, dim):
 
 
 def _assert_within_degree(jet):
-    assert 0 <= jet.deg <= MAX_ORDER
-    assert np.all(jet.coeffs[..., _degrees(jet.dim) > jet.deg] == 0.0)
+    assert 0 <= jet.deg <= jet.order <= MAX_ORDER
+    degrees = _degrees(jet.dim)[:jet.coeffs.shape[-1]]
+    assert np.all(jet.coeffs[..., degrees > jet.deg] == 0.0)
 
 
 _OPS = ("add", "sub", "neg", "mul", "scalar", "rows", "reciprocal", "sqrt",
@@ -376,3 +378,248 @@ def test_norm_jets_stay_within_their_degree(rows):
         assert np.array_equal(jet.coeffs, full.coeffs)
     # quadratic norms keep a bound below MAX_ORDER, so it is not vacuous
     assert models[0].jet(np.ones(4)).deg == 2
+
+
+# -- truncation orders --------------------------------------------------------
+
+
+def _prefix(jet, order):
+    return jet.coeffs[..., :_tables(jet.dim).sizes[order]]
+
+
+def _family_models():
+    a = np.eye(4) + 0.1 * np.ones((4, 4))
+    return [NormModel.euclidean(4),
+            NormModel.randers(a, np.array([0.2, 0.0, -0.1, 0.1])),
+            NormModel.example4(10.0, 10.0, 0.1, 0.1),
+            NormModel.expression(
+                "(sqrt(y1^2 + 2*y2^2 + y3^2) + y3/5)^2 / 2 + y1^4 / "
+                "(y1^2 + y2^2 + y3^2) / 10", 3)]
+
+
+@pytest.mark.parametrize("order", [2, 3])
+@pytest.mark.parametrize("rows", [None, 65])
+def test_truncated_norm_jets_are_the_order4_prefix(order, rows):
+    rng = np.random.default_rng(13)
+    for model in _family_models():
+        base = rng.uniform(0.5, 2.0, ((rows,) if rows else ()) + (model.dim,))
+        jet = model.jet(base, order)
+        assert jet.order == order
+        assert np.array_equal(jet.coeffs, _prefix(model.jet(base), order))
+
+
+@pytest.mark.parametrize("order", [2, 3])
+@pytest.mark.parametrize("lead", [(), (7,)])
+def test_truncated_series_and_mixed_products_are_the_prefix(order, lead):
+    rng = np.random.default_rng(17)
+    dim = 3
+    ncoef = _tables(dim).ncoef
+    full = []
+    for _ in range(3):
+        c = rng.uniform(-1.0, 1.0, lead + (ncoef,))
+        c[..., 0] = rng.uniform(0.5, 2.0, lead)
+        full.append(Jet4(dim, c))
+    a, b, c = full
+    low = [Jet4(dim, _prefix(x, order)) for x in full]
+    mid = Jet4(dim, _prefix(c, 5 - order))      # the other of orders 2, 3
+    cases = [
+        (low[0].sqrt(), a.sqrt()), (low[0].reciprocal(), a.reciprocal()),
+        (low[1] ** 3, b ** 3), (low[1] ** -2, b ** -2), (low[2] ** 0, c ** 0),
+        (low[0] * b, a * b), (a * low[1], a * b), (low[0] * mid, a * c),
+        (low[0] + b, a + b), (b - low[2], b - c), (low[0] / mid, a / c),
+        ((low[0] * low[1]).sqrt() / low[2], (a * b).sqrt() / c),
+    ]
+    for k, (got, want) in enumerate(cases):
+        want_order = 2 if k in (7, 10) else order
+        assert got.order == want_order, k
+        assert got.coeffs.shape == lead + (_tables(dim).sizes[want_order],)
+        assert np.array_equal(got.coeffs, _prefix(want, want_order)), k
+        _assert_within_degree(got)
+
+
+def test_constants_and_powers_keep_shape_and_order():
+    rng = np.random.default_rng(19)
+    y = Jet4.variables(2, rng.uniform(0.5, 2.0, (2, 3, 2)), 2)[0]
+    for got in (y ** 0, y ** 2, y ** -1, y.sqrt(), y.reciprocal(),
+                y._series([1.0, 2.0, 3.0, 4.0, 5.0])):
+        assert got.shape == (2, 3) and got.order == 2
+        assert got.coeffs.shape == (2, 3, 6)
+    one = y ** 0
+    assert np.array_equal(one.value, np.ones((2, 3)))
+    assert np.array_equal(one.coeffs[..., 1:], np.zeros((2, 3, 5)))
+    assert Jet4.constant(2, 1.5, 3).coeffs.shape == (10,)
+    single = Jet4.variables(3, np.ones(3), 3)[1]
+    assert (single ** 0).coeffs.shape == (20,)
+
+
+def test_reading_above_the_order_raises():
+    jet = Jet4.variables(2, np.array([0.5, 1.0]), 2)[0] * 3.0
+    assert jet.partial_tensors(2)[2].shape == (2, 2)
+    assert jet.derivative((1, 1)) == 0.0
+    with pytest.raises(OrderExceeded):
+        jet.partial_tensors(3)
+    with pytest.raises(OrderExceeded):
+        jet.derivative((2, 1))
+    with pytest.raises(OrderExceeded):
+        Jet4.constant(2, 1.0, 5)
+    with pytest.raises(OrderExceeded):
+        NormModel.euclidean(2).jet(np.ones(2), 0)
+    with pytest.raises(ValueError, match="coefficients"):
+        Jet4(2, np.zeros(7))        # no order has 7 coefficients in dim 2
+
+
+# -- jet tensors --------------------------------------------------------------
+
+
+def _tensor(dim, shape, rng, order=MAX_ORDER):
+    c = rng.uniform(-1.0, 1.0, shape + (_tables(dim).sizes[order],))
+    return Jet4(dim, c)
+
+
+def _singles(x):
+    """A jet tensor as an object array of single jets; floats stay floats."""
+    if not isinstance(x, Jet4):
+        return np.asarray(x, dtype=np.float64)
+    out = np.empty(x.shape, dtype=object)
+    for idx in np.ndindex(x.shape):
+        out[idx] = Jet4(x.dim, x.coeffs[idx])
+    return out
+
+
+def _coeffs(singles):
+    return np.array([jet.coeffs for jet in singles.ravel()]).reshape(
+        singles.shape + (-1,))
+
+
+def _loop_matmul(a, b):
+    """a @ b by numpy's matmul rules, one single-jet product at a time."""
+    A, B = _singles(a), _singles(b)
+    A2 = A if A.ndim > 1 else A[None]
+    B2 = B if B.ndim > 1 else B[:, None]
+    batch = np.broadcast_shapes(A2.shape[:-2], B2.shape[:-2])
+    A2 = np.broadcast_to(A2, batch + A2.shape[-2:])
+    B2 = np.broadcast_to(B2, batch + B2.shape[-2:])
+    (m, inner), q = A2.shape[-2:], B2.shape[-1]
+    out = np.empty(batch + (m, q), dtype=object)
+    for idx in np.ndindex(batch):
+        for i in range(m):
+            for j in range(q):
+                acc = A2[idx + (i, 0)] * B2[idx + (0, j)]
+                for k in range(1, inner):
+                    acc = acc + A2[idx + (i, k)] * B2[idx + (k, j)]
+                out[idx + (i, j)] = acc
+    if A.ndim == 1:
+        out = out[..., 0, :]
+    if B.ndim == 1:
+        out = out[..., 0]
+    return out
+
+
+_MATMUL_SHAPES = [
+    ((3, 4), (4, 2)), ((3, 3, 4), (3, 4, 2)), ((2, 3, 3, 4), (3, 4, 2)),
+    ((2, 1, 3, 4), (3, 4, 2)), ((4,), (4, 2)), ((3, 4), (4,)),
+    ((4,), (4,)), ((2, 3, 4), (4,)), ((4,), (2, 3, 4, 2))]
+
+
+@pytest.mark.parametrize("shape_a, shape_b", _MATMUL_SHAPES)
+@pytest.mark.parametrize("kinds", ["jet@jet", "float@jet", "jet@float"])
+def test_matmul_matches_the_per_entry_loop(shape_a, shape_b, kinds):
+    rng = np.random.default_rng(len(shape_a) * 10 + len(shape_b))
+    dim = 3
+    a = (_tensor(dim, shape_a, rng, 2) if kinds.startswith("jet")
+         else rng.uniform(-1.0, 1.0, shape_a))
+    b = (_tensor(dim, shape_b, rng) if kinds.endswith("jet")
+         else rng.uniform(-1.0, 1.0, shape_b))
+    got = a @ b
+    want = _loop_matmul(a, b)
+    assert isinstance(got, Jet4) and got.shape == want.shape
+    assert got.order == (2 if kinds.startswith("jet") else MAX_ORDER)
+    assert np.allclose(got.coeffs, _coeffs(want), rtol=1e-13, atol=1e-13)
+    _assert_within_degree(got)
+
+
+def test_matmul_respects_degree_bounds_bit_for_bit():
+    # variables (deg 1) through a float map and back: no term is dropped
+    # that is not an exact zero
+    rng = np.random.default_rng(31)
+    x = Jet4.stack(Jet4.variables(3, rng.uniform(0.5, 2.0, 3)))
+    M = rng.uniform(-1.0, 1.0, (2, 3, 3))
+    y = M @ x
+    assert y.deg == 1
+    z = y @ x
+    full = Jet4(3, y.coeffs) @ Jet4(3, x.coeffs)      # deg bounds at 4
+    assert z.deg == 2 and np.array_equal(z.coeffs, full.coeffs)
+
+
+def test_mismatched_matmul_and_broadcast_raise():
+    rng = np.random.default_rng(37)
+    with pytest.raises(ValueError):
+        _tensor(2, (3, 4), rng) @ _tensor(2, (5, 2), rng)
+    with pytest.raises(ValueError):
+        rng.uniform(size=(3, 4)) @ _tensor(2, (5,), rng)
+    with pytest.raises(ValueError):
+        _tensor(2, (2, 3, 4), rng) @ _tensor(2, (3, 4, 2), rng)
+    with pytest.raises(ValueError):
+        _tensor(2, (4,), rng) * _tensor(2, (5,), rng)
+    with pytest.raises(ValueError):
+        _tensor(2, (4, 2), rng) @ _tensor(3, (2, 2), rng)
+
+
+@pytest.mark.parametrize("shape", [(), (3,), (2, 3)])
+def test_elementwise_ops_broadcast_like_numpy(shape):
+    rng = np.random.default_rng(41)
+    a = _tensor(2, shape, rng)
+    b = _tensor(2, (4, 1) + (shape[-1:] if shape else ()), rng, 3)
+    s = rng.uniform(0.5, 2.0, shape)
+    for got, op in ((a * b, lambda x, y: x * y), (a + b, lambda x, y: x + y),
+                    (b - a, lambda x, y: y - x)):
+        A, B = np.broadcast_arrays(_singles(a), _singles(b))
+        want = np.empty(A.shape, dtype=object)
+        for idx in np.ndindex(A.shape):
+            want[idx] = op(A[idx], B[idx])
+        assert got.shape == want.shape and got.order == 3
+        assert np.array_equal(got.coeffs, _coeffs(want))
+    scaled = a * s
+    for idx in np.ndindex(shape):
+        single = Jet4(2, a.coeffs[idx]) * float(np.asarray(s)[idx])
+        assert np.array_equal(scaled.coeffs[idx], single.coeffs)
+
+
+@pytest.mark.parametrize("key", [1, (slice(None), 2), (Ellipsis, 0), None,
+                                 ([1, 0],), (Ellipsis, None, slice(1, None)),
+                                 (1, slice(None, None, -1))])
+def test_getitem_indexes_the_leading_axes(key):
+    t = _tensor(3, (2, 3), np.random.default_rng(43), 2)
+    got = t[key]
+    want = _singles(t)[key]
+    assert got.shape == want.shape and got.order == 2
+    assert np.array_equal(got.coeffs, _coeffs(want))
+
+
+@pytest.mark.parametrize("shape, axes", [((2, 3), (0, 1)), ((2, 3), (-1, -2)),
+                                         ((2, 3, 4), (0, 2)),
+                                         ((2, 3, 4), (1, -1))])
+def test_swapaxes_swaps_the_leading_axes(shape, axes):
+    t = _tensor(2, shape, np.random.default_rng(47))
+    got = t.swapaxes(*axes)
+    want = _singles(t).swapaxes(*axes)
+    assert got.shape == want.shape
+    assert np.array_equal(got.coeffs, _coeffs(want))
+    with pytest.raises(IndexError):
+        t.swapaxes(0, len(shape))
+
+
+def test_derivative_reads_every_entry_of_a_tensor():
+    t = _tensor(2, (2, 3), np.random.default_rng(53), 3)
+    got = t.derivative((2, 1))
+    assert got.shape == (2, 3)
+    for idx in np.ndindex(2, 3):
+        assert got[idx] == Jet4(2, t.coeffs[idx]).derivative((2, 1))
+
+
+def test_stack_builds_a_tensor_of_the_jets():
+    jets = Jet4.variables(3, np.array([0.5, 1.0, 2.0]), 2)
+    t = Jet4.stack(jets)
+    assert t.shape == (3,) and t.order == 2 and t.deg == 1
+    for k in range(3):
+        assert np.array_equal(t[k].coeffs, jets[k].coeffs)
