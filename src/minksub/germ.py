@@ -73,6 +73,8 @@ class Germ:
             raise ValueError(f"d2 must have shape ({p}, {n}, {n})")
         if d3.shape != (p, n, n, n):
             raise ValueError(f"d3 must have shape ({p}, {n}, {n}, {n})")
+        if not (np.isfinite(d2).all() and np.isfinite(d3).all()):
+            raise ValueError("d2 and d3 must be finite")
         s2, s3 = sym2(d2), sym3(d3)
         scale2 = 1.0 + float(np.max(np.abs(d2)))
         scale3 = 1.0 + float(np.max(np.abs(d3)))

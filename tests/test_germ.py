@@ -24,6 +24,18 @@ def test_make_validates_shapes():
         Germ.make(0, 1, np.zeros((1, 0, 0)), np.zeros((1, 0, 0, 0)))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_make_rejects_non_finite_jets(bad):
+    d2 = np.zeros((3, 2, 2))
+    d2[1, 0, 1] = d2[1, 1, 0] = bad
+    with pytest.raises(ValueError, match="finite"):
+        Germ.make(2, 3, d2, np.zeros((3, 2, 2, 2)))
+    d3 = np.zeros((1, 2, 2, 2))
+    d3[0, 1, 1, 1] = bad
+    with pytest.raises(ValueError, match="finite"):
+        Germ.make(2, 1, np.zeros((1, 2, 2)), d3)
+
+
 def test_make_symmetrizes_and_warns():
     d2 = np.array([[[1.0, 2.0], [0.0, 1.0]]])
     with pytest.warns(UserWarning, match="symmetrized"):

@@ -3,14 +3,15 @@
 import numpy as np
 import pytest
 
-from minksub.pencil import (CanonicalData, NotSemisimple, SingularA2,
+import minksub.pencil as pencil_module
+from minksub.pencil import (EIG_TOL, CanonicalData, NotSemisimple, SingularA2,
                             SpectralData, SymPencil, TopologyLabel, ZeroPencil,
                             build_canonical, build_from_spectral,
                             canonical_from_spectral, canonical_type,
                             classify_topology, common_zero_search,
                             genericity_check, max_rank_inertia, pencil_type,
                             spectral_split, type_exact, type_sampled,
-                            _residuals)
+                            _inertia_counts, _residuals)
 
 
 def congruent(P, S):
@@ -28,6 +29,16 @@ def test_make_validates_symmetry():
         SymPencil.make(np.array([[1.0, 2.0], [0.0, 1.0]]), np.eye(2))
     with pytest.raises(ValueError):
         SymPencil.make(np.eye(2), np.eye(3))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_make_rejects_non_finite_entries(bad):
+    A1 = np.eye(3)
+    A1[0, 1] = A1[1, 0] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        SymPencil.make(A1, np.eye(3))
+    with pytest.raises(ValueError, match="non-finite"):
+        SymPencil.make(np.eye(3), A1)
 
 
 def test_member_and_dict_round_trip():
@@ -440,3 +451,111 @@ def test_max_rank_inertia_keeps_only_maximal_rank_members():
                         np.diag([-1.0, -1.0, 0.0])])
     pos, neg = max_rank_inertia(members)
     assert pos.tolist() == [1, 0] and neg.tolist() == [1, 2]
+
+
+# -- screened inertia counts --------------------------------------------------
+
+
+def eigvalsh_counts(members, tol=EIG_TOL):
+    """Per-member inertia counts straight from eigvalsh and the threshold."""
+    evals = np.linalg.eigvalsh(members)
+    tol = tol * (1.0 + np.abs(evals).max(axis=1, keepdims=True))
+    return (evals > tol).sum(axis=1), (evals < -tol).sum(axis=1)
+
+
+def half_circle(A1, A2, samples=10000):
+    th = np.linspace(0.0, np.pi, samples, endpoint=False)[:, None, None]
+    return np.cos(th) * A1 + np.sin(th) * A2
+
+
+def random_sym(rng, N):
+    M = rng.standard_normal((N, N))
+    return M + M.T
+
+
+def near_threshold_members(rng, count, sign):
+    """diag(3) next to a rotated 3x3 block with an eigenvalue at the
+    threshold tol * (1 + 3), give or take a few ulps: the spectral radius
+    is exactly max |d_i| = 3, so the threshold sits on the edge of the
+    bracket, and the Gershgorin bound of the block often exceeds 3."""
+    tau = EIG_TOL * (1.0 + 3.0)
+    out = np.zeros((count, 4, 4))
+    out[:, 0, 0] = 3.0
+    for k in range(count):
+        R = np.linalg.qr(rng.standard_normal((3, 3)))[0]
+        lam = tau * (1.0 + int(rng.integers(-4, 5)) * 2.0 ** -52)
+        ev = [lam, *rng.uniform(-2.95, 2.95, 2)]
+        out[k, 1:, 1:] = sign * (R @ np.diag(ev) @ R.T)
+    return out
+
+
+def screen_corpus():
+    rng = np.random.default_rng(131)
+    for N in range(1, 9):
+        yield f"random N={N}", half_circle(random_sym(rng, N),
+                                           random_sym(rng, N))
+    # point_type's normal forms of p = 3 germs sharing the kernel e1: every
+    # member has an exact zero eigenvalue
+    for n in (3, 4):
+        d2 = np.zeros((3, n, n))
+        d2[:, 1:, 1:] = [random_sym(rng, n - 1) for _ in range(3)]
+        normals = rng.standard_normal((10000, 3))
+        normals /= np.linalg.norm(normals, axis=1, keepdims=True)
+        yield f"kernel germ n={n}", np.einsum("sa,aij->sij", normals, d2)
+    # a 2x2 Jordan block next to three real directions, congruently moved
+    phis = rng.uniform(0.0, 2.0 * np.pi, 3)
+    A1 = np.zeros((5, 5))
+    A2 = np.zeros((5, 5))
+    A1[:2, :2] = [[0.0, 0.3], [0.3, 1.0]]
+    A2[:2, :2] = [[0.0, 1.0], [1.0, 0.0]]
+    A1[2:, 2:] = np.diag(np.cos(phis))
+    A2[2:, 2:] = np.diag(np.sin(phis))
+    M = np.eye(5) + 0.3 * rng.standard_normal((5, 5))
+    yield "jordan", half_circle(M.T @ A1 @ M, M.T @ A2 @ M)
+    # the member at angle 0 is the singular A1 itself; the second pencil
+    # has a common kernel, so every member is exactly singular; zero member
+    members = half_circle(np.diag([1.0, 0.0, -2.0, 0.5]), random_sym(rng, 4))
+    yield "singular on the grid", members
+    A1 = np.zeros((4, 4))
+    A2 = np.zeros((4, 4))
+    A1[:3, :3] = random_sym(rng, 3)
+    A2[:3, :3] = random_sym(rng, 3)
+    members = half_circle(A1, A2, 3000)
+    members[1500] = 0.0
+    yield "common kernel and a zero member", members
+    for sign in (1.0, -1.0):
+        yield f"near threshold {sign:+}", near_threshold_members(rng, 400,
+                                                                  sign)
+
+
+@pytest.mark.parametrize("members", [pytest.param(members, id=name)
+                                     for name, members in screen_corpus()])
+def test_screened_counts_equal_eigvalsh_counts(members):
+    assert len(members) >= pencil_module.SCREEN_MIN_MEMBERS
+    pos, neg = _inertia_counts(members)
+    want_pos, want_neg = eigvalsh_counts(members)
+    assert np.array_equal(pos, want_pos)
+    assert np.array_equal(neg, want_neg)
+
+
+def test_only_members_near_the_threshold_take_eigvalsh(monkeypatch):
+    rng = np.random.default_rng(17)
+    members = half_circle(random_sym(rng, 4), random_sym(rng, 4), 300)
+    planted = near_threshold_members(rng, 1, 1.0)[0]
+    members[123] = planted
+    seen = []
+    real = pencil_module._eigvalsh_counts
+
+    def spy(stack, tol):
+        seen.append(stack.copy())
+        return real(stack, tol)
+
+    monkeypatch.setattr(pencil_module, "_eigvalsh_counts", spy)
+    pos, neg = _inertia_counts(members)
+    assert len(seen) == 1 and np.array_equal(seen[0], planted[None])
+    want_pos, want_neg = eigvalsh_counts(members)
+    assert np.array_equal(pos, want_pos) and np.array_equal(neg, want_neg)
+    # below the crossover the whole stack takes eigvalsh
+    seen.clear()
+    _inertia_counts(members[:pencil_module.SCREEN_MIN_MEMBERS - 1])
+    assert [len(s) for s in seen] == [pencil_module.SCREEN_MIN_MEMBERS - 1]
