@@ -263,8 +263,6 @@ def _cmd_pencil_classify(args) -> int:
             out["topology"] = pencils.classify_topology(canon).to_dict()
         except ValueError as exc:
             out["notes"].append(f"not at canonical angles: {exc}")
-        except pencils.UnclassifiedConfiguration as exc:
-            out["notes"].append(f"unclassified configuration: {exc}")
     _emit_json(out, args.out)
     return 0
 

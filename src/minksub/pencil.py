@@ -554,8 +554,7 @@ def build_canonical(C: CanonicalData) -> SymPencil:
         tuple((cos(th), sin(th)) for th in angles), ((0.0, 1.0),) * C.s))
 
 
-def canonical_from_spectral(S: SpectralData,
-                            tol: float = CANONICAL_ANGLE_TOL) -> CanonicalData:
+def canonical_from_spectral(S: SpectralData) -> CanonicalData:
     """Recognize spectral data sitting at canonical angles.
 
     Positive rescaling of a real pair is a congruence (scale the
@@ -564,6 +563,7 @@ def canonical_from_spectral(S: SpectralData,
     canonical (0, 1).  No general reduction is attempted; data away from
     canonical position is rejected.
     """
+    tol = CANONICAL_ANGLE_TOL
     for rho, nu in S.complex_pairs:
         if abs(rho) > tol or abs(nu - 1.0) > tol:
             raise ValueError(f"complex pair ({rho}, {nu}) is not the "
@@ -721,6 +721,15 @@ def _smooth_sampled(P: SymPencil, seed: int) -> tuple:
 # -- common zero search -------------------------------------------------------
 
 
+def _sym_cubic(T, name: str, N: int) -> np.ndarray:
+    T = np.asarray(T, dtype=np.float64)
+    if T.shape != (N, N, N):
+        raise ValueError(f"{name} must have shape {(N, N, N)}, got {T.shape}")
+    if not np.isfinite(T).all():
+        raise ValueError(f"{name} has non-finite entries")
+    return sym3(T)
+
+
 def _residuals(A1, A2, T1, T2, x):
     return np.array([x @ A1 @ x, x @ A2 @ x,
                      np.einsum("ijk,i,j,k->", T1, x, x, x),
@@ -757,16 +766,18 @@ def _gauss_newton(residual, jacobian, x, iters: int, stop: float):
     return x, val
 
 
-def _project_to_quadrics(A1, A2, x, iters: int = 60):
+def _project_to_quadrics(A1, A2, x):
     """Newton least squares onto {phi1 = 0, phi2 = 0, |x| = 1}."""
     return _gauss_newton(
         lambda y: np.array([y @ A1 @ y, y @ A2 @ y, y @ y - 1.0]),
         lambda y: np.stack([2.0 * A1 @ y, 2.0 * A2 @ y, 2.0 * y]),
-        x, iters, 1e-28)
+        x, 60, 1e-28)
 
 
 def _single_descent(A1, A2, T1, T2, seed_seq):
-    """One multistart arm: quadric projection, tangent descent, polish."""
+    """One multistart arm: project a seeded random start onto the quadrics
+    and the sphere, then polish all residuals by damped Gauss-Newton (which
+    converges locally from there).  Returns the unit zero or None."""
     N = A1.shape[0]
     rng = np.random.default_rng(seed_seq)
     x = rng.standard_normal(N)
@@ -775,31 +786,6 @@ def _single_descent(A1, A2, T1, T2, seed_seq):
     x, qval = _project_to_quadrics(A1, A2, x)
     if qval > 1e-18:
         return None
-
-    # descend the cubic residuals along the quadric intersection
-    for _ in range(150):
-        r = _residuals(A1, A2, T1, T2, x)
-        h = r[2] ** 2 + r[3] ** 2
-        if h <= 1e-20:
-            break
-        grad = (2.0 * r[2] * 3.0 * np.einsum("ijk,j,k->i", T1, x, x)
-                + 2.0 * r[3] * 3.0 * np.einsum("ijk,j,k->i", T2, x, x))
-        Jc = np.stack([2.0 * A1 @ x, 2.0 * A2 @ x, 2.0 * x])
-        q, _ = np.linalg.qr(Jc.T)
-        tangent = grad - q @ (q.T @ grad)
-        gn = np.linalg.norm(tangent)
-        if gn <= 1e-14:
-            break
-        eta = min(1.0, 1.0 / gn)
-        for _ in range(30):
-            xn, _ = _project_to_quadrics(A1, A2, x - eta * tangent, iters=8)
-            rn = _residuals(A1, A2, T1, T2, xn)
-            if rn[2] ** 2 + rn[3] ** 2 < h:
-                x = xn
-                break
-            eta *= 0.5
-        else:
-            break
 
     # damped Gauss-Newton polish on all residuals plus the sphere constraint
     x, _ = _gauss_newton(
@@ -819,26 +805,26 @@ def common_zero_search(phi1, phi2, psi1, psi2,
                        budget: int = ZERO_SEARCH_BUDGET, seed: int = 0):
     """Unit-sphere common zero of two quadratics and two cubics, or None.
 
-    Runs ``budget`` independent descents (quadric projection, tangent-space
-    descent of the cubic residuals, damped Gauss-Newton polish), each from
-    a deterministically seeded random start.  Success means
-    phi1^2 + phi2^2 + psi1^2 + psi2^2 <= 1e-16 at a unit vector.
+    Runs ``budget`` independent arms (quadric projection, then damped
+    Gauss-Newton on all residuals), each from a deterministically seeded
+    random start.  Success means phi1^2 + phi2^2 + psi1^2 + psi2^2 <= 1e-16
+    at a unit vector.  Coefficients are checked as ``SymPencil.make``
+    checks matrices: wrong shapes and non-finite entries raise ValueError.
     """
     A1 = _sym_matrix(phi1, "phi1")
     A2 = _sym_matrix(phi2, "phi2")
-    T1, T2 = (np.asarray(T, dtype=np.float64) for T in (psi1, psi2))
-    for name, T in (("psi1", T1), ("psi2", T2)):
-        if T.ndim != 3 or len(set(T.shape)) != 1:
-            raise ValueError(f"{name} must be a cubic coefficient array "
-                             "(N,N,N)")
-    T1, T2 = sym3(T1), sym3(T2)
+    N = A1.shape[0]
+    if A2.shape != A1.shape:
+        raise ValueError("phi1 and phi2 must have the same dimension")
+    T1 = _sym_cubic(psi1, "psi1", N)
+    T2 = _sym_cubic(psi2, "psi2", N)
     if budget < 1:
         raise ValueError("budget must be positive")
 
-    e1 = np.zeros(A1.shape[0])
+    e1 = np.zeros(N)
     e1[0] = 1.0
-    if float(_residuals(A1, A2, T1, T2, e1) @
-             _residuals(A1, A2, T1, T2, e1)) <= RESIDUAL_SQ:
+    r = _residuals(A1, A2, T1, T2, e1)
+    if float(r @ r) <= RESIDUAL_SQ:
         return e1
 
     for start in range(budget):

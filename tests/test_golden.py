@@ -57,6 +57,11 @@ CODIM3 = _germ(3, 3, [[[1.0, 0.0, 0.0], [0.0, -1.0, 0.0], [0.0, 0.0, 0.5]],
                       [[0.0, 1.0, 0.0], [1.0, 0.0, 0.5], [0.0, 0.5, 0.0]],
                       [[2.0, 0.0, 1.0], [0.0, 1.0, 0.0], [1.0, 0.0, -1.0]]])
 CANONICAL = build_canonical(CanonicalData(l=2, n=(1, 2, 1), s=1))
+# psi1 = x1^3 - x1 x2 x3 vanishes at four of the eight points where the
+# quadrics meet the sphere (|x_i| = 1/sqrt(3) and x2 = x3)
+CUBIC = np.zeros((3, 3, 3))
+CUBIC[0, 0, 0] = 1.0
+CUBIC[0, 1, 2] = -1.0
 
 # case -> (argv without the config flag, config, exit code)
 CASES = {
@@ -92,6 +97,10 @@ CASES = {
     "pencil_classify": (["pencil", "classify"],
                         {"A1": CANONICAL.A1.tolist(),
                          "A2": CANONICAL.A2.tolist()}, 0),
+    "pencil_common_zero": (["pencil", "common-zero"],
+                           {"A1": [[1.0, 0, 0], [0, -1.0, 0], [0, 0, 0.0]],
+                            "A2": [[0.0, 0, 0], [0, 1.0, 0], [0, 0, -1.0]],
+                            "psi1": CUBIC.tolist()}, 0),
     "audit_hyper": (["audit", "hyper", "--grid", "64"],
                     {"norm": RANDERS4, "germ": HYPER3}, 0),
     "ricci_grid": (["ricci-grid", "--grid", "32"],

@@ -298,6 +298,35 @@ def test_genericity_flags_antipodal_pairs():
     assert not rep.smooth_intersection
 
 
+def jordan_pencil(N, seed):
+    """A 2x2 Jordan block next to N - 2 real directions, mixed by a
+    random congruence: no spectral split, so genericity_check samples."""
+    rng = np.random.default_rng(seed)
+    lam = rng.uniform(-1.0, 1.0)
+    phis = np.linspace(0.4, 2.6, N - 2)
+    A1 = np.zeros((N, N))
+    A2 = np.zeros((N, N))
+    A1[:2, :2] = [[0.0, lam], [lam, 1.0]]
+    A2[:2, :2] = [[0.0, 1.0], [1.0, 0.0]]
+    A1[2:, 2:] = np.diag(np.cos(phis))
+    A2[2:, 2:] = np.diag(np.sin(phis))
+    q, _ = np.linalg.qr(rng.standard_normal((N, N)))
+    return congruent(SymPencil.make(A1, A2),
+                     q @ np.diag(rng.uniform(0.8, 1.25, size=N)))
+
+
+def test_genericity_sampled_report_is_frozen():
+    # the sampled probe's located points and dependency minimum, pinned
+    rep = genericity_check(jordan_pencil(5, 0), seed=0)
+    assert (rep.method, rep.semisimple, rep.smooth_intersection) == (
+        "sampled", False, True)
+    assert rep.notes == (
+        "spectral split failed: eigenvalue 0.273923 has multiplicity 2 but "
+        "eigenspace dimension 1",
+        "sampled dependency functional minimum 7.654e-02 over 32 located "
+        "points")
+
+
 def test_genericity_flags_degenerate_determinant():
     A1 = np.zeros((3, 3))
     A1[0, 1] = A1[1, 0] = 1.0
@@ -352,6 +381,47 @@ def test_common_zero_not_found_on_empty_intersection():
     A2 = np.diag([1.0, 2.0, 3.0])
     zeros = np.zeros((3, 3, 3))
     assert common_zero_search(A1, A2, zeros, zeros, budget=6, seed=0) is None
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("name", ["psi1", "psi2"])
+def test_common_zero_rejects_non_finite_cubics(name, bad):
+    A1, A2 = clifford_pencil()
+    cubics = {"psi1": np.zeros((6, 6, 6)), "psi2": np.zeros((6, 6, 6))}
+    cubics[name][0, 1, 2] = bad
+    with pytest.raises(ValueError, match=f"{name} has non-finite entries"):
+        common_zero_search(A1, A2, cubics["psi1"], cubics["psi2"], budget=2)
+
+
+@pytest.mark.parametrize("name", ["psi1", "psi2"])
+def test_common_zero_rejects_cubics_of_another_dimension(name):
+    A1 = np.diag([1.0, -1.0, 0.0])
+    A2 = np.diag([0.0, 1.0, -1.0])
+    cubics = {"psi1": np.zeros((3, 3, 3)), "psi2": np.zeros((3, 3, 3))}
+    cubics[name] = np.ones((4, 4, 4))
+    with pytest.raises(ValueError, match=rf"{name} must have shape \(3, 3, 3"):
+        common_zero_search(A1, A2, cubics["psi1"], cubics["psi2"], budget=2)
+
+
+def test_common_zero_rejects_quadrics_of_different_dimensions():
+    zeros = np.zeros((3, 3, 3))
+    with pytest.raises(ValueError, match="same dimension"):
+        common_zero_search(np.eye(3), np.eye(4), zeros, zeros, budget=2)
+
+
+@pytest.mark.parametrize("C", [CanonicalData(l=1, n=(2,), s=2),
+                               CanonicalData(l=2, n=(1, 1, 1), s=1),
+                               CanonicalData(l=3, n=(1, 1, 1, 1, 1), s=0)],
+                         ids=str)
+def test_common_zero_found_below_type_three(C):
+    # C7 covers s = 3 only; these canonical pencils have type 1, 2 and 2
+    pen = build_canonical(C)
+    rng = np.random.default_rng(0)
+    T1 = rng.uniform(-1.0, 1.0, size=(C.dim,) * 3)
+    T2 = rng.uniform(-1.0, 1.0, size=(C.dim,) * 3)
+    x = common_zero_search(pen.A1, pen.A2, T1, T2, seed=0)
+    assert x is not None
+    assert float(np.linalg.norm(_residuals(pen.A1, pen.A2, T1, T2, x))) <= 1e-8
 
 
 def test_pencil_type_reports_its_method():
