@@ -70,17 +70,20 @@ def _lift(germ: Germ, u) -> np.ndarray:
 
 
 def _pd_inverse(g: np.ndarray, first: int | None = None) -> np.ndarray:
-    """g^-1 of g or of each of a stack; NonPDTensor names an unusable row k
-    as direction first + k, and names none when ``first`` is None."""
+    """g^-1 of g or of each of a stack; NonPDTensor names the first unusable
+    row k as direction first + k, and names none when ``first`` is None."""
     evals, vecs = np.linalg.eigh(g)
-    for k, ev in enumerate(evals.reshape(-1, evals.shape[-1])):
+    lo, hi = evals[..., 0].ravel(), evals[..., -1].ravel()
+    # a zero lo divides hi by 1, not 0: its row is bad anyway
+    bad = (lo <= 0.0) | (hi / (lo + (lo == 0.0)) > COND_LIMIT)
+    if np.count_nonzero(bad):
+        k = int(np.argmax(bad))
         where = "" if first is None else f" at direction {first + k}"
-        if ev[0] <= 0.0:
-            raise NonPDTensor(f"fundamental tensor has eigenvalue {ev[0]:.6g}"
+        if lo[k] <= 0.0:
+            raise NonPDTensor(f"fundamental tensor has eigenvalue {lo[k]:.6g}"
                               + where)
-        if ev[-1] / ev[0] > COND_LIMIT:
-            raise NonPDTensor("fundamental tensor condition number exceeds "
-                              f"{COND_LIMIT:g}" + where)
+        raise NonPDTensor("fundamental tensor condition number exceeds "
+                          f"{COND_LIMIT:g}" + where)
     return (vecs / evals[..., None, :]) @ vecs.swapaxes(-1, -2)
 
 
@@ -140,15 +143,14 @@ def zeta_check(norm: NormModel, germ: Germ, u) -> tuple:
 
 def ricci_expanded(norm: NormModel, germ: Germ, u) -> CurvatureReport:
     """Ricci curvature and the full curvature tensor via the expanded formula:
-    the one-row _ricci_block on the unbatched jet of H at the lift, each
-    field copied so that the report holds no views of the row arrays."""
+    row 0 of the one-row _ricci_block on the unbatched jet of H at the lift
+    (its arrays are views of block arrays that nothing else holds)."""
     lift = _lift(germ, u)
-    tensors = [np.asarray(t)[None] for t in norm.jet(lift).partial_tensors(4)]
-    u, S, g, h, kap, G, xi, zeta, eta, rho, Rik, ric, parts = (
-        f[0].copy() for f in _ricci_block(germ, lift[None, :germ.n], tensors))
-    return CurvatureReport(u=u, S=float(S), g=g, h=h, kappa=kap, G=G, xi=xi,
-                           zeta=zeta, eta=eta, rho=rho, Rik=Rik,
-                           Ric=float(ric), ric_parts=tuple(map(float, parts)))
+    tensors = norm.jet(lift)[None].partial_tensors(4)
+    u, S, *arrays, ric, parts = (
+        f[0] for f in _ricci_block(germ, lift[None, :germ.n], tensors))
+    return CurvatureReport(u, float(S), *arrays, float(ric),
+                           tuple(parts.tolist()))
 
 
 def _ricci_block(germ: Germ, u: np.ndarray, tensors: tuple,
@@ -172,29 +174,30 @@ def _ricci_block(germ: Germ, u: np.ndarray, tensors: tuple,
     D2GI = (MM + MM.swapaxes(1, 2) - g2 @ d4[:, t, t, t, t]) @ g2
     h = gi @ A
     DH = DGI @ A[:, None] + g1 @ DA
-    D2H = (D2GI @ A[:, None, None] + DGI[:, :, None] @ DA[:, None]
-           + DGI[:, None] @ DA[:, :, None] + g2 @ D2A)
+    GA = DGI[:, :, None] @ DA[:, None]   # [k, l] = d_k g^-1 d_l A; [l, k] too
+    D2H = D2GI @ A[:, None, None] + GA + GA.swapaxes(1, 2) + g2 @ D2A
     hT, DHT = h.swapaxes(1, 2), DH.swapaxes(2, 3)
     zeta = d2[:, s, s] - hT @ A
     DZ = d3[:, t, s, s] - DHT @ A[:, None] - hT[:, None] @ DA
+    HA = DHT[:, :, None] @ DA[:, None]
     D2Z = (d4[:, t, t, s, s] - D2H.swapaxes(3, 4) @ A[:, None, None]
-           - DHT[:, :, None] @ DA[:, None] - DHT[:, None] @ DA[:, :, None]
-           - hT[:, None, None] @ D2A)
+           - HA - HA.swapaxes(1, 2) - hT[:, None, None] @ D2A)
 
     def act(X, y):   # (X[k] @ y)[i] as the matrix [i, k]
         return (X @ y[:, None, :, None])[..., 0].swapaxes(1, 2)
 
-    xi = -0.5 * np.einsum("rkka->ra", DH)
+    xi = -0.5 * DH.trace(axis1=1, axis2=2)
     eta = 0.75 * (DH.reshape(rows, n * n, p).swapaxes(1, 2)
                   @ DH.swapaxes(1, 2).reshape(rows, n * n, p)) + 0.5 * (
-        np.einsum("rkkj->rj", DGI)[:, None] @ DZ.reshape(rows, n, p * p)
+        DGI.trace(axis1=1, axis2=2)[:, None] @ DZ.reshape(rows, n, p * p)
         + gi.reshape(rows, 1, n * n) @ D2Z.reshape(rows, n * n, p * p)
     ).reshape(rows, p, p)
     rho = (3.0 * xi[:, None, :, None] * h[:, :, None, :]
-           + 0.5 * np.einsum("rjij->ri", DGI)[..., None, None] * zeta[:, None]
+           + 0.5 * DGI.trace(axis1=1, axis2=3)[..., None, None] * zeta[:, None]
            + (gi @ DZ.reshape(rows, n, p * p)).reshape(rows, n, p, p))
     fu = (u @ germ.d2.reshape(p * n, n).T).reshape(rows, p, n)
     fuT = fu.swapaxes(1, 2)
+    fz = fuT @ zeta
     kap = (fu @ u[:, :, None])[..., 0]
     cub = (u @ germ.d3.reshape(p * n * n, n).T).reshape(rows, p * n, n)
     cub = ((cub @ u[:, :, None]).reshape(rows, p, n) @ u[:, :, None])[..., 0]
@@ -206,16 +209,16 @@ def _ricci_block(germ: Germ, u: np.ndarray, tensors: tuple,
     T2 = -(0.75 * (E @ E) + 0.5 * (act(DGI, (kap[:, None] @ Q)[:, 0])
                                    + gi @ z_kl))
     T3 = (1.5 * act(DH, (fu @ h @ kap[:, :, None])[..., 0])
-          - 0.5 * (act(DGI, (fuT @ zeta @ kap[:, :, None])[..., 0])
+          - 0.5 * (act(DGI, (fz @ kap[:, :, None])[..., 0])
                    + gi @ fuT @ Q))
     T4 = -0.5 * (gi @ Q.swapaxes(1, 2) @ fu)
     X = (kap[:, None] @ zeta).reshape(rows, p) @ germ.d2.reshape(p, n * n)
-    T5 = gi @ (X.reshape(rows, n, n) - fuT @ zeta @ fu).swapaxes(1, 2)
-    parts = [np.einsum("rii->r", T) for T in (T1, T5, T2, T3 + T4)]
+    T5 = gi @ (X.reshape(rows, n, n) - fz @ fu).swapaxes(1, 2)
+    parts = np.stack((T1, T5, T2, T3 + T4), 1).trace(axis1=2, axis2=3)
     Rik = T1 + T2 + T3 + T4 + T5
     G = 0.5 * (h @ kap[:, :, None])[..., 0]
     return (u, np.sqrt(2.0 * h0), g, h, kap, G, xi, zeta, eta, rho, Rik,
-            np.einsum("rii->r", Rik), np.stack(parts, 1))
+            Rik.trace(axis1=1, axis2=2), parts)
 
 
 def ricci_expanded_batch(norm: NormModel, germ: Germ, U) -> CurvatureReport:

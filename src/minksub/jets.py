@@ -17,9 +17,10 @@ Monomials are represented as sorted multisets of variable indices
 encoding the product of two monomials is just multiset concatenation,
 which makes the multiplication table a flat triple of index arrays; a jet
 product is one gather-multiply-scatter pass over that table.  Tables are
-cached per dimension.  A jet of order k is the prefix of the order-4
-array through degree k; its products keep only the table terms of degree
-<= k, each summed in the same order, so bit for bit the order-4 prefix.
+cached per dimension, product plans per (dim, deg, order) pair.  A jet of
+order k is the prefix of the order-4 array through degree k; its products
+keep only the table terms of degree <= k, each summed in the same order,
+so bit for bit the order-4 prefix.
 
 A jet may carry leading axes, coefficients (..., ncoef): a jet tensor, such
 as one jet per base point or a matrix of jets.  Jets and floats mix with it
@@ -39,7 +40,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations_with_replacement, permutations
+from itertools import combinations_with_replacement, product
 from math import factorial
 
 import numpy as np
@@ -72,7 +73,7 @@ class _Tables:
     mul_i: np.ndarray
     mul_j: np.ndarray
     mul_k: np.ndarray
-    scatter: dict              # degree -> (coef_idx, flat_idx) for dense tensors
+    dense: dict                # degree -> coefficient index per tensor entry
 
     @property
     def ncoef(self) -> int:
@@ -106,36 +107,31 @@ def _tables(dim: int) -> _Tables:
                 mul_j.append(j)
                 mul_k.append(index[tuple(sorted(a + b))])
 
-    scatter = {}
-    for deg in range(1, MAX_ORDER + 1):
-        coef_idx, flat_idx = [], []
-        shape = (dim,) * deg
-        for i, m in enumerate(monos):
-            if len(m) != deg:
-                continue
-            for perm in set(permutations(m)):
-                coef_idx.append(i)
-                flat_idx.append(int(np.ravel_multi_index(perm, shape)))
-        scatter[deg] = (np.asarray(coef_idx, dtype=np.int64),
-                        np.asarray(flat_idx, dtype=np.int64))
+    dense = {deg: np.asarray([index[tuple(sorted(m))] for m in
+                              product(range(dim), repeat=deg)], dtype=np.int64)
+             for deg in range(1, MAX_ORDER + 1)}  # row-major tensor entries
 
     return _Tables(dim=dim, monos=monos, index=index, exponents=exponents,
                    fact=fact, sizes=tuple(sizes),
                    mul_i=np.asarray(mul_i, dtype=np.int64),
                    mul_j=np.asarray(mul_j, dtype=np.int64),
                    mul_k=np.asarray(mul_k, dtype=np.int64),
-                   scatter=scatter)
+                   dense=dense)
 
 
 @lru_cache(maxsize=None)
-def _mul_terms(dim: int, da: int, db: int, order: int) -> tuple:
-    """Product-table terms (i, j, k) with deg(i) <= da, deg(j) <= db and
-    deg(k) <= order, in table order."""
+def _plan(dim: int, dim_b: int, da: int, db: int, oa: int, ob: int) -> tuple:
+    """Plan of the product of jets (dim, deg da, order oa) and (dim_b, db, ob):
+    the table terms (i, j, k) it keeps, then the result's ncoef, deg, order."""
+    if dim_b != dim:
+        raise ValueError("jet dimensions differ")
     t = _tables(dim)
+    order = min(oa, ob)
     deg = t.exponents.sum(axis=1)
     keep = ((deg[t.mul_i] <= da) & (deg[t.mul_j] <= db)
             & (deg[t.mul_k] <= order))
-    return t.mul_i[keep], t.mul_j[keep], t.mul_k[keep]
+    return (t.mul_i[keep], t.mul_j[keep], t.mul_k[keep], t.sizes[order],
+            min(order, da + db), order)
 
 
 def _size(dim: int, order: int) -> int:
@@ -148,11 +144,10 @@ def _size(dim: int, order: int) -> int:
 def _scatter(prod: np.ndarray, mul_k: np.ndarray, ncoef: int) -> np.ndarray:
     """Sum product terms prod (..., T) into the bins mul_k of each entry of
     the leading axes: one bincount over row-shifted indices."""
-    lead = prod.shape[:-1]
     rows = prod.size // len(mul_k)
-    flat = (mul_k + ncoef * np.arange(rows)[:, None]).ravel()
+    flat = (np.arange(0, rows * ncoef, ncoef)[:, None] + mul_k).ravel()
     return np.bincount(flat, prod.ravel(), rows * ncoef).reshape(
-        lead + (ncoef,))
+        prod.shape[:-1] + (ncoef,))
 
 
 class Jet4:
@@ -214,8 +209,8 @@ class Jet4:
     def stack(jets) -> "Jet4":
         """Jets of one dimension, order and shape as one jet tensor, along a
         new first axis."""
-        return _jet(jets[0].dim, np.stack([jet.coeffs for jet in jets]),
-                    max(jet.deg for jet in jets), jets[0].order)
+        return _jet(jets[0].dim, np.array([jet.coeffs for jet in jets]),
+                    max([jet.deg for jet in jets]), jets[0].order)
 
     # -- inspection --------------------------------------------------------
 
@@ -267,13 +262,8 @@ class Jet4:
         scaled = t.fact[:ncoef] * self.coeffs
         out = [self.value]
         for deg in range(1, max_order + 1):
-            coef_idx, flat_idx = t.scatter[deg]
-            tensor = np.zeros(lead + (self.dim ** deg,))
-            if lead:
-                tensor[..., flat_idx] = scaled[..., coef_idx]
-            else:
-                tensor[flat_idx] = scaled[coef_idx]
-            out.append(tensor.reshape(lead + (self.dim,) * deg))
+            out.append(scaled.take(t.dense[deg], -1).reshape(
+                lead + (self.dim,) * deg))
         return tuple(out)
 
     def __getitem__(self, key) -> "Jet4":
@@ -287,6 +277,12 @@ class Jet4:
         return _jet(self.dim, self.coeffs.swapaxes(axes[a], axes[b]),
                     self.deg, self.order)
 
+    def cumsum(self, axis: int) -> "Jet4":
+        """Running sums along a leading axis, added one at a time in order."""
+        axes = range(self.coeffs.ndim - 1)   # the leading axes only
+        return _jet(self.dim, self.coeffs.cumsum(axes[axis]), self.deg,
+                    self.order)
+
     def __matmul__(self, other):
         return _matmul(self, other)
 
@@ -295,13 +291,10 @@ class Jet4:
 
     # -- ring operations ---------------------------------------------------
 
-    def _check_same(self, other: "Jet4"):
-        if other.dim != self.dim:
-            raise ValueError("jet dimensions differ")
-
     def __add__(self, other):
         if isinstance(other, Jet4):
-            self._check_same(other)
+            if other.dim != self.dim:
+                raise ValueError("jet dimensions differ")
             if other.order == self.order:
                 return _jet(self.dim, self.coeffs + other.coeffs,
                             max(self.deg, other.deg), self.order)
@@ -336,17 +329,14 @@ class Jet4:
             return _jet(self.dim, self.coeffs  # a float, or one per entry
                         * np.asarray(other, dtype=np.float64)[..., None],
                         self.deg, self.order)
-        self._check_same(other)
-        order = min(self.order, other.order)
-        ncoef = _tables(self.dim).sizes[order]
-        mul_i, mul_j, mul_k = _mul_terms(self.dim, self.deg, other.deg, order)
-        deg = min(order, self.deg + other.deg)
-        if self.coeffs.ndim == other.coeffs.ndim == 1:
-            prod = self.coeffs[mul_i] * other.coeffs[mul_j]
-            return _jet(self.dim, np.bincount(mul_k, weights=prod,
-                                              minlength=ncoef), deg, order)
-        prod = self.coeffs[..., mul_i] * other.coeffs[..., mul_j]
-        return _jet(self.dim, _scatter(prod, mul_k, ncoef), deg, order)
+        mul_i, mul_j, mul_k, ncoef, deg, order = _plan(
+            self.dim, other.dim, self.deg, other.deg, self.order, other.order)
+        a, b = self.coeffs, other.coeffs
+        if a.ndim == b.ndim == 1:
+            return _jet(self.dim, np.bincount(mul_k, a[mul_i] * b[mul_j],
+                                              ncoef), deg, order)
+        return _jet(self.dim, _scatter(a.take(mul_i, -1) * b.take(mul_j, -1),
+                                       mul_k, ncoef), deg, order)
 
     __rmul__ = __mul__
 
@@ -429,10 +419,8 @@ def _matmul(a, b) -> Jet4:
     if not isinstance(a, Jet4):
         return _jet(b.dim, np.einsum(f"{ia},{ib}t->{io}t", a, b.coeffs),
                     b.deg, b.order)
-    a._check_same(b)
-    order = min(a.order, b.order)
-    mul_i, mul_j, mul_k = _mul_terms(a.dim, a.deg, b.deg, order)
+    mul_i, mul_j, mul_k, ncoef, deg, order = _plan(
+        a.dim, b.dim, a.deg, b.deg, a.order, b.order)
     prod = np.einsum(f"{ia}t,{ib}t->{io}t", a.coeffs[..., mul_i],
                      b.coeffs[..., mul_j])
-    return _jet(a.dim, _scatter(prod, mul_k, _tables(a.dim).sizes[order]),
-                min(order, a.deg + b.deg), order)
+    return _jet(a.dim, _scatter(prod, mul_k, ncoef), deg, order)

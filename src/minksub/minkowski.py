@@ -63,17 +63,21 @@ def _euclidean_h(ys):
 
 
 def _randers_h(a, b, ys):
-    dim = len(ys)
-    q = 0.0
-    for i in range(dim):
-        for j in range(dim):
-            aij = a[i, j]
-            if aij != 0.0:
-                q = q + ys[i] * ys[j] * aij
+    # q sums y_i y_j a_ij over the nonzero a_ij in row-major order from 0.0.
+    # Floats and single jets take one product over the stacked coordinates
+    # and one running sum; a batch of jets takes one product per entry, as
+    # its (dim, dim, rows) products would cost more to allocate than they save
+    rows, cols = np.nonzero(a)
+    if isinstance(ys[0], Jet4) and ys[0].shape:
+        q = 0.0
+        for i, j in zip(rows.tolist(), cols.tolist()):
+            q = q + ys[i] * ys[j] * a[i, j]
+    else:
+        Y = Jet4.stack(ys) if isinstance(ys[0], Jet4) else np.asarray(ys)
+        q = (0.0 + (Y[:, None] * Y * a)[rows, cols]).cumsum(0)[-1]
     f = q.sqrt() if isinstance(q, Jet4) else math.sqrt(q)
-    for i in range(dim):
-        if b[i] != 0.0:
-            f = f + ys[i] * b[i]
+    for i in np.flatnonzero(b).tolist():
+        f = f + ys[i] * b[i]
     return f * f * 0.5
 
 

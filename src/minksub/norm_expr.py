@@ -17,6 +17,7 @@ serves float evaluation and jet evaluation.
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass
 
@@ -110,6 +111,11 @@ class _Parser:
         self.dim = dim
         self.tokens = _tokenize(text)
         self.i = 0
+        self.shared = {}
+
+    def node(self, cls, *fields):   # equal subtrees become one object
+        node = cls(*fields)
+        return self.shared.setdefault(node, node)
 
     def peek(self):
         return self.tokens[self.i]
@@ -138,7 +144,7 @@ class _Parser:
             kind, val, _ = self.peek()
             if kind == "op" and val in "+-":
                 self.advance()
-                node = Bin(val, node, self.term())
+                node = self.node(Bin, val, node, self.term())
             else:
                 return node
 
@@ -148,7 +154,7 @@ class _Parser:
             kind, val, _ = self.peek()
             if kind == "op" and val in "*/":
                 self.advance()
-                node = Bin(val, node, self.factor())
+                node = self.node(Bin, val, node, self.factor())
             else:
                 return node
 
@@ -157,12 +163,12 @@ class _Parser:
         kind, val, _ = self.peek()
         if kind == "op" and val == "-":
             self.advance()
-            return Neg(self.factor())
+            return self.node(Neg, self.factor())
         node = self.base()
         kind, val, _ = self.peek()
         if kind == "op" and val == "^":
             self.advance()
-            node = Pow(node, self.integer())
+            node = self.node(Pow, node, self.integer())
         return node
 
     def integer(self) -> int:
@@ -180,7 +186,7 @@ class _Parser:
     def base(self):
         kind, val, pos = self.advance()
         if kind == "num":
-            return Num(val)
+            return self.node(Num, val)
         if kind == "name":
             if val == "sqrt":
                 self.expect_op("(")
@@ -189,20 +195,20 @@ class _Parser:
                     raise ArityError(f"sqrt expects one argument (at position {p})")
                 node = self.expr()
                 self.expect_op(")")
-                return Sqrt(node)
+                return self.node(Sqrt, node)
             m = re.fullmatch(r"y(\d+)", val)
             if m is None:
                 raise UnknownVariable(val, pos)
             idx = int(m.group(1))
             if not 1 <= idx <= self.dim:
                 raise UnknownVariable(val, pos)
-            return Var(idx)
+            return self.node(Var, idx)
         if kind == "op" and val == "(":
             node = self.expr()
             self.expect_op(")")
             return node
         if kind == "op" and val == "-":
-            return Neg(self.base())
+            return self.node(Neg, self.base())
         raise ExprSyntaxError("expected a number, variable, or '('", pos)
 
 
@@ -212,36 +218,38 @@ def parse_norm(text: str, dim: int):
 
 
 def evaluate(node, args):
-    """Evaluate a tree over floats or jets; args[i] is the value of y(i+1)."""
+    """Evaluate a tree over floats or jets; args[i] is the value of y(i+1).
+    A subtree object that occurs several times is computed once."""
+    return _evaluate(node, args, {})
+
+
+def _evaluate(node, args, memo):
     if isinstance(node, Num):
         return node.value
     if isinstance(node, Var):
         return args[node.index - 1]
+    out = memo.get(id(node))
+    if out is not None:
+        return out
     if isinstance(node, Bin):
-        a = evaluate(node.left, args)
-        b = evaluate(node.right, args)
-        if node.op == "+":
-            return a + b
-        if node.op == "-":
-            return a - b
-        if node.op == "*":
-            return a * b
-        return a / b
-    if isinstance(node, Pow):
-        base = evaluate(node.base, args)
-        if isinstance(base, Jet4):
-            return base ** node.exponent
-        return float(base) ** node.exponent
-    if isinstance(node, Sqrt):
-        arg = evaluate(node.arg, args)
-        if isinstance(arg, Jet4):
-            return arg.sqrt()
-        return math.sqrt(arg)
-    if isinstance(node, Neg):
-        return -evaluate(node.arg, args)
-    raise TypeError(f"not an expression node: {node!r}")
+        out = _OPS[node.op](_evaluate(node.left, args, memo),
+                            _evaluate(node.right, args, memo))
+    elif isinstance(node, Pow):
+        b = _evaluate(node.base, args, memo)
+        out = (b if isinstance(b, Jet4) else float(b)) ** node.exponent
+    elif isinstance(node, Sqrt):
+        arg = _evaluate(node.arg, args, memo)
+        out = arg.sqrt() if isinstance(arg, Jet4) else math.sqrt(arg)
+    elif isinstance(node, Neg):
+        out = -_evaluate(node.arg, args, memo)
+    else:
+        raise TypeError(f"not an expression node: {node!r}")
+    memo[id(node)] = out
+    return out
 
 
+_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+        "/": operator.truediv}
 _PREC = {"+": 1, "-": 1, "*": 2, "/": 2}
 
 

@@ -101,7 +101,10 @@ class SymPencil:
         return self.A1.shape[0]
 
     def member(self, lam1: float, lam2: float) -> np.ndarray:
-        return lam1 * self.A1 + lam2 * self.A2
+        """lam1 A1 + lam2 A2 (scalars or (K, 1, 1) stacks), summed in place."""
+        out = lam1 * self.A1
+        out += lam2 * self.A2
+        return out
 
     def to_dict(self) -> dict:
         return {"A1": self.A1.tolist(), "A2": self.A2.tolist()}

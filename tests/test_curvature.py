@@ -7,17 +7,20 @@ differences of the spray.  The tests here pin all three to each other and
 to closed-form values.
 """
 
+import re
+import warnings
 from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from minksub.curvature import (NonPDTensor, StepUnderflow, _ricci_oracle_jets,
+from minksub.curvature import (NonPDTensor, StepUnderflow, _pd_inverse,
+                               _ricci_oracle_jets,
                                fundamental_tensor, reports_to_csv,
                                ricci_expanded,
                                ricci_expanded_batch, ricci_oracle,
                                spray_at_origin, spray_field, zeta_check)
-from minksub.germ import Germ, sym3
+from minksub.germ import COND_LIMIT, Germ, sym3
 from minksub.invariants import sphere_grid
 from minksub.minkowski import NormModel
 
@@ -203,6 +206,34 @@ def test_non_positive_definite_tensor_raises():
         ricci_expanded(norm, germ, [1.0, 0.0])
     with pytest.raises(NonPDTensor):
         spray_at_origin(norm, germ, [1.0, 0.0])
+
+
+def test_pd_inverse_names_the_first_unusable_row():
+    rng = np.random.default_rng(4)
+    m = rng.standard_normal((8, 3, 3))
+    g = m @ m.swapaxes(1, 2) + np.eye(3)
+    g[3] = np.diag([1.0, -2.0, 3.0])            # not positive definite
+    g[5] = np.diag([1.0, 1.0, 1e-14])           # condition number 1e14
+    eig = r"^fundamental tensor has eigenvalue -2"
+    cond = "^" + re.escape("fundamental tensor condition number exceeds "
+                           f"{COND_LIMIT:g}")
+    with pytest.raises(NonPDTensor, match=eig + " at direction 13$"):
+        _pd_inverse(g, 10)
+    with pytest.raises(NonPDTensor, match=eig + "$"):
+        _pd_inverse(g)
+    g[3] = np.eye(3)
+    with pytest.raises(NonPDTensor, match=cond + r" at direction 15$"):
+        _pd_inverse(g, 10)
+    with pytest.raises(NonPDTensor, match=cond + "$"):
+        _pd_inverse(g)
+    g[5] = np.diag([1.0, 1.0, 0.0])             # a zero eigenvalue
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonPDTensor,
+                           match=r"eigenvalue -?0 at direction 15$"):
+            _pd_inverse(g, 10)
+    g[5] = np.eye(3)
+    assert np.allclose(_pd_inverse(g) @ g, np.eye(3))
 
 
 def test_finite_difference_step_underflow():

@@ -1,10 +1,12 @@
 """Norm models against symbolic oracles and the sampling validator."""
 
+import math
 import pickle
 
 import numpy as np
 import pytest
 
+from minksub.jets import Jet4
 from minksub.minkowski import (AXIS_EXCLUSION, MAX_DRAWS_PER_SAMPLE,
                                ConeTooNarrow, NormModel, SingularDirection,
                                _near_ray_probes, _sample_directions,
@@ -313,3 +315,58 @@ def test_batched_jet_rejects_singular_rows():
     Y[2] = [0.0, 0.0, -2.0]   # on example4's excluded y3-axis
     with pytest.raises(SingularDirection, match="batch row 2"):
         NormModel.example4(1.0, 1.0, 0.1, 0.1).jet(Y)
+
+
+# -- quadratic and linear forms over the stacked coordinates ------------------
+
+
+def _per_entry_randers(a, b, ys):
+    """The randers family as a double loop over the entries of a and b."""
+    q = 0.0
+    for i in range(len(ys)):
+        for j in range(len(ys)):
+            if a[i, j] != 0.0:
+                q = q + ys[i] * ys[j] * a[i, j]
+    f = q.sqrt() if isinstance(q, Jet4) else math.sqrt(q)
+    for i in range(len(ys)):
+        if b[i] != 0.0:
+            f = f + ys[i] * b[i]
+    return f * f * 0.5
+
+
+def _per_entry_euclidean(ys):
+    acc = ys[0] * ys[0]
+    for y in ys[1:]:
+        acc = acc + y * y
+    return acc * 0.5
+
+
+def _sparse_randers(dim, rng):
+    """A randers norm whose a and b both have zero entries."""
+    off = np.triu(rng.uniform(-0.15, 0.15, (dim, dim)), 1)
+    off *= rng.uniform(size=(dim, dim)) < 0.5     # diagonally dominant
+    a = np.diag(rng.uniform(1.0, 2.0, dim)) + off + off.T
+    b = rng.uniform(-0.2, 0.2, dim) * (np.arange(dim) % 2 == 1)
+    return NormModel.randers(a, b), a, b
+
+
+@pytest.mark.parametrize("rows", [None, 5])
+@pytest.mark.parametrize("order", [2, 4])
+@pytest.mark.parametrize("dim", range(1, 7))
+def test_stacked_forms_equal_the_per_entry_loop(dim, order, rows):
+    rng = np.random.default_rng(40 + dim)
+    norm, a, b = _sparse_randers(dim, rng)
+    if dim > 1:
+        assert (a == 0.0).any() and (b == 0.0).any()
+    base = rng.uniform(-1.0, 1.0, ((rows,) if rows else ()) + (dim,))
+    base[..., 0] = 0.0     # a zero coordinate: products with signed zeros
+    base[..., -1] = 1.0
+    for model, ref in ((norm, lambda ys: _per_entry_randers(a, b, ys)),
+                       (NormModel.euclidean(dim), _per_entry_euclidean)):
+        got = model.jet(base, order)
+        want = ref(Jet4.variables(dim, base, order))
+        assert np.array_equal(got.coeffs, want.coeffs)
+        assert np.array_equal(np.signbit(got.coeffs), np.signbit(want.coeffs))
+        assert got.deg == want.deg
+        for y in base.reshape(-1, dim):
+            assert model.value(y) == ref(list(y))

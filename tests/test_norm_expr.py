@@ -147,3 +147,52 @@ def node_strategy():
 @given(node_strategy())
 def test_to_text_round_trips_random_trees(tree):
     assert parse_norm(to_text(tree), 3) == tree
+
+
+# -- shared subtrees ----------------------------------------------------------
+
+SHARED_TEXT = ("(1.1*y1^2 + 0.9*y2^2 + 0.8*y3^2) / 2 + 0.5 * (y1^4 - "
+               "2*y1^2*y2^2 + y3^4) / (y1^2 + y2^2 + y3^2) / 20 "
+               "+ sqrt(y1^2 + y2^2 + y3^2) / 7")
+
+
+def _unshared(node):
+    """The same tree with a new object at every position."""
+    if isinstance(node, Bin):
+        return Bin(node.op, _unshared(node.left), _unshared(node.right))
+    if isinstance(node, Pow):
+        return Pow(_unshared(node.base), node.exponent)
+    if isinstance(node, (Sqrt, Neg)):
+        return type(node)(_unshared(node.arg))
+    return type(node)(*vars(node).values())
+
+
+def _positions(node):
+    yield node
+    for child in (getattr(node, f) for f in ("left", "right", "base", "arg")
+                  if hasattr(node, f)):
+        yield from _positions(child)
+
+
+def test_parse_shares_equal_subtrees():
+    tree = parse_norm(SHARED_TEXT, 3)
+    nodes = list(_positions(tree))
+    assert len({id(x) for x in nodes}) == len(set(nodes)) < len(nodes)
+    plain = _unshared(tree)
+    assert plain == tree
+    assert len({id(x) for x in _positions(plain)}) == len(nodes)
+
+
+@pytest.mark.parametrize("rows", [None, 4])
+def test_shared_evaluation_equals_the_unshared_tree(rows):
+    tree = parse_norm(SHARED_TEXT, 3)
+    plain = _unshared(tree)
+    rng = np.random.default_rng(8)
+    base = rng.uniform(0.3, 1.5, ((rows,) if rows else ()) + (3,))
+    for order in (2, 4):
+        got = evaluate(tree, Jet4.variables(3, base, order))
+        want = evaluate(plain, Jet4.variables(3, base, order))
+        assert np.array_equal(got.coeffs, want.coeffs)
+        assert got.deg == want.deg
+    for y in base.reshape(-1, 3):
+        assert evaluate(tree, list(y)) == evaluate(plain, list(y))

@@ -1,5 +1,7 @@
 """Symmetric pencils: spectra, types, canonical forms, topology, zeros."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -47,6 +49,17 @@ def test_member_and_dict_round_trip():
     Q = SymPencil.from_dict(P.to_dict())
     assert np.array_equal(P.A1, Q.A1)
     assert np.array_equal(P.A2, Q.A2)
+
+
+def test_member_in_place_equals_the_two_products_summed():
+    rng = np.random.default_rng(5)
+    A1, A2 = rng.standard_normal((2, 6, 6))
+    P = SymPencil.make(A1 + A1.T, A2 + A2.T)
+    th = rng.uniform(0.0, np.pi, 40)[:, None, None]
+    for lam1, lam2 in ((0.3, -1.7), (np.cos(th), np.sin(th))):
+        got = P.member(lam1, lam2)
+        assert np.array_equal(got, lam1 * P.A1 + lam2 * P.A2)
+    assert got.shape == (40, 6, 6)
 
 
 def test_inertia_counts():
@@ -255,26 +268,13 @@ def test_topology_fixed_cases():
 
 
 def test_topology_dimension_rule():
-    # every nonempty label has dimension N - 3
-    def all_configs(max_dim):
-        for s in range(0, max_dim // 2 + 1):
-            if s >= 1 or True:
-                pass
-        out = []
-        for s in range(0, 4):
-            if 2 * s >= 1 and 2 * s <= max_dim:
-                out.append(CanonicalData(l=0, n=(), s=s))
-            for r in range(1, max_dim - 2 * s + 1):
-                out.append(CanonicalData(l=1, n=(r,), s=s))
-                for n1 in range(1, r + 1):
-                    for n2 in range(1, r - n1 + 1):
-                        n3 = r - n1 - n2
-                        if n3 >= 1:
-                            out.append(CanonicalData(l=2, n=(n1, n2, n3),
-                                                     s=s))
-        return out
-
-    for C in all_configs(7):
+    # every nonempty label has dimension N - 3, over all l <= 2, N <= 7
+    configs = [CanonicalData(l=l, n=n, s=s) for l in range(3)
+               for n in itertools.product(range(1, 8),
+                                          repeat=2 * l - 1 if l else 0)
+               for s in range(4) if (l or s) and sum(n) + 2 * s <= 7]
+    assert len(configs) == 65
+    for C in configs:
         lab = classify_topology(C)
         if lab.case == "Empty":
             assert lab.dimension() is None
