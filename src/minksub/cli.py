@@ -197,7 +197,11 @@ def _cmd_curvature(args) -> int:
     norm = _norm_section(data)
     germ = _germ_section(data)
     u = _parse_direction(args.direction, germ.n)
-    rep = ricci_expanded(norm, germ, u)
+    with np.errstate(all="ignore"):     # a non-finite field is named below
+        rep = ricci_expanded(norm, germ, u)
+    for f in fields(rep):
+        if not np.all(np.isfinite(getattr(rep, f.name))):
+            raise ValueError(f"{f.name} is not finite at this direction")
     zeta, zres = zeta_check(norm, germ, u)
     parts = dict(zip(("cubicGroup", "zetaGroup", "etaGroup", "rhoGroup"),
                      rep.ric_parts))

@@ -233,8 +233,13 @@ def audit_ruled(norm: NormModel, germ: Germ, ruling_direction,
     u = np.asarray(ruling_direction, dtype=np.float64)
     if u.shape != (germ.n,):
         raise ValueError(f"ruling direction must have shape ({germ.n},)")
-    scale2 = 1.0 + float(np.abs(germ.d2).max(initial=0.0)) * float(u @ u)
-    scale3 = 1.0 + float(np.abs(germ.d3).max(initial=0.0)) * abs(u @ u) ** 1.5
+    with np.errstate(over="ignore", invalid="ignore"):   # checked below
+        scale2 = 1.0 + float(np.abs(germ.d2).max(initial=0.0)) * float(u @ u)
+        scale3 = (1.0 + float(np.abs(germ.d3).max(initial=0.0))
+                  * abs(u @ u) ** 1.5)
+    for name, scale in (("kappa(u)", scale2), ("cubic contraction", scale3)):
+        if not np.isfinite(scale):
+            raise ValueError(f"{name} scale is not finite: {scale}")
     if np.abs(germ.kappa(u)).max(initial=0.0) > RULED_TOL * scale2:
         raise NotRuledDirection("kappa(u) does not vanish")
     if np.abs(germ.cubic(u)).max(initial=0.0) > RULED_TOL * scale3:

@@ -47,7 +47,10 @@ import numpy as np
 
 MAX_ORDER = 4
 MAX_DIM = 8
-BATCH_BLOCK = 64  # directions per batched jet evaluation in a sweep
+# directions per batched jet evaluation: 128 runs every grid of up to 128
+# directions as one block and was no slower than 64 on any sweep shape in a
+# calibrated block-size scan; 256 was slower at n = 3 and page-faulted more
+BATCH_BLOCK = 128
 
 
 class OrderExceeded(ValueError):

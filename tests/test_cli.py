@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -580,6 +581,45 @@ def test_non_finite_direction_exits_two(tmp_path, capsys):
                                 "--direction", "nan,1"])
     assert code == 2
     assert err.startswith("config error: --direction")
+
+
+@pytest.mark.parametrize("direction, code, error", [
+    ("1e150,0", 1, "error: Rik is not finite at this direction\n"),
+    ("1e100,1e100", 0, ""),
+])
+def test_overflowing_direction_names_the_non_finite_field(
+        tmp_path, capsys, direction, code, error):
+    cfg = write(tmp_path, "c.json", RANDERS)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")      # no RuntimeWarning escapes
+        got, out, err = run(capsys, ["curvature", "--config", cfg,
+                                     f"--direction={direction}"])
+    assert (got, err) == (code, error)
+    assert (out == "") == (code == 1)
+
+
+@pytest.mark.parametrize("direction, code, error", [
+    ("1e150,0", 1, "error: cubic contraction scale is not finite: inf\n"),
+    ("1e200,0", 1, "error: kappa(u) scale is not finite: inf\n"),
+    ("1e100,0", 0, ""),
+])
+def test_audit_ruled_rejects_an_overflowing_direction(
+        tmp_path, capsys, direction, code, error):
+    # ruled along e1 (kappa and the cubic vanish there) with a nonzero d3,
+    # so |u|^3 overflows the cubic check's scale before anything else
+    d3 = 0.1 * np.ones((1, 2, 2, 2))
+    d3[0, 0, 0, 0] = 0.0
+    cfg = write(tmp_path, "c.json",
+                {"norm": {"kind": "euclidean", "dim": 3},
+                 "germ": {"n": 2, "p": 1, "d2": [[[0.0, 0.0], [0.0, 1.0]]],
+                          "d3": d3.tolist()}})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got, out, err = run(capsys, ["audit", "ruled", "--config", cfg,
+                                     f"--direction={direction}"])
+    assert (got, err) == (code, error)
+    if code == 0:
+        assert json.loads(out)["verdict"] == "CONSISTENT"
 
 
 def test_json_output_is_strict():

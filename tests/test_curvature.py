@@ -14,6 +14,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
+from minksub import curvature, minkowski
 from minksub.curvature import (NonPDTensor, StepUnderflow, _pd_inverse,
                                _ricci_oracle_jets,
                                fundamental_tensor, reports_to_csv,
@@ -22,7 +23,8 @@ from minksub.curvature import (NonPDTensor, StepUnderflow, _pd_inverse,
                                spray_at_origin, spray_field, zeta_check)
 from minksub.germ import COND_LIMIT, Germ, sym3
 from minksub.invariants import sphere_grid
-from minksub.minkowski import NormModel
+from minksub.jets import BATCH_BLOCK
+from minksub.minkowski import NormModel, validate_norm
 
 
 def random_germ(rng, n, p, scale=1.0):
@@ -313,7 +315,7 @@ def _close(got, want, tol):
 def test_batch_matches_per_direction_reports(norm, germ):
     # ricci_expanded is the batch's one-row case, so every row is also
     # checked against routes that never see the expanded formula
-    U = sphere_grid(germ.n, 70)        # one full block of 64 and 6 more
+    U = sphere_grid(germ.n, BATCH_BLOCK + 6)   # one full block and a tail
     batch = ricci_expanded_batch(norm, germ, U)
     refs = [ricci_expanded(norm, germ, u) for u in U]
     for f in fields(batch):
@@ -356,14 +358,63 @@ def test_batch_names_the_direction_with_an_indefinite_tensor():
     norm = NormModel.expression(
         "(y1^2 + y2^2 + y3^2) / 2 - y1^4 / (y1^2 + y2^2 + y3^2)", 3)
     germ = Germ.make(2, 1, np.eye(2)[None], np.zeros((1, 2, 2, 2)))
-    t = np.linspace(-0.2, 0.2, 70)
+    t = np.linspace(-0.2, 0.2, BATCH_BLOCK + 6)
     U = np.stack([np.sin(t), np.cos(t)], axis=1)
     ricci_expanded_batch(norm, germ, U)
-    U[67] = [1.0, 0.0]
-    with pytest.raises(NonPDTensor, match="direction 67"):
+    k = BATCH_BLOCK + 3                 # in the tail block
+    U[k] = [1.0, 0.0]
+    with pytest.raises(NonPDTensor, match=f"direction {k}$"):
         ricci_expanded_batch(norm, germ, U)
     with pytest.raises(NonPDTensor):
-        ricci_expanded(norm, germ, U[67])
+        ricci_expanded(norm, germ, U[k])
+
+
+def _block_outputs(monkeypatch, block, norm, germ, U, X, V):
+    # curvature and minkowski each import the block size by name
+    monkeypatch.setattr(curvature, "BATCH_BLOCK", block)
+    monkeypatch.setattr(minkowski, "BATCH_BLOCK", block)
+    rep = ricci_expanded_batch(norm, germ, U)
+    valid = validate_norm(norm, samples=len(U), seed=3)
+    return ([getattr(rep, f.name) for f in fields(rep)],
+            spray_field(norm, germ, X, V),
+            [getattr(valid, f.name) for f in fields(valid)])
+
+
+@pytest.mark.parametrize("norm, germ", list(_batch_cases()),
+                         ids=lambda x: getattr(x, "kind", None)
+                         or f"{x.n}x{x.p}")
+def test_outputs_do_not_depend_on_the_block_size(monkeypatch, norm, germ):
+    rng = np.random.default_rng(31)
+    U = sphere_grid(germ.n, 300)
+    X = 0.05 * rng.standard_normal((300, germ.n))
+    V = rng.standard_normal((300, germ.n))
+    refs = [ricci_expanded(norm, germ, u) for u in U]
+    per_direction = [[getattr(r, f.name) for r in refs]
+                     for f in fields(refs[0])]
+    ref = _block_outputs(monkeypatch, BATCH_BLOCK, norm, germ, U, X, V)
+    for block in (1, 7, 64):
+        got = _block_outputs(monkeypatch, block, norm, germ, U, X, V)
+        # one-row blocks run their 2-D matmuls as BLAS gemv, not gemm, so
+        # their last bits are the per-direction reports', not wider blocks'
+        want = per_direction if block == 1 else ref[0]
+        assert all(np.array_equal(a, b) for a, b in zip(got[0], want))
+        assert np.array_equal(got[1], ref[1])
+        assert all(np.array_equal(a, b) for a, b in zip(got[2], ref[2]))
+
+
+@pytest.mark.parametrize("block", (1, 7, 64, BATCH_BLOCK))
+def test_a_later_block_names_the_global_direction(monkeypatch, block):
+    # the indefinite "norm" of the test above, bad along e1 only
+    norm = NormModel.expression(
+        "(y1^2 + y2^2 + y3^2) / 2 - y1^4 / (y1^2 + y2^2 + y3^2)", 3)
+    germ = Germ.make(2, 1, np.eye(2)[None], np.zeros((1, 2, 2, 2)))
+    monkeypatch.setattr(curvature, "BATCH_BLOCK", block)
+    t = np.linspace(-0.2, 0.2, 300)
+    U = np.stack([np.sin(t), np.cos(t)], axis=1)
+    k = 2 * BATCH_BLOCK + 5             # past the shipped size's first block
+    U[k] = [1.0, 0.0]
+    with pytest.raises(NonPDTensor, match=f"direction {k}$"):
+        ricci_expanded_batch(norm, germ, U)
 
 
 # -- stacked spray evaluation -------------------------------------------------
@@ -374,11 +425,12 @@ def test_batch_names_the_direction_with_an_indefinite_tensor():
                          or f"{x.n}x{x.p}")
 def test_stacked_spray_field_matches_row_by_row(norm, germ):
     rng = np.random.default_rng(29)
-    X = 0.05 * rng.standard_normal((70, germ.n))   # one block of 64, 6 more
-    U = rng.standard_normal((70, germ.n))
+    K = BATCH_BLOCK + 6                 # one full block and a tail
+    X = 0.05 * rng.standard_normal((K, germ.n))
+    U = rng.standard_normal((K, germ.n))
     stacked = spray_field(norm, germ, X, U)
     rows = np.array([spray_field(norm, germ, x, u) for x, u in zip(X, U)])
-    assert stacked.shape == (70, germ.n)
+    assert stacked.shape == (K, germ.n)
     assert np.array_equal(stacked, rows)
 
 

@@ -105,6 +105,9 @@ CASES = {
                     {"norm": RANDERS4, "germ": HYPER3}, 0),
     "ricci_grid": (["ricci-grid", "--grid", "32"],
                    {"norm": RANDERS4, "germ": HYPER3}, 0),
+    # 300 directions cross batch-block boundaries (jets.BATCH_BLOCK)
+    "ricci_grid_blocks": (["ricci-grid", "--grid", "300"],
+                          {"norm": RANDERS3, "germ": SURFACE}, 0),
 }
 
 
