@@ -197,11 +197,8 @@ def _cmd_curvature(args) -> int:
     norm = _norm_section(data)
     germ = _germ_section(data)
     u = _parse_direction(args.direction, germ.n)
-    with np.errstate(all="ignore"):     # a non-finite field is named below
-        rep = ricci_expanded(norm, germ, u)
-    for f in fields(rep):
-        if not np.all(np.isfinite(getattr(rep, f.name))):
-            raise ValueError(f"{f.name} is not finite at this direction")
+    with np.errstate(all="ignore"):     # a non-finite field is named
+        rep = ricci_expanded(norm, germ, u).require_finite()
     zeta, zres = zeta_check(norm, germ, u)
     parts = dict(zip(("cubicGroup", "zetaGroup", "etaGroup", "rhoGroup"),
                      rep.ric_parts))
@@ -221,8 +218,9 @@ def _cmd_ricci_grid(args) -> int:
     norm = _norm_section(data)
     germ = _germ_section(data)
     grid = inv.default_grid(germ.n) if args.grid is None else args.grid
-    sweep = ricci_expanded_batch(norm, germ, sphere_grid(germ.n, grid))
-    _emit(reports_to_csv(sweep), args.out)
+    with np.errstate(all="ignore"):     # a non-finite field is named
+        sweep = ricci_expanded_batch(norm, germ, sphere_grid(germ.n, grid))
+    _emit(reports_to_csv(sweep.require_finite()), args.out)
     return 0
 
 

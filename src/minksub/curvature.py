@@ -16,9 +16,14 @@ expressible entirely through the jets of H at the lifted direction
              - eta_ab kappa^a kappa^b
              - rho^i_ab kappa^b f^a_il u^l,
 
-  with xi, eta, rho built from u-derivatives of h, g^-1 and zeta.  All of
-  those u-derivatives are ambient jet coefficients composed with the
-  linear lift u -> (u, 0), so a single order-4 jet of H feeds everything.
+  with xi, eta, rho built from u-derivatives of h, g^-1 and zeta.  In the
+  Schur frame E = (-h; I_p), Hess H E = (0; zeta); with R_k the tangent
+  rows of d3_k E (d3, d4: H's third and fourth derivatives at the lift),
+
+      d_k zeta = E^T d3_k E,   d_k h = g^-1 R_k,
+      d_k d_l zeta = E^T d4_kl E - R_k^T g^-1 R_l - R_l^T g^-1 R_k,
+
+  so one order-4 jet of H, read in d3[t] and d4[t, t], feeds everything.
 
 * :func:`ricci_oracle` never sees the formula above.  It builds the spray
 
@@ -103,6 +108,15 @@ class CurvatureReport:
     Ric: float
     ric_parts: tuple  # (cubic, zeta, eta, rho) groups; sums to Ric
 
+    def require_finite(self) -> "CurvatureReport":
+        """self, or ValueError naming the first non-finite field and where."""
+        for name, x in vars(self).items():
+            if not np.isfinite(x).all():
+                raise ValueError(f"{name} is not finite at " + (
+                    f"direction {np.argwhere(~np.isfinite(x))[0][0]}"
+                    if self.u.ndim == 2 else "this direction"))
+        return self
+
 
 def fundamental_tensor(norm: NormModel, germ: Germ, u) -> np.ndarray:
     """g_ij(0, u) = H_ij(u, 0): the tangent block of the ambient Hessian."""
@@ -159,29 +173,29 @@ def _ricci_block(germ: Germ, u: np.ndarray, tensors: tuple,
     r, from H's partial tensors (h0, d1, ..., d4) at the lifts (u, 0), all
     with leading axis r.  u-derivative indices k, l follow r, then a
     quantity's own: DGI[r, k, i, j] = d_k g^ij, DH[r, k, i, a] = d_k h^i_a,
-    D2Z[r, k, l, a, b] = d_k d_l zeta_ab (H's tensors are symmetric).
-    ``first`` numbers the rows in _pd_inverse's errors."""
+    DZ[r, k, a, b] = d_k zeta_ab (H's tensors are symmetric).  Per row,
+    E = (-h; I_p) and R_k = (d3_k E)[t] give d_k zeta = E^T d3_k E,
+    d_k h = g^-1 R_k and d_k d_l zeta = E^T d4_kl E - R_k^T g^-1 R_l
+    - R_l^T g^-1 R_k, read only through one d4[r, t, t] product each for
+    g^kl d_k d_l zeta (eta) and kappa^a kappa^b d_k d_l zeta_ab (z_kl); d3
+    is read in d3[r, t].  ``first`` numbers rows in _pd_inverse's errors."""
     n, p, rows = germ.n, germ.p, len(u)
     h0, _, d2, d3, d4 = tensors
     t, s = slice(None, n), slice(n, None)       # tangent and normal blocks
     g, A = d2[:, t, t], d2[:, t, s]
-    DA, D2A = d3[:, t, t, s], d4[:, t, t, t, s]
     gi = _pd_inverse(g, first)
-    g1, g2 = gi[:, None], gi[:, None, None]     # broadcast over k, (k, l)
-    M = g1 @ d3[:, t, t, t]                     # gi dg_k
-    MM = M[:, :, None] @ M[:, None]
-    DGI = -M @ g1
-    D2GI = (MM + MM.swapaxes(1, 2) - g2 @ d4[:, t, t, t, t]) @ g2
+    g1 = gi[:, None]                            # broadcast over k
+    DGI = -(g1 @ d3[:, t, t, t]) @ g1
     h = gi @ A
-    DH = DGI @ A[:, None] + g1 @ DA
-    GA = DGI[:, :, None] @ DA[:, None]   # [k, l] = d_k g^-1 d_l A; [l, k] too
-    D2H = D2GI @ A[:, None, None] + GA + GA.swapaxes(1, 2) + g2 @ D2A
-    hT, DHT = h.swapaxes(1, 2), DH.swapaxes(2, 3)
-    zeta = d2[:, s, s] - hT @ A
-    DZ = d3[:, t, s, s] - DHT @ A[:, None] - hT[:, None] @ DA
-    HA = DHT[:, :, None] @ DA[:, None]
-    D2Z = (d4[:, t, t, s, s] - D2H.swapaxes(3, 4) @ A[:, None, None]
-           - HA - HA.swapaxes(1, 2) - hT[:, None, None] @ D2A)
+    E = np.concatenate((-h, np.eye(p)[None].repeat(rows, 0)), 1)
+    F = d3[:, t] @ E[:, None]                   # d3_k E
+    R, DZ = F[:, :, t], E.swapaxes(1, 2)[:, None] @ F
+    DH = g1 @ R
+    zeta = d2[:, s, s] - h.swapaxes(1, 2) @ A
+    D4 = d4[:, t, t].reshape(rows, n * n, -1)   # d4_kl as rows
+    GR = (gi @ DH.reshape(rows, n, n * p)).reshape(rows, n * n, p)  # g^kl DH_l
+    S = R.reshape(rows, n * n, p).swapaxes(1, 2) @ GR   # g^kl R_k^T g^-1 R_l
+    W = (gi.reshape(rows, 1, n * n) @ D4).reshape(rows, n + p, n + p)
 
     def act(X, y):   # (X[k] @ y)[i] as the matrix [i, k]
         return (X @ y[:, None, :, None])[..., 0].swapaxes(1, 2)
@@ -189,9 +203,9 @@ def _ricci_block(germ: Germ, u: np.ndarray, tensors: tuple,
     xi = -0.5 * DH.trace(axis1=1, axis2=2)
     eta = 0.75 * (DH.reshape(rows, n * n, p).swapaxes(1, 2)
                   @ DH.swapaxes(1, 2).reshape(rows, n * n, p)) + 0.5 * (
-        DGI.trace(axis1=1, axis2=2)[:, None] @ DZ.reshape(rows, n, p * p)
-        + gi.reshape(rows, 1, n * n) @ D2Z.reshape(rows, n * n, p * p)
-    ).reshape(rows, p, p)
+        (DGI.trace(axis1=1, axis2=2)[:, None]
+         @ DZ.reshape(rows, n, p * p)).reshape(rows, p, p)
+        + E.swapaxes(1, 2) @ W @ E - 2.0 * S)
     rho = (3.0 * xi[:, None, :, None] * h[:, :, None, :]
            + 0.5 * DGI.trace(axis1=1, axis2=3)[..., None, None] * zeta[:, None]
            + (gi @ DZ.reshape(rows, n, p * p)).reshape(rows, n, p, p))
@@ -202,12 +216,14 @@ def _ricci_block(germ: Germ, u: np.ndarray, tensors: tuple,
     cub = (u @ germ.d3.reshape(p * n * n, n).T).reshape(rows, p * n, n)
     cub = ((cub @ u[:, :, None]).reshape(rows, p, n) @ u[:, :, None])[..., 0]
     Q = act(DZ, kap)                            # dzeta[a, b, k] kap[b]
-    z_kl = (kap[:, None, None, None, :] @ D2Z
-            @ kap[:, None, None, :, None])[..., 0, 0]
+    P = act(R, kap)                             # R_k kap as [i, k]
+    DHk = gi @ P                                # act(DH, kap)
+    v = E @ kap[:, :, None]
+    z_kl = ((D4.reshape(rows, -1, n + p) @ v).reshape(rows, n * n, -1) @ v
+            ).reshape(rows, n, n) - 2.0 * (P.swapaxes(1, 2) @ DHk)
     T1 = -0.5 * act(DH, cub)
-    E = act(DH, kap)
-    T2 = -(0.75 * (E @ E) + 0.5 * (act(DGI, (kap[:, None] @ Q)[:, 0])
-                                   + gi @ z_kl))
+    T2 = -(0.75 * (DHk @ DHk) + 0.5 * (act(DGI, (kap[:, None] @ Q)[:, 0])
+                                       + gi @ z_kl))
     T3 = (1.5 * act(DH, (fu @ h @ kap[:, :, None])[..., 0])
           - 0.5 * (act(DGI, (fz @ kap[:, :, None])[..., 0])
                    + gi @ fuT @ Q))

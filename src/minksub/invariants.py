@@ -169,7 +169,8 @@ class AuditReport:
 
 def _grid_min_ric(norm: NormModel, germ: Germ, grid: int | None):
     dirs = sphere_grid(germ.n, default_grid(germ.n) if grid is None else grid)
-    rics = ricci_expanded_batch(norm, germ, dirs).Ric
+    with np.errstate(all="ignore"):     # a non-finite field is named
+        rics = ricci_expanded_batch(norm, germ, dirs).require_finite().Ric
     k = int(np.argmin(rics))
     return float(rics[k]), dirs[k]
 

@@ -173,28 +173,31 @@ class NormModel:
         each row of (B, dim); each coefficient is bit for bit the order-4
         jet's."""
         base = np.asarray(base, dtype=np.float64)
-        for k, y in enumerate(base if base.ndim == 2 else [base]):
-            self.check_admissible(y, k if base.ndim == 2 else None)
+        self.check_admissible(base, 0 if base.ndim == 2 else None)
         return self.h(Jet4.variables(self.dim, base, order))
 
     # -- admissibility -----------------------------------------------------
 
-    def _off_axis_sq(self, y) -> float:
-        """|y|^2 minus the excluded-axis component squared, summed directly."""
-        return sum(y[i] ** 2 for i in range(self.dim)
-                   if i != self.excluded_axis)
+    def _off_axis_sq(self, y):
+        """Sum of the squared entries off the excluded axis, per row."""
+        return np.delete(y * y, self.excluded_axis, -1).sum(-1)
 
     def check_admissible(self, y, row: int | None = None) -> None:
-        """Raise SingularDirection where H is not smooth (``row``: batch)."""
+        """Raise SingularDirection where H is not smooth: at y (dim,) or,
+        given ``row``, at the first bad row k of y (B, dim) as row + k."""
         y = np.asarray(y, dtype=np.float64)
-        if y.shape != (self.dim,):
+        Y = y if y.ndim == 2 and row is not None else y[None]
+        if Y.ndim != 2 or Y.shape[1] != self.dim:
             raise ValueError(f"direction must have shape ({self.dim},)")
-        where = "" if row is None else f" (batch row {row})"
-        sq = float(y @ y)
-        if sq == 0.0:
-            raise SingularDirection("zero direction" + where)
-        if (self.excluded_axis is not None
-                and self._off_axis_sq(y) < AXIS_EXCLUSION * sq):
+        sq = (Y[:, None] @ Y[:, :, None])[:, 0, 0]   # per row BLAS's y @ y
+        bad = sq == 0.0
+        if self.excluded_axis is not None:
+            bad |= self._off_axis_sq(Y) < AXIS_EXCLUSION * sq
+        if bad.any():
+            k = int(np.argmax(bad))
+            where = "" if row is None else f" (batch row {row + k})"
+            if sq[k] == 0.0:
+                raise SingularDirection("zero direction" + where)
             raise SingularDirection(
                 f"direction lies on the excluded y{self.excluded_axis + 1}"
                 "-axis of the norm" + where)
@@ -236,9 +239,8 @@ class ValidationReport:
 def _sample_directions(model: NormModel, samples: int, rng,
                        min_axis_fraction: float) -> np.ndarray:
     """Rejection-sample unit directions, one normal vector per draw, in
-    blocks of ``samples`` draws.  Rows that pass a block screen (its 1e-9
-    relative margin dwarfs its rounding) get the per-row test, and rng ends
-    where a one-draw-at-a-time loop leaves it."""
+    blocks of ``samples`` draws; each row is normalised and tested as a
+    one-draw-at-a-time loop would, and rng ends where that loop leaves it."""
     out = np.empty((samples, model.dim))
     floor = max(AXIS_EXCLUSION, min_axis_fraction ** 2)
     count = draws = 0
@@ -249,24 +251,17 @@ def _sample_directions(model: NormModel, samples: int, rng,
         state = rng.bit_generator.state
         Y = rng.standard_normal((samples, model.dim))
         draws += samples
-        keep = np.ones(samples, dtype=bool)
+        norm = np.sqrt((Y[:, None] @ Y[:, :, None])[:, 0, 0])  # linalg.norm
+        Y /= np.maximum(norm, 1e-8)[:, None]
+        keep = norm >= 1e-8
         if model.excluded_axis is not None:
-            off = (np.delete(Y, model.excluded_axis, axis=1) ** 2).sum(1)
-            keep = off >= (1.0 - 1e-9) * floor * (Y ** 2).sum(1)
-        for k in np.flatnonzero(keep):
-            norm = np.linalg.norm(Y[k])
-            if norm < 1e-8:
-                continue
-            y = Y[k] / norm
-            if (model.excluded_axis is not None
-                    and model._off_axis_sq(y) < floor):
-                continue
-            out[count] = y
-            count += 1
-            if count == samples:  # redraw only what the loop would draw
-                rng.bit_generator.state = state
-                rng.standard_normal((k + 1, model.dim))
-                break
+            keep &= model._off_axis_sq(Y) >= floor
+        take = np.flatnonzero(keep)[:samples - count]
+        out[count:count + len(take)] = Y[take]
+        count += len(take)
+        if count == samples:  # redraw only what the loop would draw
+            rng.bit_generator.state = state
+            rng.standard_normal((take[-1] + 1, model.dim))
     return out
 
 

@@ -598,6 +598,31 @@ def test_overflowing_direction_names_the_non_finite_field(
     assert (out == "") == (code == 1)
 
 
+def _overflowing_config(p):
+    # finite entries, but R^i_k overflows wherever u2 is not tiny: on the
+    # 8-angle grid direction 0 (e1) is finite and direction 1 is not
+    d2 = np.zeros((p, 2, 2))
+    d2[0] = np.eye(2)
+    d2[-1, 1, 1] = 1e160
+    return {"norm": {"kind": "euclidean", "dim": 2 + p},
+            "germ": {"n": 2, "p": p, "d2": d2.tolist(),
+                     "d3": np.zeros((p, 2, 2, 2)).tolist()}}
+
+
+@pytest.mark.parametrize("argv, p", [
+    (["ricci-grid"], 1),
+    (["audit", "hyper"], 1),
+    (["audit", "codim2"], 2),
+])
+def test_grid_commands_name_the_non_finite_field(tmp_path, capsys, argv, p):
+    cfg = write(tmp_path, "c.json", _overflowing_config(p))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")      # no RuntimeWarning escapes
+        code, out, err = run(capsys, [*argv, "--config", cfg, "--grid", "8"])
+    assert (code, out) == (1, "")
+    assert err == "error: Rik is not finite at direction 1\n"
+
+
 @pytest.mark.parametrize("direction, code, error", [
     ("1e150,0", 1, "error: cubic contraction scale is not finite: inf\n"),
     ("1e200,0", 1, "error: kappa(u) scale is not finite: inf\n"),

@@ -353,6 +353,72 @@ def test_batch_matches_per_direction_reports(norm, germ):
     assert text[0] == ref_text[0] and len(text) == len(ref_text)
 
 
+FD_DELTA = 2e-3     # u-step of the Richardson-extrapolated stencils
+FD_REL_TOL = 1e-8   # xi, eta, rho vs their finite-difference definitions
+
+
+def _fd_derivatives(norm, germ, u, delta):
+    # (h, g^-1, zeta) at the lift (u, 0), their u-derivatives [k] and their
+    # second u-derivatives [k, l], read from the ambient Hessian alone: each
+    # derivative is the Richardson extrapolation (4 D(c/2) - D(c)) / 3 of a
+    # central difference D with step c = delta
+    n, p = germ.n, germ.p
+    e = np.eye(n)
+
+    def at(w):
+        H = norm.jet(np.concatenate([w, np.zeros(p)]), 2).hessian()
+        gi = np.linalg.inv(H[:n, :n])
+        h = gi @ H[:n, n:]
+        return np.concatenate([h.ravel(), gi.ravel(),
+                               (H[n:, n:] - H[n:, :n] @ h).ravel()])
+
+    def richardson(D):
+        return (4.0 * D(delta / 2) - D(delta)) / 3.0
+
+    def d1(k):
+        return richardson(lambda c: (at(u + c * e[k]) - at(u - c * e[k]))
+                          / (2 * c))
+
+    def d2(k, l):    # for k == l, the second difference with step 2c
+        a, b = e[k] + e[l], e[k] - e[l]
+        return richardson(lambda c: (at(u + c * a) - at(u + c * b)
+                                     - at(u - c * b) + at(u - c * a))
+                          / (4 * c * c))
+
+    def split(v):
+        lead = v.shape[:-1]
+        h, gi, zeta = np.split(v, [n * p, n * p + n * n], axis=-1)
+        return (h.reshape(lead + (n, p)), gi.reshape(lead + (n, n)),
+                zeta.reshape(lead + (p, p)))
+
+    return (split(at(u)), split(np.array([d1(k) for k in range(n)])),
+            split(np.array([[d2(k, l) for l in range(n)] for k in range(n)])))
+
+
+@pytest.mark.parametrize("norm, germ", list(_batch_cases()),
+                         ids=lambda x: getattr(x, "kind", None)
+                         or f"{x.n}x{x.p}")
+def test_xi_eta_rho_match_finite_differences(norm, germ):
+    # every entry of xi, eta and rho against their definitions in
+    # u-derivatives of h, g^-1 and zeta, which are taken here by central
+    # differences of the ambient Hessian, never from the jets of order 3-4
+    U = sphere_grid(germ.n, 5)
+    rep = ricci_expanded_batch(norm, germ, U)
+    for r, u in enumerate(U):
+        (h, gi, zeta), (dh, dgi, dzeta), (_, _, ddzeta) = _fd_derivatives(
+            norm, germ, u, FD_DELTA)
+        xi = -0.5 * np.einsum("kka->a", dh)
+        div_gi = np.einsum("kkj->j", dgi)          # d_k g^kj
+        eta = (0.75 * np.einsum("kia,ikb->ab", dh, dh)
+               + 0.5 * np.einsum("j,jab->ab", div_gi, dzeta)
+               + 0.5 * np.einsum("kl,klab->ab", gi, ddzeta))
+        rho = (3.0 * xi[None, :, None] * h[:, None, :]
+               + 0.5 * div_gi[:, None, None] * zeta[None]
+               + np.einsum("ij,jab->iab", gi, dzeta))
+        for name, want in (("xi", xi), ("eta", eta), ("rho", rho)):
+            assert _close(getattr(rep, name)[r], want, FD_REL_TOL), (name, r)
+
+
 def test_batch_names_the_direction_with_an_indefinite_tensor():
     # H = |y|^2/2 - y1^4/|y|^2 has g_11 = -1 along e1, g = I along e2
     norm = NormModel.expression(

@@ -1,14 +1,17 @@
 """Pointwise invariants, direction grids, and the proposition auditors."""
 
+import warnings
+
 import numpy as np
 import pytest
 
+from minksub.curvature import ricci_expanded, ricci_expanded_batch
 from minksub.germ import Germ, sym3
 from minksub.invariants import (Interval, NotRuledDirection, audit_codim2,
                                 audit_hypersurface, audit_ruled, nullity,
                                 point_invariants, point_type, sphere_grid,
                                 _sobol_points)
-from minksub.jets import MAX_DIM
+from minksub.jets import BATCH_BLOCK, MAX_DIM
 from minksub.minkowski import NormModel
 from minksub.pencil import (SymPencil, max_rank_inertia, spectral_split,
                             type_exact)
@@ -243,3 +246,50 @@ def test_audit_reports_embed_inputs_in_notes():
     rep = audit_hypersurface(NormModel.euclidean(3), paraboloid(2), grid=24)
     assert isinstance(rep.notes, tuple)
     assert rep.to_dict()["verdict"] == "CONSISTENT"
+
+
+# -- non-finite sweeps --------------------------------------------------------
+
+# A finite germ entry whose curvature overflows: d2 = diag(1, HUGE) keeps
+# kappa finite at e1 and overflows R^i_k wherever u2 is not tiny.
+HUGE = 1e160
+
+
+def _overflowing(p):
+    d2 = np.zeros((p, 2, 2))
+    d2[0] = np.diag([1.0, 1.0])
+    d2[-1, 1, 1] = HUGE
+    return NormModel.euclidean(2 + p), flat_germ(d2)
+
+
+@pytest.mark.parametrize("audit, p", [(audit_hypersurface, 1),
+                                      (audit_codim2, 2)])
+def test_grid_audits_reject_a_non_finite_sweep(audit, p):
+    # the 8-angle grid: direction 0 is e1, direction 1 is at 45 degrees
+    norm, germ = _overflowing(p)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")      # no RuntimeWarning escapes
+        with pytest.raises(ValueError,
+                           match="^Rik is not finite at direction 1$"):
+            audit(norm, germ, grid=8)
+    report = audit(norm, flat_germ(np.diag([1.0, 1.0])[None].repeat(p, 0)),
+                   grid=8)
+    assert np.isfinite(report.min_ric)
+
+
+def test_require_finite_names_the_global_direction():
+    norm, germ = _overflowing(1)
+    U = np.tile([1.0, 0.0], (300, 1))   # finite along e1
+    k = 2 * BATCH_BLOCK + 5             # past the first two blocks
+    U[k] = [0.6, 0.8]
+    with np.errstate(all="ignore"):
+        sweep = ricci_expanded_batch(norm, germ, U)
+        one = ricci_expanded(norm, germ, U[k])
+    with pytest.raises(ValueError, match=f"^Rik is not finite at "
+                                         f"direction {k}$"):
+        sweep.require_finite()
+    with pytest.raises(ValueError,
+                       match="^Rik is not finite at this direction$"):
+        one.require_finite()
+    finite = ricci_expanded_batch(norm, germ, U[:k])
+    assert finite.require_finite() is finite

@@ -2,11 +2,15 @@
 
 import math
 import pickle
+import re
 
 import numpy as np
 import pytest
 
-from minksub.jets import Jet4
+from minksub.curvature import ricci_expanded, ricci_expanded_batch
+from minksub.germ import Germ
+from minksub.invariants import sphere_grid
+from minksub.jets import BATCH_BLOCK, Jet4
 from minksub.minkowski import (AXIS_EXCLUSION, MAX_DRAWS_PER_SAMPLE,
                                ConeTooNarrow, NormModel, SingularDirection,
                                _near_ray_probes, _sample_directions,
@@ -315,6 +319,101 @@ def test_batched_jet_rejects_singular_rows():
     Y[2] = [0.0, 0.0, -2.0]   # on example4's excluded y3-axis
     with pytest.raises(SingularDirection, match="batch row 2"):
         NormModel.example4(1.0, 1.0, 0.1, 0.1).jet(Y)
+
+
+def _admissibility_loop(norm, Y):
+    # the per-row check, one direction at a time: the first row that is
+    # zero or lies within AXIS_EXCLUSION of an excluded axis, and its
+    # message; None when every row is admissible
+    for k, y in enumerate(Y):
+        sq = float(y @ y)
+        off = sum(y[i] * y[i] for i in range(norm.dim)
+                  if i != norm.excluded_axis)
+        if sq == 0.0:
+            return k, f"zero direction (batch row {k})"
+        if norm.excluded_axis is not None and off < AXIS_EXCLUSION * sq:
+            return k, ("direction lies on the excluded y3-axis of the norm "
+                       f"(batch row {k})")
+    return None
+
+
+def _batch_verdict(norm, Y):
+    try:
+        norm.check_admissible(Y, 0)
+    except SingularDirection as exc:
+        return int(str(exc).rsplit(" ", 1)[1][:-1]), str(exc)
+    return None
+
+
+def _axis_boundary():
+    # the largest a for which (a, 0, 1) is still inside the excluded cone of
+    # the example norm, by bisection over the floats between 1e-7 and 1e-5
+    norm = NormModel.example4(10.0, 10.0, 0.1, 0.1)
+    lo, hi = 1e-7, 1e-5
+    while np.nextafter(lo, hi) != hi:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            mid = np.nextafter(lo, hi)
+        bad = _admissibility_loop(norm, [np.array([mid, 0.0, 1.0])])
+        lo, hi = (mid, hi) if bad else (lo, mid)
+    return lo, hi
+
+
+def test_batch_admissibility_matches_the_row_loop():
+    lo, hi = _axis_boundary()
+    assert np.nextafter(lo, 1.0) == hi and abs(lo - 1e-6) < 1e-15
+    example4 = NormModel.example4(10.0, 10.0, 0.1, 0.1)
+    rng = np.random.default_rng(5)
+    cases = []
+    for norm in (example4, NormModel.euclidean(3),
+                 NormModel.expression("(y1^2 + 2*y2^2 + y3^2) / 2", 3)):
+        for bad_rows in ([], [0], [3], [BATCH_BLOCK + 2], [2 * BATCH_BLOCK],
+                         [7, BATCH_BLOCK + 1]):
+            for bad in ([0.0, 0.0, 0.0], [0.0, 0.0, -2.0], [lo, 0.0, 1.0],
+                        [0.0, -lo, 3.0]):
+                Y = rng.standard_normal((2 * BATCH_BLOCK + 9, 3))
+                Y[1] = [hi, 0.0, 1.0]           # one ulp outside the cone
+                Y[2] = [0.0, 3.0 * hi, -3.0]
+                for k in bad_rows:
+                    Y[k] = bad
+                cases.append((norm, Y))
+    for norm, Y in cases:
+        want = _admissibility_loop(norm, Y)
+        assert _batch_verdict(norm, Y) == want
+        # a later block of a sweep names its rows within the block
+        block = Y[BATCH_BLOCK:]
+        assert _batch_verdict(norm, block) == _admissibility_loop(norm, block)
+        # a single direction decides as its batch row does, and names none
+        for k in (0, 1, 2, BATCH_BLOCK + 2):
+            bad = _admissibility_loop(norm, Y[k:k + 1]) is not None
+            try:
+                norm.check_admissible(Y[k])
+                assert not bad
+            except SingularDirection as exc:
+                assert bad and "batch row" not in str(exc)
+        if want is None:
+            norm.jet(Y[:BATCH_BLOCK], 2)
+        else:
+            with pytest.raises(SingularDirection, match=re.escape(want[1])):
+                norm.jet(Y[:want[0] + 1], 2)
+    # some case of each kind was rejected, and the ulp rows pass alone
+    assert {_admissibility_loop(*c) is None for c in cases} == {True, False}
+    example4.check_admissible(np.array([hi, 0.0, 1.0]))
+    with pytest.raises(SingularDirection, match="excluded y3-axis"):
+        example4.check_admissible(np.array([lo, 0.0, 1.0]))
+
+
+def test_sweep_names_a_bad_row_in_a_later_block():
+    norm = NormModel.example4(10.0, 10.0, 0.1, 0.1)
+    germ = Germ.make(2, 1, np.eye(2)[None], np.zeros((1, 2, 2, 2)))
+    U = sphere_grid(2, 2 * BATCH_BLOCK + 9)
+    k = 2 * BATCH_BLOCK + 5
+    U[k] = 0.0
+    with pytest.raises(SingularDirection, match=r"^zero direction \(batch "
+                       rf"row {k - 2 * BATCH_BLOCK}\)$"):
+        ricci_expanded_batch(norm, germ, U)
+    with pytest.raises(SingularDirection, match=r"^zero direction$"):
+        ricci_expanded(norm, germ, U[k])
 
 
 # -- the randers quadratic form over the stacked coordinates ------------------
