@@ -230,7 +230,7 @@ def _ricci_block(germ: Germ, u: np.ndarray, tensors: tuple,
     T4 = -0.5 * (gi @ Q.swapaxes(1, 2) @ fu)
     X = (kap[:, None] @ zeta).reshape(rows, p) @ germ.d2.reshape(p, n * n)
     T5 = gi @ (X.reshape(rows, n, n) - fz @ fu).swapaxes(1, 2)
-    parts = np.stack((T1, T5, T2, T3 + T4), 1).trace(axis1=2, axis2=3)
+    parts = np.array((T1, T5, T2, T3 + T4)).trace(axis1=2, axis2=3).T
     Rik = T1 + T2 + T3 + T4 + T5
     G = 0.5 * (h @ kap[:, :, None])[..., 0]
     return (u, np.sqrt(2.0 * h0), g, h, kap, G, xi, zeta, eta, rho, Rik,
