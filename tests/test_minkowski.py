@@ -369,8 +369,9 @@ def test_batch_admissibility_matches_the_row_loop():
                  NormModel.expression("(y1^2 + 2*y2^2 + y3^2) / 2", 3)):
         for bad_rows in ([], [0], [3], [BATCH_BLOCK + 2], [2 * BATCH_BLOCK],
                          [7, BATCH_BLOCK + 1]):
+            # zero, on the axis, and one ulp inside the cone at two scales
             for bad in ([0.0, 0.0, 0.0], [0.0, 0.0, -2.0], [lo, 0.0, 1.0],
-                        [0.0, -lo, 3.0]):
+                        [0.0, -3.0 * lo, -3.0]):
                 Y = rng.standard_normal((2 * BATCH_BLOCK + 9, 3))
                 Y[1] = [hi, 0.0, 1.0]           # one ulp outside the cone
                 Y[2] = [0.0, 3.0 * hi, -3.0]
