@@ -248,7 +248,7 @@ def ricci_expanded_batch(norm: NormModel, germ: Germ, U) -> CurvatureReport:
     blocks = []
     for s in range(0, len(U), BATCH_BLOCK):
         u = U[s:s + BATCH_BLOCK]
-        jet = norm.jet(np.hstack([u, np.zeros((len(u), germ.p))]))
+        jet = norm.jet(np.hstack([u, np.zeros((len(u), germ.p))]), row=s)
         blocks.append(_ricci_block(germ, u, jet.partial_tensors(4), s))
     return CurvatureReport(*(np.concatenate(f) for f in zip(*blocks)))
 
@@ -338,7 +338,8 @@ def spray_field(norm: NormModel, germ: Germ, x, u) -> np.ndarray:
     lift = np.concatenate([u, (fi @ u[..., None])[..., 0]], axis=-1)
     blocks = [lift] if lift.ndim == 1 else [
         lift[s:s + BATCH_BLOCK] for s in range(0, len(lift), BATCH_BLOCK)]
-    H = np.concatenate([norm.jet(b, 2).hessian() for b in blocks])
+    H = np.concatenate([norm.jet(b, 2, k * BATCH_BLOCK).hessian()
+                        for k, b in enumerate(blocks)])
     return _spray(H, fi, fkl, u, np.linalg.solve)
 
 

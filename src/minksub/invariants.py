@@ -13,6 +13,7 @@ checks of the curvature pipeline.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from statistics import NormalDist
 
 import numpy as np
@@ -29,6 +30,7 @@ RULED_TOL = 1e-10           # kappa(u) and the cubic vanish at a ruling
 RULED_AGREE_TOL = 1e-9      # full Ricci vs reduced contraction, relative
 RULED_IN_L_TOL = 1e-8       # u lies in L(P): f(u, .) below this, scaled
 NORMAL_SAMPLES = 10000      # normal directions sampled when p >= 3
+NORMAL_TABLES = 8           # (seed, p) normal tables kept, 80 KB * p each
 
 SOBOL_BITS = 30
 # Joe & Kuo (SIAM J. Sci. Comput. 30, 2008) rows (a, m) of Sobol dimensions
@@ -94,13 +96,21 @@ def point_type(germ: Germ, seed: int = 0):
         pen = pencils.SymPencil.make(germ.d2[0], A2)
         return pencils.pencil_type(pen) if germ.d2.any() else 0
 
-    rng = np.random.default_rng(seed)
-    normals = rng.standard_normal((NORMAL_SAMPLES, germ.p))
-    normals /= np.linalg.norm(normals, axis=1, keepdims=True)
-    forms = np.einsum("sa,aij->sij", normals, germ.d2)
+    forms = np.einsum("sa,aij->sij", _normal_table(seed, germ.p), germ.d2)
     pos, _ = pencils.max_rank_inertia(forms, RANK_TOL)
     bound = int(pos.min())
     return Interval(bound, bound)
+
+
+@lru_cache(maxsize=NORMAL_TABLES)
+def _normal_table(seed: int, p: int) -> np.ndarray:
+    """The NORMAL_SAMPLES unit normals (read-only) that ``point_type``
+    draws from ``seed`` for codimension p: a constant table per (seed, p)."""
+    rng = np.random.default_rng(seed)
+    normals = rng.standard_normal((NORMAL_SAMPLES, p))
+    normals /= np.linalg.norm(normals, axis=1, keepdims=True)
+    normals.setflags(write=False)
+    return normals
 
 
 def point_invariants(germ: Germ, seed: int = 0) -> PointInvariants:

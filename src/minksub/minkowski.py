@@ -168,12 +168,12 @@ class NormModel:
         self.check_admissible(y)
         return float(self.h(list(y)))
 
-    def jet(self, base, order: int = MAX_ORDER) -> Jet4:
+    def jet(self, base, order: int = MAX_ORDER, row: int = 0) -> Jet4:
         """Jet of H of ``order`` about admissible ``base`` (dim,), or about
-        each row of (B, dim); each coefficient is bit for bit the order-4
-        jet's."""
+        each row of (B, dim), whose errors number row k as ``row`` + k; each
+        coefficient is bit for bit the order-4 jet's."""
         base = np.asarray(base, dtype=np.float64)
-        self.check_admissible(base, 0 if base.ndim == 2 else None)
+        self.check_admissible(base, row if base.ndim == 2 else None)
         return self.h(Jet4.variables(self.dim, base, order))
 
     # -- admissibility -----------------------------------------------------
@@ -310,7 +310,8 @@ def validate_norm(model: NormModel, samples: int = VALIDATION_SAMPLES,
         notes.append(f"sample restricted to y1^2+y2^2 >= "
                      f"{min_axis_fraction ** 2:g} * |y|^2")
 
-    tensors = zip(*(model.jet(dirs[s:s + BATCH_BLOCK], 2).partial_tensors(2)
+    tensors = zip(*(model.jet(dirs[s:s + BATCH_BLOCK], 2, s)
+                    .partial_tensors(2)
                     for s in range(0, len(dirs), BATCH_BLOCK)))
     values, grads, hessians = (np.concatenate(t) for t in tensors)
     # stacked matmuls make per row the BLAS calls of y @ d1 and d2 @ y

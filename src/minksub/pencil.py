@@ -363,9 +363,14 @@ def spectral_split(P: SymPencil) -> SpectralData:
     the pencil, so the extracted (alpha, beta) data do not depend on
     which member was inverted.
     """
+    return _spectral_split(P, _reference(P))
+
+
+def _spectral_split(P: SymPencil, ref) -> SpectralData:
+    """spectral_split on the reference ``ref`` = _reference(P)."""
     A1, A2 = P.A1, P.A2
     N = P.dim
-    b, c, sv = _reference(P)
+    b, c, sv = ref
     if _rank(sv) < N:
         raise SingularA2(f"no probe has condition below {COND_LIMIT:g}")
     B, C = P.member(*b), P.member(*c)
@@ -668,12 +673,13 @@ class GenericityReport:
 
 def genericity_check(P: SymPencil, seed: int = 0) -> GenericityReport:
     """The three genericity conditions, reported rather than enforced."""
-    det_ok = _rank(_reference(P)[2]) == P.dim
+    ref = _reference(P)
+    det_ok = _rank(ref[2]) == P.dim
 
     notes = []
     spectral = None
     try:
-        spectral = spectral_split(P)
+        spectral = _spectral_split(P, ref)
         semisimple = True
     except NotSemisimple as exc:
         semisimple = False

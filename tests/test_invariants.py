@@ -7,10 +7,11 @@ import pytest
 
 from minksub.curvature import ricci_expanded, ricci_expanded_batch
 from minksub.germ import Germ, sym3
-from minksub.invariants import (Interval, NotRuledDirection, audit_codim2,
+from minksub.invariants import (NORMAL_SAMPLES, NORMAL_TABLES, RANK_TOL,
+                                Interval, NotRuledDirection, audit_codim2,
                                 audit_hypersurface, audit_ruled, nullity,
                                 point_invariants, point_type, sphere_grid,
-                                _sobol_points)
+                                _normal_table, _sobol_points)
 from minksub.jets import BATCH_BLOCK, MAX_DIM
 from minksub.minkowski import NormModel
 from minksub.pencil import (SymPencil, max_rank_inertia, spectral_split,
@@ -104,6 +105,58 @@ def test_point_type_codim_three_interval():
     t = point_type(g)
     assert isinstance(t, Interval)
     assert t.lower == t.upper == 1
+
+
+def drawn_point_type(germ, seed):
+    """The p >= 3 point type with the normal table drawn afresh per call."""
+    normals = np.random.default_rng(seed).standard_normal(
+        (NORMAL_SAMPLES, germ.p))
+    normals /= np.linalg.norm(normals, axis=1, keepdims=True)
+    forms = np.einsum("sa,aij->sij", normals, germ.d2)
+    bound = int(max_rank_inertia(forms, RANK_TOL)[0].min())
+    return Interval(bound, bound)
+
+
+@pytest.mark.parametrize("p", [3, 4])
+def test_sampled_point_type_matches_a_fresh_draw(p):
+    rng = np.random.default_rng(70 + p)
+    for n in range(2, 6):
+        for planted in (False, True):
+            k = int(rng.integers(1, n)) if planted else 0
+            U = np.linalg.qr(rng.standard_normal((n, n)))[0][:, k:]
+            S = rng.standard_normal((p, n - k, n - k))
+            g = flat_germ([U @ (M + M.T) @ U.T for M in S])
+            assert nullity(g)[0] == k
+            for seed in (0, 1, 5):
+                assert point_type(g, seed) == drawn_point_type(g, seed)
+
+
+def test_normal_table_is_drawn_once_per_seed_and_codimension(monkeypatch):
+    draws = []
+    real = np.random.default_rng
+
+    def spy(seed):
+        draws.append(seed)
+        return real(seed)
+
+    rng = np.random.default_rng(7)
+    germs = {p: flat_germ([M + M.T for M in rng.standard_normal((p, 3, 3))])
+             for p in (3, 4)}
+    _normal_table.cache_clear()
+    monkeypatch.setattr(np.random, "default_rng", spy)
+    for _ in range(3):
+        for p, g in germs.items():
+            for seed in (0, 5):
+                point_type(g, seed)
+    assert sorted(draws) == [0, 0, 5, 5]
+    table = _normal_table(5, 4)
+    assert table.shape == (NORMAL_SAMPLES, 4)
+    assert not table.flags.writeable
+    with pytest.raises(ValueError):
+        table[0, 0] = 1.0
+    for seed in range(2 * NORMAL_TABLES):
+        _normal_table(seed, 3)
+    assert _normal_table.cache_info().currsize == NORMAL_TABLES
 
 
 def test_point_invariants_to_dict():

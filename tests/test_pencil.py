@@ -327,6 +327,49 @@ def test_genericity_sampled_report_is_frozen():
         "points")
 
 
+def genericity_cases():
+    rng = np.random.default_rng(23)
+    for C in (CanonicalData(l=0, n=(), s=2), CanonicalData(l=1, n=(2,), s=1),
+              CanonicalData(l=2, n=(1, 1, 2), s=0)):
+        q, _ = np.linalg.qr(rng.standard_normal((C.dim, C.dim)))
+        yield congruent(build_canonical(C), q)
+    yield jordan_pencil(4, 1)
+    yield jordan_pencil(6, 2)
+    A1 = np.zeros((3, 3))
+    A1[0, 1] = A1[1, 0] = 1.0
+    A2 = np.zeros((3, 3))
+    A2[0, 2] = A2[2, 0] = 1.0
+    yield SymPencil.make(A1, A2)            # det vanishes identically
+    yield SymPencil.make(np.diag([1.0, 0.0, 1.0]), np.diag([0.0, 1.0, -1.0]))
+    yield SymPencil.make(np.diag([1.0, -1.0, 0.0]),
+                         np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0],
+                                   [0.0, 0.0, 0.0]]))   # a common kernel
+
+
+def test_genericity_check_searches_the_probes_once(monkeypatch):
+    searches = []
+    real_reference = pencil_module._reference
+    real_split = pencil_module._spectral_split
+
+    def spy(P):
+        searches.append(P)
+        return real_reference(P)
+
+    def two_searches(P, ref):
+        return real_split(P, pencil_module._reference(P))
+
+    monkeypatch.setattr(pencil_module, "_reference", spy)
+    for P in genericity_cases():
+        searches.clear()
+        rep = genericity_check(P, seed=3)
+        assert len(searches) == 1
+        with monkeypatch.context() as m:
+            m.setattr(pencil_module, "_spectral_split", two_searches)
+            want = genericity_check(P, seed=3)
+        assert len(searches) == 3
+        assert rep == want
+
+
 def test_genericity_flags_degenerate_determinant():
     A1 = np.zeros((3, 3))
     A1[0, 1] = A1[1, 0] = 1.0
