@@ -30,6 +30,11 @@ RANDERS4 = {"kind": "randers",
             "a": [[1.0, 0.1, 0.0, 0.0], [0.1, 2.0, 0.0, 0.2],
                   [0.0, 0.0, 1.5, 0.0], [0.0, 0.2, 0.0, 1.0]],
             "b": [0.1, -0.2, 0.0, 0.15]}
+RANDERS5 = {"kind": "randers",
+            "a": [[1.0, 0.1, 0.0, 0.0, 0.1], [0.1, 2.0, 0.0, 0.2, 0.0],
+                  [0.0, 0.0, 1.5, 0.0, 0.0], [0.0, 0.2, 0.0, 1.0, -0.1],
+                  [0.1, 0.0, 0.0, -0.1, 1.2]],
+            "b": [0.1, -0.2, 0.0, 0.15, 0.1]}
 EXPRESSION = {"kind": "expression", "dim": 3,
               "text": "(y1^2 + 2*y2^2 + y3^2) / 2 + y1 * y2 / 4"}
 
@@ -49,6 +54,9 @@ for _idx in ((0, 0, 1), (0, 1, 0), (1, 0, 0)):
 EXAMPLE_D3[0, 1, 1, 1] = -100.0
 EXAMPLE_SURFACE = _germ(2, 1, [[[1.0, F12], [F12, 1.0]]],
                         EXAMPLE_D3.tolist())
+SURFACE2 = _germ(2, 2, [[[2.0, 0.5], [0.5, -1.0]], [[0.0, 1.0], [1.0, 0.5]]],
+                 (np.array([0.1, -0.05])[:, None, None, None]
+                  * np.ones((2, 2, 2, 2))).tolist())
 HYPER3 = _germ(3, 1, [[[1.0, 0.2, 0.0], [0.2, 2.0, 0.1], [0.0, 0.1, 0.5]]],
                (0.05 * np.ones((1, 3, 3, 3))).tolist())
 CODIM2 = _germ(3, 2, [[[1.0, 0.0, 0.0], [0.0, 2.0, 0.0], [0.0, 0.0, -1.0]],
@@ -82,6 +90,13 @@ CASES = {
                           {"norm": RANDERS3, "germ": SURFACE}, 0),
     "curvature_example4": (["curvature", "--direction", "1,0.2"],
                            {"norm": EXAMPLE4, "germ": EXAMPLE_SURFACE}, 0),
+    # p = 2 and non-family norms run the one-row block on other shapes
+    "curvature_codim2_n2": (["curvature", "--direction", "0.3,1"],
+                            {"norm": RANDERS4, "germ": SURFACE2}, 0),
+    "curvature_codim2_n3": (["curvature", "--direction", "1,0.5,-0.3"],
+                            {"norm": RANDERS5, "germ": CODIM2}, 0),
+    "curvature_expression": (["curvature", "--direction", "1,0.5"],
+                             {"norm": EXPRESSION, "germ": SURFACE}, 0),
     "invariants_p1": (["invariants"], HYPER3, 0),
     "invariants_p2": (["invariants"], CODIM2, 0),
     "invariants_p2_sampled": (["invariants"],
@@ -105,6 +120,8 @@ CASES = {
                     {"norm": RANDERS4, "germ": HYPER3}, 0),
     "ricci_grid": (["ricci-grid", "--grid", "32"],
                    {"norm": RANDERS4, "germ": HYPER3}, 0),
+    "ricci_grid_codim2": (["ricci-grid", "--grid", "24"],
+                          {"norm": RANDERS4, "germ": SURFACE2}, 0),
     # 300 directions cross batch-block boundaries (jets.BATCH_BLOCK)
     "ricci_grid_blocks": (["ricci-grid", "--grid", "300"],
                           {"norm": RANDERS3, "germ": SURFACE}, 0),
