@@ -160,9 +160,8 @@ def ricci_expanded(norm: NormModel, germ: Germ, u) -> CurvatureReport:
     row 0 of the one-row _ricci_block on the unbatched jet of H at the lift
     (its arrays are views of block arrays that nothing else holds)."""
     lift = _lift(germ, u)
-    tensors = norm.jet(lift)[None].partial_tensors(4)
-    u, S, *arrays, ric, parts = (
-        f[0] for f in _ricci_block(germ, lift[None, :germ.n], tensors))
+    u, S, *arrays, ric, parts = [f[0] for f in _ricci_block(
+        germ, lift[None, :germ.n], norm.jet(lift)[None].partial_tensors(4))]
     return CurvatureReport(u, float(S), *arrays, float(ric),
                            tuple(parts.tolist()))
 
@@ -171,70 +170,66 @@ def _ricci_block(germ: Germ, u: np.ndarray, tensors: tuple,
                  first: int | None = None) -> tuple:
     """CurvatureReport's fields for the rows r of u (R, n), by matmuls over
     r, from H's partial tensors (h0, d1, ..., d4) at the lifts (u, 0), all
-    with leading axis r.  u-derivative indices k, l follow r, then a
-    quantity's own: DGI[r, k, i, j] = d_k g^ij, DH[r, k, i, a] = d_k h^i_a,
-    DZ[r, k, a, b] = d_k zeta_ab (H's tensors are symmetric).  Per row,
-    E = (-h; I_p) and R_k = (d3_k E)[t] give d_k zeta = E^T d3_k E,
-    d_k h = g^-1 R_k and d_k d_l zeta = E^T d4_kl E - R_k^T g^-1 R_l
-    - R_l^T g^-1 R_k, read only through one d4[r, t, t] product each for
-    g^kl d_k d_l zeta (eta) and kappa^a kappa^b d_k d_l zeta_ab (z_kl); d3
-    is read in d3[r, t].  ``first`` numbers rows in _pd_inverse's errors."""
-    n, p, rows = germ.n, germ.p, len(u)
+    with leading axis r; ``first`` numbers rows in _pd_inverse's errors.
+    Per row, L = ((I_n, 0); E^T; (g^-1, 0)) puts every first u-derivative
+    in one stack Z_k = L d3_k L[n:]^T (R_k = (d3_k E)[t], d_k zeta, d_k h
+    in its first p columns, -d_k g^-1 in its last n).  Products sharing an
+    operand are one matmul: g^-1 on all Z_k, Z_k on three columns, and
+    d3_k[t, t] on two vectors and g^-1 on the four Ricci groups stacked on
+    a new leading axis (one trace gives ric_parts, one sum Rik).  All are
+    per row: bits do not depend on the block size, except that one-row
+    blocks run the 2-D germ products as gemv."""
+    n, p, N, rows = germ.n, germ.p, germ.n + germ.p, len(u)
     h0, _, d2, d3, d4 = tensors
     t, s = slice(None, n), slice(n, None)       # tangent and normal blocks
     g, A = d2[:, t, t], d2[:, t, s]
     gi = _pd_inverse(g, first)
-    g1 = gi[:, None]                            # broadcast over k
-    DGI = -(g1 @ d3[:, t, t, t]) @ g1
     h = gi @ A
-    E = np.concatenate((-h, np.eye(p)[None].repeat(rows, 0)), 1)
-    F = d3[:, t] @ E[:, None]                   # d3_k E
-    R, DZ = F[:, :, t], E.swapaxes(1, 2)[:, None] @ F
-    DH = g1 @ R
+    L = np.zeros((rows, n + N, N))
+    L.reshape(rows, -1)[:, :N * N:N + 1] = 1.0  # the diagonal of (I_n; E^T)
+    np.negative(h.swapaxes(1, 2), out=L[:, n:N, t])
+    L[:, N:, t] = gi
+    ET, E = L[:, n:N], L[:, n:N].swapaxes(1, 2)
+    Z = L[:, None] @ (d3[:, t] @ L[:, None, n:].swapaxes(2, 3))
+    GZ = (gi @ Z.reshape(rows, n, -1)).reshape(Z.shape)   # g^lk Z_k
+    R, DZ, DH = Z[:, :, t, :p], Z[:, :, n:N, :p], Z[:, :, N:, :p]
     zeta = d2[:, s, s] - h.swapaxes(1, 2) @ A
+    tr = -0.5 * Z[:, :, N:].trace(axis1=1, axis2=2)   # xi; d_k g^kj / 2
+    xi, dg = tr[:, :p], tr[:, p:, None, None]
     D4 = d4[:, t, t].reshape(rows, n * n, -1)   # d4_kl as rows
-    GR = (gi @ DH.reshape(rows, n, n * p)).reshape(rows, n * n, p)  # g^kl DH_l
-    S = R.reshape(rows, n * n, p).swapaxes(1, 2) @ GR   # g^kl R_k^T g^-1 R_l
-    W = (gi.reshape(rows, 1, n * n) @ D4).reshape(rows, n + p, n + p)
-
-    def act(X, y):   # (X[k] @ y)[i] as the matrix [i, k]
-        return (X @ y[:, None, :, None])[..., 0].swapaxes(1, 2)
-
-    xi = -0.5 * DH.trace(axis1=1, axis2=2)
-    eta = 0.75 * (DH.reshape(rows, n * n, p).swapaxes(1, 2)
-                  @ DH.swapaxes(1, 2).reshape(rows, n * n, p)) + 0.5 * (
-        (DGI.trace(axis1=1, axis2=2)[:, None]
-         @ DZ.reshape(rows, n, p * p)).reshape(rows, p, p)
-        + E.swapaxes(1, 2) @ W @ E - 2.0 * S)
+    W = (gi.reshape(rows, 1, n * n) @ D4).reshape(rows, N, N)
+    eta = (0.75 * (DH.swapaxes(2, 3) @ DH.swapaxes(1, 2))
+           - R.swapaxes(2, 3) @ GZ[:, :, N:, :p] + dg * DZ).sum(1) + 0.5 * (
+        ET @ W @ E)
     rho = (3.0 * xi[:, None, :, None] * h[:, :, None, :]
-           + 0.5 * DGI.trace(axis1=1, axis2=3)[..., None, None] * zeta[:, None]
-           + (gi @ DZ.reshape(rows, n, p * p)).reshape(rows, n, p, p))
+           + dg * zeta[:, None] + GZ[:, :, n:N, :p])
+    uc = u[:, :, None]
     fu = (u @ germ.d2.reshape(p * n, n).T).reshape(rows, p, n)
     fuT = fu.swapaxes(1, 2)
     fz = fuT @ zeta
-    kap = (fu @ u[:, :, None])[..., 0]
-    cub = (u @ germ.d3.reshape(p * n * n, n).T).reshape(rows, p * n, n)
-    cub = ((cub @ u[:, :, None]).reshape(rows, p, n) @ u[:, :, None])[..., 0]
-    Q = act(DZ, kap)                            # dzeta[a, b, k] kap[b]
-    P = act(R, kap)                             # R_k kap as [i, k]
-    DHk = gi @ P                                # act(DH, kap)
-    v = E @ kap[:, :, None]
-    z_kl = ((D4.reshape(rows, -1, n + p) @ v).reshape(rows, n * n, -1) @ v
-            ).reshape(rows, n, n) - 2.0 * (P.swapaxes(1, 2) @ DHk)
-    T1 = -0.5 * act(DH, cub)
-    T2 = -(0.75 * (DHk @ DHk) + 0.5 * (act(DGI, (kap[:, None] @ Q)[:, 0])
-                                       + gi @ z_kl))
-    T3 = (1.5 * act(DH, (fu @ h @ kap[:, :, None])[..., 0])
-          - 0.5 * (act(DGI, (fz @ kap[:, :, None])[..., 0])
-                   + gi @ fuT @ Q))
-    T4 = -0.5 * (gi @ Q.swapaxes(1, 2) @ fu)
-    X = (kap[:, None] @ zeta).reshape(rows, p) @ germ.d2.reshape(p, n * n)
-    T5 = gi @ (X.reshape(rows, n, n) - fz @ fu).swapaxes(1, 2)
-    parts = np.array((T1, T5, T2, T3 + T4)).trace(axis1=2, axis2=3).T
-    Rik = T1 + T2 + T3 + T4 + T5
-    G = 0.5 * (h @ kap[:, :, None])[..., 0]
-    return (u, np.sqrt(2.0 * h0), g, h, kap, G, xi, zeta, eta, rho, Rik,
-            Rik.trace(axis1=1, axis2=2), parts)
+    cub = (u @ germ.d3.reshape(p * n * n, n).T).reshape(rows, p * n, n) @ uc
+    y = np.concatenate((fu, -0.5 * cub.reshape(rows, p, n),
+                        1.5 * (fu @ h @ fu)), 1) @ uc
+    kap = y[:, :p]
+    PQ = Z[..., :p] @ y.reshape(rows, 1, 3, p).swapaxes(2, 3)
+    P, Q = PQ[:, :, t, 0], PQ[:, :, n:N, 0]     # R_k kap, d_k zeta kap [k]
+    DHk = PQ[:, :, N:, 0].swapaxes(1, 2)        # d_k h kap as columns k
+    v = E @ kap
+    w = gi @ (np.array((Q, fz)) @ (0.5 * kap))
+    B = (d3[:, t, t, t] @ w[:, :, None])[..., 0].swapaxes(2, 3)
+    K = fuT @ Q.swapaxes(1, 2)
+    X = (kap.swapaxes(1, 2) @ zeta).reshape(rows, p) @ germ.d2.reshape(p, -1)
+    T = gi @ np.array((                         # groups cub, zeta, eta, rho
+        PQ[:, :, t, 1].swapaxes(1, 2),
+        (X.reshape(rows, n, n) - fz @ fu).swapaxes(1, 2),
+        ((D4.reshape(rows, -1, N) @ v).reshape(rows, n * n, -1)
+         @ (-0.5 * v)).reshape(rows, n, n)
+        + (P - 0.75 * P.swapaxes(1, 2)) @ DHk + B[0],
+        PQ[:, :, t, 2].swapaxes(1, 2) + B[1] - 0.5 * (K + K.swapaxes(1, 2))))
+    Rik = T.sum(0)
+    return (u, np.sqrt(2.0 * h0), g, h, kap[..., 0], 0.5 * (h @ kap)[..., 0],
+            xi, zeta, eta, rho, Rik, Rik.trace(axis1=1, axis2=2),
+            T.trace(axis1=2, axis2=3).T)
 
 
 def ricci_expanded_batch(norm: NormModel, germ: Germ, U) -> CurvatureReport:
