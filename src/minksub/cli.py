@@ -242,22 +242,20 @@ def _cmd_pencil_type(args) -> int:
 
 def _cmd_pencil_classify(args) -> int:
     pen, _, _ = pencil_from_config(_load_json(args.file))
-    gen = pencils.genericity_check(pen, seed=args.seed)
+    ref = pencils._reference(pen)
+    gen, spec, error = pencils._genericity(pen, args.seed, ref)
     out = {"seed": args.seed, "genericity": gen.to_dict(),
            "spectral": None, "canonical": None, "topology": None,
-           "type": pencils.pencil_type(pen), "notes": [],
+           "type": pencils._pencil_type(pen, ref), "notes": [],
            "tolerances": {"eigTol": pencils.EIG_TOL,
                           "clusterTol": pencils.CLUSTER_TOL,
                           "canonicalAngleTol": pencils.CANONICAL_ANGLE_TOL}}
-    try:
-        spec = pencils.spectral_split(pen)
+    if spec is None:
+        out["notes"].append(f"spectral split unavailable: {error}")
+    else:
         out["spectral"] = {"realPairs": [list(p) for p in spec.real_pairs],
                            "complexPairs": [list(p)
                                             for p in spec.complex_pairs]}
-    except (pencils.SingularA2, pencils.NotSemisimple) as exc:
-        out["notes"].append(f"spectral split unavailable: {exc}")
-        spec = None
-    if spec is not None:
         try:
             canon = pencils.canonical_from_spectral(spec)
             out["canonical"] = {"l": canon.l, "n": list(canon.n),

@@ -30,6 +30,7 @@ import numpy as np
 from .jets import Jet4
 
 SYMMETRY_WARN_TOL = 1e-10
+SYM_TOL = 1e-12  # pencils, randers a: |M - M^T| <= SYM_TOL (1 + max |M|)
 COND_LIMIT = 1e12  # larger condition numbers count as singular
 
 

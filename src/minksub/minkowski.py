@@ -37,6 +37,7 @@ from typing import Callable
 
 import numpy as np
 
+from .germ import SYM_TOL
 from .jets import BATCH_BLOCK, MAX_ORDER, Jet4
 from .norm_expr import evaluate, parse_norm
 
@@ -133,7 +134,7 @@ class NormModel:
         dim = a.shape[0]
         if a.shape != (dim, dim) or b.shape != (dim,):
             raise ValueError("a must be (dim, dim) and b (dim,)")
-        if np.max(np.abs(a - a.T)) > 1e-12 * (1.0 + np.max(np.abs(a))):
+        if np.max(np.abs(a - a.T)) > SYM_TOL * (1.0 + np.max(np.abs(a))):
             raise ValueError("a must be symmetric")
         a = 0.5 * (a + a.T)
         evals = np.linalg.eigvalsh(a)

@@ -25,12 +25,13 @@ from math import atan2, cos, pi, sin
 
 import numpy as np
 
-from .germ import sym3
+from .germ import SYM_TOL, sym3
 
-SYM_TOL = 1e-12
 EIG_TOL = 1e-9          # scaled by (1 + spectral radius)
 CLUSTER_TOL = 1e-6      # eigenvalue clustering, scaled the same way
 CANONICAL_ANGLE_TOL = 1e-6
+ARC_MERGE_TOL = 1e-12   # type_exact: critical angles closer than this are one
+SMOOTH_TOL = 1e-6       # sampled dependency functional, scaled by 1 + max |A|
 ANTIPODAL_TOL = 1e-9
 COND_LIMIT = 1e10
 RESIDUAL_SQ = 1e-16     # success threshold for common_zero_search
@@ -470,7 +471,7 @@ def type_exact(S: SpectralData) -> int:
     crit = np.concatenate([(phi + 0.5 * np.pi) % (2 * np.pi),
                            (phi + 1.5 * np.pi) % (2 * np.pi)])
     crit = np.sort(crit)
-    keep = np.concatenate([[True], np.diff(crit) > 1e-12])
+    keep = np.concatenate([[True], np.diff(crit) > ARC_MERGE_TOL])
     crit = crit[keep]
     mids = (crit + np.diff(np.concatenate([crit, [crit[0] + 2 * np.pi]])) / 2.0)
     counts = [(np.cos(th) * pts[:, 0] + np.sin(th) * pts[:, 1] > 0.0).sum()
@@ -488,7 +489,11 @@ def pencil_type(P: SymPencil) -> int:
     The real parts of complex mu and the reference angle (a root when B
     is singular; never an empty list) add angles, which only split arcs.
     """
-    b, c, sv = _reference(P)
+    return _pencil_type(P, _reference(P))
+
+
+def _pencil_type(P: SymPencil, ref) -> int:   # on ref = _reference(P)
+    b, c, sv = ref
     if sv[0] == 0.0:
         raise ZeroPencil("both pencil matrices are zero")
     B, C = P.member(*b), P.member(*c)
@@ -673,21 +678,20 @@ class GenericityReport:
 
 def genericity_check(P: SymPencil, seed: int = 0) -> GenericityReport:
     """The three genericity conditions, reported rather than enforced."""
-    ref = _reference(P)
-    det_ok = _rank(ref[2]) == P.dim
+    return _genericity(P, seed, _reference(P))[0]
 
-    notes = []
-    spectral = None
+
+def _genericity(P: SymPencil, seed: int, ref) -> tuple:
+    """genericity_check on ref = _reference(P), with (split, error)."""
+    det_ok = _rank(ref[2]) == P.dim
+    notes, spectral, error = [], None, None
     try:
         spectral = _spectral_split(P, ref)
-        semisimple = True
-    except NotSemisimple as exc:
-        semisimple = False
-        notes.append(f"spectral split failed: {exc}")
-    except SingularA2 as exc:
-        semisimple = False
-        notes.append(f"semisimplicity untested: {exc}")
-
+    except (NotSemisimple, SingularA2) as exc:
+        error = exc
+        notes.append(("spectral split failed: " if isinstance(
+            exc, NotSemisimple) else "semisimplicity untested: ") + str(exc))
+    semisimple = spectral is not None
     if spectral is not None:
         method = "spectral"
         smooth = True
@@ -703,7 +707,8 @@ def genericity_check(P: SymPencil, seed: int = 0) -> GenericityReport:
         method = "sampled"
         smooth, extra = _smooth_sampled(P, seed)
         notes.extend(extra)
-    return GenericityReport(det_ok, semisimple, smooth, method, tuple(notes))
+    return (GenericityReport(det_ok, semisimple, smooth, method,
+                             tuple(notes)), spectral, error)
 
 
 def _smooth_sampled(P: SymPencil, seed: int) -> tuple:
@@ -722,7 +727,7 @@ def _smooth_sampled(P: SymPencil, seed: int) -> tuple:
                       "may be empty",)
     worst = min(np.linalg.svd(np.stack([P.A1 @ x, P.A2 @ x], axis=1),
                               compute_uv=False)[-1] for x in found)
-    return bool(worst > 1e-6 * scale), (
+    return bool(worst > SMOOTH_TOL * scale), (
         f"sampled dependency functional minimum {worst:.3e} over "
         f"{len(found)} located points",)
 

@@ -250,6 +250,31 @@ def test_pencil_classify_types_a_jordan_pencil(tmp_path, capsys):
                for n in rep["notes"])
 
 
+@pytest.mark.parametrize("A1, A2", [
+    (build_canonical(CanonicalData(l=1, n=(2,), s=1)).A1.tolist(),
+     build_canonical(CanonicalData(l=1, n=(2,), s=1)).A2.tolist()),
+    ([[0.0, 0.0], [0.0, 1.0]], [[0.0, 1.0], [1.0, 0.0]]),     # Jordan block
+], ids=["canonical", "jordan"])
+def test_pencil_classify_searches_and_splits_once(tmp_path, capsys,
+                                                  monkeypatch, A1, A2):
+    from minksub import pencil as pencils
+    calls = {"_reference": 0, "_spectral_split": 0}
+    for name in calls:
+        def spy(*args, _f=getattr(pencils, name), _name=name):
+            calls[_name] += 1
+            return _f(*args)
+        monkeypatch.setattr(pencils, name, spy)
+    cfg = write(tmp_path, "p.json", {"A1": A1, "A2": A2})
+    code, out, _ = run(capsys, ["pencil", "classify", "--file", cfg])
+    assert code == 0
+    assert calls == {"_reference": 1, "_spectral_split": 1}
+    # the shared search reports what the public functions report alone
+    rep = json.loads(out)
+    pen = pencils.SymPencil.make(A1, A2)
+    assert rep["genericity"] == pencils.genericity_check(pen).to_dict()
+    assert rep["type"] == pencils.pencil_type(pen)
+
+
 def test_pencil_common_zero_found(tmp_path, capsys):
     cfg = write(tmp_path, "p.json",
                 {"A1": [[1.0, 0, 0], [0, -1.0, 0], [0, 0, 0.0]],
