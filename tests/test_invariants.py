@@ -8,6 +8,7 @@ import pytest
 from minksub.curvature import ricci_expanded, ricci_expanded_batch
 from minksub.germ import Germ, sym3
 from minksub.invariants import (NORMAL_SAMPLES, NORMAL_TABLES, RANK_TOL,
+                                RULED_AGREE_TOL,
                                 Interval, NotRuledDirection, audit_codim2,
                                 audit_hypersurface, audit_ruled, nullity,
                                 point_invariants, point_type, sphere_grid,
@@ -293,6 +294,42 @@ def test_audit_ruled_on_randers_norm():
     g = flat_germ([np.diag([1.0, 0.0])])
     rep = audit_ruled(norm, g, np.array([0.0, 1.0]))
     assert rep.verdict == "CONSISTENT"
+
+
+def test_audit_ruled_codim_two_randers_escaping_direction():
+    # n = 3, p = 2, ruled along u = (1, 2, 0)/sqrt(5): kappa(u) and the cubic
+    # vanish, but f(u, .) does not, so u lies outside L(P); the sign rule
+    # then needs Ric(u) < 0, which the reduced contraction -zeta(fu g fu)
+    # guarantees
+    rng = np.random.default_rng(71)
+    m = 0.3 * rng.standard_normal((5, 5))
+    a = np.eye(5) + m @ m.T
+    b = rng.standard_normal(5)
+    b *= 0.4 / np.sqrt(b @ np.linalg.solve(a, b))
+    norm = NormModel.randers(a, b)
+    Q = np.linalg.qr(np.array([[1.0, 2.0, 0.0], [-2.0, 1.0, 0.0],
+                               [0.0, 0.0, 1.0]]).T)[0]     # Q e1 = u
+    d2 = rng.standard_normal((2, 3, 3))
+    d2 = d2 + d2.swapaxes(1, 2)
+    d2[:, 0, 0] = 0.0
+    d3 = sym3(rng.standard_normal((2, 3, 3, 3)))
+    d3[:, 0, 0, 0] = 0.0
+    # the germ in coordinates where e1 becomes u
+    d2 = np.einsum("aij,ki,lj->akl", d2, Q, Q)
+    d3 = np.einsum("aijk,li,mj,nk->almn", d3, Q, Q, Q)
+    germ = Germ.make(3, 2, d2, d3)
+    u = Q[:, 0]
+    rep = audit_ruled(norm, germ, u, seed=3)
+    fu = np.einsum("ajl,l->aj", germ.d2, u)
+    assert np.abs(fu).max() > 0.1
+    full = ricci_expanded(norm, germ, u)
+    reduced = -np.einsum("il,ab,bl,ai->", np.linalg.inv(full.g), full.zeta,
+                         fu, fu)
+    assert reduced < 0.0
+    assert abs(full.Ric - reduced) <= RULED_AGREE_TOL * (1.0 + abs(full.Ric))
+    assert rep.min_ric == full.Ric
+    assert rep.verdict == "CONSISTENT"
+    assert "hypothesis Ric(u) >= 0 fails at the ruling direction" in rep.notes
 
 
 def test_audit_reports_embed_inputs_in_notes():
