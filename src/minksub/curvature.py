@@ -213,20 +213,20 @@ def _ricci_block(germ: Germ, u: np.ndarray, tensors: tuple,
     kap = y[:, :p]
     PQ = Z[..., :p] @ y.reshape(rows, 1, 3, p).swapaxes(2, 3)
     P, Q = PQ[:, :, t, 0], PQ[:, :, n:N, 0]     # R_k kap, d_k zeta kap [k]
-    DHk = PQ[:, :, N:, 0].swapaxes(1, 2)        # d_k h kap as columns k
     v = E @ kap
     w = gi @ (np.array((Q, fz)) @ (0.5 * kap))
-    B = (d3[:, t, t, t] @ w[:, :, None])[..., 0].swapaxes(2, 3)
+    B = (d3[:, t, t, t] @ w[:, :, None])[..., 0]
     K = fuT @ Q.swapaxes(1, 2)
     X = (kap.swapaxes(1, 2) @ zeta).reshape(rows, p) @ germ.d2.reshape(p, -1)
-    T = gi @ np.array((                         # groups cub, zeta, eta, rho
-        PQ[:, :, t, 1].swapaxes(1, 2),
-        (X.reshape(rows, n, n) - fz @ fu).swapaxes(1, 2),
+    T = np.array((                              # the groups, transposed
+        PQ[:, :, t, 1], X.reshape(rows, n, n) - fz @ fu,
         ((D4.reshape(rows, -1, N) @ v).reshape(rows, n * n, -1)
          @ (-0.5 * v)).reshape(rows, n, n)
-        + (P - 0.75 * P.swapaxes(1, 2)) @ DHk + B[0],
-        PQ[:, :, t, 2].swapaxes(1, 2) + B[1] - 0.5 * (K + K.swapaxes(1, 2))))
-    Rik = T.sum(0)
+        + PQ[:, :, N:, 0] @ (P.swapaxes(1, 2) - 0.75 * P),
+        PQ[:, :, t, 2] - 0.5 * (K + K.swapaxes(1, 2))))
+    T[2:] += B
+    T = T @ gi
+    Rik = T.sum(0).swapaxes(1, 2)
     return (u, np.sqrt(2.0 * h0), g, h, kap[..., 0], 0.5 * (h @ kap)[..., 0],
             xi, zeta, eta, rho, Rik, Rik.trace(axis1=1, axis2=2),
             T.trace(axis1=2, axis2=3).T)
