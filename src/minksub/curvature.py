@@ -218,7 +218,7 @@ def _ricci_block(germ: Germ, u: np.ndarray, tensors: tuple,
     B = (d3[:, t, t, t] @ w[:, :, None])[..., 0]
     K = fuT @ Q.swapaxes(1, 2)
     X = (kap.swapaxes(1, 2) @ zeta).reshape(rows, p) @ germ.d2.reshape(p, -1)
-    T = np.array((                              # the groups, transposed
+    T = np.array((                  # cubic, zeta, eta, rho groups; [k, i]
         PQ[:, :, t, 1], X.reshape(rows, n, n) - fz @ fu,
         ((D4.reshape(rows, -1, N) @ v).reshape(rows, n * n, -1)
          @ (-0.5 * v)).reshape(rows, n, n)
