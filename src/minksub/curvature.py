@@ -214,8 +214,8 @@ def _ricci_block(germ: Germ, u: np.ndarray, tensors: tuple,
     PQ = Z[..., :p] @ y.reshape(rows, 1, 3, p).swapaxes(2, 3)
     P, Q = PQ[:, :, t, 0], PQ[:, :, n:N, 0]     # R_k kap, d_k zeta kap [k]
     v = E @ kap
-    w = gi @ (np.array((Q, fz)) @ (0.5 * kap))
-    B = (d3[:, t, t, t] @ w[:, :, None])[..., 0]
+    w = np.array((Q, fz, h)) @ (0.5 * kap)      # the last is G
+    B = (d3[:, t, t, t] @ (gi @ w[:2])[:, :, None])[..., 0]
     K = fuT @ Q.swapaxes(1, 2)
     X = (kap.swapaxes(1, 2) @ zeta).reshape(rows, p) @ germ.d2.reshape(p, -1)
     T = np.array((                  # cubic, zeta, eta, rho groups; [k, i]
@@ -227,8 +227,8 @@ def _ricci_block(germ: Germ, u: np.ndarray, tensors: tuple,
     T[2:] += B
     T = T @ gi
     Rik = T.sum(0).swapaxes(1, 2)
-    return (u, np.sqrt(2.0 * h0), g, h, kap[..., 0], 0.5 * (h @ kap)[..., 0],
-            xi, zeta, eta, rho, Rik, Rik.trace(axis1=1, axis2=2),
+    return (u, np.sqrt(2.0 * h0), g, h, kap[..., 0], w[2, ..., 0], xi, zeta,
+            eta, rho, Rik, Rik.trace(axis1=1, axis2=2),
             T.trace(axis1=2, axis2=3).T)
 
 
