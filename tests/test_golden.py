@@ -90,7 +90,7 @@ CASES = {
                           {"norm": RANDERS3, "germ": SURFACE}, 0),
     "curvature_example4": (["curvature", "--direction", "1,0.2"],
                            {"norm": EXAMPLE4, "germ": EXAMPLE_SURFACE}, 0),
-    # p = 2 and non-family norms run the one-row block on other shapes
+    # the one-row block at p = 2 and on an expression norm
     "curvature_codim2_n2": (["curvature", "--direction", "0.3,1"],
                             {"norm": RANDERS4, "germ": SURFACE2}, 0),
     "curvature_codim2_n3": (["curvature", "--direction", "1,0.5,-0.3"],

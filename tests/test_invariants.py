@@ -297,10 +297,10 @@ def test_audit_ruled_on_randers_norm():
 
 
 def test_audit_ruled_codim_two_randers_escaping_direction():
-    # n = 3, p = 2, ruled along u = (1, 2, 0)/sqrt(5): kappa(u) and the cubic
-    # vanish, but f(u, .) does not, so u lies outside L(P); the sign rule
-    # then needs Ric(u) < 0, which the reduced contraction -zeta(fu g fu)
-    # guarantees
+    # n = 3, p = 2, ruled along u = +-(1, 2, 0)/sqrt(5): kappa(u) and the
+    # cubic vanish, but f(u, .) does not, so u lies outside L(P); the sign
+    # rule then needs Ric(u) < 0, which the reduced contraction
+    # -zeta_ab g^il f^b_ul f^a_ui guarantees
     rng = np.random.default_rng(71)
     m = 0.3 * rng.standard_normal((5, 5))
     a = np.eye(5) + m @ m.T
