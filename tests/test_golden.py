@@ -37,6 +37,10 @@ RANDERS5 = {"kind": "randers",
             "b": [0.1, -0.2, 0.0, 0.15, 0.1]}
 EXPRESSION = {"kind": "expression", "dim": 3,
               "text": "(y1^2 + 2*y2^2 + y3^2) / 2 + y1 * y2 / 4"}
+# dim 4 with a quartic/rational term in the tangent variables only
+EXPRESSION4 = {"kind": "expression", "dim": 4,
+               "text": "(y1^2 + 2*y2^2 + y3^2 + y4^2) / 2 + y2 * y3 / 4"
+                       " + y1^4 / (y1^2 + y2^2) / 10"}
 
 
 def _germ(n, p, d2, d3=None):
@@ -125,6 +129,13 @@ CASES = {
     # 300 directions cross batch-block boundaries (jets.BATCH_BLOCK)
     "ricci_grid_blocks": (["ricci-grid", "--grid", "300"],
                           {"norm": RANDERS3, "germ": SURFACE}, 0),
+    # the batch path of the families whose jets involve few variables per
+    # product: example4 across block boundaries, an expression norm at p = 2
+    "ricci_grid_example4": (["ricci-grid", "--grid", "300"],
+                            {"norm": EXAMPLE4, "germ": EXAMPLE_SURFACE}, 0),
+    "ricci_grid_expression_codim2": (["ricci-grid", "--grid", "40"],
+                                     {"norm": EXPRESSION4, "germ": SURFACE2},
+                                     0),
 }
 
 
