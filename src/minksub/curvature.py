@@ -161,7 +161,8 @@ def ricci_expanded(norm: NormModel, germ: Germ, u) -> CurvatureReport:
     (its arrays are views of block arrays that nothing else holds)."""
     lift = _lift(germ, u)
     u, S, *arrays, ric, parts = [f[0] for f in _ricci_block(
-        germ, lift[None, :germ.n], norm.jet(lift)[None].partial_tensors(4))]
+        germ, lift[None, :germ.n],
+        norm.jet(lift, normal=germ.p)[None].partial_tensors(4))]
     return CurvatureReport(u, float(S), *arrays, float(ric),
                            tuple(parts.tolist()))
 
@@ -243,7 +244,8 @@ def ricci_expanded_batch(norm: NormModel, germ: Germ, U) -> CurvatureReport:
     blocks = []
     for s in range(0, len(U), BATCH_BLOCK):
         u = U[s:s + BATCH_BLOCK]
-        jet = norm.jet(np.hstack([u, np.zeros((len(u), germ.p))]), row=s)
+        jet = norm.jet(np.hstack([u, np.zeros((len(u), germ.p))]), row=s,
+                       normal=germ.p)
         blocks.append(_ricci_block(germ, u, jet.partial_tensors(4), s))
     return CurvatureReport(*(np.concatenate(f) for f in zip(*blocks)))
 

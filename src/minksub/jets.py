@@ -34,6 +34,14 @@ of a monomial of degree above ``deg`` is exactly 0.0.  A product gathers
 only the table terms whose factors lie within their operands' bounds; the
 dropped terms would each add an exact zero to a bincount bin, so with
 finite coefficients every result is bit-identical to the full-table one.
+The int ``mask`` adds two facts.  Its low MAX_DIM bits are the support,
+the variables a nonzero coefficient may involve; products drop the terms
+whose factors leave it, exact zeros as above.  A bit 1 << (MAX_DIM + p)
+is the normal cap: products keep only the monomials of degree <= 2 in the
+last p variables, a quotient by a monomial ideal, so each kept coefficient
+stays exact through series; the slots it drops hold 0.0 and mean "not
+computed".  Sums and products OR the masks, other ops keep them, and
+plans are cached per (dims, degs, orders, masks).
 """
 
 from __future__ import annotations
@@ -123,18 +131,28 @@ def _tables(dim: int) -> _Tables:
 
 
 @lru_cache(maxsize=None)
-def _plan(dim: int, dim_b: int, da: int, db: int, oa: int, ob: int) -> tuple:
-    """Plan of the product of jets (dim, deg da, order oa) and (dim_b, db, ob):
-    the table terms (i, j, k) it keeps, then the result's ncoef, deg, order."""
+def _plan(dim: int, dim_b: int, da: int, db: int, oa: int, ob: int, ma: int,
+          mb: int) -> tuple:
+    """Plan of the product of jets (dim, deg da, order oa, mask ma) and
+    (dim_b, db, ob, mb): the table terms (i, j, k) it keeps, then the
+    result's ncoef, deg, order and mask."""
     if dim_b != dim:
         raise ValueError("jet dimensions differ")
     t = _tables(dim)
-    order = min(oa, ob)
+    order, mask = min(oa, ob), ma | mb
     deg = t.exponents.sum(axis=1)
+    sup = (t.exponents > 0) @ (1 << np.arange(dim))   # variables per monomial
     keep = ((deg[t.mul_i] <= da) & (deg[t.mul_j] <= db)
-            & (deg[t.mul_k] <= order))
+            & (deg[t.mul_k] <= order) & (sup[t.mul_i] | ma == ma)
+            & (sup[t.mul_j] | mb == mb))
+    cap = mask >> MAX_DIM           # 1 << p for jets capped at p normals
+    if cap & (cap - 1):
+        raise ValueError("jets capped at different normal counts")
+    if cap:
+        normal = t.exponents[:, dim + 1 - cap.bit_length():].sum(axis=1)
+        keep &= normal[t.mul_k] <= 2
     return (t.mul_i[keep], t.mul_j[keep], t.mul_k[keep], t.sizes[order],
-            min(order, da + db), order)
+            min(order, da + db), order, mask)
 
 
 def _size(dim: int, order: int) -> int:
@@ -160,14 +178,16 @@ class Jet4:
     ``deg`` bounds the degree of the monomials with a nonzero coefficient:
     0 for ``constant``, 1 for ``variable``/``variables``, the larger
     operand bound for ``+``, ``-`` and scalar ``*``, and the sum (capped at
-    the order) for a jet product.  Coefficients supplied from outside set
-    the order by their count and default ``deg`` to it, which claims nothing.
+    the order) for a jet product; ``mask`` is {i} for y_i, {} for constants
+    (module docstring).  Coefficients supplied from outside set the order
+    by their count, ``deg`` to it and ``mask`` to all variables, uncapped.
     """
 
-    __slots__ = ("dim", "coeffs", "deg", "order")
+    __slots__ = ("dim", "coeffs", "deg", "order", "mask")
     __array_ufunc__ = None  # numpy operands defer to the jet's operators
 
-    def __init__(self, dim: int, coeffs: np.ndarray, deg: int = MAX_ORDER):
+    def __init__(self, dim: int, coeffs: np.ndarray, deg: int = MAX_ORDER,
+                 mask: int | None = None):
         sizes = _tables(dim).sizes
         c = np.asarray(coeffs, dtype=np.float64)
         if c.ndim == 0 or c.shape[-1] not in sizes[1:]:
@@ -178,6 +198,7 @@ class Jet4:
         self.coeffs = c
         self.order = sizes.index(c.shape[-1])
         self.deg = min(deg, self.order)
+        self.mask = (1 << dim) - 1 if mask is None else mask
 
     # -- constructors ------------------------------------------------------
 
@@ -186,7 +207,7 @@ class Jet4:
         """The constant ``value``, or a tensor shaped like an array of them."""
         c = np.zeros(np.shape(value) + (_size(dim, order),))
         c[..., 0] = value
-        return _jet(dim, c, 0, order)
+        return _jet(dim, c, 0, order, 0)
 
     @classmethod
     def variable(cls, dim: int, index: int, value: float = 0.0) -> "Jet4":
@@ -196,24 +217,33 @@ class Jet4:
         return cls.variables(dim, np.full(dim, value))[index]
 
     @classmethod
-    def variables(cls, dim: int, base, order: int = MAX_ORDER) -> list:
+    def variables(cls, dim: int, base, order: int = MAX_ORDER,
+                  normal: int = 0) -> list:
         """Jets of y_1 .. y_dim about ``base`` (..., dim), each shaped like
-        its leading axes (a batch of base points, for example)."""
+        its leading axes (a batch of base points, for example); ``normal``
+        = p > 0 caps their products at normal degree 2 in the last p."""
         base = np.asarray(base, dtype=np.float64)
         if base.ndim == 0 or base.shape[-1] != dim:
             raise ValueError(f"base {base.shape}: not (..., {dim})")
+        if not 0 <= normal <= dim:
+            raise ValueError(f"normal count {normal} not in 0..{dim}")
         c = np.zeros((dim,) + base.shape[:-1] + (_size(dim, order),))
         c[..., 0] = base.transpose((-1,) + tuple(range(base.ndim - 1)))
         for i in range(dim):
             c[i, ..., i + 1] = 1.0  # degree 1 sits right after the constant
-        return [_jet(dim, ci, 1, order) for ci in c]
+        cap = 1 << MAX_DIM + normal if normal else 0
+        return [_jet(dim, ci, 1, order, cap | 1 << i)
+                for i, ci in enumerate(c)]
 
     @staticmethod
     def stack(jets) -> "Jet4":
         """Jets of one dimension, order and shape as one jet tensor, along a
         new first axis."""
+        mask = 0
+        for jet in jets:
+            mask |= jet.mask
         return _jet(jets[0].dim, np.array([jet.coeffs for jet in jets]),
-                    max([jet.deg for jet in jets]), jets[0].order)
+                    max([jet.deg for jet in jets]), jets[0].order, mask)
 
     # -- inspection --------------------------------------------------------
 
@@ -273,12 +303,12 @@ class Jet4:
         """Index the leading axes as numpy does; coefficients stay whole."""
         key = key if isinstance(key, tuple) else (key,)
         return _jet(self.dim, self.coeffs[key + (slice(None),)], self.deg,
-                    self.order)
+                    self.order, self.mask)
 
     def swapaxes(self, a: int, b: int) -> "Jet4":
         axes = range(self.coeffs.ndim - 1)   # the leading axes only
         return _jet(self.dim, self.coeffs.swapaxes(axes[a], axes[b]),
-                    self.deg, self.order)
+                    self.deg, self.order, self.mask)
 
     def __matmul__(self, other):
         return _matmul(self, other)
@@ -294,23 +324,25 @@ class Jet4:
                 raise ValueError("jet dimensions differ")
             if other.order == self.order:
                 return _jet(self.dim, self.coeffs + other.coeffs,
-                            max(self.deg, other.deg), self.order)
+                            max(self.deg, other.deg), self.order,
+                            self.mask | other.mask)
             order = min(self.order, other.order)  # the sum has the lower one
             ncoef = _tables(self.dim).sizes[order]
             return _jet(self.dim, self.coeffs[..., :ncoef]
                         + other.coeffs[..., :ncoef],
-                        min(order, max(self.deg, other.deg)), order)
+                        min(order, max(self.deg, other.deg)), order,
+                        self.mask | other.mask)
         c = self.coeffs.copy()
         if c.ndim == 1:
             c[0] += other
         else:
             c[..., 0] += other
-        return _jet(self.dim, c, self.deg, self.order)
+        return _jet(self.dim, c, self.deg, self.order, self.mask)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return _jet(self.dim, -self.coeffs, self.deg, self.order)
+        return _jet(self.dim, -self.coeffs, self.deg, self.order, self.mask)
 
     def __sub__(self, other):
         return self + (-other)
@@ -322,25 +354,26 @@ class Jet4:
         if not isinstance(other, Jet4):
             if self.coeffs.ndim == 1:
                 return _jet(self.dim, self.coeffs * float(other), self.deg,
-                            self.order)
+                            self.order, self.mask)
             return _jet(self.dim, self.coeffs  # a float, or one per entry
                         * np.asarray(other, dtype=np.float64)[..., None],
-                        self.deg, self.order)
-        mul_i, mul_j, mul_k, ncoef, deg, order = _plan(
-            self.dim, other.dim, self.deg, other.deg, self.order, other.order)
+                        self.deg, self.order, self.mask)
+        mul_i, mul_j, mul_k, ncoef, deg, order, mask = _plan(
+            self.dim, other.dim, self.deg, other.deg, self.order, other.order,
+            self.mask, other.mask)
         a, b = self.coeffs, other.coeffs
         if a.ndim == b.ndim == 1:
             return _jet(self.dim, np.bincount(mul_k, a[mul_i] * b[mul_j],
-                                              ncoef), deg, order)
+                                              ncoef), deg, order, mask)
         return _jet(self.dim, _scatter(a.take(mul_i, -1) * b.take(mul_j, -1),
-                                       mul_k, ncoef), deg, order)
+                                       mul_k, ncoef), deg, order, mask)
 
     __rmul__ = __mul__
 
     def _series(self, series) -> "Jet4":
         # Horner evaluation of sum_k series[k] * q^k where q = self with the
         # constant term dropped; q^(order + 1) vanishes in the truncated ring.
-        q = _jet(self.dim, self.coeffs.copy(), self.deg, self.order)
+        q = _jet(self.dim, self.coeffs.copy(), self.deg, self.order, self.mask)
         q.coeffs[..., 0] = 0.0
         series = series[:self.order + 1]
         # q * c is the product with the constant c up to the sign of exact
@@ -394,10 +427,12 @@ class Jet4:
         return f"Jet4(dim={self.dim}, value={self.value!r})"
 
 
-def _jet(dim: int, coeffs: np.ndarray, deg: int, order: int) -> Jet4:
+def _jet(dim: int, coeffs: np.ndarray, deg: int, order: int,
+         mask: int) -> Jet4:
     """Jet4 from a float64 (..., ncoef) array of the order, without checks."""
     jet = object.__new__(Jet4)
-    jet.dim, jet.coeffs, jet.deg, jet.order = dim, coeffs, deg, order
+    jet.dim, jet.coeffs, jet.deg, jet.order, jet.mask = (dim, coeffs, deg,
+                                                         order, mask)
     return jet
 
 
@@ -412,12 +447,12 @@ def _matmul(a, b) -> Jet4:
     io = "..." + ia[3:4] + ib[4:]
     if not isinstance(b, Jet4):
         return _jet(a.dim, np.einsum(f"{ia}t,{ib}->{io}t", a.coeffs, b),
-                    a.deg, a.order)
+                    a.deg, a.order, a.mask)
     if not isinstance(a, Jet4):
         return _jet(b.dim, np.einsum(f"{ia},{ib}t->{io}t", a, b.coeffs),
-                    b.deg, b.order)
-    mul_i, mul_j, mul_k, ncoef, deg, order = _plan(
-        a.dim, b.dim, a.deg, b.deg, a.order, b.order)
+                    b.deg, b.order, b.mask)
+    mul_i, mul_j, mul_k, ncoef, deg, order, mask = _plan(
+        a.dim, b.dim, a.deg, b.deg, a.order, b.order, a.mask, b.mask)
     prod = np.einsum(f"{ia}t,{ib}t->{io}t", a.coeffs[..., mul_i],
                      b.coeffs[..., mul_j])
-    return _jet(a.dim, _scatter(prod, mul_k, ncoef), deg, order)
+    return _jet(a.dim, _scatter(prod, mul_k, ncoef), deg, order, mask)

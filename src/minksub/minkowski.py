@@ -73,7 +73,7 @@ def _randers_h(a, b, ys):
     if isinstance(ys[0], Jet4) and not ys[0].shape:
         Y = Jet4.stack(ys)
         t = 0.0 + (Y[:, None] * Y * a)[rows, cols]
-        q = Jet4(t.dim, t.coeffs.cumsum(0)[-1], t.deg)
+        q = Jet4(t.dim, t.coeffs.cumsum(0)[-1], t.deg, t.mask)
     else:
         q = 0.0
         for i, j in zip(rows.tolist(), cols.tolist()):
@@ -169,13 +169,16 @@ class NormModel:
         self.check_admissible(y)
         return float(self.h(list(y)))
 
-    def jet(self, base, order: int = MAX_ORDER, row: int = 0) -> Jet4:
+    def jet(self, base, order: int = MAX_ORDER, row: int = 0,
+            normal: int = 0) -> Jet4:
         """Jet of H of ``order`` about admissible ``base`` (dim,), or about
         each row of (B, dim), whose errors number row k as ``row`` + k; each
-        coefficient is bit for bit the order-4 jet's."""
+        coefficient is bit for bit the order-4 jet's.  ``normal`` = p > 0
+        computes only the monomials of degree <= 2 in the last p variables
+        (the others read 0.0: see :mod:`minksub.jets`)."""
         base = np.asarray(base, dtype=np.float64)
         self.check_admissible(base, row if base.ndim == 2 else None)
-        return self.h(Jet4.variables(self.dim, base, order))
+        return self.h(Jet4.variables(self.dim, base, order, normal))
 
     # -- admissibility -----------------------------------------------------
 

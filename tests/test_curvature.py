@@ -353,6 +353,43 @@ def test_batch_matches_per_direction_reports(norm, germ):
     assert text[0] == ref_text[0] and len(text) == len(ref_text)
 
 
+def _capped_cases():
+    rng = np.random.default_rng(29)
+    for n, p in ((2, 1), (3, 1), (2, 2), (3, 2)):
+        dim = n + p
+        quad = " + ".join(f"{k + 1}*y{k + 1}^2" for k in range(dim))
+        norms = [random_randers(rng, dim), NormModel.expression(
+            f"(sqrt({quad}) + y{dim}/5)^2 / 2 + y1^4 / ({quad}) / 10", dim)]
+        if dim == 3:
+            norms.append(NormModel.example4(10.0, 10.0, 0.1, 0.1))
+        for norm in norms:
+            yield norm, random_germ(rng, n, p, scale=0.8)
+
+
+@pytest.mark.parametrize("norm, germ", list(_capped_cases()),
+                         ids=lambda x: getattr(x, "kind", None)
+                         or f"{x.n}x{x.p}")
+def test_ricci_block_reads_no_entry_above_normal_degree_two(norm, germ):
+    # a jet capped at p normals computes no monomial of normal degree > 2;
+    # the block must not read one: NaN there leaves every output bit alone
+    U = sphere_grid(germ.n, 9)
+    lifts = np.hstack([U, np.zeros((len(U), germ.p))])
+    full = norm.jet(lifts).partial_tensors(4)
+    capped = norm.jet(lifts, normal=germ.p).partial_tensors(4)
+    poisoned = [np.array(t) for t in full]
+    for k in (3, 4):
+        normal = (np.indices((germ.n + germ.p,) * k) >= germ.n).sum(axis=0)
+        assert (normal > 2).any()
+        poisoned[k][:, normal > 2] = np.nan
+        # the computed entries are the full jet's
+        assert np.array_equal(capped[k][:, normal <= 2],
+                              full[k][:, normal <= 2])
+    want = curvature._ricci_block(germ, U, full)
+    for tensors in (poisoned, capped):
+        got = curvature._ricci_block(germ, U, tuple(tensors))
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
+
+
 FD_DELTA = 2e-3     # u-step of the Richardson-extrapolated stencils
 FD_REL_TOL = 1e-8   # xi, eta, rho vs their finite-difference definitions
 

@@ -7,8 +7,8 @@ import sympy as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from minksub.jets import (MAX_ORDER, DivisionByZeroJet, Jet4,
-                          NegativeSqrtJet, OrderExceeded, _tables)
+from minksub.jets import (MAX_DIM, MAX_ORDER, DivisionByZeroJet, Jet4,
+                          NegativeSqrtJet, OrderExceeded, _plan, _tables)
 from minksub.minkowski import NormModel
 
 NCOEF_1 = 5    # monomials of degree <= 4 in one variable
@@ -299,10 +299,36 @@ def _full_pow(c, k, dim):
     return result
 
 
+def _support(dim):
+    """Bitmask of the variables of each monomial."""
+    return (_tables(dim).exponents > 0) @ (1 << np.arange(dim))
+
+
+def _computed(jet):
+    """The coefficients a jet computes: under a normal cap p, those of
+    normal degree <= 2 in the last p variables; otherwise all."""
+    exponents = _tables(jet.dim).exponents[:jet.coeffs.shape[-1]]
+    p = (jet.mask >> MAX_DIM).bit_length() - 1
+    return exponents[:, jet.dim - p:].sum(axis=1) <= 2 if p > 0 else (
+        np.ones(len(exponents), dtype=bool))
+
+
 def _assert_within_degree(jet):
+    # every coefficient above deg or outside the support is exactly 0.0
     assert 0 <= jet.deg <= jet.order <= MAX_ORDER
-    degrees = _degrees(jet.dim)[:jet.coeffs.shape[-1]]
-    assert np.all(jet.coeffs[..., degrees > jet.deg] == 0.0)
+    ncoef = jet.coeffs.shape[-1]
+    degrees = _degrees(jet.dim)[:ncoef]
+    outside = _support(jet.dim)[:ncoef] & ~jet.mask != 0
+    assert np.all(jet.coeffs[..., (degrees > jet.deg) | outside] == 0.0)
+
+
+def _assert_computed_equal(jet, want):
+    # byte for byte up to the sign of exact zeros (+ 0.0 makes -0.0 +0.0):
+    # a ** 1 is a itself, the reference a product with 1 whose bincount
+    # does not keep the sign
+    keep = _computed(jet)
+    assert ((jet.coeffs[..., keep] + 0.0).tobytes()
+            == (want[..., keep] + 0.0).tobytes())
 
 
 _OPS = ("add", "sub", "neg", "mul", "scalar", "rows", "reciprocal", "sqrt",
@@ -315,20 +341,26 @@ _OPS = ("add", "sub", "neg", "mul", "scalar", "rows", "reciprocal", "sqrt",
        chain=st.lists(st.tuples(st.sampled_from(_OPS), st.integers(0, 99),
                                 st.integers(0, 99), st.integers(-2, 3)),
                       min_size=1, max_size=10),
-       seed=st.integers(0, 2 ** 32 - 1))
+       normal=st.integers(0, 5), seed=st.integers(0, 2 ** 32 - 1))
 def test_degree_bounds_keep_products_bit_identical(dim, rows, declared,
-                                                   chain, seed):
+                                                   chain, normal, seed):
+    # degree bounds, supports and a normal cap drop only product terms that
+    # are exact zeros or land in slots the cap does not compute: every
+    # computed coefficient is the full table's to the byte
     rng = np.random.default_rng(seed)
     lead = () if rows is None else (rows,)
     ncoef = _tables(dim).ncoef
-    pool = Jet4.variables(dim, rng.uniform(0.5, 2.0, lead + (dim,)))
+    pool = Jet4.variables(dim, rng.uniform(0.5, 2.0, lead + (dim,)),
+                          normal=min(normal, dim))
     pool.append(Jet4.constant(dim, rng.uniform(0.5, 2.0)))
     for k, d in enumerate(declared):
-        # alternate batched and unbatched jets of declared degree d
+        # alternate batched and unbatched jets of declared degree d and a
+        # random support
         c = rng.uniform(-1.0, 1.0, (lead if k % 2 == 0 else ()) + (ncoef,))
         c[..., 0] = rng.uniform(0.5, 2.0)
-        c[..., _degrees(dim) > d] = 0.0
-        pool.append(Jet4(dim, c, d))
+        mask = int(rng.integers(0, 1 << dim))
+        c[..., (_degrees(dim) > d) | (_support(dim) & ~mask != 0)] = 0.0
+        pool.append(Jet4(dim, c, d, mask))
     ref = [jet.coeffs for jet in pool]
     for op, i, j, k in chain:
         a, b = pool[i % len(pool)], pool[j % len(pool)]
@@ -352,7 +384,7 @@ def test_degree_bounds_keep_products_bit_identical(dim, rows, declared,
             "sqrt": lambda: (a.sqrt(), _full_sqrt(ca, dim)),
             "pow": lambda: (a ** k, _full_pow(ca, k, dim)),
         }[op]()
-        assert np.array_equal(got.coeffs, want), op
+        _assert_computed_equal(got, want)
         _assert_within_degree(got)
         size = np.max(np.abs(want))
         if size > 1e3:                     # keep long chains finite
@@ -623,3 +655,79 @@ def test_stack_builds_a_tensor_of_the_jets():
     assert t.shape == (3,) and t.order == 2 and t.deg == 1
     for k in range(3):
         assert np.array_equal(t[k].coeffs, jets[k].coeffs)
+
+
+# -- supports and normal caps -------------------------------------------------
+
+
+def test_masks_of_constructors():
+    base = np.array([0.5, 1.0, 2.0])
+    assert [y.mask for y in Jet4.variables(3, base)] == [1, 2, 4]
+    capped = Jet4.variables(3, base, normal=2)
+    cap = 1 << MAX_DIM + 2
+    assert [y.mask for y in capped] == [1 | cap, 2 | cap, 4 | cap]
+    assert Jet4.constant(3, 1.0).mask == 0
+    # coefficients from outside claim every variable and no cap
+    assert Jet4(3, np.ones(35)).mask == 0b111
+    assert Jet4(3, np.ones((2, 10)), 2).mask == 0b111
+    assert Jet4.stack(capped[:2]).mask == 0b011 | cap
+    with pytest.raises(ValueError, match="normal count"):
+        Jet4.variables(3, base, normal=4)
+    with pytest.raises(ValueError, match="normal count"):
+        Jet4.variables(3, base, normal=-1)
+
+
+def test_mixing_normal_caps_raises():
+    base = np.array([0.5, 1.0, 2.0, 1.5])
+    y1 = Jet4.variables(4, base, normal=1)
+    y2 = Jet4.variables(4, base, normal=2)
+    full = Jet4.variables(4, base)
+    assert (y1[0] * full[1]).mask >> MAX_DIM == 1 << 1   # uncapped mixes
+    with pytest.raises(ValueError, match="capped"):
+        y1[0] * y2[1]
+    with pytest.raises(ValueError, match="capped"):
+        Jet4.stack(y1) @ Jet4.stack(y2)
+    with pytest.raises(ValueError, match="capped"):
+        (y1[0] + y2[1]) * full[0]      # a sum carries both caps to a product
+
+
+@pytest.mark.parametrize("rows", [None, 5])
+@pytest.mark.parametrize("normal", [0, 1, 2])
+def test_masked_and_capped_products_match_full_tables(rows, normal):
+    # the same expressions on capped coordinate jets and on copies that
+    # claim every variable and no cap: every computed coefficient is the
+    # full table's to the byte, and a product's other slots hold 0.0
+    rng = np.random.default_rng(59)
+    dim = 4
+    base = rng.uniform(0.5, 2.0, ((rows,) if rows else ()) + (dim,))
+    M = rng.uniform(-1.0, 1.0, (3, dim))
+    fulls = [Jet4(dim, y.coeffs) for y in Jet4.variables(dim, base)]
+
+    def exprs(y):
+        a = y[0] * y[0]                       # support {y1}
+        b = y[2] * y[3] + y[1]                # support {y2, y3, y4}
+        X = Jet4.stack(y)
+        V = X if rows is None else X.swapaxes(0, 1)   # (rows, dim)
+        return [a * b, (b + 3.0).sqrt(), (a + 1.0).reciprocal(),
+                (a + b + 2.0) ** 3, (V @ M.T @ M)[..., None, :]
+                @ V[..., :, None], X[:, None] * X,
+                (y[0] * y[2]) ** -1, a * y[1] / (b + 4.0)]
+
+    for got, want in zip(exprs(Jet4.variables(dim, base, normal=normal)),
+                         exprs(fulls)):
+        keep = _computed(got)
+        assert got.coeffs[..., keep].tobytes() == \
+            want.coeffs[..., keep].tobytes()
+        assert np.all(got.coeffs[..., ~keep] == 0.0)
+        _assert_within_degree(got)
+    a = Jet4.variables(dim, base, normal=normal)[0] ** 2
+    assert a.mask % (1 << MAX_DIM) == 1
+
+
+def test_normal_cap_keeps_the_terms_of_normal_degree_two():
+    # (dim, p) = (4, 2) and (5, 2): the n = 2 and n = 3 codimension-two lifts
+    for dim, normal, full, capped in ((4, 2, 495, 360), (5, 2, 1001, 826)):
+        m = (1 << dim) - 1
+        cap = m | 1 << MAX_DIM + normal
+        assert len(_plan(dim, dim, 4, 4, 4, 4, m, m)[0]) == full
+        assert len(_plan(dim, dim, 4, 4, 4, 4, cap, m)[0]) == capped
