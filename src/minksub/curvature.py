@@ -157,8 +157,8 @@ def zeta_check(norm: NormModel, germ: Germ, u) -> tuple:
 
 def ricci_expanded(norm: NormModel, germ: Germ, u) -> CurvatureReport:
     """Ricci curvature and the full curvature tensor via the expanded formula:
-    row 0 of the one-row _ricci_block on the unbatched jet of H at the lift
-    (its arrays are views of block arrays that nothing else holds)."""
+    row 0 of the one-row _ricci_block on the single p-capped jet of H at the
+    lift (its arrays are views of block arrays that nothing else holds)."""
     lift = _lift(germ, u)
     u, S, *arrays, ric, parts = [f[0] for f in _ricci_block(
         germ, lift[None, :germ.n],
@@ -171,7 +171,8 @@ def _ricci_block(germ: Germ, u: np.ndarray, tensors: tuple,
                  first: int | None = None) -> tuple:
     """CurvatureReport's fields for the rows r of u (R, n), by matmuls over
     r, from H's partial tensors (h0, d1, ..., d4) at the lifts (u, 0), all
-    with leading axis r; ``first`` numbers rows in _pd_inverse's errors.
+    with leading axis r and read only in entries of normal degree <= 2;
+    ``first`` numbers rows in _pd_inverse's errors.
     Per row, L = ((I_n, 0); E^T; (g^-1, 0)) puts every first u-derivative
     in one stack Z_k = L d3_k L[n:]^T (R_k = (d3_k E)[t], d_k zeta, d_k h
     in its first p columns, -d_k g^-1 in its last n).  Products sharing an

@@ -173,9 +173,8 @@ class NormModel:
             normal: int = 0) -> Jet4:
         """Jet of H of ``order`` about admissible ``base`` (dim,), or about
         each row of (B, dim), whose errors number row k as ``row`` + k; each
-        coefficient is bit for bit the order-4 jet's.  ``normal`` = p > 0
-        computes only the monomials of degree <= 2 in the last p variables
-        (the others read 0.0: see :mod:`minksub.jets`)."""
+        coefficient is bit for bit the order-4 jet's, but ``normal`` = p
+        leaves those of degree > 2 in the last p variables uncomputed, 0.0."""
         base = np.asarray(base, dtype=np.float64)
         self.check_admissible(base, row if base.ndim == 2 else None)
         return self.h(Jet4.variables(self.dim, base, order, normal))
