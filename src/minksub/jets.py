@@ -180,14 +180,13 @@ class Jet4:
     operand bound for ``+``, ``-`` and scalar ``*``, and the sum (capped at
     the order) for a jet product; ``mask`` is {i} for y_i, {} for constants
     (module docstring).  Coefficients supplied from outside set the order
-    by their count, ``deg`` to it and ``mask`` to all variables, uncapped.
+    by their count, default ``deg`` to it and claim all variables, uncapped.
     """
 
     __slots__ = ("dim", "coeffs", "deg", "order", "mask")
     __array_ufunc__ = None  # numpy operands defer to the jet's operators
 
-    def __init__(self, dim: int, coeffs: np.ndarray, deg: int = MAX_ORDER,
-                 mask: int | None = None):
+    def __init__(self, dim: int, coeffs: np.ndarray, deg: int = MAX_ORDER):
         sizes = _tables(dim).sizes
         c = np.asarray(coeffs, dtype=np.float64)
         if c.ndim == 0 or c.shape[-1] not in sizes[1:]:
@@ -198,7 +197,7 @@ class Jet4:
         self.coeffs = c
         self.order = sizes.index(c.shape[-1])
         self.deg = min(deg, self.order)
-        self.mask = (1 << dim) - 1 if mask is None else mask
+        self.mask = (1 << dim) - 1
 
     # -- constructors ------------------------------------------------------
 
@@ -322,10 +321,10 @@ class Jet4:
         if isinstance(other, Jet4):
             if other.dim != self.dim:
                 raise ValueError("jet dimensions differ")
-            if other.order == self.order:
-                return _jet(self.dim, self.coeffs + other.coeffs,
-                            max(self.deg, other.deg), self.order,
-                            self.mask | other.mask)
+            if other.order == self.order:   # a third of max()'s cost
+                deg = self.deg if self.deg >= other.deg else other.deg
+                return _jet(self.dim, self.coeffs + other.coeffs, deg,
+                            self.order, self.mask | other.mask)
             order = min(self.order, other.order)  # the sum has the lower one
             ncoef = _tables(self.dim).sizes[order]
             return _jet(self.dim, self.coeffs[..., :ncoef]
@@ -431,8 +430,8 @@ def _jet(dim: int, coeffs: np.ndarray, deg: int, order: int,
          mask: int) -> Jet4:
     """Jet4 from a float64 (..., ncoef) array of the order, without checks."""
     jet = object.__new__(Jet4)
-    jet.dim, jet.coeffs, jet.deg, jet.order, jet.mask = (dim, coeffs, deg,
-                                                         order, mask)
+    jet.dim, jet.coeffs, jet.deg, jet.order = dim, coeffs, deg, order
+    jet.mask = mask
     return jet
 
 

@@ -73,7 +73,8 @@ def _randers_h(a, b, ys):
     if isinstance(ys[0], Jet4) and not ys[0].shape:
         Y = Jet4.stack(ys)
         t = 0.0 + (Y[:, None] * Y * a)[rows, cols]
-        q = Jet4(t.dim, t.coeffs.cumsum(0)[-1], t.deg, t.mask)
+        t.coeffs.cumsum(0, out=t.coeffs)    # in place: t is a fresh sum
+        q = t[-1]
     else:
         q = 0.0
         for i, j in zip(rows.tolist(), cols.tolist()):

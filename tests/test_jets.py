@@ -360,7 +360,9 @@ def test_degree_bounds_keep_products_bit_identical(dim, rows, declared,
         c[..., 0] = rng.uniform(0.5, 2.0)
         mask = int(rng.integers(0, 1 << dim))
         c[..., (_degrees(dim) > d) | (_support(dim) & ~mask != 0)] = 0.0
-        pool.append(Jet4(dim, c, d, mask))
+        jet = Jet4(dim, c, d)
+        jet.mask = mask
+        pool.append(jet)
     ref = [jet.coeffs for jet in pool]
     for op, i, j, k in chain:
         a, b = pool[i % len(pool)], pool[j % len(pool)]
