@@ -146,13 +146,19 @@ def zeta_check(norm: NormModel, germ: Germ, u) -> tuple:
     d2 = norm.jet(_lift(germ, u), 2).hessian()
     g, A = d2[:n, :n], d2[:n, n:]
     zeta = d2[n:, n:] - np.einsum("sa,sb->ab", _pd_inverse(g) @ A, A)
+    return zeta, zeta_residual(d2, g, zeta)
+
+
+def zeta_residual(d2, g, zeta):
+    """NonPDZeta unless zeta (p, p) is positive definite; for p = 1, the
+    relative mismatch of zeta = det(d2) / det(g) for the Hessian d2 of
+    tangent block g, else None."""
     if np.linalg.eigvalsh(zeta)[0] <= 0.0:
         raise NonPDZeta("zeta is not positive definite at this direction")
-    residual = None
-    if germ.p == 1:
-        ratio = np.linalg.det(d2) / np.linalg.det(g)
-        residual = abs(zeta[0, 0] - ratio) / (1.0 + abs(ratio))
-    return zeta, residual
+    if len(zeta) > 1:
+        return None
+    ratio = np.linalg.det(d2) / np.linalg.det(g)
+    return abs(zeta[0, 0] - ratio) / (1.0 + abs(ratio))
 
 
 def ricci_expanded(norm: NormModel, germ: Germ, u) -> CurvatureReport:

@@ -15,12 +15,11 @@ and one truth about what a derivative is.
 Monomials are represented as sorted multisets of variable indices
 (``itertools.combinations_with_replacement``), graded by degree.  With that
 encoding the product of two monomials is just multiset concatenation,
-which makes the multiplication table a flat triple of index arrays; a jet
-product is one gather-multiply-scatter pass over that table.  Tables are
-cached per dimension, product plans per (dim, deg, order) pair.  A jet of
-order k is the prefix of the order-4 array through degree k; its products
-keep only the table terms of degree <= k, each summed in the same order,
-so bit for bit the order-4 prefix.
+which makes the multiplication table a flat triple of index arrays (i, j,
+k = i + j); a jet product is one gather-multiply-scatter pass over that
+table, cached per dimension.  A jet of order k is the prefix of the
+order-4 array through degree k; its products keep only the table terms of
+degree <= k, each summed in the same order, so bit for bit the prefix.
 
 A jet may carry leading axes, coefficients (..., ncoef): a jet tensor, such
 as one jet per base point or a matrix of jets.  Jets and floats mix with it
@@ -42,10 +41,20 @@ last p variables, a quotient by a monomial ideal, so each kept coefficient
 stays exact through series; the slots it drops hold 0.0 and mean "not
 computed".  Sums and products OR the masks, other ops keep them, and
 plans are cached per (dims, degs, orders, masks).
+
+A polynomial P of degree <= 4 needs no ring ops: its jet about a base is
+one Taylor shift, c_m = sum_r P_(m+r) C(m+r, m) base^r, which reads the
+same table as (r, m, m + r), so :class:`Polynomials` compiles the terms with
+P_(m+r) != 0 once and a jet is one gather-multiply-bincount over them
+(Griewank & Walther, *Evaluating Derivatives*, ch. 13).  Its jet has deg
+P's degree and mask P's variables; order and cap drop whole bins (m above
+the order, or of normal degree > 2, held at 0.0), so each kept coefficient
+sums the same terms in the same order: bit for bit the order-4 prefix.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations_with_replacement, product
@@ -80,7 +89,10 @@ class _Tables:
     sizes: tuple               # order k -> number of monomials of degree <= k
     index: dict
     exponents: np.ndarray      # (ncoef, dim) int
+    degree: np.ndarray         # (ncoef,) int
+    support: np.ndarray        # (ncoef,) int, bitmask of the variables
     fact: np.ndarray           # (ncoef,) float, m! per monomial
+    factors: np.ndarray        # (ncoef, 4): variables, then dim as padding
     mul_i: np.ndarray
     mul_j: np.ndarray
     mul_k: np.ndarray
@@ -121,13 +133,14 @@ def _tables(dim: int) -> _Tables:
     dense = {deg: np.asarray([index[tuple(sorted(m))] for m in
                               product(range(dim), repeat=deg)], dtype=np.int64)
              for deg in range(1, MAX_ORDER + 1)}  # row-major tensor entries
-
+    factors = np.asarray([m + (dim,) * (MAX_ORDER - len(m)) for m in monos])
+    mul_i, mul_j, mul_k = (np.asarray(x, dtype=np.int64)
+                           for x in (mul_i, mul_j, mul_k))
     return _Tables(dim=dim, monos=monos, index=index, exponents=exponents,
-                   fact=fact, sizes=tuple(sizes),
-                   mul_i=np.asarray(mul_i, dtype=np.int64),
-                   mul_j=np.asarray(mul_j, dtype=np.int64),
-                   mul_k=np.asarray(mul_k, dtype=np.int64),
-                   dense=dense)
+                   degree=exponents.sum(axis=1),
+                   support=(exponents > 0) @ (1 << np.arange(dim)),
+                   fact=fact, factors=factors, sizes=tuple(sizes),
+                   mul_i=mul_i, mul_j=mul_j, mul_k=mul_k, dense=dense)
 
 
 @lru_cache(maxsize=None)
@@ -140,8 +153,7 @@ def _plan(dim: int, dim_b: int, da: int, db: int, oa: int, ob: int, ma: int,
         raise ValueError("jet dimensions differ")
     t = _tables(dim)
     order, mask = min(oa, ob), ma | mb
-    deg = t.exponents.sum(axis=1)
-    sup = (t.exponents > 0) @ (1 << np.arange(dim))   # variables per monomial
+    deg, sup = t.degree, t.support
     keep = ((deg[t.mul_i] <= da) & (deg[t.mul_j] <= db)
             & (deg[t.mul_k] <= order) & (sup[t.mul_i] | ma == ma)
             & (sup[t.mul_j] | mb == mb))
@@ -165,7 +177,7 @@ def _size(dim: int, order: int) -> int:
 def _scatter(prod: np.ndarray, mul_k: np.ndarray, ncoef: int) -> np.ndarray:
     """Sum product terms prod (..., T) into the bins mul_k of each entry of
     the leading axes: one bincount over row-shifted indices."""
-    rows = prod.size // len(mul_k)
+    rows = math.prod(prod.shape[:-1])
     flat = (np.arange(0, rows * ncoef, ncoef)[:, None] + mul_k).ravel()
     return np.bincount(flat, prod.ravel(), rows * ncoef).reshape(
         prod.shape[:-1] + (ncoef,))
@@ -455,3 +467,63 @@ def _matmul(a, b) -> Jet4:
     prod = np.einsum(f"{ia}t,{ib}t->{io}t", a.coeffs[..., mul_i],
                      b.coeffs[..., mul_j])
     return _jet(a.dim, _scatter(prod, mul_k, ncoef), deg, order, mask)
+
+
+def form(a, b) -> np.ndarray:
+    """Coefficients of y.a.y + b.y (a (dim, dim), b (dim,)) in jet order."""
+    t = _tables(len(b))
+    c = np.bincount(t.dense[2], np.ravel(a), t.ncoef)
+    c[1:t.dim + 1] = b
+    return c
+
+
+class Polynomials:
+    """Polynomials P_1 .. P_K of degree <= 4 in ``dim`` variables, from
+    coefficients (K, ncoef) in jet order, compiled for one Taylor shift: the
+    product-table terms (r, m, m + r) with P_(m+r) != 0 (module docstring)."""
+
+    def __init__(self, dim: int, coeffs):
+        t = _tables(dim)
+        P = np.asarray(coeffs, dtype=np.float64).reshape(-1, t.ncoef)
+        self.piece, term = np.nonzero(P[:, t.mul_k])
+        r, self.mono, k = t.mul_i[term], t.mul_j[term], t.mul_k[term]
+        self.dim, self.count, self.power, self._plans = dim, len(P), r, {}
+        self.weight = P[self.piece, k] * (t.fact[k] / (t.fact[r]
+                                                       * t.fact[self.mono]))
+        self.degs = [int(t.degree[p != 0].max(initial=0)) for p in P]
+        self.masks = [int(np.bitwise_or.reduce(t.support[p != 0])) for p in P]
+
+    def __call__(self, ys) -> list:
+        """jet() at the base, order and cap of Jet4.variables' jets ys."""
+        base = np.array([y.coeffs[..., 0] for y in ys])
+        return self.jet(np.moveaxis(base, 0, -1) if base.ndim > 1 else base,
+                        ys[0].order,
+                        max((ys[0].mask >> MAX_DIM).bit_length() - 1, 0))
+
+    def jet(self, base, order: int = MAX_ORDER, normal: int = 0) -> list:
+        """The jets about base (..., dim), one per polynomial, deg its
+        degree and mask its variables, capped at ``normal`` as
+        Jet4.variables(dim, base, order, normal) would cap them."""
+        if not 0 <= normal <= self.dim:
+            raise ValueError(f"normal count {normal} not in 0..{self.dim}")
+        t, ncoef, lead = _tables(self.dim), _size(self.dim, order), np.shape(
+            base)[:-1]
+        plan = self._plans.get((order, normal))
+        if plan is None:        # the terms of the result monomials kept
+            keep = t.degree[self.mono] <= order
+            if normal:
+                keep &= t.exponents[self.mono, self.dim - normal:].sum(1) <= 2
+            power = self.power[keep]
+            plan = self._plans[order, normal] = (
+                self.weight[keep], self.piece[keep] * ncoef + self.mono[keep],
+                t.factors[power, :max(t.degree[power].max(initial=0), 1)].T)
+        v, bins, factors = plan
+        ext = np.concatenate((base, np.ones(lead + (1,))), -1)  # y_dim := 1
+        for f in factors:                       # times base^r
+            v = v * ext.take(f, -1)
+        c = (np.bincount(bins, v, self.count * ncoef) if v.ndim == 1 else
+             _scatter(v, bins, self.count * ncoef)).reshape(
+                 lead + (self.count, ncoef))
+        cap = 1 << MAX_DIM + normal if normal else 0
+        return [_jet(self.dim, c[..., k, :], min(d, order), order, m | cap)
+                for k, (d, m) in enumerate(zip(self.degs, self.masks))]

@@ -1,9 +1,9 @@
 """Minkowski norm models on R^dim.
 
 Everything downstream consumes a norm through two entry points: ``value``
-(float evaluation of H = F^2/2) and ``jet`` (the Taylor jet of H about a
-base direction, to the order the caller reads: 2 for Hessians, 4 for the
-expanded Ricci formula), both served by one ring function per model (see
+(H = F^2/2 at a direction) and ``jet`` (the Taylor jet of H about a base
+direction, to the order the caller reads: 2 for Hessians, 4 for the
+expanded Ricci formula), both served by one function per model (see
 :class:`NormModel`).  Four constructors provide the families:
 
 * ``euclidean``:   H(y) = |y|^2 / 2.
@@ -21,16 +21,17 @@ expanded Ricci formula), both served by one ring function per model (see
                    the y3-axis, where the rational terms have no limit.
 * ``expression``:  any tree accepted by :mod:`minksub.norm_expr`.
 
-Each built-in family is a module-level function of its parameters and the
-coordinates, so shared subexpressions (F in F*F) are computed once.  Float
-and jet evaluation run the same arithmetic (operator overloading on jets),
-so a jet coefficient can never drift from the float value it truncates.
+Each family is a module-level function of its parameters and the
+coordinate jets.  Its polynomial pieces (all of euclidean; randers' (a(y,y)
++ b(y)^2)/2, a(y,y) and b(y); an expression's folded subtrees) take one
+Taylor shift (:class:`minksub.jets.Polynomials`), and only sqrt, division
+and powers above them take ring ops.  A value is the constant term of the
+order-1 jet, the order-4 jet's prefix, so value(y) == jet(y).value.
 """
 
 from __future__ import annotations
 
 import copy
-import math
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable
@@ -38,8 +39,8 @@ from typing import Callable
 import numpy as np
 
 from .germ import SYM_TOL
-from .jets import BATCH_BLOCK, MAX_ORDER, Jet4
-from .norm_expr import evaluate, parse_norm
+from .jets import BATCH_BLOCK, MAX_ORDER, Jet4, Polynomials, form
+from .norm_expr import evaluate, fold, parse_norm
 
 AXIS_EXCLUSION = 1e-12  # excluded when off-axis |y|^2 < AXIS_EXCLUSION*|y|^2
 
@@ -56,33 +57,15 @@ class ConeTooNarrow(ValueError):
     """The cone of ``min_axis_fraction`` is too narrow to sample."""
 
 
-def _euclidean_h(ys):
-    acc = ys[0] * ys[0]
-    for y in ys[1:]:
-        acc = acc + y * y
-    return acc * 0.5
+def _polynomial_h(pieces, ys):
+    return pieces(ys)[0]
 
 
-def _randers_h(a, b, ys):
-    # q sums y_i y_j a_ij over the nonzero a_ij in row-major order from 0.0.
-    # A single jet takes one product over the stacked coordinates and one
-    # running sum (0.5-0.75x the loop's time at dim 3-5); floats and batched
-    # jets take the loop, as a batch's (dim, dim, rows) product costs more to
-    # allocate than it saves
-    rows, cols = np.nonzero(a)
-    if isinstance(ys[0], Jet4) and not ys[0].shape:
-        Y = Jet4.stack(ys)
-        t = 0.0 + (Y[:, None] * Y * a)[rows, cols]
-        t.coeffs.cumsum(0, out=t.coeffs)    # in place: t is a fresh sum
-        q = t[-1]
-    else:
-        q = 0.0
-        for i, j in zip(rows.tolist(), cols.tolist()):
-            q = q + ys[i] * ys[j] * a[i, j]
-    f = q.sqrt() if isinstance(q, Jet4) else math.sqrt(q)
-    for i in np.flatnonzero(b).tolist():
-        f = f + ys[i] * b[i]
-    return f * f * 0.5
+def _randers_h(pieces, ys):
+    # H = (a(y,y) + b(y)^2)/2 + sqrt(a(y,y)) b(y), its three polynomials
+    # jetted by one Taylor shift
+    q, a, b = pieces(ys)
+    return q + a.sqrt() * b
 
 
 def _example4_h(A, B, eps1, eps2, ys):
@@ -99,15 +82,15 @@ def _example4_h(A, B, eps1, eps2, ys):
             + (y3 * y3) * (B + sext / (r2 * r2 * r2) * eps2))
 
 
-def _expression_h(tree, ys):
+def _expression_h(tree, folded, ys):
     # looks ``evaluate`` up per call, so a wrapped evaluate is honoured
-    return evaluate(tree, ys)
+    return evaluate(tree, ys, folded)
 
 
 @dataclass(frozen=True)
 class NormModel:
-    """A Minkowski norm: ``h(ys)`` computes H = F^2/2 from a list of ``dim``
-    coordinates, floats or jets alike (a family function bound to its
+    """A Minkowski norm: ``h(ys)`` computes H = F^2/2 from the coordinate
+    jets ys of :meth:`Jet4.variables` (a family function bound to its
     parameters with :func:`functools.partial`, so models pickle).
     ``config`` rebuilds the model; ``excluded_axis``, set by the example
     family only, indexes the coordinate axis along which H is singular.
@@ -125,7 +108,8 @@ class NormModel:
     def euclidean(dim: int) -> "NormModel":
         if dim < 1:
             raise ValueError("dimension must be positive")
-        return NormModel("euclidean", dim, _euclidean_h,
+        pieces = Polynomials(dim, form(0.5 * np.eye(dim), np.zeros(dim)))
+        return NormModel("euclidean", dim, partial(_polynomial_h, pieces),
                          {"kind": "euclidean", "dim": dim})
 
     @staticmethod
@@ -144,7 +128,10 @@ class NormModel:
         bnorm = float(np.sqrt(b @ np.linalg.solve(a, b)))
         if bnorm >= 1.0:
             raise ValueError(f"drift covector too long: |b|_a = {bnorm:.6g} >= 1")
-        return NormModel("randers", dim, partial(_randers_h, a, b),
+        zero = np.zeros(dim)
+        pieces = Polynomials(dim, [form(0.5 * (a + np.outer(b, b)), zero),
+                                   form(a, zero), form(0.0 * a, b)])
+        return NormModel("randers", dim, partial(_randers_h, pieces),
                          {"kind": "randers", "a": a.tolist(),
                           "b": b.tolist()})
 
@@ -160,15 +147,17 @@ class NormModel:
     @staticmethod
     def expression(text: str, dim: int) -> "NormModel":
         tree = parse_norm(text, dim)
-        return NormModel("expression", dim, partial(_expression_h, tree),
+        return NormModel("expression", dim,
+                         partial(_expression_h, tree, fold(tree, dim)),
                          {"kind": "expression", "dim": dim, "text": text})
 
     # -- evaluation --------------------------------------------------------
 
     def value(self, y) -> float:
+        """H(y), as the constant term of its jet: bit for bit jet(y).value."""
         y = np.asarray(y, dtype=np.float64)
         self.check_admissible(y)
-        return float(self.h(list(y)))
+        return self.jet(y, 1).value
 
     def jet(self, base, order: int = MAX_ORDER, row: int = 0,
             normal: int = 0) -> Jet4:

@@ -11,7 +11,9 @@ then +-):
 
 Variables are written y1 .. yN for an N-dimensional norm.  Trees evaluate
 over any commutative ring with the usual operators, so the same tree
-serves float evaluation and jet evaluation.
+serves float evaluation and jet evaluation.  ``fold`` finds a tree's
+maximal polynomial subtrees of degree <= 4; given them, ``evaluate`` takes
+their jets at Jet4.variables' coordinates from one Taylor shift.
 """
 
 from __future__ import annotations
@@ -21,7 +23,9 @@ import operator
 import re
 from dataclasses import dataclass
 
-from .jets import Jet4
+import numpy as np
+
+from .jets import MAX_ORDER, Jet4, Polynomials
 
 
 class ExprSyntaxError(ValueError):
@@ -217,10 +221,14 @@ def parse_norm(text: str, dim: int):
     return _Parser(text, dim).parse()
 
 
-def evaluate(node, args):
+def evaluate(node, args, folded=None):
     """Evaluate a tree over floats or jets; args[i] is the value of y(i+1).
-    A subtree object that occurs several times is computed once."""
-    return _evaluate(node, args, {})
+    A subtree object that occurs several times is computed once, and the
+    subtrees of ``folded`` (fold's, for jets of Jet4.variables) take their
+    jets from its one Taylor shift."""
+    nodes, pieces = folded or ((), None)
+    return _evaluate(node, args, dict(zip(map(id, nodes), pieces(args)))
+                     if nodes else {})
 
 
 def _evaluate(node, args, memo):
@@ -250,6 +258,39 @@ def _evaluate(node, args, memo):
 
 _OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul,
         "/": operator.truediv}
+_KIDS = ("left", "right", "base", "arg")
+
+
+def fold(tree, dim: int) -> tuple:
+    """The maximal polynomial subtrees of tree (numbers, variables, +, -, *,
+    powers >= 0, division by a nonzero number) of degree 1..4, bare
+    variables aside, and one Polynomials of them, for ``evaluate``."""
+    degrees, found = {}, {}
+
+    def degree(node):
+        if id(node) not in degrees:
+            kids = [getattr(node, f) for f in _KIDS if hasattr(node, f)]
+            ds = [degree(kid) for kid in kids]
+            op = getattr(node, "op", type(node))
+            if None in ds or op is Sqrt or op is Pow and node.exponent < 0 \
+                    or op == "/" and not (isinstance(node.right, Num)
+                                          and node.right.value):
+                d = None
+            else:           # Num 0, Var 1; Neg, +, - and / by a number: max
+                d = ds[0] * node.exponent if op is Pow else sum(ds) \
+                    if op == "*" else max(ds, default=int(op is Var))
+            if d is None or d > MAX_ORDER:
+                found.update((id(k), k) for k, dk in zip(kids, ds) if dk
+                             and dk <= MAX_ORDER and not isinstance(k, Var))
+            degrees[id(node)] = d
+        return degrees[id(node)]
+
+    degree(Sqrt(tree))      # a root that is no polynomial: tree may be one
+    zero = Jet4.variables(dim, np.zeros(dim))   # coefficients: jets about 0
+    nodes = tuple(found.values())
+    return nodes, Polynomials(dim, [evaluate(x, zero).coeffs for x in nodes])
+
+
 _PREC = {"+": 1, "-": 1, "*": 2, "/": 2}
 
 

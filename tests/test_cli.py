@@ -128,6 +128,46 @@ def test_curvature_report_shape(tmp_path, capsys):
     assert len(rep["G"]) == 2 and len(rep["g"]) == 2
 
 
+def test_curvature_takes_one_jet_and_prints_the_reports_zeta(
+        tmp_path, capsys, monkeypatch):
+    calls = []
+    jet = cli.NormModel.jet
+    monkeypatch.setattr(cli.NormModel, "jet", lambda self, *a, **k: (
+        calls.append(a) or jet(self, *a, **k)))
+    cfg = write(tmp_path, "c.json", RANDERS)
+    code, out, _ = run(capsys, ["curvature", "--config", cfg,
+                                "--direction", "1,0.5"])
+    assert code == 0 and len(calls) == 1
+    rep = json.loads(out)
+    norm = cli.norm_from_config(RANDERS["norm"], "")
+    germ = cli.germ_from_config(RANDERS["germ"], "")
+    want = cli.ricci_expanded(norm, germ, np.array([1.0, 0.5]))
+    assert rep["zeta"] == want.zeta.tolist()
+
+
+def test_curvature_exits_one_on_a_non_positive_zeta(tmp_path, capsys):
+    # g = I is positive definite, zeta = -1 is not
+    cfg = write(tmp_path, "c.json", {
+        "norm": {"kind": "expression", "dim": 3,
+                 "text": "(y1^2 + y2^2 - y3^2) / 2"},
+        "germ": PARABOLOID["germ"]})
+    code, out, err = run(capsys, ["curvature", "--config", cfg,
+                                  "--direction", "1,0"])
+    assert (code, out) == (1, "")
+    assert err == "error: zeta is not positive definite at this direction\n"
+
+
+def test_curvature_exits_one_when_the_det_ratio_exceeds_its_tolerance(
+        tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "ZETA_DET_RATIO_TOL", -1.0)
+    cfg = write(tmp_path, "c.json", RANDERS)
+    code, out, err = run(capsys, ["curvature", "--config", cfg,
+                                  "--direction", "1,0.5"])
+    assert (code, out) == (1, "")
+    assert err.startswith("error: zetaDetRatioResidual ")
+    assert err.endswith(" exceeds zetaDetRatioTol -1\n")
+
+
 def test_curvature_deterministic_and_out_file(tmp_path, capsys):
     cfg = write(tmp_path, "c.json", RANDERS)
     dest = tmp_path / "rep.json"

@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from minksub.jets import (MAX_DIM, MAX_ORDER, DivisionByZeroJet, Jet4,
-                          NegativeSqrtJet, OrderExceeded, _plan, _tables)
+                          NegativeSqrtJet, OrderExceeded, Polynomials, _plan,
+                          _tables, form)
 from minksub.minkowski import NormModel
 
 NCOEF_1 = 5    # monomials of degree <= 4 in one variable
@@ -733,3 +734,73 @@ def test_normal_cap_keeps_the_terms_of_normal_degree_two():
         cap = m | 1 << MAX_DIM + normal
         assert len(_plan(dim, dim, 4, 4, 4, 4, m, m)[0]) == full
         assert len(_plan(dim, dim, 4, 4, 4, 4, cap, m)[0]) == capped
+
+
+# -- polynomial pieces: one Taylor shift --------------------------------------
+
+
+def _ring_polynomial(P, ys):
+    """sum_m P_m y^m by jet ring ops: each monomial a product of coordinate
+    jets, summed in monomial order."""
+    t = _tables(len(ys))
+    acc = Jet4.constant(t.dim, 0.0)
+    for k in np.flatnonzero(P):
+        term = Jet4.constant(t.dim, P[k])
+        for v in t.monos[k]:
+            term = term * ys[v]
+        acc = acc + term
+    return acc
+
+
+@settings(max_examples=60, deadline=None)
+@given(dim=st.integers(1, 6), rows=st.sampled_from([None, 1, 3, 65, 128]),
+       degrees=st.lists(st.integers(1, MAX_ORDER), min_size=1, max_size=3),
+       density=st.floats(0.02, 0.5), integer=st.booleans(),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_taylor_shift_matches_ring_ops(dim, rows, degrees, density, integer,
+                                       seed):
+    # random sparse polynomials of degree <= 4: each jet is the ring ops'
+    # (to the byte when every operation is exact on small integers), with
+    # exact deg, support and capped zeros, and every coefficient is the same
+    # bytes at any order, cap and batch row
+    rng = np.random.default_rng(seed)
+    t = _tables(dim)
+    lead = () if rows is None else (rows,)
+    draw = ((lambda shape: rng.integers(-3, 4, shape).astype(float))
+            if integer else (lambda shape: rng.uniform(-1.0, 1.0, shape)))
+    P = draw((len(degrees), t.ncoef)) * (rng.uniform(size=(len(degrees),
+                                                           t.ncoef)) < density)
+    P[t.degree[None, :] > np.array(degrees)[:, None]] = 0.0
+    base = draw(lead + (dim,))
+    kernel = Polynomials(dim, P)
+    full = kernel.jet(base)
+    for k, jet in enumerate(full):
+        nonzero = P[k] != 0.0
+        assert jet.deg == max(t.degree[nonzero], default=0)
+        assert jet.mask == np.bitwise_or.reduce(t.support[nonzero])
+        _assert_within_degree(jet)
+    # ring ops at the unbatched bases of the first and last rows, which are
+    # the batch's rows to the byte
+    for row in sorted({0, (rows or 1) - 1}):
+        y = base[row] if rows else base
+        for jet, whole, p in zip(kernel.jet(y), full, P):
+            want = _ring_polynomial(p, Jet4.variables(dim, y)).coeffs
+            if integer:
+                assert (jet.coeffs + 0.0).tobytes() == (want + 0.0).tobytes()
+            else:
+                assert np.max(np.abs(jet.coeffs - want)) <= 1e-14 * (
+                    1.0 + np.max(np.abs(want)))
+            if rows:
+                assert jet.coeffs.tobytes() == whole.coeffs[row].tobytes()
+    # orders and caps drop whole bins: kept slots are the full jet's bytes
+    for order in range(1, MAX_ORDER + 1):
+        for normal in range(min(dim, 2) + 1):
+            for jet, whole in zip(kernel.jet(base, order, normal), full):
+                keep = _computed(jet)
+                assert jet.order == order and jet.deg == min(whole.deg, order)
+                assert jet.mask == whole.mask | (1 << MAX_DIM + normal
+                                                 if normal else 0)
+                assert jet.coeffs[..., keep].tobytes() == \
+                    _prefix(whole, order)[..., keep].tobytes()
+                assert np.all(jet.coeffs[..., ~keep] == 0.0)
+                _assert_within_degree(jet)

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from minksub.jets import Jet4
 from minksub.norm_expr import (ArityError, Bin, ExprSyntaxError, Neg, Num,
                                Pow, Sqrt, UnknownVariable, Var, evaluate,
-                               parse_norm, to_text)
+                               fold, parse_norm, to_text)
 
 
 def ev(text, dim, args):
@@ -196,3 +196,38 @@ def test_shared_evaluation_equals_the_unshared_tree(rows):
         assert got.deg == want.deg
     for y in base.reshape(-1, 3):
         assert evaluate(tree, list(y)) == evaluate(plain, list(y))
+
+
+# -- folded polynomial subtrees -----------------------------------------------
+
+FOLD_TEXT = ("sqrt(y1^2 + 2*y2^2) * y3 + (y1*y2)^2 / 2 - y1^-2 + y2^6 "
+             "+ y3 / (1 + y1^2) + y3")
+
+
+def test_fold_finds_the_maximal_polynomial_subtrees():
+    # sqrt, division by a non-number, negative powers and degree 6 stay
+    # ring ops; bare variables are not pieces; a polynomial tree is one
+    nodes, pieces = fold(parse_norm(FOLD_TEXT, 3), 3)
+    assert sorted(map(to_text, nodes)) == [
+        "(y1 * y2)^2 / 2", "1 + y1^2", "y1^2 + 2 * y2^2"]
+    assert sorted(pieces.degs) == [2, 2, 4]
+    tree = parse_norm("(y1^2 + y2^2) / 2 - y1 * y2^3", 2)
+    assert fold(tree, 2)[0] == (tree,)
+    assert fold(parse_norm("sqrt(y1) + y2", 2), 2)[0] == ()
+
+
+@pytest.mark.parametrize("rows", [None, 5])
+def test_folded_jets_match_the_ring_ops(rows):
+    tree = parse_norm(FOLD_TEXT, 3)
+    folded = fold(tree, 3)
+    rng = np.random.default_rng(31)
+    base = rng.uniform(0.3, 1.5, ((rows,) if rows else ()) + (3,))
+    for order, normal in ((4, 0), (4, 1), (2, 0)):
+        ys = Jet4.variables(3, base, order, normal)
+        got, want = evaluate(tree, ys, folded), evaluate(tree, ys)
+        assert got.deg == want.deg and got.mask == want.mask
+        scale = 1.0 + np.max(np.abs(want.coeffs))
+        assert np.max(np.abs(got.coeffs - want.coeffs)) <= 1e-14 * scale
+        for k, y in enumerate(base.reshape(-1, 3) if rows else ()):
+            one = evaluate(tree, Jet4.variables(3, y, order, normal), folded)
+            assert one.coeffs.tobytes() == got.coeffs[k].tobytes()
