@@ -490,8 +490,9 @@ class Polynomials:
         self.dim, self.count, self.power, self._plans = dim, len(P), r, {}
         self.weight = P[self.piece, k] * (t.fact[k] / (t.fact[r]
                                                        * t.fact[self.mono]))
-        self.degs = [int(t.degree[p != 0].max(initial=0)) for p in P]
-        self.masks = [int(np.bitwise_or.reduce(t.support[p != 0])) for p in P]
+        self.degs = np.where(P != 0, t.degree, 0).max(1, initial=0).tolist()
+        self.masks = np.bitwise_or.reduce(np.where(P != 0, t.support, 0),
+                                          1).tolist()
 
     def __call__(self, ys) -> list:
         """jet() at the base, order and cap of Jet4.variables' jets ys."""
@@ -504,8 +505,9 @@ class Polynomials:
         """The jets about base (..., dim), one per polynomial, deg its
         degree and mask its variables, capped at ``normal`` as
         Jet4.variables(dim, base, order, normal) would cap them."""
-        if not 0 <= normal <= self.dim:
-            raise ValueError(f"normal count {normal} not in 0..{self.dim}")
+        if np.shape(base)[-1:] != (self.dim,) or not 0 <= normal <= self.dim:
+            raise ValueError(f"base {np.shape(base)}, normal count {normal}: "
+                             f"need (..., {self.dim}) and 0..{self.dim}")
         t, ncoef, lead = _tables(self.dim), _size(self.dim, order), np.shape(
             base)[:-1]
         plan = self._plans.get((order, normal))

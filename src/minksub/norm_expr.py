@@ -258,7 +258,8 @@ def _evaluate(node, args, memo):
 
 _OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul,
         "/": operator.truediv}
-_KIDS = ("left", "right", "base", "arg")
+_KIDS = {Bin: ("left", "right"), Pow: ("base",), Sqrt: ("arg",),
+         Neg: ("arg",)}
 
 
 def fold(tree, dim: int) -> tuple:
@@ -269,7 +270,7 @@ def fold(tree, dim: int) -> tuple:
 
     def degree(node):
         if id(node) not in degrees:
-            kids = [getattr(node, f) for f in _KIDS if hasattr(node, f)]
+            kids = [getattr(node, f) for f in _KIDS.get(type(node), ())]
             ds = [degree(kid) for kid in kids]
             op = getattr(node, "op", type(node))
             if None in ds or op is Sqrt or op is Pow and node.exponent < 0 \
@@ -286,9 +287,10 @@ def fold(tree, dim: int) -> tuple:
         return degrees[id(node)]
 
     degree(Sqrt(tree))      # a root that is no polynomial: tree may be one
-    zero = Jet4.variables(dim, np.zeros(dim))   # coefficients: jets about 0
+    zero, memo = Jet4.variables(dim, np.zeros(dim)), {}   # jets about 0
     nodes = tuple(found.values())
-    return nodes, Polynomials(dim, [evaluate(x, zero).coeffs for x in nodes])
+    return nodes, Polynomials(dim, [_evaluate(x, zero, memo).coeffs
+                                    for x in nodes])
 
 
 _PREC = {"+": 1, "-": 1, "*": 2, "/": 2}

@@ -804,3 +804,23 @@ def test_taylor_shift_matches_ring_ops(dim, rows, degrees, density, integer,
                     _prefix(whole, order)[..., keep].tobytes()
                 assert np.all(jet.coeffs[..., ~keep] == 0.0)
                 _assert_within_degree(jet)
+
+
+def test_quadratic_forms_and_kernel_arguments():
+    rng = np.random.default_rng(83)
+    a, b = rng.uniform(-1.0, 1.0, (2, 3, 3)), rng.uniform(-1.0, 1.0, (2, 3))
+    y = Jet4.variables(3, np.zeros(3))
+    for ai, bi in zip(a, b):
+        want = sum(y[i] * y[j] * ai[i, j] for i in range(3) for j in range(3))
+        want = want + sum(y[i] * bi[i] for i in range(3))
+        assert np.allclose(form(ai, bi), want.coeffs, rtol=0.0, atol=1e-15)
+    kernel = Polynomials(3, [form(ai, bi) for ai, bi in zip(a, b)])
+    with pytest.raises(ValueError, match="need"):
+        kernel.jet(np.ones(4))
+    with pytest.raises(ValueError, match="need"):
+        kernel.jet(np.ones(3), normal=4)
+    with pytest.raises(OrderExceeded):
+        kernel.jet(np.ones(3), 5)
+    zero = Polynomials(3, np.zeros(35)).jet(np.ones((2, 3)), normal=1)[0]
+    assert zero.deg == 0 and zero.coeffs.shape == (2, 35)
+    assert not zero.coeffs.any()
