@@ -477,6 +477,24 @@ def form(a, b) -> np.ndarray:
     return c
 
 
+@lru_cache(maxsize=1024)
+def _shift_plan(dim: int, pattern: bytes, order: int, normal: int) -> tuple:
+    """Taylor-shift terms of polynomials whose nonzero coefficients are
+    ``pattern`` (bools (K, ncoef)) that a jet of ``order`` and cap keeps: their
+    index among all of the pattern's terms, their bins, and the factors of
+    base^r.  Shared by the norms of one pattern, which keep only weights."""
+    t = _tables(dim)
+    nonzero = np.frombuffer(pattern, dtype=bool).reshape(-1, t.ncoef)
+    piece, term = np.nonzero(nonzero[:, t.mul_k])
+    r, m = t.mul_i[term], t.mul_j[term]
+    keep = t.degree[m] <= order
+    if normal:
+        keep &= t.exponents[m, dim - normal:].sum(1) <= 2
+    r = r[keep]
+    return (np.flatnonzero(keep), piece[keep] * t.sizes[order] + m[keep],
+            t.factors[r, :max(t.degree[r].max(initial=0), 1)].T)
+
+
 class Polynomials:
     """Polynomials P_1 .. P_K of degree <= 4 in ``dim`` variables, from
     coefficients (K, ncoef) in jet order, compiled for one Taylor shift: the
@@ -485,11 +503,10 @@ class Polynomials:
     def __init__(self, dim: int, coeffs):
         t = _tables(dim)
         P = np.asarray(coeffs, dtype=np.float64).reshape(-1, t.ncoef)
-        self.piece, term = np.nonzero(P[:, t.mul_k])
-        r, self.mono, k = t.mul_i[term], t.mul_j[term], t.mul_k[term]
-        self.dim, self.count, self.power, self._plans = dim, len(P), r, {}
-        self.weight = P[self.piece, k] * (t.fact[k] / (t.fact[r]
-                                                       * t.fact[self.mono]))
+        piece, term = np.nonzero(P[:, t.mul_k])
+        r, m, k = t.mul_i[term], t.mul_j[term], t.mul_k[term]
+        self.dim, self.count, self.pattern = dim, len(P), (P != 0).tobytes()
+        self.weight = P[piece, k] * (t.fact[k] / (t.fact[r] * t.fact[m]))
         self.degs = np.where(P != 0, t.degree, 0).max(1, initial=0).tolist()
         self.masks = np.bitwise_or.reduce(np.where(P != 0, t.support, 0),
                                           1).tolist()
@@ -508,19 +525,11 @@ class Polynomials:
         if np.shape(base)[-1:] != (self.dim,) or not 0 <= normal <= self.dim:
             raise ValueError(f"base {np.shape(base)}, normal count {normal}: "
                              f"need (..., {self.dim}) and 0..{self.dim}")
-        t, ncoef, lead = _tables(self.dim), _size(self.dim, order), np.shape(
-            base)[:-1]
-        plan = self._plans.get((order, normal))
-        if plan is None:        # the terms of the result monomials kept
-            keep = t.degree[self.mono] <= order
-            if normal:
-                keep &= t.exponents[self.mono, self.dim - normal:].sum(1) <= 2
-            power = self.power[keep]
-            plan = self._plans[order, normal] = (
-                self.weight[keep], self.piece[keep] * ncoef + self.mono[keep],
-                t.factors[power, :max(t.degree[power].max(initial=0), 1)].T)
-        v, bins, factors = plan
+        ncoef, lead = _size(self.dim, order), np.shape(base)[:-1]
+        terms, bins, factors = _shift_plan(self.dim, self.pattern, order,
+                                           normal)
         ext = np.concatenate((base, np.ones(lead + (1,))), -1)  # y_dim := 1
+        v = self.weight[terms]
         for f in factors:                       # times base^r
             v = v * ext.take(f, -1)
         c = (np.bincount(bins, v, self.count * ncoef) if v.ndim == 1 else
