@@ -522,13 +522,15 @@ class Polynomials:
         """The jets about base (..., dim), one per polynomial, deg its
         degree and mask its variables, capped at ``normal`` as
         Jet4.variables(dim, base, order, normal) would cap them."""
-        if np.shape(base)[-1:] != (self.dim,) or not 0 <= normal <= self.dim:
-            raise ValueError(f"base {np.shape(base)}, normal count {normal}: "
-                             f"need (..., {self.dim}) and 0..{self.dim}")
-        ncoef, lead = _size(self.dim, order), np.shape(base)[:-1]
-        terms, bins, factors = _shift_plan(self.dim, self.pattern, order,
-                                           normal)
-        ext = np.concatenate((base, np.ones(lead + (1,))), -1)  # y_dim := 1
+        shape, dim = np.shape(base), self.dim
+        if shape[-1:] != (dim,) or not 0 <= normal <= dim:
+            raise ValueError(f"base {shape}, normal count {normal}: need "
+                             f"(..., {dim}) and 0..{dim}")
+        ncoef, lead = _size(dim, order), shape[:-1]
+        terms, bins, factors = _shift_plan(dim, self.pattern, order, normal)
+        ext = np.empty(lead + (dim + 1,))       # base, then y_dim := 1.0
+        ext[..., :dim] = base
+        ext[..., dim] = 1.0
         v = self.weight[terms]
         for f in factors:                       # times base^r
             v = v * ext.take(f, -1)
@@ -536,5 +538,5 @@ class Polynomials:
              _scatter(v, bins, self.count * ncoef)).reshape(
                  lead + (self.count, ncoef))
         cap = 1 << MAX_DIM + normal if normal else 0
-        return [_jet(self.dim, c[..., k, :], min(d, order), order, m | cap)
+        return [_jet(dim, c[..., k, :], min(d, order), order, m | cap)
                 for k, (d, m) in enumerate(zip(self.degs, self.masks))]
