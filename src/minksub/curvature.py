@@ -52,6 +52,7 @@ from .jets import BATCH_BLOCK, Jet4
 from .minkowski import NormModel
 
 ZETA_DET_RATIO_TOL = 1e-10  # zeta = det(Hess H) / det(g) for p = 1
+FD_STEP = 1e-4  # finite-difference oracle: step in x, and in u times 1 + |u|
 
 
 class NonPDTensor(ValueError):
@@ -60,10 +61,6 @@ class NonPDTensor(ValueError):
 
 class NonPDZeta(ValueError):
     """The normal-block tensor zeta failed its positive definiteness check."""
-
-
-class StepUnderflow(ValueError):
-    """Finite-difference step too small to resolve against roundoff."""
 
 
 def _lift(germ: Germ, u) -> np.ndarray:
@@ -347,15 +344,10 @@ def spray_field(norm: NormModel, germ: Germ, x, u) -> np.ndarray:
     return _spray(H, fi, fkl, u, np.linalg.solve)
 
 
-def _ricci_oracle_fd(norm: NormModel, germ: Germ, u: np.ndarray,
-                     step_x: float = 1e-4,
-                     step_u: float | None = None) -> np.ndarray:
+def _ricci_oracle_fd(norm: NormModel, germ: Germ,
+                     u: np.ndarray) -> np.ndarray:
     n = germ.n
-    if step_u is None:
-        step_u = 1e-4 * (1.0 + float(np.linalg.norm(u)))
-    eps = np.finfo(float).eps
-    if step_x < 64 * eps or step_u < 64 * eps * (1.0 + float(np.linalg.norm(u))):
-        raise StepUnderflow("finite-difference step too small")
+    step_u = FD_STEP * (1.0 + float(np.linalg.norm(u)))
 
     # stencil first: at(w) is the row of point w in G; each partial reads G
     rows = {}
@@ -367,7 +359,7 @@ def _ricci_oracle_fd(norm: NormModel, germ: Germ, u: np.ndarray,
         return lambda G: (4.0 * fine(G) - coarse(G)) / 3.0
 
     w0 = np.concatenate([np.zeros(n), u])
-    steps = np.concatenate([np.full(n, step_x), np.full(n, step_u)])
+    steps = np.concatenate([np.full(n, FD_STEP), np.full(n, step_u)])
     c = at(w0)
 
     def partial1(idx, h):
@@ -410,19 +402,19 @@ def _ricci_oracle_fd(norm: NormModel, germ: Germ, u: np.ndarray,
     return _assemble_ricci(u, G[c], Gx, Gv, Gxv, Gvv)
 
 
-def ricci_oracle(norm: NormModel, germ: Germ, u, scheme: str = "jet",
-                 **fd_steps) -> float:
+def ricci_oracle(norm: NormModel, germ: Germ, u,
+                 scheme: str = "jet") -> float:
     """Ricci curvature through the spray route, independent of the expansion.
 
     ``scheme`` selects jet differentiation of G(x, u) in doubled variables
-    ("jet") or Richardson-extrapolated central differences
-    ("finite_difference").
+    ("jet") or Richardson-extrapolated central differences with step
+    FD_STEP ("finite_difference").
     """
     u = np.asarray(u, dtype=np.float64)
     if scheme == "jet":
         R = _ricci_oracle_jets(norm, germ, u)
     elif scheme == "finite_difference":
-        R = _ricci_oracle_fd(norm, germ, u, **fd_steps)
+        R = _ricci_oracle_fd(norm, germ, u)
     else:
         raise ValueError(f"unknown scheme {scheme!r}")
     return float(np.trace(R))

@@ -38,9 +38,19 @@ class NonInvertibleFrame(ValueError):
     """Frame basis or coordinate substitution is numerically singular."""
 
 
+def rank_mask(values: np.ndarray, cut: float, scale=None) -> np.ndarray:
+    """The numerical-rank decision: the mask of ``values`` (singular values
+    or |eigenvalues|) kept, those above cut * scale, with ``scale`` the
+    largest value unless given (Golub & Van Loan, *Matrix Computations*,
+    5.4).  The rank is the mask's count."""
+    if scale is None:
+        scale = values.max(initial=0.0)
+    return values > cut * scale
+
+
 def _check_conditioned(M: np.ndarray, message: str) -> None:
     svals = np.linalg.svd(M, compute_uv=False)
-    if svals[-1] == 0.0 or svals[0] / svals[-1] > COND_LIMIT:
+    if not rank_mask(svals, 1 / COND_LIMIT).all():
         raise NonInvertibleFrame(message)
 
 

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import pencil as pencils
 from .curvature import ricci_expanded, ricci_expanded_batch
-from .germ import Germ
+from .germ import Germ, rank_mask
 from .jets import MAX_DIM
 from .minkowski import NormModel
 
@@ -73,13 +73,12 @@ class PointInvariants:
                 "nullBasis": self.null_basis.T.tolist()}
 
 
-def nullity(germ: Germ, tol: float = RANK_TOL) -> tuple:
+def nullity(germ: Germ) -> tuple:
     """(mu, orthonormal basis of the common kernel of all d2 blocks)."""
     stacked = germ.d2.reshape(germ.p * germ.n, germ.n)
-    _, sv, vt = np.linalg.svd(stacked)
-    sv = np.concatenate([sv, np.zeros(germ.n - len(sv))])
-    mask = sv <= tol * sv.max(initial=0.0)
-    return int(mask.sum()), vt[mask].T
+    _, sv, vt = np.linalg.svd(stacked)   # p >= 1: n singular values
+    cut = ~rank_mask(sv, RANK_TOL)
+    return int(cut.sum()), vt[cut].T
 
 
 def point_type(germ: Germ, seed: int = 0):
@@ -97,7 +96,7 @@ def point_type(germ: Germ, seed: int = 0):
         return pencils.pencil_type(pen) if germ.d2.any() else 0
 
     forms = np.einsum("sa,aij->sij", _normal_table(seed, germ.p), germ.d2)
-    pos, _ = pencils.max_rank_inertia(forms, RANK_TOL)
+    pos, _ = pencils.max_rank_inertia(forms)
     bound = int(pos.min())
     return Interval(bound, bound)
 

@@ -25,7 +25,7 @@ from math import atan2, cos, pi, sin
 
 import numpy as np
 
-from .germ import SYM_TOL, sym3
+from .germ import SYM_TOL, rank_mask, sym3
 
 EIG_TOL = 1e-9          # scaled by (1 + spectral radius)
 CLUSTER_TOL = 1e-6      # eigenvalue clustering, scaled the same way
@@ -33,7 +33,7 @@ CANONICAL_ANGLE_TOL = 1e-6
 ARC_MERGE_TOL = 1e-12   # type_exact: critical angles closer than this are one
 SMOOTH_TOL = 1e-6       # sampled dependency functional, scaled by 1 + max |A|
 ANTIPODAL_TOL = 1e-9
-COND_LIMIT = 1e10
+PENCIL_COND_LIMIT = 1e10  # reference members past this condition are singular
 RESIDUAL_SQ = 1e-16     # success threshold for common_zero_search
 MEMBER_SAMPLES = 10000  # members sampled by type_sampled
 # Sturm-count bracket margin, relative to the Gershgorin bound: over 500
@@ -199,10 +199,10 @@ def _screen_counts(members: np.ndarray, tol: float) -> tuple:
     return N - below[1], below[2], decided
 
 
-def _inertia_counts(members: np.ndarray, tol: float = EIG_TOL) -> tuple:
+def _inertia_counts(members: np.ndarray) -> tuple:
     """Positive and negative inertia counts of each stacked member.
 
-    Eigenvalues within tol * (1 + spectral radius) of zero count as zero,
+    Eigenvalues within EIG_TOL * (1 + spectral radius) of zero count as zero,
     member by member; the counts are the ones eigvalsh and that threshold
     give.  Stacks of SCREEN_MIN_MEMBERS or more are screened by Sturm
     counts (``_screen_counts``) in chunks of SCREEN_CHUNK_ENTRIES matrix
@@ -211,7 +211,7 @@ def _inertia_counts(members: np.ndarray, tol: float = EIG_TOL) -> tuple:
     """
     K = len(members)
     if K < SCREEN_MIN_MEMBERS:
-        return _eigvalsh_counts(members, tol)
+        return _eigvalsh_counts(members, EIG_TOL)
     members = np.asarray(members, dtype=np.float64)
     step = max(1, SCREEN_CHUNK_ENTRIES // members[0].size)
     pos = np.empty(K, dtype=np.intp)
@@ -223,22 +223,22 @@ def _inertia_counts(members: np.ndarray, tol: float = EIG_TOL) -> tuple:
         for start in range(0, K, step):
             chunk = slice(start, start + step)
             pos[chunk], neg[chunk], decided[chunk] = _screen_counts(
-                members[chunk], tol)
+                members[chunk], EIG_TOL)
     if not decided.all():
         pos[~decided], neg[~decided] = _eigvalsh_counts(members[~decided],
-                                                        tol)
+                                                        EIG_TOL)
     return pos, neg
 
 
-def max_rank_inertia(members: np.ndarray, tol: float = EIG_TOL) -> tuple:
+def max_rank_inertia(members: np.ndarray) -> tuple:
     """Positive and negative inertia counts of the maximal-rank members.
 
     ``members`` stacks symmetric matrices; eigenvalues within
-    tol * (1 + spectral radius) of zero count as zero, member by member.
+    EIG_TOL * (1 + spectral radius) of zero count as zero, member by member.
     The counts are the eigvalsh-threshold counts; ``_inertia_counts``
     obtains them by Sturm counts on large stacks.
     """
-    pos, neg = _inertia_counts(members, tol)
+    pos, neg = _inertia_counts(members)
     rank = pos + neg
     at_max = rank == rank.max()
     return pos[at_max], neg[at_max]
@@ -297,17 +297,13 @@ class SpectralData:
         return self.r + 2 * self.s
 
 
-def _rank(sv: np.ndarray) -> int:
-    """Numerical rank at condition COND_LIMIT (full means well-conditioned)."""
-    return int((sv * COND_LIMIT > sv[0]).sum())
-
-
 def _reference(P: SymPencil):
     """(b, c, singular values of B) for B = b . (A1, A2), C = c . (A1, A2):
-    the first of full ``_rank`` among A2, A1, A1 + A2 (complements A1, A2,
-    A1) and 2N + 1 angles t of the half circle (complement at t + pi/2),
-    else the first of largest rank, which is the pencil's: rank drops at
-    no more than N angles of the half circle."""
+    the first of full rank at condition PENCIL_COND_LIMIT among A2, A1,
+    A1 + A2 (complements A1, A2, A1) and 2N + 1 angles t of the half
+    circle (complement at t + pi/2), else the first of largest rank, which
+    is the pencil's: rank drops at no more than N angles of the half
+    circle."""
     N = P.dim
     angles = (k * pi / (2 * N + 1) for k in range(2 * N + 1))
     probes = chain([((0.0, 1.0), (1.0, 0.0)), ((1.0, 0.0), (0.0, 1.0)),
@@ -315,10 +311,11 @@ def _reference(P: SymPencil):
                    (((cos(t), sin(t)), (-sin(t), cos(t))) for t in angles))
     found = []
     for b, c in probes:
-        found.append((b, c, np.linalg.svd(P.member(*b), compute_uv=False)))
-        if _rank(found[-1][2]) == N:
+        sv = np.linalg.svd(P.member(*b), compute_uv=False)
+        found.append((b, c, sv, rank_mask(sv, 1 / PENCIL_COND_LIMIT).sum()))
+        if found[-1][3] == N:
             break
-    return max(found, key=lambda f: _rank(f[2]))
+    return max(found, key=lambda f: f[3])[:3]
 
 
 def _cluster_1d(values: np.ndarray, tol: float) -> list:
@@ -349,11 +346,6 @@ def _cluster_2d(points: list, tol: float) -> list:
     return out
 
 
-def _nullspace(M: np.ndarray, tol: float) -> np.ndarray:
-    _, sv, vt = np.linalg.svd(M)
-    return vt[sv <= tol].T if len(sv) else vt.T
-
-
 def spectral_split(P: SymPencil) -> SpectralData:
     """Decompose a generic pencil into real directions and complex blocks.
 
@@ -372,8 +364,8 @@ def _spectral_split(P: SymPencil, ref) -> SpectralData:
     A1, A2 = P.A1, P.A2
     N = P.dim
     b, c, sv = ref
-    if _rank(sv) < N:
-        raise SingularA2(f"no probe has condition below {COND_LIMIT:g}")
+    if not rank_mask(sv, 1 / PENCIL_COND_LIMIT).all():
+        raise SingularA2(f"no probe has condition below {PENCIL_COND_LIMIT:g}")
     B, C = P.member(*b), P.member(*c)
     W = np.linalg.solve(B, C)
     evals = np.linalg.eigvals(W)
@@ -388,9 +380,9 @@ def _spectral_split(P: SymPencil, ref) -> SpectralData:
 
     real_pairs = []
     for center, mult in _cluster_1d(real_evals, ctol):
-        K = _nullspace(C - center * B,
-                       ntol * (1.0 + abs(center)) * max(
-                           1.0, float(np.abs(B).max(initial=0.0))))
+        _, sv, vt = np.linalg.svd(C - center * B)
+        K = vt[~rank_mask(sv, ntol * (1.0 + abs(center)),
+                          max(1.0, float(np.abs(B).max(initial=0.0))))].T
         if K.shape[1] != mult:
             raise NotSemisimple(
                 f"eigenvalue {center:.6g} has multiplicity {mult} but "
@@ -415,8 +407,8 @@ def _spectral_split(P: SymPencil, ref) -> SpectralData:
     complex_pairs = []
     for (re, im), mult in _cluster_2d(complex_evals, ctol):
         Wsq = W @ W - 2.0 * re * W + (re * re + im * im) * np.eye(N)
-        sv0 = np.linalg.svd(Wsq, compute_uv=False)[0]
-        K = _nullspace(Wsq, ntol * (1.0 + sv0))
+        _, sv, vt = np.linalg.svd(Wsq)
+        K = vt[~rank_mask(sv, ntol, 1.0 + sv[0])].T
         if K.shape[1] != 2 * mult:
             raise NotSemisimple(
                 f"complex eigenvalue {re:.6g}+{im:.6g}i has multiplicity "
@@ -498,7 +490,7 @@ def _pencil_type(P: SymPencil, ref) -> int:   # on ref = _reference(P)
         raise ZeroPencil("both pencil matrices are zero")
     B, C = P.member(*b), P.member(*c)
     d, V = np.linalg.eigh(B)
-    Q = V[:, np.abs(d) * COND_LIMIT > sv[0]]  # the range of B at _rank's cut
+    Q = V[:, rank_mask(np.abs(d), 1 / PENCIL_COND_LIMIT, sv[0])]  # range of B
     mu = np.linalg.eigvals(np.linalg.solve(Q.T @ B @ Q, Q.T @ C @ Q)).real
     th = np.arctan2(c[1] - mu * b[1], c[0] - mu * b[0])
     crit = np.unique(np.append(th, atan2(b[1], b[0])) % np.pi)
@@ -683,7 +675,7 @@ def genericity_check(P: SymPencil, seed: int = 0) -> GenericityReport:
 
 def _genericity(P: SymPencil, seed: int, ref) -> tuple:
     """genericity_check on ref = _reference(P), with (split, error)."""
-    det_ok = _rank(ref[2]) == P.dim
+    det_ok = bool(rank_mask(ref[2], 1 / PENCIL_COND_LIMIT).all())
     notes, spectral, error = [], None, None
     try:
         spectral = _spectral_split(P, ref)

@@ -3,9 +3,12 @@
 import numpy as np
 import pytest
 
-from minksub.germ import (AmbientFrame, Germ, NonInvertibleFrame, adapt_germ,
-                          sym3, taylor_jets, transform_germ)
+from minksub.germ import (COND_LIMIT, AmbientFrame, Germ, NonInvertibleFrame,
+                          adapt_germ, rank_mask, sym3, taylor_jets,
+                          transform_germ)
+from minksub.invariants import RANK_TOL
 from minksub.jets import Jet4
+from minksub.pencil import PENCIL_COND_LIMIT
 
 
 def random_germ(rng, n, p, scale=1.0):
@@ -171,3 +174,68 @@ def test_taylor_jets_value_and_gradient():
                 assert jet.value == pytest.approx(
                     g.d2[a, k, l] + g.d3[a, k, l] @ x0, rel=1e-12)
                 assert np.allclose(jet.gradient(), g.d3[a, k, l])
+
+
+# -- the numerical-rank helper at the cuts of the inline forms it replaced ----
+
+
+def two_ulps_from(cut, scale):
+    """Values two ulps above and two below cut * scale, with their scales."""
+    t = cut * scale
+    up = np.nextafter(np.nextafter(t, np.inf), np.inf)
+    down = np.nextafter(np.nextafter(t, -np.inf), -np.inf)
+    return np.concatenate([up, down]), np.concatenate([scale, scale])
+
+
+def sigma_pairs(cut):
+    """(sigma_0, sigma) with sigma two ulps either side of cut * sigma_0 for
+    sigma_0 over sixteen decades."""
+    sigma0 = 10.0 ** np.random.default_rng(61).uniform(-8.0, 8.0, 1000)
+    sigma, sigma0 = two_ulps_from(cut, sigma0)
+    return list(zip(sigma0, sigma))
+
+
+def kept(sigma0, sigma, cut):
+    """The helper's decision on sigma, scaled by the largest value sigma_0."""
+    return bool(rank_mask(np.array([sigma0, sigma]), cut)[1])
+
+
+def test_rank_mask_makes_the_nullity_decision():
+    # nullity: sigma <= RANK_TOL * sigma_max lies in the kernel
+    pairs = sigma_pairs(RANK_TOL)
+    inline = [not (s <= RANK_TOL * s0) for s0, s in pairs]
+    assert [kept(s0, s, RANK_TOL) for s0, s in pairs] == inline
+    assert sum(inline) == len(pairs) // 2
+
+
+def test_rank_mask_makes_the_pencil_rank_decision():
+    # pencil rank and the range cut Q: sigma * limit > sigma_0 is kept
+    cut = 1 / PENCIL_COND_LIMIT
+    pairs = sigma_pairs(cut)
+    inline = [s * PENCIL_COND_LIMIT > s0 for s0, s in pairs]
+    assert [kept(s0, s, cut) for s0, s in pairs] == inline
+    assert [bool(rank_mask(np.array([s]), cut, s0)[0])
+            for s0, s in pairs] == inline
+    assert sum(inline) == len(pairs) // 2
+
+
+def test_rank_mask_makes_the_conditioning_decision():
+    # frames and ambient maps: sigma_0 / sigma_min > limit is singular
+    cut = 1 / COND_LIMIT
+    pairs = sigma_pairs(cut) + [(1.0, 0.0), (0.0, 0.0)]
+    inline = [not (s == 0.0 or s0 / s > COND_LIMIT) for s0, s in pairs]
+    assert [bool(rank_mask(np.array([s0, s]), cut).all())
+            for s0, s in pairs] == inline
+    assert sum(inline) == (len(pairs) - 2) // 2
+
+
+def test_rank_mask_makes_the_absolute_nullspace_decision():
+    # eigenspaces of the spectral split: sigma <= tol, tol = cut * scale
+    rng = np.random.default_rng(62)
+    cut = 1e-9 * (1.0 + rng.uniform(0.0, 100.0, 500))
+    sigma, scale = two_ulps_from(cut, 1.0 + rng.uniform(0.0, 100.0, 500))
+    cut = np.concatenate([cut, cut])
+    inline = [not (s <= c * sc) for s, c, sc in zip(sigma, cut, scale)]
+    assert [bool(rank_mask(np.array([s]), c, sc)[0])
+            for s, c, sc in zip(sigma, cut, scale)] == inline
+    assert sum(inline) == len(sigma) // 2

@@ -7,7 +7,7 @@ import pytest
 
 from minksub.curvature import ricci_expanded, ricci_expanded_batch
 from minksub.germ import Germ, sym3
-from minksub.invariants import (NORMAL_SAMPLES, NORMAL_TABLES, RANK_TOL,
+from minksub.invariants import (NORMAL_SAMPLES, NORMAL_TABLES,
                                 RULED_AGREE_TOL,
                                 Interval, NotRuledDirection, audit_codim2,
                                 audit_hypersurface, audit_ruled, nullity,
@@ -47,11 +47,13 @@ def test_nullity_is_common_kernel():
 
 
 def test_nullity_relative_tolerance():
-    g = flat_germ([np.diag([1.0, 1e-12])])
-    mu, _ = nullity(g)
+    # RANK_TOL (1e-9) cuts relative to the largest singular value
+    mu, _ = nullity(flat_germ([np.diag([1.0, 1e-12])]))
     assert mu == 1
-    mu, _ = nullity(g, tol=1e-15)
+    mu, _ = nullity(flat_germ([np.diag([1.0, 1e-8])]))
     assert mu == 0
+    mu, _ = nullity(flat_germ([np.diag([1e6, 1e-6])]))
+    assert mu == 1
 
 
 def test_point_type_hypersurface():
@@ -114,7 +116,7 @@ def drawn_point_type(germ, seed):
         (NORMAL_SAMPLES, germ.p))
     normals /= np.linalg.norm(normals, axis=1, keepdims=True)
     forms = np.einsum("sa,aij->sij", normals, germ.d2)
-    bound = int(max_rank_inertia(forms, RANK_TOL)[0].min())
+    bound = int(max_rank_inertia(forms)[0].min())
     return Interval(bound, bound)
 
 
