@@ -233,7 +233,7 @@ def _cmd_invariants(args) -> int:
     germ = _germ_section(_load_json(args.config))
     out = point_invariants(germ, seed=args.seed).to_dict()
     out["seed"] = args.seed
-    out["tolerances"] = {"rankTol": inv.RANK_TOL}
+    out["tolerances"] = {"rankTol": inv.RANK_TOL, "eigTol": pencils.EIG_TOL}
     _emit_json(out, args.out)
     return 0
 
@@ -241,7 +241,9 @@ def _cmd_invariants(args) -> int:
 def _cmd_pencil_type(args) -> int:
     pen, _, _ = pencil_from_config(_load_json(args.file))
     _emit_json({"type": pencils.pencil_type(pen), "method": "arcs",
-                "tolerances": {"eigTol": pencils.EIG_TOL}}, args.out)
+                "tolerances": {"eigTol": pencils.EIG_TOL,
+                               "pencilCondLimit": pencils.PENCIL_COND_LIMIT}},
+               args.out)
     return 0
 
 
@@ -254,7 +256,8 @@ def _cmd_pencil_classify(args) -> int:
            "type": pencils._pencil_type(pen, ref), "notes": [],
            "tolerances": {"eigTol": pencils.EIG_TOL,
                           "clusterTol": pencils.CLUSTER_TOL,
-                          "canonicalAngleTol": pencils.CANONICAL_ANGLE_TOL}}
+                          "canonicalAngleTol": pencils.CANONICAL_ANGLE_TOL,
+                          "pencilCondLimit": pencils.PENCIL_COND_LIMIT}}
     if spec is None:
         out["notes"].append(f"spectral split unavailable: {error}")
     else:

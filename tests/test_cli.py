@@ -202,7 +202,7 @@ def test_invariants_report(tmp_path, capsys):
     assert code == 0
     rep = json.loads(out)
     assert rep["mu"] == 0
-    assert rep["tolerances"] == {"rankTol": 1e-9}
+    assert rep["tolerances"] == {"rankTol": 1e-9, "eigTol": 1e-9}
 
 
 def test_pencil_type_spectral(tmp_path, capsys):
@@ -213,7 +213,7 @@ def test_pencil_type_spectral(tmp_path, capsys):
     assert code == 0
     rep = json.loads(out)
     assert rep == {"type": 0, "method": "arcs",
-                   "tolerances": {"eigTol": 1e-9}}
+                   "tolerances": {"eigTol": 1e-9, "pencilCondLimit": 1e10}}
 
 
 def test_pencil_type_sampled_fallback(tmp_path, capsys):
