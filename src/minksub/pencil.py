@@ -116,11 +116,11 @@ class SymPencil:
                         np.asarray(data["A2"], dtype=np.float64))
 
 
-def _eigvalsh_counts(members: np.ndarray, tol: float) -> tuple:
-    """Per-member (pos, neg): eigenvalues beyond +-tol * (1 + spectral
+def _eigvalsh_counts(members: np.ndarray) -> tuple:
+    """Per-member (pos, neg): eigenvalues beyond +-EIG_TOL * (1 + spectral
     radius), the radius and the eigenvalues taken from eigvalsh."""
     evals = np.linalg.eigvalsh(members)
-    tol = tol * (1.0 + np.abs(evals).max(axis=1, keepdims=True))
+    tol = EIG_TOL * (1.0 + np.abs(evals).max(axis=1, keepdims=True))
     return (evals > tol).sum(axis=1), (evals < -tol).sum(axis=1)
 
 
@@ -164,12 +164,12 @@ def _below_counts(d: np.ndarray, e2: np.ndarray, shifts: np.ndarray):
     return count
 
 
-def _screen_counts(members: np.ndarray, tol: float) -> tuple:
+def _screen_counts(members: np.ndarray) -> tuple:
     """Per-member (pos, neg, decided) by Sturm counts at +-sigma1, +-sigma2.
 
     With rho_lo = max |d_i| <= rho <= rho_hi (Gershgorin) bracketing the
-    spectral radius, sigma1 = tol * (1 + rho_lo) - m and sigma2 =
-    tol * (1 + rho_hi) + m with m = COUNT_MARGIN * rho_hi bracket the
+    spectral radius, sigma1 = EIG_TOL * (1 + rho_lo) - m and sigma2 =
+    EIG_TOL * (1 + rho_hi) + m with m = COUNT_MARGIN * rho_hi bracket the
     eigvalsh threshold with both methods' rounding.  Where the counts at
     sigma1 and sigma2 agree for both signs no eigenvalue is near the
     threshold, so they are the eigvalsh counts; elsewhere ``decided`` is
@@ -187,8 +187,8 @@ def _screen_counts(members: np.ndarray, tol: float) -> tuple:
     gersh[1:] += ae
     rho_hi = gersh.max(axis=0)
     margin = COUNT_MARGIN * rho_hi
-    sigma1 = tol * (1.0 + rho_lo) - margin
-    sigma2 = tol * (1.0 + rho_hi) + margin
+    sigma1 = EIG_TOL * (1.0 + rho_lo) - margin
+    sigma2 = EIG_TOL * (1.0 + rho_hi) + margin
     # counting on T / rho_hi keeps e^2 and the pivots clear of overflow
     scale = 1.0 / np.where(rho_hi > 0.0, rho_hi, 1.0)
     shifts = np.stack([sigma1, sigma2, -sigma2, -sigma1]) * scale
@@ -211,7 +211,7 @@ def _inertia_counts(members: np.ndarray) -> tuple:
     """
     K = len(members)
     if K < SCREEN_MIN_MEMBERS:
-        return _eigvalsh_counts(members, EIG_TOL)
+        return _eigvalsh_counts(members)
     members = np.asarray(members, dtype=np.float64)
     step = max(1, SCREEN_CHUNK_ENTRIES // members[0].size)
     pos = np.empty(K, dtype=np.intp)
@@ -223,10 +223,9 @@ def _inertia_counts(members: np.ndarray) -> tuple:
         for start in range(0, K, step):
             chunk = slice(start, start + step)
             pos[chunk], neg[chunk], decided[chunk] = _screen_counts(
-                members[chunk], EIG_TOL)
+                members[chunk])
     if not decided.all():
-        pos[~decided], neg[~decided] = _eigvalsh_counts(members[~decided],
-                                                        EIG_TOL)
+        pos[~decided], neg[~decided] = _eigvalsh_counts(members[~decided])
     return pos, neg
 
 

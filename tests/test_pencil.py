@@ -659,9 +659,9 @@ def test_only_members_near_the_threshold_take_eigvalsh(monkeypatch):
     seen = []
     real = pencil_module._eigvalsh_counts
 
-    def spy(stack, tol):
+    def spy(stack):
         seen.append(stack.copy())
-        return real(stack, tol)
+        return real(stack)
 
     monkeypatch.setattr(pencil_module, "_eigvalsh_counts", spy)
     pos, neg = _inertia_counts(members)
