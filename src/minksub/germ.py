@@ -38,7 +38,8 @@ class NonInvertibleFrame(ValueError):
     """Frame basis or coordinate substitution is numerically singular."""
 
 
-def rank_mask(values: np.ndarray, cut: float, scale=None) -> np.ndarray:
+def rank_mask(values: np.ndarray, cut: float,
+              scale: float | None = None) -> np.ndarray:
     """The numerical-rank decision: the mask of ``values`` (singular values
     or |eigenvalues|) kept, those above cut * scale, with ``scale`` the
     largest value unless given (Golub & Van Loan, *Matrix Computations*,
