@@ -529,17 +529,17 @@ def test_stacked_spray_field_matches_row_by_row(norm, germ):
     assert np.array_equal(stacked, rows)
 
 
-def _fd_reference(norm, germ, u, step_x):
+def _fd_reference(norm, germ, u, step):
     # the finite-difference oracle with one spray_field call per stencil
     # point, in the order and arithmetic of its definition
     n = germ.n
-    step_u = step_x * (1.0 + float(np.linalg.norm(u)))
+    step_u = step * (1.0 + float(np.linalg.norm(u)))
 
     def Gw(w):
         return spray_field(norm, germ, w[:n], w[n:])
 
     w0 = np.concatenate([np.zeros(n), u])
-    steps = np.concatenate([np.full(n, step_x), np.full(n, step_u)])
+    steps = np.concatenate([np.full(n, step), np.full(n, step_u)])
 
     def partial1(idx, h):
         e = np.zeros(2 * n)
