@@ -9,8 +9,8 @@ classification, proposition auditors, and the worked surface example.
 
 from .curvature import (CurvatureReport, NonPDTensor, NonPDZeta,
                         fundamental_tensor, reports_to_csv, ricci_expanded,
-                        ricci_expanded_batch, ricci_oracle, spray_at_origin,
-                        spray_field, zeta_check)
+                        ricci_expanded_batch, ricci_oracle, spray_field,
+                        zeta_check)
 from .example import (ExampleParams, ExampleReport, NoParamsFound,
                       build_example, example_constants, find_example_params,
                       ric_closed_form, verify_example)

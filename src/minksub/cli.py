@@ -20,8 +20,8 @@ import numpy as np
 from . import example
 from . import invariants as inv
 from . import pencil as pencils
-from .curvature import (ZETA_DET_RATIO_TOL, reports_to_csv, ricci_expanded,
-                        ricci_expanded_batch, zeta_residual)
+from .curvature import (_require_pd_zeta, reports_to_csv, ricci_expanded,
+                        ricci_expanded_batch)
 from .example import ExampleParams, find_example_params, verify_example
 from .germ import COND_LIMIT, Germ
 from .invariants import (audit_codim2, audit_hypersurface, audit_ruled,
@@ -199,21 +199,13 @@ def _cmd_curvature(args) -> int:
     u = _parse_direction(args.direction, germ.n)
     with np.errstate(all="ignore"):     # a non-finite field is named
         rep = ricci_expanded(norm, germ, u).require_finite()
-        gh = rep.g @ rep.h              # Hess H rebuilt from g, h and zeta
-        hess = np.block([[rep.g, gh], [gh.T, rep.zeta + rep.h.T @ gh]])
-        zres = zeta_residual(hess, rep.g, rep.zeta)
-    if zres is not None and zres > ZETA_DET_RATIO_TOL:
-        raise ValueError(f"zetaDetRatioResidual {zres:.6g} exceeds "
-                         f"zetaDetRatioTol {ZETA_DET_RATIO_TOL:g}")
+    _require_pd_zeta(rep.zeta)
     parts = dict(zip(("cubicGroup", "zetaGroup", "etaGroup", "rhoGroup"),
                      rep.ric_parts))
     _emit_json({"u": rep.u, "S": rep.S, "Ric": rep.Ric, "ricParts": parts,
                 "g": rep.g, "h": rep.h, "kappa": rep.kappa, "G": rep.G,
                 "xi": rep.xi, "zeta": rep.zeta, "eta": rep.eta, "rho": rep.rho,
-                "Rik": rep.Rik,
-                "zetaDetRatioResidual": zres,
-                "tolerances": {"condLimit": COND_LIMIT,
-                               "zetaDetRatioTol": ZETA_DET_RATIO_TOL}},
+                "Rik": rep.Rik, "tolerances": {"condLimit": COND_LIMIT}},
                args.out)
     return 0
 

@@ -51,7 +51,6 @@ from .germ import COND_LIMIT, Germ, taylor_jets
 from .jets import BATCH_BLOCK, Jet4
 from .minkowski import NormModel
 
-ZETA_DET_RATIO_TOL = 1e-10  # zeta = det(Hess H) / det(g) for p = 1
 FD_STEP = 1e-4  # finite-difference oracle: step in x, and in u times 1 + |u|
 
 
@@ -124,12 +123,6 @@ def fundamental_tensor(norm: NormModel, germ: Germ, u) -> np.ndarray:
     return g
 
 
-def spray_at_origin(norm: NormModel, germ: Germ, u) -> np.ndarray:
-    """G^i(0, u) = 1/2 h^i_a kappa^a(u)."""
-    fundamental_tensor(norm, germ, u)  # raises NonPDTensor when unusable
-    return spray_field(norm, germ, np.zeros(germ.n), u)
-
-
 def zeta_check(norm: NormModel, germ: Germ, u) -> tuple:
     """Return (zeta, residual) and enforce positive definiteness.
 
@@ -142,20 +135,19 @@ def zeta_check(norm: NormModel, germ: Germ, u) -> tuple:
     n = germ.n
     d2 = norm.jet(_lift(germ, u), 2).hessian()
     g, A = d2[:n, :n], d2[:n, n:]
-    zeta = d2[n:, n:] - np.einsum("sa,sb->ab", _pd_inverse(g) @ A, A)
-    return zeta, zeta_residual(d2, g, zeta)
+    zeta = _require_pd_zeta(
+        d2[n:, n:] - np.einsum("sa,sb->ab", _pd_inverse(g) @ A, A))
+    if germ.p > 1:
+        return zeta, None
+    ratio = np.linalg.det(d2) / np.linalg.det(g)
+    return zeta, abs(zeta[0, 0] - ratio) / (1.0 + abs(ratio))
 
 
-def zeta_residual(d2, g, zeta):
-    """NonPDZeta unless zeta (p, p) is positive definite; for p = 1, the
-    relative mismatch of zeta = det(d2) / det(g) for the Hessian d2 of
-    tangent block g, else None."""
+def _require_pd_zeta(zeta: np.ndarray) -> np.ndarray:
+    """zeta (p, p), or NonPDZeta unless it is positive definite."""
     if np.linalg.eigvalsh(zeta)[0] <= 0.0:
         raise NonPDZeta("zeta is not positive definite at this direction")
-    if len(zeta) > 1:
-        return None
-    ratio = np.linalg.det(d2) / np.linalg.det(g)
-    return abs(zeta[0, 0] - ratio) / (1.0 + abs(ratio))
+    return zeta
 
 
 def ricci_expanded(norm: NormModel, germ: Germ, u) -> CurvatureReport:

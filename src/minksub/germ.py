@@ -50,8 +50,9 @@ def rank_mask(values: np.ndarray, cut: float,
 
 
 def _check_conditioned(M: np.ndarray, message: str) -> None:
-    svals = np.linalg.svd(M, compute_uv=False)
-    if not rank_mask(svals, 1 / COND_LIMIT).all():
+    # a NaN entry would stop the SVD itself from converging
+    if not (np.isfinite(M).all() and rank_mask(
+            np.linalg.svd(M, compute_uv=False), 1 / COND_LIMIT).all()):
         raise NonInvertibleFrame(message)
 
 
@@ -111,10 +112,6 @@ class Germ:
     def to_dict(self) -> dict:
         return {"n": self.n, "p": self.p,
                 "d2": self.d2.tolist(), "d3": self.d3.tolist()}
-
-    @staticmethod
-    def from_dict(data: dict) -> "Germ":
-        return Germ.make(int(data["n"]), int(data["p"]), data["d2"], data["d3"])
 
 
 @dataclass(frozen=True)

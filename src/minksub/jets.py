@@ -42,10 +42,11 @@ stays exact through series; the slots it drops hold 0.0 and mean "not
 computed".  Sums and products OR the masks, other ops keep them, and
 plans are cached per (dims, degs, orders, masks).
 
-A polynomial P of degree <= 4 needs no ring ops: its jet about a base is
-one Taylor shift, c_m = sum_r P_(m+r) C(m+r, m) base^r, which reads the
-same table as (r, m, m + r), so :class:`Polynomials` compiles the terms with
-P_(m+r) != 0 once and a jet is one gather-multiply-bincount over them
+A polynomial P of degree <= 4 needs no ring ops and no coordinate jets:
+its jet about a base is one Taylor shift, c_m = sum_r P_(m+r) C(m+r, m)
+base^r, which reads the same table as (r, m, m + r), so
+:class:`Polynomials` compiles the terms with P_(m+r) != 0 once and a jet,
+given the base, order and cap, is one gather-multiply-bincount over them
 (Griewank & Walther, *Evaluating Derivatives*, ch. 13).  Its jet has deg
 P's degree and mask P's variables; order and cap drop whole bins (m above
 the order, or of normal degree > 2, held at 0.0), so each kept coefficient
@@ -87,7 +88,6 @@ class _Tables:
     dim: int
     monos: tuple
     sizes: tuple               # order k -> number of monomials of degree <= k
-    index: dict
     exponents: np.ndarray      # (ncoef, dim) int
     degree: np.ndarray         # (ncoef,) int
     support: np.ndarray        # (ncoef,) int, bitmask of the variables
@@ -136,7 +136,7 @@ def _tables(dim: int) -> _Tables:
     factors = np.asarray([m + (dim,) * (MAX_ORDER - len(m)) for m in monos])
     mul_i, mul_j, mul_k = (np.asarray(x, dtype=np.int64)
                            for x in (mul_i, mul_j, mul_k))
-    return _Tables(dim=dim, monos=monos, index=index, exponents=exponents,
+    return _Tables(dim=dim, monos=monos, exponents=exponents,
                    degree=exponents.sum(axis=1),
                    support=(exponents > 0) @ (1 << np.arange(dim)),
                    fact=fact, factors=factors, sizes=tuple(sizes),
@@ -188,11 +188,11 @@ class Jet4:
     variables, or a tensor of such jets: coefficients (..., ncoef).
 
     ``deg`` bounds the degree of the monomials with a nonzero coefficient:
-    0 for ``constant``, 1 for ``variable``/``variables``, the larger
-    operand bound for ``+``, ``-`` and scalar ``*``, and the sum (capped at
-    the order) for a jet product; ``mask`` is {i} for y_i, {} for constants
-    (module docstring).  Coefficients supplied from outside set the order
-    by their count, default ``deg`` to it and claim all variables, uncapped.
+    0 for ``constant``, 1 for ``variables``, the larger operand bound for
+    ``+``, ``-`` and scalar ``*``, and the sum (capped at the order) for a
+    jet product; ``mask`` is {i} for y_i, {} for constants (module
+    docstring).  Coefficients supplied from outside set the order by their
+    count, default ``deg`` to it and claim all variables, uncapped.
     """
 
     __slots__ = ("dim", "coeffs", "deg", "order", "mask")
@@ -219,13 +219,6 @@ class Jet4:
         c = np.zeros(np.shape(value) + (_size(dim, order),))
         c[..., 0] = value
         return _jet(dim, c, 0, order, 0)
-
-    @classmethod
-    def variable(cls, dim: int, index: int, value: float = 0.0) -> "Jet4":
-        """Jet of the coordinate function y_index (0-based) about ``value``."""
-        if not 0 <= index < dim:
-            raise ValueError(f"variable index {index} out of range for dim {dim}")
-        return cls.variables(dim, np.full(dim, value))[index]
 
     @classmethod
     def variables(cls, dim: int, base, order: int = MAX_ORDER,
@@ -268,25 +261,6 @@ class Jet4:
         """The constant term: a float, or an array for a jet tensor."""
         c = self.coeffs
         return float(c[0]) if c.ndim == 1 else c[..., 0].copy()
-
-    def derivative(self, multi_index):
-        """Partial derivative d^m f / dy^m at the base point (m! * c_m): a
-        float, or an array for a jet tensor."""
-        m = tuple(int(e) for e in multi_index)
-        if len(m) != self.dim:
-            raise ValueError(f"multi-index must have length {self.dim}")
-        if any(e < 0 for e in m):
-            raise ValueError("multi-index entries must be nonnegative")
-        if sum(m) > self.order:
-            raise OrderExceeded(f"total order {sum(m)} exceeds {self.order}")
-        mono = tuple(v for v, e in enumerate(m) for _ in range(e))
-        t = _tables(self.dim)
-        i = t.index[mono]
-        value = t.fact[i] * self.coeffs[..., i]
-        return float(value) if self.coeffs.ndim == 1 else value
-
-    def gradient(self) -> np.ndarray:
-        return self.coeffs[..., 1:1 + self.dim].copy()
 
     def hessian(self) -> np.ndarray:
         return self.partial_tensors(2)[2]
@@ -510,13 +484,6 @@ class Polynomials:
         self.degs = np.where(P != 0, t.degree, 0).max(1, initial=0).tolist()
         self.masks = np.bitwise_or.reduce(np.where(P != 0, t.support, 0),
                                           1).tolist()
-
-    def __call__(self, ys) -> list:
-        """jet() at the base, order and cap of Jet4.variables' jets ys."""
-        base = np.array([y.coeffs[..., 0] for y in ys])
-        return self.jet(np.moveaxis(base, 0, -1) if base.ndim > 1 else base,
-                        ys[0].order,
-                        max((ys[0].mask >> MAX_DIM).bit_length() - 1, 0))
 
     def jet(self, base, order: int = MAX_ORDER, normal: int = 0) -> list:
         """The jets about base (..., dim), one per polynomial, deg its

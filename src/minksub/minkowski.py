@@ -1,10 +1,10 @@
 """Minkowski norm models on R^dim.
 
-Everything downstream consumes a norm through two entry points: ``value``
-(H = F^2/2 at a direction) and ``jet`` (the Taylor jet of H about a base
-direction, to the order the caller reads: 2 for Hessians, 4 for the
-expanded Ricci formula), both served by one function per model (see
-:class:`NormModel`).  Four constructors provide the families:
+Everything downstream consumes a norm through one entry point, ``jet``:
+the Taylor jet of H = F^2/2 about a base direction, to the order the
+caller reads (1 for the value H, 2 for Hessians, 4 for the expanded Ricci
+formula), served by one function per model (see :class:`NormModel`).
+Four constructors provide the families:
 
 * ``euclidean``:   H(y) = |y|^2 / 2.
 * ``randers``:     F(y) = sqrt(y.a.y) + b.y with a symmetric positive
@@ -21,12 +21,13 @@ expanded Ricci formula), both served by one function per model (see
                    the y3-axis, where the rational terms have no limit.
 * ``expression``:  any tree accepted by :mod:`minksub.norm_expr`.
 
-Each family is a module-level function of its parameters and the
-coordinate jets.  Its polynomial pieces (all of euclidean; randers' (a(y,y)
-+ b(y)^2)/2, a(y,y) and b(y); an expression's folded subtrees) take one
-Taylor shift (:class:`minksub.jets.Polynomials`), and only sqrt, division
-and powers above them take ring ops.  A value is the constant term of the
-order-1 jet, the order-4 jet's prefix, so value(y) == jet(y).value.
+Each family is a module-level function of its parameters and of the
+jet's base, order and normal cap.  Its polynomial pieces (all of
+euclidean; randers' (a(y,y) + b(y)^2)/2, a(y,y) and b(y); an expression's
+folded subtrees) take one Taylor shift about the base
+(:class:`minksub.jets.Polynomials`); only sqrt, division and powers above
+them take ring ops, on coordinate jets.  The order-1 jet is the order-4
+jet's prefix, so jet(y, 1).value == jet(y).value.
 """
 
 from __future__ import annotations
@@ -57,19 +58,19 @@ class ConeTooNarrow(ValueError):
     """The cone of ``min_axis_fraction`` is too narrow to sample."""
 
 
-def _polynomial_h(pieces, ys):
-    return pieces(ys)[0]
+def _polynomial_h(pieces, base, order, normal):
+    return pieces.jet(base, order, normal)[0]
 
 
-def _randers_h(pieces, ys):
+def _randers_h(pieces, base, order, normal):
     # H = (a(y,y) + b(y)^2)/2 + sqrt(a(y,y)) b(y), its three polynomials
     # jetted by one Taylor shift
-    q, a, b = pieces(ys)
+    q, a, b = pieces.jet(base, order, normal)
     return q + a.sqrt() * b
 
 
-def _example4_h(A, B, eps1, eps2, ys):
-    y1, y2, y3 = ys
+def _example4_h(A, B, eps1, eps2, base, order, normal):
+    y1, y2, y3 = Jet4.variables(3, base, order, normal)
     s1 = y1 * y1
     s2 = y2 * y2
     r2 = s1 + s2
@@ -82,16 +83,19 @@ def _example4_h(A, B, eps1, eps2, ys):
             + (y3 * y3) * (B + sext / (r2 * r2 * r2) * eps2))
 
 
-def _expression_h(tree, folded, ys):
+def _expression_h(tree, folded, base, order, normal):
     # looks ``evaluate`` up per call, so a wrapped evaluate is honoured
-    return evaluate(tree, ys, folded)
+    nodes, pieces = folded
+    ys = Jet4.variables(pieces.dim, base, order, normal)
+    return evaluate(tree, ys, (nodes, pieces.jet(base, order, normal))
+                    if nodes else None)
 
 
 @dataclass(frozen=True)
 class NormModel:
-    """A Minkowski norm: ``h(ys)`` computes H = F^2/2 from the coordinate
-    jets ys of :meth:`Jet4.variables` (a family function bound to its
-    parameters with :func:`functools.partial`, so models pickle).
+    """A Minkowski norm: ``h(base, order, normal)`` is the jet of H = F^2/2
+    that :meth:`jet` returns (a family function bound to its parameters
+    with :func:`functools.partial`, so models pickle).
     ``config`` rebuilds the model; ``excluded_axis``, set by the example
     family only, indexes the coordinate axis along which H is singular.
     """
@@ -153,12 +157,6 @@ class NormModel:
 
     # -- evaluation --------------------------------------------------------
 
-    def value(self, y) -> float:
-        """H(y), as the constant term of its jet: bit for bit jet(y).value."""
-        y = np.asarray(y, dtype=np.float64)
-        self.check_admissible(y)
-        return self.jet(y, 1).value
-
     def jet(self, base, order: int = MAX_ORDER, row: int = 0,
             normal: int = 0) -> Jet4:
         """Jet of H of ``order`` about admissible ``base`` (dim,), or about
@@ -167,7 +165,7 @@ class NormModel:
         leaves those of degree > 2 in the last p variables uncomputed, 0.0."""
         base = np.asarray(base, dtype=np.float64)
         self.check_admissible(base, row if base.ndim == 2 else None)
-        return self.h(Jet4.variables(self.dim, base, order, normal))
+        return self.h(base, order, normal)
 
     # -- admissibility -----------------------------------------------------
 

@@ -12,8 +12,9 @@ then +-):
 Variables are written y1 .. yN for an N-dimensional norm.  Trees evaluate
 over any commutative ring with the usual operators, so the same tree
 serves float evaluation and jet evaluation.  ``fold`` finds a tree's
-maximal polynomial subtrees of degree <= 4; given them, ``evaluate`` takes
-their jets at Jet4.variables' coordinates from one Taylor shift.
+maximal polynomial subtrees of degree <= 4 and compiles them for one Taylor
+shift; ``evaluate`` takes their jets from its caller, who shifts them to
+the coordinate jets' base, order and cap.
 """
 
 from __future__ import annotations
@@ -224,11 +225,10 @@ def parse_norm(text: str, dim: int):
 def evaluate(node, args, folded=None):
     """Evaluate a tree over floats or jets; args[i] is the value of y(i+1).
     A subtree object that occurs several times is computed once, and the
-    subtrees of ``folded`` (fold's, for jets of Jet4.variables) take their
-    jets from its one Taylor shift."""
-    nodes, pieces = folded or ((), None)
-    return _evaluate(node, args, dict(zip(map(id, nodes), pieces(args)))
-                     if nodes else {})
+    subtrees of ``folded`` = (nodes, values) take their given values (fold's
+    nodes with their Polynomials' jets at the base, order and cap of args)."""
+    nodes, values = folded or ((), ())
+    return _evaluate(node, args, dict(zip(map(id, nodes), values)))
 
 
 def _evaluate(node, args, memo):
@@ -265,7 +265,8 @@ _KIDS = {Bin: ("left", "right"), Pow: ("base",), Sqrt: ("arg",),
 def fold(tree, dim: int) -> tuple:
     """The maximal polynomial subtrees of tree (numbers, variables, +, -, *,
     powers >= 0, division by a nonzero number) of degree 1..4, bare
-    variables aside, and one Polynomials of them, for ``evaluate``."""
+    variables aside, and one Polynomials of them, whose jets ``evaluate``
+    takes as the subtrees' values."""
     degrees, found = {}, {}
 
     def degree(node):
@@ -291,37 +292,3 @@ def fold(tree, dim: int) -> tuple:
     nodes = tuple(found.values())
     return nodes, Polynomials(dim, [_evaluate(x, zero, memo).coeffs
                                     for x in nodes])
-
-
-_PREC = {"+": 1, "-": 1, "*": 2, "/": 2}
-
-
-def to_text(node, _parent_prec: int = 0) -> str:
-    """Print a tree so that parse_norm(to_text(t)) reproduces it.
-
-    Round-tripping is structural for any tree the parser itself produces
-    (literals come out of the parser nonnegative; negation is a Neg node).
-    """
-    if isinstance(node, Num):
-        v = node.value
-        s = repr(int(v)) if v == int(v) and abs(v) < 1e16 else repr(v)
-        return f"({s})" if v < 0 else s
-    if isinstance(node, Var):
-        return f"y{node.index}"
-    if isinstance(node, Bin):
-        prec = _PREC[node.op]
-        # the right operand of - and / needs parens at equal precedence
-        left = to_text(node.left, prec)
-        right = to_text(node.right, prec + 1)
-        s = f"{left} {node.op} {right}"
-        return f"({s})" if prec < _parent_prec else s
-    if isinstance(node, Pow):
-        base = to_text(node.base, 5)  # only atoms may carry '^' unwrapped
-        s = f"{base}^{node.exponent}"
-        return f"({s})" if _parent_prec >= 5 else s
-    if isinstance(node, Sqrt):
-        return f"sqrt({to_text(node.arg)})"
-    if isinstance(node, Neg):
-        s = f"-{to_text(node.arg, 3)}"
-        return f"({s})" if _parent_prec > 3 else s
-    raise TypeError(f"not an expression node: {node!r}")

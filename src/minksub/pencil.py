@@ -107,14 +107,6 @@ class SymPencil:
         out += lam2 * self.A2
         return out
 
-    def to_dict(self) -> dict:
-        return {"A1": self.A1.tolist(), "A2": self.A2.tolist()}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "SymPencil":
-        return cls.make(np.asarray(data["A1"], dtype=np.float64),
-                        np.asarray(data["A2"], dtype=np.float64))
-
 
 def _eigvalsh_counts(members: np.ndarray) -> tuple:
     """Per-member (pos, neg): eigenvalues beyond +-EIG_TOL * (1 + spectral

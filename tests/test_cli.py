@@ -13,7 +13,6 @@ import pytest
 
 from minksub import cli, example
 from minksub import invariants as inv
-from minksub.germ import Germ
 from minksub.invariants import point_invariants
 from minksub.pencil import CanonicalData, build_canonical
 
@@ -123,8 +122,7 @@ def test_curvature_report_shape(tmp_path, capsys):
                                     "rhoGroup"}
     assert rep["Ric"] == pytest.approx(sum(rep["ricParts"].values()),
                                        rel=1e-12)
-    assert rep["tolerances"]["zetaDetRatioTol"] == 1e-10
-    assert abs(rep["zetaDetRatioResidual"]) <= 1e-10
+    assert rep["tolerances"] == {"condLimit": 1e12}
     assert len(rep["G"]) == 2 and len(rep["g"]) == 2
 
 
@@ -155,17 +153,6 @@ def test_curvature_exits_one_on_a_non_positive_zeta(tmp_path, capsys):
                                   "--direction", "1,0"])
     assert (code, out) == (1, "")
     assert err == "error: zeta is not positive definite at this direction\n"
-
-
-def test_curvature_exits_one_when_the_det_ratio_exceeds_its_tolerance(
-        tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(cli, "ZETA_DET_RATIO_TOL", -1.0)
-    cfg = write(tmp_path, "c.json", RANDERS)
-    code, out, err = run(capsys, ["curvature", "--config", cfg,
-                                  "--direction", "1,0.5"])
-    assert (code, out) == (1, "")
-    assert err.startswith("error: zetaDetRatioResidual ")
-    assert err.endswith(" exceeds zetaDetRatioTol -1\n")
 
 
 def test_curvature_deterministic_and_out_file(tmp_path, capsys):
@@ -727,7 +714,8 @@ def test_invariants_seed_reaches_the_sampler(tmp_path, capsys):
                                 "--seed", "5"])
     assert code == 0
     rep = json.loads(out)
-    expected = point_invariants(Germ.from_dict(germ), seed=5).to_dict()
+    expected = point_invariants(cli.germ_from_config(germ, ""),
+                                seed=5).to_dict()
     assert rep["seed"] == 5
     assert {k: rep[k] for k in expected} == expected
 
@@ -755,7 +743,8 @@ def test_audit_ruled_seed_reaches_the_sampler(tmp_path, capsys,
     assert code == 0
     rep = json.loads(out)
     assert seeds == [5] and rep["seed"] == 5
-    assert rep["type"] == inv._type_json(real(Germ.from_dict(germ), seed=5))
+    germ = cli.germ_from_config(germ, "")
+    assert rep["type"] == inv._type_json(real(germ, seed=5))
 
 
 def test_cli_import_leaves_scipy_unloaded(tmp_path):

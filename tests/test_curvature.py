@@ -20,7 +20,7 @@ from minksub.curvature import (FD_STEP, NonPDTensor, _pd_inverse,
                                fundamental_tensor, reports_to_csv,
                                ricci_expanded,
                                ricci_expanded_batch, ricci_oracle,
-                               spray_at_origin, spray_field, zeta_check)
+                               spray_field, zeta_check)
 from minksub.germ import COND_LIMIT, Germ, sym3
 from minksub.invariants import sphere_grid
 from minksub.jets import BATCH_BLOCK
@@ -98,14 +98,14 @@ def test_spray_origin_matches_field():
     norm = random_randers(rng, 3)
     germ = random_germ(rng, 2, 1)
     u = np.array([1.1, 0.4])
-    G0 = spray_at_origin(norm, germ, u)
+    G0 = spray_field(norm, germ, np.zeros(2), u)
     assert np.allclose(G0, ricci_expanded(norm, germ, u).G, atol=1e-12)
 
 
 def test_spray_vanishes_without_cubic_jet():
     norm = NormModel.euclidean(3)
     germ = Germ.make(2, 1, np.eye(2)[None], np.zeros((1, 2, 2, 2)))
-    assert np.allclose(spray_at_origin(norm, germ, [0.3, 0.9]), 0.0)
+    assert np.allclose(spray_field(norm, germ, np.zeros(2), [0.3, 0.9]), 0.0)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
@@ -207,7 +207,7 @@ def test_non_positive_definite_tensor_raises():
     with pytest.raises(NonPDTensor, match=one):
         ricci_expanded(norm, germ, [1.0, 0.0])
     with pytest.raises(NonPDTensor):
-        spray_at_origin(norm, germ, [1.0, 0.0])
+        fundamental_tensor(norm, germ, [1.0, 0.0])
 
 
 def test_pd_inverse_names_the_first_unusable_row():
@@ -326,8 +326,8 @@ def test_batch_matches_per_direction_reports(norm, germ):
         assert np.array_equal(batch.g[k], fundamental_tensor(norm, germ, u))
         assert _close(batch.zeta[k], zeta_check(norm, germ, u)[0],
                       FIELD_TOL), k
-        assert _close(batch.G[k], spray_at_origin(norm, germ, u),
-                      FIELD_TOL), k
+        assert _close(batch.G[k], spray_field(norm, germ, np.zeros(germ.n),
+                                              u), FIELD_TOL), k
     # the four groups of the module docstring, rebuilt from the fields
     fu = np.einsum("ajl,rl->raj", germ.d2, U)
     cub = np.einsum("aijk,ri,rj,rk->ra", germ.d3, U, U, U)

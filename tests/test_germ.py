@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from minksub.cli import germ_from_config
 from minksub.germ import (COND_LIMIT, AmbientFrame, Germ, NonInvertibleFrame,
                           adapt_germ, rank_mask, sym3, taylor_jets,
                           transform_germ)
@@ -65,7 +66,7 @@ def test_kappa_and_cubic_contractions():
 
 def test_dict_round_trip():
     g = random_germ(np.random.default_rng(1), 3, 2)
-    h = Germ.from_dict(g.to_dict())
+    h = germ_from_config(g.to_dict(), "")
     assert np.array_equal(g.d2, h.d2)
     # re-symmetrization costs an ulp on d3, nothing more
     assert np.allclose(g.d3, h.d3, rtol=1e-15, atol=0.0)
@@ -152,6 +153,25 @@ def test_transform_rejects_bad_maps():
         transform_germ(g, swap)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, "singular"])
+def test_unusable_maps_raise_non_invertible_frame(bad):
+    # one exception for every unusable map, a NaN entry included (numpy's
+    # SVD does not converge on one)
+    g = random_germ(np.random.default_rng(8), 2, 1)
+    T = np.eye(3)
+    if bad == "singular":
+        T[0] = T[1]
+    else:
+        T[0, 1] = bad
+    with pytest.raises(NonInvertibleFrame):
+        AmbientFrame(origin=np.zeros(3), basis=T).check()
+    with pytest.raises(NonInvertibleFrame):
+        adapt_germ(np.zeros((1, 2)), g.d2, g.d3,
+                   AmbientFrame(origin=np.zeros(3), basis=T))
+    with pytest.raises(NonInvertibleFrame):
+        transform_germ(g, T)
+
+
 def test_taylor_jets_value_and_gradient():
     rng = np.random.default_rng(4)
     g = random_germ(rng, 3, 2)
@@ -167,13 +187,14 @@ def test_taylor_jets_value_and_gradient():
                  + np.einsum("ijk,i,j,k->", g.d3[a], x0, x0, x0) / 6.0)
         grad = g.d2[a] @ x0 + 0.5 * np.einsum("ijk,j,k->i", g.d3[a], x0, x0)
         assert f[a].value == pytest.approx(value, rel=1e-12)
-        assert np.allclose(f[a].gradient(), grad, rtol=1e-12)
+        assert np.allclose(f[a].partial_tensors(1)[1], grad, rtol=1e-12)
         for k in range(3):
             for l in range(3):
                 jet = fkl[a, k, l]
                 assert jet.value == pytest.approx(
                     g.d2[a, k, l] + g.d3[a, k, l] @ x0, rel=1e-12)
-                assert np.allclose(jet.gradient(), g.d3[a, k, l])
+                assert np.allclose(jet.partial_tensors(1)[1],
+                                   g.d3[a, k, l])
 
 
 # -- the numerical-rank helper at the cuts of the inline forms it replaced ----

@@ -25,7 +25,7 @@ def test_coefficient_counts():
 
 def test_sqrt_series_hand_values():
     # sqrt(1 + 2y): derivatives at 0 are 1, 1, -1, 3, -15
-    y = Jet4.variable(1, 0)
+    y, = Jet4.variables(1, np.zeros(1))
     jet = (Jet4.constant(1, 1.0) + 2.0 * y).sqrt()
     t = jet.partial_tensors(4)
     assert t[0] == pytest.approx(1.0, abs=1e-15)
@@ -37,7 +37,7 @@ def test_sqrt_series_hand_values():
 
 def test_reciprocal_series():
     # 1/(1 - y) = 1 + y + y^2 + y^3 + y^4, coefficients all 1
-    y = Jet4.variable(1, 0)
+    y, = Jet4.variables(1, np.zeros(1))
     jet = (Jet4.constant(1, 1.0) - y).reciprocal()
     assert np.allclose(jet.coeffs, np.ones(NCOEF_1), atol=1e-14)
 
@@ -85,27 +85,25 @@ def test_gradient_hessian_shortcuts():
     jets = Jet4.variables(3, base)
     h = sum((j * j for j in jets), Jet4.constant(3, 0.0)) * 0.5
     assert h.value == pytest.approx(0.5 * float(base @ base))
-    assert np.allclose(h.gradient(), base)
+    assert np.allclose(h.partial_tensors(1)[1], base)
     assert np.allclose(h.hessian(), np.eye(3))
-    assert h.derivative((0, 1, 0)) == pytest.approx(base[1])
 
 
 def test_variable_seeds_base_value():
-    j = Jet4.variable(2, 1, value=2.5)
+    j = Jet4.variables(2, np.full(2, 2.5))[1]
     assert j.value == 2.5
-    assert np.allclose(j.gradient(), [0.0, 1.0])
+    assert np.allclose(j.partial_tensors(1)[1], [0.0, 1.0])
 
 
 def test_order_exceeded():
-    jet = Jet4.constant(2, 1.0)
     with pytest.raises(OrderExceeded):
-        jet.derivative((3, 2))
+        Jet4.constant(2, 1.0).partial_tensors(5)
     with pytest.raises(OrderExceeded):
-        jet.partial_tensors(5)
+        Jet4.constant(2, 1.0, 3).partial_tensors(4)
 
 
 def test_division_by_zero_constant_term():
-    y = Jet4.variable(1, 0)
+    y, = Jet4.variables(1, np.zeros(1))
     with pytest.raises(DivisionByZeroJet):
         y.reciprocal()
     with pytest.raises(DivisionByZeroJet):
@@ -116,7 +114,7 @@ def test_sqrt_needs_positive_constant_term():
     with pytest.raises(NegativeSqrtJet):
         Jet4.constant(1, -1.0).sqrt()
     with pytest.raises(NegativeSqrtJet):
-        Jet4.variable(1, 0).sqrt()
+        Jet4.variables(1, np.zeros(1))[0].sqrt()
 
 
 def test_pow_against_repeated_product():
@@ -178,7 +176,7 @@ def test_sqrt_squares_back(a):
 
 
 def test_scalar_mixing():
-    y = Jet4.variable(2, 0, value=1.5)
+    y = Jet4.variables(2, np.full(2, 1.5))[0]
     assert np.allclose((2.0 * y).coeffs, (y * 2.0).coeffs)
     assert np.allclose((y + 1.0).coeffs, (1.0 + y).coeffs)
     assert np.allclose((1.0 - y).coeffs, (-(y - 1.0)).coeffs)
@@ -397,22 +395,50 @@ def test_degree_bounds_keep_products_bit_identical(dim, rows, declared,
 
 
 @pytest.mark.parametrize("rows", [None, 65])
-def test_norm_jets_stay_within_their_degree(rows):
+def test_norm_jets_stay_within_their_degree(rows, monkeypatch):
     rng = np.random.default_rng(9)
     a = np.eye(4) + 0.1 * np.ones((4, 4))
     models = [NormModel.euclidean(4),
               NormModel.randers(a, np.array([0.2, 0.0, -0.1, 0.1])),
               NormModel.example4(10.0, 10.0, 0.1, 0.1),
-              NormModel.expression("(y1^2 + 2*y2^2 + y3^2) / 2", 3)]
-    for model in models:
-        base = rng.uniform(0.5, 2.0, ((rows,) if rows else ()) + (model.dim,))
-        jet = model.jet(base)
+              NormModel.expression("(y1^2 + 2*y2^2 + y3^2) / 2", 3),
+              NormModel.expression("(y1^2 + 2*y2^2 + y3^2) / 2 + y1^4 / "
+                                   "(y1^2 + y2^2 + y3^2) / 10", 3),
+              # no polynomial subtree to fold
+              NormModel.expression("sqrt(y1)^4 / 2 + y2^-2 + y3^-2", 3)]
+    assert models[-1].h.args[1][0] == ()
+    bases = [rng.uniform(0.5, 2.0, ((rows,) if rows else ()) + (m.dim,))
+             for m in models]
+    jets = [model.jet(base) for model, base in zip(models, bases)]
+    for jet in jets:
         _assert_within_degree(jet)
-        full = model.h([Jet4(model.dim, y.coeffs)
-                        for y in Jet4.variables(model.dim, base)])
-        assert np.array_equal(jet.coeffs, full.coeffs)
+    # the ring-op families again, on coordinate jets with all variables in
+    # the mask and degree bound 4, whose products keep every table term
+    variables = Jet4.variables
+    monkeypatch.setattr(Jet4, "variables", lambda *args: [
+        Jet4(y.dim, y.coeffs) for y in variables(*args)])
+    for model, base, jet in list(zip(models, bases, jets))[2:]:
+        assert np.array_equal(jet.coeffs, model.jet(base).coeffs)
     # quadratic norms keep a bound below MAX_ORDER, so it is not vacuous
     assert models[0].jet(np.ones(4)).deg == 2
+
+
+@pytest.mark.parametrize("rows", [None, 3])
+@pytest.mark.parametrize("family", ["euclidean", "randers"])
+def test_polynomial_families_build_no_coordinate_jets(family, rows,
+                                                      monkeypatch):
+    model = (NormModel.euclidean(3) if family == "euclidean" else
+             NormModel.randers(np.diag([1.0, 2.0, 1.5]),
+                               np.array([0.2, 0.0, -0.1])))
+    calls = []
+    variables = Jet4.variables
+    monkeypatch.setattr(Jet4, "variables", lambda *args: (
+        calls.append(args) or variables(*args)))
+    base = np.random.default_rng(5).uniform(
+        0.5, 2.0, ((rows,) if rows else ()) + (3,))
+    for order, normal in ((4, 0), (2, 0), (4, 1)):
+        assert model.jet(base, order, normal=normal).order == order
+    assert calls == []
 
 
 # -- truncation orders --------------------------------------------------------
@@ -490,11 +516,9 @@ def test_constants_and_powers_keep_shape_and_order():
 def test_reading_above_the_order_raises():
     jet = Jet4.variables(2, np.array([0.5, 1.0]), 2)[0] * 3.0
     assert jet.partial_tensors(2)[2].shape == (2, 2)
-    assert jet.derivative((1, 1)) == 0.0
+    assert not jet.partial_tensors(2)[2].any()
     with pytest.raises(OrderExceeded):
         jet.partial_tensors(3)
-    with pytest.raises(OrderExceeded):
-        jet.derivative((2, 1))
     with pytest.raises(OrderExceeded):
         Jet4.constant(2, 1.0, 5)
     with pytest.raises(OrderExceeded):
@@ -646,10 +670,12 @@ def test_swapaxes_swaps_the_leading_axes(shape, axes):
 
 def test_derivative_reads_every_entry_of_a_tensor():
     t = _tensor(2, (2, 3), np.random.default_rng(53), 3)
-    got = t.derivative((2, 1))
-    assert got.shape == (2, 3)
+    got = t.partial_tensors(3)
+    assert [d.shape for d in got] == [(2, 3), (2, 3, 2), (2, 3, 2, 2),
+                                      (2, 3, 2, 2, 2)]
     for idx in np.ndindex(2, 3):
-        assert got[idx] == Jet4(2, t.coeffs[idx]).derivative((2, 1))
+        for d, want in zip(got, Jet4(2, t.coeffs[idx]).partial_tensors(3)):
+            assert np.array_equal(d[idx], want)
 
 
 def test_stack_builds_a_tensor_of_the_jets():

@@ -35,9 +35,9 @@ RANDERS_D4_1122 = -0.06587800399933787
 def test_euclidean_basics():
     norm = NormModel.euclidean(3)
     y = np.array([1.0, 2.0, -2.0])
-    assert norm.value(y) == pytest.approx(4.5)
+    assert norm.jet(y, 1).value == pytest.approx(4.5)
     jet = norm.jet(y)
-    assert np.allclose(jet.gradient(), y)
+    assert np.allclose(jet.partial_tensors(1)[1], y)
     assert np.allclose(jet.hessian(), np.eye(3))
     assert np.allclose(jet.partial_tensors(4)[3], 0.0)
 
@@ -91,22 +91,23 @@ def test_example4_reversible_and_homogeneous():
         y = rng.standard_normal(3)
         if y[0] ** 2 + y[1] ** 2 < 1e-3:
             continue
-        assert norm.value(-y) == pytest.approx(norm.value(y), rel=1e-12)
-        assert norm.value(2.0 * y) == pytest.approx(4.0 * norm.value(y),
+        h = norm.jet(y, 1).value
+        assert norm.jet(-y, 1).value == pytest.approx(h, rel=1e-12)
+        assert norm.jet(2.0 * y, 1).value == pytest.approx(4.0 * h,
                                                     rel=1e-12)
 
 
 def test_example4_axis_exclusion():
     norm = NormModel.example4(10.0, 10.0, 0.1, 0.1)
     with pytest.raises(SingularDirection):
-        norm.value(np.array([0.0, 0.0, 1.0]))
+        norm.jet(np.array([0.0, 0.0, 1.0]), 1)
     eps = np.sqrt(AXIS_EXCLUSION)
-    norm.value(np.array([10 * eps, 0.0, 1.0]))  # just outside the cutoff
+    norm.jet(np.array([10 * eps, 0.0, 1.0]), 1)  # just outside the cutoff
 
 
 def test_zero_direction_rejected():
     with pytest.raises(SingularDirection):
-        NormModel.euclidean(2).value(np.zeros(2))
+        NormModel.euclidean(2).jet(np.zeros(2), 1)
 
 
 def test_expression_matches_builtin():
@@ -115,7 +116,8 @@ def test_expression_matches_builtin():
     rng = np.random.default_rng(2)
     for _ in range(10):
         y = rng.standard_normal(3)
-        assert norm_e.value(y) == pytest.approx(builtin.value(y), rel=1e-14)
+        assert norm_e.jet(y, 1).value == pytest.approx(
+            builtin.jet(y, 1).value, rel=1e-14)
     j1 = norm_e.jet(np.array([0.4, -1.0, 0.3]))
     j2 = builtin.jet(np.array([0.4, -1.0, 0.3]))
     assert np.allclose(j1.coeffs, j2.coeffs, atol=1e-14)
@@ -139,8 +141,9 @@ def test_config_round_trip():
                                                      c["eps1"], c["eps2"]),
             "expression": lambda c: NormModel.expression(c["text"], c["dim"]),
         }[cfg["kind"]](cfg)
-        assert rebuilt.value(y) == pytest.approx(m.value(y), rel=1e-14)
-        assert pickle.loads(pickle.dumps(m)).value(y) == m.value(y)
+        h = m.jet(y, 1).value
+        assert rebuilt.jet(y, 1).value == pytest.approx(h, rel=1e-14)
+        assert pickle.loads(pickle.dumps(m)).jet(y, 1).value == h
 
 
 def test_validate_norm_accepts_good_models():
@@ -476,8 +479,8 @@ def test_stacked_randers_form_equals_the_per_entry_loop(dim, order, rows):
     assert got.deg == want.deg
     for y in base.reshape(-1, dim):
         want = _per_entry_randers(a, b, list(y))
-        assert abs(norm.value(y) - want) <= RANDERS_LOOP_TOL * (1.0
-                                                                + abs(want))
+        assert abs(norm.jet(y, 1).value - want) <= RANDERS_LOOP_TOL * (
+            1.0 + abs(want))
 
 
 def _value_cases():
@@ -493,5 +496,5 @@ def test_value_is_the_jets_constant_term(norm):
     # bit for bit, for every family, directions across the sphere
     rng = np.random.default_rng(norm.dim + 70)
     for y in rng.standard_normal((50, norm.dim)) * 3.0:
-        assert norm.value(y) == norm.jet(y).value
-        assert norm.value(y) == norm.jet(y, 2, normal=1).value
+        assert norm.jet(y, 1).value == norm.jet(y).value
+        assert norm.jet(y, 1).value == norm.jet(y, 2, normal=1).value

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import minksub.pencil as pencil_module
+from minksub.cli import pencil_from_config
 from minksub.pencil import (EIG_TOL, CanonicalData, NotSemisimple, SingularA2,
                             SpectralData, SymPencil, TopologyLabel, ZeroPencil,
                             build_canonical, build_from_spectral,
@@ -46,7 +47,7 @@ def test_make_rejects_non_finite_entries(bad):
 def test_member_and_dict_round_trip():
     P = SymPencil.make(np.diag([1.0, 2.0]), np.diag([3.0, 4.0]))
     assert np.allclose(P.member(2.0, -1.0), np.diag([-1.0, 0.0]))
-    Q = SymPencil.from_dict(P.to_dict())
+    Q, _, _ = pencil_from_config({"A1": P.A1.tolist(), "A2": P.A2.tolist()})
     assert np.array_equal(P.A1, Q.A1)
     assert np.array_equal(P.A2, Q.A2)
 
