@@ -40,7 +40,11 @@ is the normal cap: products keep only the monomials of degree <= 2 in the
 last p variables, a quotient by a monomial ideal, so each kept coefficient
 stays exact through series; the slots it drops hold 0.0 and mean "not
 computed".  Sums and products OR the masks, other ops keep them, and
-plans are cached per (dims, degs, orders, masks).
+plans are cached per (dims, degs, orders, masks).  The series of sqrt and
+reciprocal also pass their plans lower degree bounds, 1 for their argument
+q (its constant term dropped) and 2 for q^2, below which each coefficient
+is an exact zero: s0 + s1 q + s2 q^2 + q^2 (s3 q + s4 q^2) takes two
+products and keeps no term with such a factor, bit for bit the full table.
 
 A polynomial P of degree <= 4 needs no ring ops and no coordinate jets:
 its jet about a base is one Taylor shift, c_m = sum_r P_(m+r) C(m+r, m)
@@ -145,16 +149,18 @@ def _tables(dim: int) -> _Tables:
 
 @lru_cache(maxsize=None)
 def _plan(dim: int, dim_b: int, da: int, db: int, oa: int, ob: int, ma: int,
-          mb: int) -> tuple:
+          mb: int, va: int = 0, vb: int = 0) -> tuple:
     """Plan of the product of jets (dim, deg da, order oa, mask ma) and
-    (dim_b, db, ob, mb): the table terms (i, j, k) it keeps, then the
-    result's ncoef, deg, order and mask."""
+    (dim_b, db, ob, mb) whose coefficients of degree below va and vb are
+    exact zeros: the table terms (i, j, k) it keeps, then the result's
+    ncoef, deg, order and mask."""
     if dim_b != dim:
         raise ValueError("jet dimensions differ")
     t = _tables(dim)
     order, mask = min(oa, ob), ma | mb
     deg, sup = t.degree, t.support
-    keep = ((deg[t.mul_i] <= da) & (deg[t.mul_j] <= db)
+    di, dj = deg[t.mul_i], deg[t.mul_j]
+    keep = ((va <= di) & (di <= da) & (vb <= dj) & (dj <= db)
             & (deg[t.mul_k] <= order) & (sup[t.mul_i] | ma == ma)
             & (sup[t.mul_j] | mb == mb))
     cap = mask >> MAX_DIM           # 1 << p for jets capped at p normals
@@ -178,7 +184,8 @@ def _scatter(prod: np.ndarray, mul_k: np.ndarray, ncoef: int) -> np.ndarray:
     """Sum product terms prod (..., T) into the bins mul_k of each entry of
     the leading axes: one bincount over row-shifted indices."""
     rows = math.prod(prod.shape[:-1])
-    flat = (np.arange(0, rows * ncoef, ncoef)[:, None] + mul_k).ravel()
+    # with no bins there are no terms, and any nonzero step will do
+    flat = (np.arange(0, rows * ncoef, ncoef or 1)[:, None] + mul_k).ravel()
     return np.bincount(flat, prod.ravel(), rows * ncoef).reshape(
         prod.shape[:-1] + (ncoef,))
 
@@ -343,30 +350,24 @@ class Jet4:
             return _jet(self.dim, self.coeffs  # a float, or one per entry
                         * np.asarray(other, dtype=np.float64)[..., None],
                         self.deg, self.order, self.mask)
-        mul_i, mul_j, mul_k, ncoef, deg, order, mask = _plan(
-            self.dim, other.dim, self.deg, other.deg, self.order, other.order,
-            self.mask, other.mask)
-        a, b = self.coeffs, other.coeffs
-        if a.ndim == b.ndim == 1:
-            return _jet(self.dim, np.bincount(mul_k, a[mul_i] * b[mul_j],
-                                              ncoef), deg, order, mask)
-        return _jet(self.dim, _scatter(a.take(mul_i, -1) * b.take(mul_j, -1),
-                                       mul_k, ncoef), deg, order, mask)
+        return _product(self, other)
 
     __rmul__ = __mul__
 
     def _series(self, series) -> "Jet4":
-        # Horner evaluation of sum_k series[k] * q^k where q = self with the
-        # constant term dropped; q^(order + 1) vanishes in the truncated ring.
+        # sum_k series[k] q^k with q = self less its constant term, as
+        # s0 + s1 q + s2 q^2 + q^2 (s3 q + s4 q^2) (Paterson & Stockmeyer,
+        # SIAM J. Comput. 2(1), 1973): two products, which skip the exact
+        # zeros of q's constant term and of q^2's bins below degree 2; at
+        # order <= 2 the last term, of degree >= 3, has no bin
         q = _jet(self.dim, self.coeffs.copy(), self.deg, self.order, self.mask)
         q.coeffs[..., 0] = 0.0
-        series = series[:self.order + 1]
-        # q * c is the product with the constant c up to the sign of exact
-        # zeros, which the next product's bincount does not keep
-        acc = q * series[-1] + series[-2]
-        for a in reversed(series[:-2]):
-            acc = acc * q + a
-        return acc
+        s0, s1, s2, s3, s4 = series
+        q2 = _product(q, q, 1, 1)
+        acc = q * s1 + q2 * s2 + s0
+        if self.order <= 2:
+            return acc
+        return acc + _product(q2, q * s3 + q2 * s4, 2, 1)
 
     def reciprocal(self) -> "Jet4":
         b0 = self.coeffs[..., 0]   # every entry of a tensor is checked
@@ -419,6 +420,19 @@ def _jet(dim: int, coeffs: np.ndarray, deg: int, order: int,
     jet.dim, jet.coeffs, jet.deg, jet.order = dim, coeffs, deg, order
     jet.mask = mask
     return jet
+
+
+def _product(a: Jet4, b: Jet4, va: int = 0, vb: int = 0) -> Jet4:
+    """a * b, given that the coefficients of a of degree below va and of b
+    below vb are exact zeros: one gather-multiply-scatter over the plan."""
+    mul_i, mul_j, mul_k, ncoef, deg, order, mask = _plan(
+        a.dim, b.dim, a.deg, b.deg, a.order, b.order, a.mask, b.mask, va, vb)
+    x, y = a.coeffs, b.coeffs
+    if x.ndim == y.ndim == 1:
+        return _jet(a.dim, np.bincount(mul_k, x[mul_i] * y[mul_j], ncoef),
+                    deg, order, mask)
+    return _jet(a.dim, _scatter(x.take(mul_i, -1) * y.take(mul_j, -1),
+                                mul_k, ncoef), deg, order, mask)
 
 
 def _matmul(a, b) -> Jet4:

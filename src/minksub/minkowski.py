@@ -22,12 +22,20 @@ Four constructors provide the families:
 * ``expression``:  any tree accepted by :mod:`minksub.norm_expr`.
 
 Each family is a module-level function of its parameters and of the
-jet's base, order and normal cap.  Its polynomial pieces (all of
-euclidean; randers' (a(y,y) + b(y)^2)/2, a(y,y) and b(y); an expression's
-folded subtrees) take one Taylor shift about the base
-(:class:`minksub.jets.Polynomials`); only sqrt, division and powers above
-them take ring ops, on coordinate jets.  The order-1 jet is the order-4
-jet's prefix, so jet(y, 1).value == jet(y).value.
+jet's base, order and normal cap.  Its polynomial pieces take one Taylor
+shift about the base (:class:`minksub.jets.Polynomials`):
+
+* euclidean:  H itself;
+* randers:    (a(y,y) + b(y)^2)/2, a(y,y) and b(y);
+* example4:   P0 = A r2 + B y3^2, P1 = e1 y3 (3 y1^2 y2 - y2^3), y3^2,
+              r2 = y1^2 + y2^2, c = y1^2 - y2^2 and d = 2 y1 y2, with
+              H = P0 + P1 w + e2 y3^2 c (c^2 - 3 d^2) w^3 for w = 1/r2,
+              since c (c^2 - 3 d^2) = Re (y1 + i y2)^6;
+* expression: its folded subtrees.
+
+Only sqrt, division, powers and products above them take ring ops; of the
+families, only expression builds coordinate jets.  The order-1 jet is the
+order-4 jet's prefix, so jet(y, 1).value == jet(y).value.
 """
 
 from __future__ import annotations
@@ -69,26 +77,19 @@ def _randers_h(pieces, base, order, normal):
     return q + a.sqrt() * b
 
 
-def _example4_h(A, B, eps1, eps2, base, order, normal):
-    y1, y2, y3 = Jet4.variables(3, base, order, normal)
-    s1 = y1 * y1
-    s2 = y2 * y2
-    r2 = s1 + s2
-    cubic = (s1 * y2) * 3.0 - s2 * y2
-    s1sq = s1 * s1
-    s2sq = s2 * s2
-    sext = (s1sq * s1 - s2sq * s2) - (s1sq * s2 - s1 * s2sq) * 15.0
-    return (r2 * A
-            + y3 * cubic / r2 * eps1
-            + (y3 * y3) * (B + sext / (r2 * r2 * r2) * eps2))
+def _example4_h(eps2, pieces, base, order, normal):
+    # H = P0 + P1 w + y3^2 eps2 c (c^2 - 3 d^2) w^3 with w = 1/r2: c + i d =
+    # (y1 + i y2)^2, so c (c^2 - 3 d^2) = Re (y1 + i y2)^6
+    p0, p1, s3, r2, c, d = pieces.jet(base, order, normal)
+    w = r2.reciprocal()
+    return p0 + p1 * w + s3 * (c * (c * c - d * d * 3.0) * w ** 3) * eps2
 
 
 def _expression_h(tree, folded, base, order, normal):
     # looks ``evaluate`` up per call, so a wrapped evaluate is honoured
     nodes, pieces = folded
     ys = Jet4.variables(pieces.dim, base, order, normal)
-    return evaluate(tree, ys, (nodes, pieces.jet(base, order, normal))
-                    if nodes else None)
+    return evaluate(tree, ys, (nodes, pieces.jet(base, order, normal)))
 
 
 @dataclass(frozen=True)
@@ -144,7 +145,14 @@ class NormModel:
         if A <= 0.0 or B <= 0.0:
             raise ValueError("A and B must be positive")
         A, B, eps1, eps2 = float(A), float(B), float(eps1), float(eps2)
-        return NormModel("example4", 3, partial(_example4_h, A, B, eps1, eps2),
+        y1, y2, y3 = Jet4.variables(3, np.zeros(3))  # jets about 0: the
+        r2, s3 = y1 * y1 + y2 * y2, y3 * y3          # polynomials themselves
+        pieces = Polynomials(3, [
+            (r2 * A + s3 * B).coeffs,
+            ((y1 * y1 * 3.0 - y2 * y2) * y2 * y3 * eps1).coeffs,
+            s3.coeffs, r2.coeffs, (y1 * y1 - y2 * y2).coeffs,
+            (y1 * y2 * 2.0).coeffs])
+        return NormModel("example4", 3, partial(_example4_h, eps2, pieces),
                          {"kind": "example4", "A": A, "B": B,
                           "eps1": eps1, "eps2": eps2}, excluded_axis=2)
 

@@ -7,6 +7,7 @@ import sympy as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from minksub import jets as jets_module
 from minksub.jets import (MAX_DIM, MAX_ORDER, DivisionByZeroJet, Jet4,
                           NegativeSqrtJet, OrderExceeded, Polynomials, _plan,
                           _tables, form)
@@ -262,13 +263,15 @@ def _full_scale(c, s):
 
 
 def _full_series(c, series, dim):
+    # s0 + s1 q + s2 q^2 + q^2 (s3 q + s4 q^2) as Jet4._series sums it, with
+    # every product on the full table
     q = c.copy()
     q[..., 0] = 0.0
-    acc = Jet4.constant(dim, series[-1]).coeffs
-    for a in reversed(series[:-1]):
-        acc = _full_mul(acc, q, dim)
-        acc[..., 0] += a
-    return acc
+    s0, s1, s2, s3, s4 = series
+    q2 = _full_mul(q, q, dim)
+    acc = q * s1 + q2 * s2
+    acc[..., 0] += s0
+    return acc + _full_mul(q2, q * s3 + q2 * s4, dim)
 
 
 def _full_reciprocal(c, dim):
@@ -412,24 +415,29 @@ def test_norm_jets_stay_within_their_degree(rows, monkeypatch):
     jets = [model.jet(base) for model, base in zip(models, bases)]
     for jet in jets:
         _assert_within_degree(jet)
-    # the ring-op families again, on coordinate jets with all variables in
-    # the mask and degree bound 4, whose products keep every table term
-    variables = Jet4.variables
-    monkeypatch.setattr(Jet4, "variables", lambda *args: [
-        Jet4(y.dim, y.coeffs) for y in variables(*args)])
-    for model, base, jet in list(zip(models, bases, jets))[2:]:
-        assert np.array_equal(jet.coeffs, model.jet(base).coeffs)
     # quadratic norms keep a bound below MAX_ORDER, so it is not vacuous
     assert models[0].jet(np.ones(4)).deg == 2
+    # every family again, on coordinate jets and polynomial pieces with all
+    # variables in the mask and degree bound 4, whose products keep every
+    # table term
+    variables, shift = Jet4.variables, Polynomials.jet
+    monkeypatch.setattr(Jet4, "variables", lambda *args: [
+        Jet4(y.dim, y.coeffs) for y in variables(*args)])
+    monkeypatch.setattr(Polynomials, "jet", lambda *args: [
+        Jet4(y.dim, y.coeffs) for y in shift(*args)])
+    for model, base, jet in zip(models, bases, jets):
+        assert np.array_equal(jet.coeffs, model.jet(base).coeffs)
 
 
 @pytest.mark.parametrize("rows", [None, 3])
-@pytest.mark.parametrize("family", ["euclidean", "randers"])
+@pytest.mark.parametrize("family", ["euclidean", "randers", "example4"])
 def test_polynomial_families_build_no_coordinate_jets(family, rows,
                                                       monkeypatch):
-    model = (NormModel.euclidean(3) if family == "euclidean" else
-             NormModel.randers(np.diag([1.0, 2.0, 1.5]),
-                               np.array([0.2, 0.0, -0.1])))
+    model = {"euclidean": lambda: NormModel.euclidean(3),
+             "randers": lambda: NormModel.randers(np.diag([1.0, 2.0, 1.5]),
+                                                  np.array([0.2, 0.0, -0.1])),
+             "example4": lambda: NormModel.example4(10.0, 10.0, 0.1, 0.1),
+             }[family]()
     calls = []
     variables = Jet4.variables
     monkeypatch.setattr(Jet4, "variables", lambda *args: (
@@ -439,6 +447,32 @@ def test_polynomial_families_build_no_coordinate_jets(family, rows,
     for order, normal in ((4, 0), (2, 0), (4, 1)):
         assert model.jet(base, order, normal=normal).order == order
     assert calls == []
+
+
+def test_series_and_polynomial_pieces_take_few_product_terms(monkeypatch):
+    # sqrt's series in two products that skip the exact zeros of q's
+    # constant term and of q^2's low bins; example4 from its pieces, with
+    # one reciprocal; 72-row jets capped as the n = 2 audits cap them
+    counts, plan = [], jets_module._plan
+    monkeypatch.setattr(jets_module, "_plan", lambda *args: (
+        counts.append(len(plan(*args)[0])) or plan(*args)))
+
+    def products(call, *args, **kwargs):
+        counts.clear()
+        call(*args, **kwargs)
+        return len(counts), sum(counts)
+
+    rng = np.random.default_rng(37)
+    ys = Jet4.variables(4, rng.uniform(0.5, 2.0, 4), normal=2)
+    arg = sum(y * y for y in ys) + 1.0    # degree 2, every variable
+    assert products(arg.sqrt) == (2, 304)
+    for dim, want in ((4, (3, 463)), (5, (3, 1070))):
+        model = NormModel.randers(np.eye(dim) + 0.1, np.full(dim, 0.05))
+        assert products(model.jet, rng.uniform(0.5, 2.0, (72, dim)),
+                        normal=2) == want
+    model = NormModel.example4(10.0, 10.0, 0.1, 0.1)
+    assert products(model.jet, rng.uniform(0.5, 2.0, (72, 3)),
+                    normal=1) == (10, 534)
 
 
 # -- truncation orders --------------------------------------------------------
@@ -850,3 +884,6 @@ def test_quadratic_forms_and_kernel_arguments():
     zero = Polynomials(3, np.zeros(35)).jet(np.ones((2, 3)), normal=1)[0]
     assert zero.deg == 0 and zero.coeffs.shape == (2, 35)
     assert not zero.coeffs.any()
+    empty = Polynomials(3, np.zeros((0, 35)))       # no pieces: no bins
+    for lead in ((), (2,), (2, 4)):
+        assert empty.jet(np.ones(lead + (3,))) == []

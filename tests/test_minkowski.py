@@ -105,6 +105,43 @@ def test_example4_axis_exclusion():
     norm.jet(np.array([10 * eps, 0.0, 1.0]), 1)  # just outside the cutoff
 
 
+def _example4_ring_ops(A, B, eps1, eps2, base, order, normal):
+    """Example4's jet by ring ops on coordinate jets, as it was built before
+    its polynomial pieces took one Taylor shift: the reference below."""
+    y1, y2, y3 = Jet4.variables(3, base, order, normal)
+    s1 = y1 * y1
+    s2 = y2 * y2
+    r2 = s1 + s2
+    cubic = (s1 * y2) * 3.0 - s2 * y2
+    s1sq = s1 * s1
+    s2sq = s2 * s2
+    sext = (s1sq * s1 - s2sq * s2) - (s1sq * s2 - s1 * s2sq) * 15.0
+    return (r2 * A
+            + y3 * cubic / r2 * eps1
+            + (y3 * y3) * (B + sext / (r2 * r2 * r2) * eps2))
+
+
+@pytest.mark.parametrize("params", [(10.0, 10.0, 0.1, 0.1),
+                                    (3.0, 2.0, 0.4, -0.3)])
+def test_example4_matches_the_ring_op_reference(params):
+    # random directions, then probes at angle phi from both rays of the
+    # excluded axis, where the rational terms' derivatives grow like
+    # phi^-4: every order-4 row, capped or not, within 1e-13 of its size
+    rng = np.random.default_rng(31)
+    phi = np.repeat([1e-1, 1e-2, 1e-3], 8)
+    theta = rng.uniform(0.0, 2.0 * np.pi, len(phi))
+    probes = np.stack([np.cos(theta) * np.sin(phi),
+                       np.sin(theta) * np.sin(phi),
+                       np.tile([1.0, -1.0], 12) * np.cos(phi)], axis=1)
+    Y = np.vstack([rng.standard_normal((200, 3)), probes])
+    norm = NormModel.example4(*params)
+    for normal in (0, 1):
+        got = norm.jet(Y, normal=normal).coeffs
+        want = _example4_ring_ops(*params, Y, 4, normal).coeffs
+        err = np.max(np.abs(got - want), axis=1)
+        assert np.all(err <= 1e-13 * (1.0 + np.max(np.abs(want), axis=1)))
+
+
 def test_zero_direction_rejected():
     with pytest.raises(SingularDirection):
         NormModel.euclidean(2).jet(np.zeros(2), 1)
