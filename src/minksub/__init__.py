@@ -8,13 +8,12 @@ classification, proposition auditors, and the worked surface example.
 """
 
 from .curvature import (CurvatureReport, NonPDTensor, NonPDZeta,
-                        fundamental_tensor, reports_to_csv, ricci_expanded,
-                        ricci_expanded_batch, ricci_oracle, spray_field,
-                        zeta_check)
+                        reports_to_csv, ricci_expanded, ricci_expanded_batch,
+                        ricci_oracle, spray_field, zeta_check)
 from .example import (ExampleParams, ExampleReport, NoParamsFound,
-                      build_example, example_constants, find_example_params,
-                      ric_closed_form, verify_example)
-from .germ import AmbientFrame, Germ, adapt_germ, transform_germ
+                      build_example, find_example_params, ric_closed_form,
+                      verify_example)
+from .germ import Germ, adapt_germ, transform_germ
 from .invariants import (AuditReport, Interval, NotRuledDirection,
                          PointInvariants, audit_codim2, audit_hypersurface,
                          audit_ruled, nullity, point_invariants, point_type,
@@ -27,9 +26,8 @@ from .pencil import (CanonicalData, GenericityReport, NotSemisimple,
                      SingularA2, SpectralData, SymPencil, TopologyLabel,
                      UnclassifiedConfiguration, ZeroPencil, build_canonical,
                      build_from_spectral, canonical_from_spectral,
-                     canonical_type, classify_topology, common_zero_search,
-                     genericity_check, pencil_type, spectral_split,
-                     type_exact, type_sampled)
+                     classify_topology, common_zero_search, genericity_check,
+                     pencil_type, spectral_split, type_exact, type_sampled)
 
 __version__ = "0.1.0"
 

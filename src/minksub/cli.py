@@ -164,6 +164,8 @@ def _parse_direction(text: str, n: int) -> np.ndarray:
                           f"got {len(parts)}")
     if not np.all(np.isfinite(parts)):
         raise ConfigError("--direction: components must be finite")
+    if not any(parts):
+        raise ConfigError("--direction: must not be zero")
     return np.asarray(parts)
 
 

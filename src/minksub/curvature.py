@@ -114,15 +114,6 @@ class CurvatureReport:
         return self
 
 
-def fundamental_tensor(norm: NormModel, germ: Germ, u) -> np.ndarray:
-    """g_ij(0, u) = H_ij(u, 0): the tangent block of the ambient Hessian."""
-    n = germ.n
-    d2 = norm.jet(_lift(germ, u), 2).hessian()
-    g = d2[:n, :n]
-    _pd_inverse(g)  # raises NonPDTensor when unusable
-    return g
-
-
 def zeta_check(norm: NormModel, germ: Germ, u) -> tuple:
     """Return (zeta, residual) and enforce positive definiteness.
 

@@ -70,23 +70,6 @@ def build_example(params: ExampleParams):
     return norm, Germ.make(2, 1, d2, d3)
 
 
-def example_constants(params: ExampleParams) -> dict:
-    """The shorthand constants a1, a2 and the curvature values T at the
-    three directions where the cubic group vanishes."""
-    A, B, e1, e2, e3 = (params.A, params.B, params.eps1, params.eps2,
-                        params.eps3)
-    a1 = 4.0 * A * B + 4.0 * A * e2 - 9.0 * e1 ** 2
-    a2 = A * e2 - e1 ** 2
-    f11 = f22 = 1.0
-    f12 = sqrt(1.0 + e3)
-    det = f11 * f22 - f12 ** 2
-    T10 = (a1 * det + 72.0 * a2 * f11 ** 2) / (4.0 * A ** 2)
-    T13 = (2.0 * a1 * det
-           + 9.0 * a2 * (f11 + 3.0 * f22 - 2.0 * sqrt(3.0) * f12) ** 2) \
-        / (2.0 * A ** 2)
-    return {"a1": a1, "a2": a2, "T10": T10, "T13": T13}
-
-
 def _ric_closed_arrays(params: ExampleParams, u1, u2):
     """Vectorized closed form; returns (ric, term1, term2, term3)."""
     A, B, e1, e2, e3, C = (params.A, params.B, params.eps1, params.eps2,

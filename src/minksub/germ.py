@@ -10,7 +10,7 @@ d3[alpha, i, j, k] = f^alpha_ijk(0).  The adapted condition (vanishing
 first jet, tangent space = the first n coordinate axes) is what makes the
 curvature formulas in :mod:`minksub.curvature` valid literally.
 
-``adapt_germ`` absorbs a nonzero first jet into the ambient frame by the
+``adapt_germ`` absorbs a nonzero first jet into the ambient basis by the
 linear shear y -> y - (df) x, which leaves second and third derivatives
 untouched.  ``transform_germ`` pushes a germ through an arbitrary
 invertible ambient linear map and re-expresses the image as a graph,
@@ -30,7 +30,7 @@ import numpy as np
 from .jets import Jet4
 
 SYMMETRY_WARN_TOL = 1e-10
-SYM_TOL = 1e-12  # pencils, randers a: |M - M^T| <= SYM_TOL (1 + max |M|)
+SYM_TOL = 1e-12  # sym_matrix: |M - M^T| <= SYM_TOL (1 + max |M|)
 COND_LIMIT = 1e12  # larger condition numbers count as singular
 
 
@@ -54,6 +54,20 @@ def _check_conditioned(M: np.ndarray, message: str) -> None:
     if not (np.isfinite(M).all() and rank_mask(
             np.linalg.svd(M, compute_uv=False), 1 / COND_LIMIT).all()):
         raise NonInvertibleFrame(message)
+
+
+def sym_matrix(M, name: str) -> np.ndarray:
+    """M as a symmetrized float matrix, or ValueError naming ``name`` when
+    M is not square, has a non-finite entry or is not symmetric to SYM_TOL."""
+    M = np.asarray(M, dtype=np.float64)
+    if M.ndim != 2 or M.shape[0] != M.shape[1]:
+        raise ValueError(f"{name} must be square, got shape {M.shape}")
+    if not np.isfinite(M).all():
+        raise ValueError(f"{name} has non-finite entries")
+    scale = 1.0 + float(np.abs(M).max(initial=0.0))
+    if float(np.abs(M - M.T).max(initial=0.0)) > SYM_TOL * scale:
+        raise ValueError(f"{name} is not symmetric to {SYM_TOL}")
+    return 0.5 * (M + M.T)
 
 
 def sym2(arr: np.ndarray) -> np.ndarray:
@@ -114,46 +128,28 @@ class Germ:
                 "d2": self.d2.tolist(), "d3": self.d3.tolist()}
 
 
-@dataclass(frozen=True)
-class AmbientFrame:
-    """Affine chart of the ambient space: point = origin + basis @ coords."""
+def adapt_germ(raw_d1, raw_d2, raw_d3, basis=None):
+    """Absorb a nonzero first jet into the ambient basis; return
+    (Germ, basis @ shear).
 
-    origin: np.ndarray  # (n+p,)
-    basis: np.ndarray   # (n+p, n+p) columns are the coordinate directions
-
-    @staticmethod
-    def identity(dim: int) -> "AmbientFrame":
-        return AmbientFrame(origin=np.zeros(dim), basis=np.eye(dim))
-
-    def check(self) -> None:
-        dim = self.origin.shape[0]
-        if self.basis.shape != (dim, dim):
-            raise ValueError("basis shape does not match origin")
-        _check_conditioned(self.basis, "frame basis is numerically singular")
-
-    def sheared(self, d1: np.ndarray) -> "AmbientFrame":
-        """Compose with the shear that absorbs the first jet d1 (p, n)."""
-        p, n = d1.shape
-        shear = np.eye(n + p)
-        shear[n:, :n] = d1
-        return AmbientFrame(origin=self.origin.copy(), basis=self.basis @ shear)
-
-
-def adapt_germ(raw_d1, raw_d2, raw_d3, frame: AmbientFrame | None = None):
-    """Absorb a nonzero first jet into the frame; return (Germ, AmbientFrame).
-
-    The graph substitution y -> y - (raw_d1) x is linear in x, so the
-    second and third jets pass through unchanged while the tangent columns
-    of the frame pick up the graph slopes.  Applying the result to an
-    already adapted germ (raw_d1 = 0) is the identity.
+    ``basis`` (n+p, n+p), the identity by default, holds as columns the
+    coordinate directions the raw jets are written in.  The graph
+    substitution y -> y - (raw_d1) x is linear in x, so the second and
+    third jets pass through unchanged while the tangent columns of the
+    basis pick up the graph slopes.  Applying the result to an already
+    adapted germ (raw_d1 = 0) is the identity.
     """
     raw_d1 = np.asarray(raw_d1, dtype=np.float64)
     p, n = raw_d1.shape
-    if frame is None:
-        frame = AmbientFrame.identity(n + p)
-    frame.check()
+    N = n + p
+    basis = np.eye(N) if basis is None else np.asarray(basis, dtype=np.float64)
+    if basis.shape != (N, N):
+        raise ValueError(f"basis must have shape ({N}, {N})")
+    _check_conditioned(basis, "frame basis is numerically singular")
     germ = Germ.make(n, p, raw_d2, raw_d3)
-    return germ, frame.sheared(raw_d1)
+    shear = np.eye(N)
+    shear[n:, :n] = raw_d1
+    return germ, basis @ shear
 
 
 def taylor_jets(coeffs, x: Jet4) -> Jet4:

@@ -47,7 +47,7 @@ from typing import Callable
 
 import numpy as np
 
-from .germ import SYM_TOL
+from .germ import sym_matrix
 from .jets import BATCH_BLOCK, MAX_ORDER, Jet4, Polynomials, form
 from .norm_expr import evaluate, fold, parse_norm
 
@@ -119,14 +119,13 @@ class NormModel:
 
     @staticmethod
     def randers(a, b) -> "NormModel":
-        a = np.asarray(a, dtype=np.float64)
+        a = sym_matrix(a, "a")
         b = np.asarray(b, dtype=np.float64)
         dim = a.shape[0]
-        if a.shape != (dim, dim) or b.shape != (dim,):
-            raise ValueError("a must be (dim, dim) and b (dim,)")
-        if np.max(np.abs(a - a.T)) > SYM_TOL * (1.0 + np.max(np.abs(a))):
-            raise ValueError("a must be symmetric")
-        a = 0.5 * (a + a.T)
+        if dim < 1 or b.shape != (dim,):
+            raise ValueError("a must be (dim, dim) and b (dim,), dim >= 1")
+        if not np.isfinite(b).all():
+            raise ValueError("b has non-finite entries")
         evals = np.linalg.eigvalsh(a)
         if evals[0] <= 0.0:
             raise ValueError("a must be positive definite")
@@ -142,9 +141,11 @@ class NormModel:
 
     @staticmethod
     def example4(A: float, B: float, eps1: float, eps2: float) -> "NormModel":
+        A, B, eps1, eps2 = float(A), float(B), float(eps1), float(eps2)
+        if not np.isfinite([A, B, eps1, eps2]).all():
+            raise ValueError("A, B, eps1 and eps2 must be finite")
         if A <= 0.0 or B <= 0.0:
             raise ValueError("A and B must be positive")
-        A, B, eps1, eps2 = float(A), float(B), float(eps1), float(eps2)
         y1, y2, y3 = Jet4.variables(3, np.zeros(3))  # jets about 0: the
         r2, s3 = y1 * y1 + y2 * y2, y3 * y3          # polynomials themselves
         pieces = Polynomials(3, [

@@ -1,13 +1,12 @@
 """Recursive-descent parser for the norm expression language.
 
 Grammar (whitespace insignificant, precedence ^ then unary minus then */
-then +-):
+then +-; numbers must be finite):
 
     expr   := term (('+' | '-') term)*
     term   := factor (('*' | '/') factor)*
-    factor := base ('^' integer)?
+    factor := '-' factor | base ('^' integer)?
     base   := number | 'y' integer | '(' expr ')' | 'sqrt' '(' expr ')'
-            | '-' base
 
 Variables are written y1 .. yN for an N-dimensional norm.  Trees evaluate
 over any commutative ring with the usual operators, so the same tree
@@ -99,8 +98,10 @@ def _tokenize(text: str):
             at = len(text) - len(stripped)
             raise ExprSyntaxError(f"unexpected character {stripped[0]!r}", at)
         if m.group(1) is not None:
-            tokens.append(("num", float(m.group(1) + (m.group(2) or "")),
-                           m.start(1)))
+            value = float(m.group(1) + (m.group(2) or ""))
+            if not math.isfinite(value):    # 1e999 parses to inf
+                raise ExprSyntaxError("number is not finite", m.start(1))
+            tokens.append(("num", value, m.start(1)))
         elif m.group(3) is not None:
             tokens.append(("name", m.group(3), m.start(3)))
         else:
@@ -212,8 +213,6 @@ class _Parser:
             node = self.expr()
             self.expect_op(")")
             return node
-        if kind == "op" and val == "-":
-            return self.node(Neg, self.base())
         raise ExprSyntaxError("expected a number, variable, or '('", pos)
 
 

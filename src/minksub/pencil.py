@@ -25,7 +25,7 @@ from math import atan2, cos, pi, sin
 
 import numpy as np
 
-from .germ import SYM_TOL, rank_mask, sym3
+from .germ import rank_mask, sym3, sym_matrix
 
 EIG_TOL = 1e-9          # scaled by (1 + spectral radius)
 CLUSTER_TOL = 1e-6      # eigenvalue clustering, scaled the same way
@@ -70,18 +70,6 @@ class UnclassifiedConfiguration(ValueError):
     """Canonical data outside every topology case in scope."""
 
 
-def _sym_matrix(M, name: str) -> np.ndarray:
-    M = np.asarray(M, dtype=np.float64)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise ValueError(f"{name} must be square, got shape {M.shape}")
-    if not np.isfinite(M).all():
-        raise ValueError(f"{name} has non-finite entries")
-    scale = 1.0 + float(np.abs(M).max(initial=0.0))
-    if float(np.abs(M - M.T).max(initial=0.0)) > SYM_TOL * scale:
-        raise ValueError(f"{name} is not symmetric to {SYM_TOL}")
-    return 0.5 * (M + M.T)
-
-
 @dataclass(frozen=True)
 class SymPencil:
     A1: np.ndarray
@@ -89,8 +77,8 @@ class SymPencil:
 
     @classmethod
     def make(cls, A1, A2) -> "SymPencil":
-        A1 = _sym_matrix(A1, "A1")
-        A2 = _sym_matrix(A2, "A2")
+        A1 = sym_matrix(A1, "A1")
+        A2 = sym_matrix(A2, "A2")
         if A1.shape != A2.shape:
             raise ValueError("A1 and A2 must have the same dimension")
         A1.setflags(write=False)
@@ -524,19 +512,6 @@ class CanonicalData:
         return self.r + 2 * self.s
 
 
-def _window_sums(C: CanonicalData) -> list:
-    """d_j = n_j + ... + n_{j+l-2}, cyclic windows of length l-1."""
-    K = 2 * C.l - 1
-    return [sum(C.n[(j + t) % K] for t in range(C.l - 1)) for j in range(K)]
-
-
-def canonical_type(C: CanonicalData) -> int:
-    """Type of the canonical pencil: s + min d_j when l >= 2, else s."""
-    if C.l <= 1:
-        return C.s
-    return C.s + min(_window_sums(C))
-
-
 def build_canonical(C: CanonicalData) -> SymPencil:
     """Pencil with cos/sin angle blocks and hyperbolic pairs."""
     K = 2 * C.l - 1
@@ -636,7 +611,9 @@ def classify_topology(C: CanonicalData) -> TopologyLabel:
             note="configuration also matches the connected-sum reading; "
                  "classified as the three-sphere product")
     if l >= 2 and l + s > 2:
-        d = _window_sums(C)
+        # d_j = n_j + ... + n_{j+l-2}, cyclic windows of length l-1
+        K = 2 * l - 1
+        d = [sum(C.n[(j + t) % K] for t in range(l - 1)) for j in range(K)]
         return TopologyLabel(
             "ConnectedSum",
             tuple((dj + s - 1, r - dj + s - 2) for dj in d))
@@ -808,8 +785,8 @@ def common_zero_search(phi1, phi2, psi1, psi2,
     at a unit vector.  Coefficients are checked as ``SymPencil.make``
     checks matrices: wrong shapes and non-finite entries raise ValueError.
     """
-    A1 = _sym_matrix(phi1, "phi1")
-    A2 = _sym_matrix(phi2, "phi2")
+    A1 = sym_matrix(phi1, "phi1")
+    A2 = sym_matrix(phi2, "phi2")
     N = A1.shape[0]
     if A2.shape != A1.shape:
         raise ValueError("phi1 and phi2 must have the same dimension")

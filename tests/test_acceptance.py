@@ -18,6 +18,7 @@ from minksub.germ import Germ, adapt_germ, sym3, transform_germ
 from minksub.invariants import (audit_codim2, audit_hypersurface, audit_ruled,
                                 point_invariants)
 from minksub.minkowski import NormModel, validate_norm
+from reference import canonical_type
 
 QUARTIC = ("(y1^2 + y2^2 + y3^2) / 2"
            " + (y1^4 - 2*y1^2*y2^2 + y3^4) / (y1^2 + y2^2 + y3^2) / 20")
@@ -155,19 +156,15 @@ def test_criterion_5_pencil_type():
     t0 = time.monotonic()
     cases = 0
     for C in _canonical_cases(max_block=3, max_s=3, max_l=3):
-        if C.l >= 2:
-            K = 2 * C.l - 1
-            windows = [sum(C.n[(j + t) % K] for t in range(C.l - 1))
-                       for j in range(K)]
-            expected = C.s + min(windows)
-        else:
-            expected = C.s
-        built = pc.type_exact(pc.spectral_split(pc.build_canonical(C)))
-        assert built == expected == pc.canonical_type(C), C
+        pen = pc.build_canonical(C)
+        expected = canonical_type(C)
+        assert pc.type_exact(pc.spectral_split(pen)) == expected, C
+        # the route that invariants, the audits and `pencil type` run
+        assert pc.pencil_type(pen) == expected, C
         cases += 1
 
     rng = np.random.default_rng(105)
-    agree = 0
+    agree = routed = 0
     for _ in range(500):
         N = int(rng.integers(3, 9))
         s = int(rng.integers(0, N // 2 + 1))
@@ -195,10 +192,12 @@ def test_criterion_5_pencil_type():
         pen = pc.SymPencil.make(M.T @ pen.A1 @ M, M.T @ pen.A2 @ M)
         t_exact = pc.type_exact(pc.spectral_split(pen))
         agree += t_exact == pc.type_sampled(pen, 10000)
+        routed += t_exact == pc.pencil_type(pen)
     elapsed = time.monotonic() - t0
-    ok = agree == 500 and elapsed < 120.0
-    verdict(5, ok, f"{cases} canonical configs match s + min window sum; "
-                   f"exact vs sampled(1e4) agreement {agree}/500, "
+    ok = agree == routed == 500 and elapsed < 120.0
+    verdict(5, ok, f"{cases} canonical configs match s + min window sum "
+                   f"(type_exact and pencil_type); exact vs sampled(1e4) "
+                   f"agreement {agree}/500, vs pencil_type {routed}/500, "
                    f"{elapsed:.1f}s (cap 120s)")
 
 

@@ -16,11 +16,9 @@ import pytest
 
 from minksub import curvature, minkowski
 from minksub.curvature import (FD_STEP, NonPDTensor, _pd_inverse,
-                               _ricci_oracle_jets,
-                               fundamental_tensor, reports_to_csv,
-                               ricci_expanded,
-                               ricci_expanded_batch, ricci_oracle,
-                               spray_field, zeta_check)
+                               _ricci_oracle_jets, reports_to_csv,
+                               ricci_expanded, ricci_expanded_batch,
+                               ricci_oracle, spray_field, zeta_check)
 from minksub.germ import COND_LIMIT, Germ, sym3
 from minksub.invariants import sphere_grid
 from minksub.jets import BATCH_BLOCK
@@ -86,9 +84,9 @@ def test_fundamental_tensor_is_ambient_hessian_block():
     norm = random_randers(rng, 4)
     germ = random_germ(rng, 2, 2)
     u = np.array([0.8, -0.5])
-    g = fundamental_tensor(norm, germ, u)
+    g = ricci_expanded(norm, germ, u).g
     lift = np.concatenate([u, np.zeros(2)])
-    hess = norm.jet(lift).hessian()
+    hess = norm.jet(lift).hessian()   # uncapped, order 4
     assert np.allclose(g, hess[:2, :2], atol=1e-13)
 
 
@@ -207,7 +205,7 @@ def test_non_positive_definite_tensor_raises():
     with pytest.raises(NonPDTensor, match=one):
         ricci_expanded(norm, germ, [1.0, 0.0])
     with pytest.raises(NonPDTensor):
-        fundamental_tensor(norm, germ, [1.0, 0.0])
+        zeta_check(norm, germ, [1.0, 0.0])
 
 
 def test_pd_inverse_names_the_first_unusable_row():
@@ -323,7 +321,10 @@ def test_batch_matches_per_direction_reports(norm, germ):
         rik = batch.Rik[k]
         err = np.max(np.abs(rik - _ricci_oracle_jets(norm, germ, u)))
         assert err <= JET_REL_TOL * (1.0 + np.max(np.abs(rik))), k
-        assert np.array_equal(batch.g[k], fundamental_tensor(norm, germ, u))
+        # g against the uncapped order-2 jet's Hessian
+        lift = np.concatenate([u, np.zeros(germ.p)])
+        assert np.array_equal(batch.g[k],
+                              norm.jet(lift, 2).hessian()[:germ.n, :germ.n])
         assert _close(batch.zeta[k], zeta_check(norm, germ, u)[0],
                       FIELD_TOL), k
         assert _close(batch.G[k], spray_field(norm, germ, np.zeros(germ.n),

@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from minksub.cli import germ_from_config
-from minksub.germ import (COND_LIMIT, AmbientFrame, Germ, NonInvertibleFrame,
-                          adapt_germ, rank_mask, sym3, taylor_jets,
-                          transform_germ)
+from minksub.germ import (COND_LIMIT, Germ, NonInvertibleFrame, adapt_germ,
+                          rank_mask, sym3, taylor_jets, transform_germ)
 from minksub.invariants import RANK_TOL
 from minksub.jets import Jet4
 from minksub.pencil import PENCIL_COND_LIMIT
@@ -76,21 +75,29 @@ def test_adapt_germ_shears_frame_only():
     rng = np.random.default_rng(2)
     d1 = rng.standard_normal((1, 2))
     g0 = random_germ(rng, 2, 1)
-    germ, frame = adapt_germ(d1, g0.d2, g0.d3)
+    germ, basis = adapt_germ(d1, g0.d2, g0.d3)
     assert np.array_equal(germ.d2, g0.d2)
     assert np.array_equal(germ.d3, g0.d3)
-    # the frame sends graph points (x, f(x)) with slope d1 to slope 0
-    assert np.allclose(frame.basis[2:, :2], d1)
-    # already adapted input leaves the identity frame alone
-    _, frame0 = adapt_germ(np.zeros((1, 2)), g0.d2, g0.d3)
-    assert np.allclose(frame0.basis, np.eye(3))
+    # the basis sends graph points (x, f(x)) with slope d1 to slope 0
+    assert np.allclose(basis[2:, :2], d1)
+    # already adapted input leaves the identity basis alone
+    _, basis0 = adapt_germ(np.zeros((1, 2)), g0.d2, g0.d3)
+    assert np.array_equal(basis0, np.eye(3))
+    # a given basis is sheared on the right: basis @ shear
+    B = np.eye(3) + 0.3 * rng.standard_normal((3, 3))
+    shear = np.eye(3)
+    shear[2:, :2] = d1
+    assert np.array_equal(adapt_germ(d1, g0.d2, g0.d3, B)[1], B @ shear)
 
 
 def test_frame_check_rejects_singular_basis():
-    frame = AmbientFrame(origin=np.zeros(2),
-                         basis=np.array([[1.0, 1.0], [1.0, 1.0]]))
+    g = random_germ(np.random.default_rng(9), 1, 1)
     with pytest.raises(NonInvertibleFrame):
-        frame.check()
+        adapt_germ(np.zeros((1, 1)), g.d2, g.d3,
+                   np.array([[1.0, 1.0], [1.0, 1.0]]))
+    # a basis of the wrong size is named, not left to a matmul error
+    with pytest.raises(ValueError, match=r"basis must have shape \(2, 2\)"):
+        adapt_germ(np.zeros((1, 1)), g.d2, g.d3, np.eye(3))
 
 
 def test_transform_identity_is_noop():
@@ -128,10 +135,10 @@ def test_transform_composes():
     T2 = np.eye(3) + 0.2 * rng.standard_normal((3, 3))
     # push through T1, re-adapt, push through T2; compare with T2 @ T1
     d1a, d2a, d3a = transform_germ(g, T1)
-    germ_a, frame_a = adapt_germ(d1a, d2a, d3a)
-    # germ_a lives in frame_a coordinates: frame_a.basis maps them to the
+    germ_a, basis_a = adapt_germ(d1a, d2a, d3a)
+    # germ_a lives in basis_a coordinates: basis_a maps them to the
     # ambient after T1, so the remaining ambient map reads T2 compose basis
-    d1b, d2b, d3b = transform_germ(germ_a, T2 @ frame_a.basis)
+    d1b, d2b, d3b = transform_germ(germ_a, T2 @ basis_a)
     d1c, d2c, d3c = transform_germ(g, T2 @ T1)
     germ_b, _ = adapt_germ(d1b, d2b, d3b)
     germ_c, _ = adapt_germ(d1c, d2c, d3c)
@@ -164,10 +171,7 @@ def test_unusable_maps_raise_non_invertible_frame(bad):
     else:
         T[0, 1] = bad
     with pytest.raises(NonInvertibleFrame):
-        AmbientFrame(origin=np.zeros(3), basis=T).check()
-    with pytest.raises(NonInvertibleFrame):
-        adapt_germ(np.zeros((1, 2)), g.d2, g.d3,
-                   AmbientFrame(origin=np.zeros(3), basis=T))
+        adapt_germ(np.zeros((1, 2)), g.d2, g.d3, T)
     with pytest.raises(NonInvertibleFrame):
         transform_germ(g, T)
 

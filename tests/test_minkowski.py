@@ -59,6 +59,20 @@ def test_randers_rejects_bad_data():
         NormModel.randers(-np.eye(2), np.zeros(2))
     with pytest.raises(ValueError):
         NormModel.randers(np.array([[1.0, 0.5], [0.0, 1.0]]), np.zeros(2))
+    # a NaN passes every comparison, and H would evaluate to NaN
+    with pytest.raises(ValueError, match="^b has non-finite entries$"):
+        NormModel.randers(np.eye(2), [np.nan, 0.0])
+    with pytest.raises(ValueError, match="^a has non-finite entries$"):
+        NormModel.randers([[1.0, np.inf], [np.inf, 1.0]], np.zeros(2))
+
+
+@pytest.mark.parametrize("slot", range(4))
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_example4_rejects_non_finite_parameters(slot, bad):
+    params = [10.0, 10.0, 0.1, 0.1]
+    params[slot] = bad
+    with pytest.raises(ValueError, match="must be finite"):
+        NormModel.example4(*params)
 
 
 def test_example4_against_symbolic_oracle():

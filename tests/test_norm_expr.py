@@ -88,6 +88,7 @@ def test_tree_shape():
     tree = parse_norm("y1 + y2 * y1", 2)
     assert tree == Bin("+", Var(1), Bin("*", Var(2), Var(1)))
     assert parse_norm("-y1^2", 1) == Neg(Pow(Var(1), 2))
+    assert parse_norm("--y1^2", 1) == Neg(Neg(Pow(Var(1), 2)))
     assert parse_norm("sqrt(y1)", 1) == Sqrt(Var(1))
 
 
@@ -108,6 +109,12 @@ def test_syntax_error_positions():
         parse_norm("y1 ^ y1", 1)  # exponent must be an integer literal
     with pytest.raises(ExprSyntaxError):
         parse_norm("2 ^ 1.5", 1)
+    # float() reads these as inf; an inf exponent would even escape the
+    # integer check as OverflowError
+    for text, pos in [("1e999", 0), ("y1 + 2 * 1.5e400", 9), ("y1^1e999", 3)]:
+        with pytest.raises(ExprSyntaxError, match="not finite") as err:
+            parse_norm(text, 1)
+        assert err.value.pos == pos
 
 
 def test_unknown_variable():

@@ -10,11 +10,12 @@ from minksub.cli import pencil_from_config
 from minksub.pencil import (EIG_TOL, CanonicalData, NotSemisimple, SingularA2,
                             SpectralData, SymPencil, TopologyLabel, ZeroPencil,
                             build_canonical, build_from_spectral,
-                            canonical_from_spectral, canonical_type,
-                            classify_topology, common_zero_search,
-                            genericity_check, max_rank_inertia, pencil_type,
-                            spectral_split, type_exact, type_sampled,
-                            _inertia_counts, _residuals)
+                            canonical_from_spectral, classify_topology,
+                            common_zero_search, genericity_check,
+                            max_rank_inertia, pencil_type, spectral_split,
+                            type_exact, type_sampled, _inertia_counts,
+                            _residuals)
+from reference import canonical_type
 
 
 def congruent(P, S):
