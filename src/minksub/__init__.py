@@ -21,7 +21,8 @@ from .invariants import (AuditReport, Interval, NotRuledDirection,
 from .jets import (DivisionByZeroJet, Jet4, NegativeSqrtJet, OrderExceeded)
 from .minkowski import (ConeTooNarrow, NormModel, SingularDirection,
                         ValidationReport, validate_norm)
-from .norm_expr import ArityError, ExprSyntaxError, UnknownVariable
+from .norm_expr import (ArityError, ExprSyntaxError, NonFiniteConstant,
+                        UnknownVariable)
 from .pencil import (CanonicalData, GenericityReport, NotSemisimple,
                      SingularA2, SpectralData, SymPencil, TopologyLabel,
                      UnclassifiedConfiguration, ZeroPencil, build_canonical,

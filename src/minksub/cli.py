@@ -28,7 +28,8 @@ from .invariants import (audit_codim2, audit_hypersurface, audit_ruled,
                          point_invariants, sphere_grid)
 from .minkowski import (VALIDATION_SAMPLES, ConeTooNarrow, NormModel,
                         validate_norm)
-from .norm_expr import ArityError, ExprSyntaxError, UnknownVariable
+from .norm_expr import (ArityError, ExprSyntaxError, NonFiniteConstant,
+                        UnknownVariable)
 
 
 class ConfigError(ValueError):
@@ -102,7 +103,8 @@ def norm_from_config(data, path: str) -> NormModel:
             if not isinstance(text, str):
                 raise ConfigError(f"{path}/text: expected a string")
             return NormModel.expression(text, _integer(data, "dim", path))
-    except (ExprSyntaxError, UnknownVariable, ArityError) as exc:
+    except (ExprSyntaxError, UnknownVariable, ArityError,
+            NonFiniteConstant) as exc:
         raise ConfigError(f"{path}/text: {exc}") from exc
     except ConfigError:
         raise
@@ -164,8 +166,10 @@ def _parse_direction(text: str, n: int) -> np.ndarray:
                           f"got {len(parts)}")
     if not np.all(np.isfinite(parts)):
         raise ConfigError("--direction: components must be finite")
-    if not any(parts):
-        raise ConfigError("--direction: must not be zero")
+    scale = max(map(abs, parts))
+    if scale * scale == 0.0:    # then u . u, which the norm tests, is 0
+        raise ConfigError("--direction: must not be zero" + (
+            " (its squared length underflows)" if scale else ""))
     return np.asarray(parts)
 
 

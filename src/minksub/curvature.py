@@ -105,9 +105,10 @@ class CurvatureReport:
     ric_parts: tuple  # (cubic, zeta, eta, rho) groups; sums to Ric
 
     def require_finite(self) -> "CurvatureReport":
-        """self, or ValueError naming the first non-finite field and where."""
+        """self, or ValueError naming the first non-finite field and where;
+        fields a Ric-only report leaves out (None) are skipped."""
         for name, x in vars(self).items():
-            if not np.isfinite(x).all():
+            if x is not None and not np.isfinite(x).all():
                 raise ValueError(f"{name} is not finite at " + (
                     f"direction {np.argwhere(~np.isfinite(x))[0][0]}"
                     if self.u.ndim == 2 else "this direction"))
@@ -154,11 +155,13 @@ def ricci_expanded(norm: NormModel, germ: Germ, u) -> CurvatureReport:
 
 
 def _ricci_block(germ: Germ, u: np.ndarray, tensors: tuple,
-                 first: int | None = None) -> tuple:
+                 first: int | None = None, ric_only: bool = False) -> tuple:
     """CurvatureReport's fields for the rows r of u (R, n), by matmuls over
     r, from H's partial tensors (h0, d1, ..., d4) at the lifts (u, 0), all
     with leading axis r and read only in entries of normal degree <= 2;
-    ``first`` numbers rows in _pd_inverse's errors.
+    ``first`` numbers rows in _pd_inverse's errors.  ``ric_only`` leaves
+    eta and rho None and skips g^-1 Z and g^-1 . d4, which only they read;
+    every other field keeps its bits.
     Per row, L = ((I_n, 0); E^T; (g^-1, 0)) puts every first u-derivative
     in one stack Z_k = L d3_k L[n:]^T (R_k = (d3_k E)[t], d_k zeta, d_k h
     in its first p columns, -d_k g^-1 in its last n).  Products sharing an
@@ -179,18 +182,20 @@ def _ricci_block(germ: Germ, u: np.ndarray, tensors: tuple,
     L[:, N:, t] = gi
     ET, E = L[:, n:N], L[:, n:N].swapaxes(1, 2)
     Z = L[:, None] @ (d3[:, t] @ L[:, None, n:].swapaxes(2, 3))
-    GZ = (gi @ Z.reshape(rows, n, -1)).reshape(Z.shape)   # g^lk Z_k
-    R, DZ, DH = Z[:, :, t, :p], Z[:, :, n:N, :p], Z[:, :, N:, :p]
     zeta = d2[:, s, s] - h.swapaxes(1, 2) @ A
     tr = -0.5 * Z[:, :, N:].trace(axis1=1, axis2=2)   # xi; d_k g^kj / 2
     xi, dg = tr[:, :p], tr[:, p:, None, None]
     D4 = d4[:, t, t].reshape(rows, n * n, -1)   # d4_kl as rows
-    W = (gi.reshape(rows, 1, n * n) @ D4).reshape(rows, N, N)
-    eta = (0.75 * (DH.swapaxes(2, 3) @ DH.swapaxes(1, 2))
-           - R.swapaxes(2, 3) @ GZ[:, :, N:, :p] + dg * DZ).sum(1) + 0.5 * (
-        ET @ W @ E)
-    rho = (3.0 * xi[:, None, :, None] * h[:, :, None, :]
-           + dg * zeta[:, None] + GZ[:, :, n:N, :p])
+    eta = rho = None
+    if not ric_only:
+        GZ = (gi @ Z.reshape(rows, n, -1)).reshape(Z.shape)   # g^lk Z_k
+        R, DZ, DH = Z[:, :, t, :p], Z[:, :, n:N, :p], Z[:, :, N:, :p]
+        W = (gi.reshape(rows, 1, n * n) @ D4).reshape(rows, N, N)
+        eta = (0.75 * (DH.swapaxes(2, 3) @ DH.swapaxes(1, 2))
+               - R.swapaxes(2, 3) @ GZ[:, :, N:, :p]
+               + dg * DZ).sum(1) + 0.5 * (ET @ W @ E)
+        rho = (3.0 * xi[:, None, :, None] * h[:, :, None, :]
+               + dg * zeta[:, None] + GZ[:, :, n:N, :p])
     uc = u[:, :, None]
     fu = (u @ germ.d2.reshape(p * n, n).T).reshape(rows, p, n)
     fuT = fu.swapaxes(1, 2)
@@ -220,11 +225,12 @@ def _ricci_block(germ: Germ, u: np.ndarray, tensors: tuple,
             T.trace(axis1=2, axis2=3).T)
 
 
-def ricci_expanded_batch(norm: NormModel, germ: Germ, U) -> CurvatureReport:
+def ricci_expanded_batch(norm: NormModel, germ: Germ, U,
+                         ric_only: bool = False) -> CurvatureReport:
     """ricci_expanded for each row of U (N, n): one report whose fields gain
     a leading direction axis (ric_parts (N, 4)).  Each block of BATCH_BLOCK
     rows takes one batched jet of H, bit for bit the per-direction jets, and
-    one _ricci_block contraction."""
+    one _ricci_block contraction; ``ric_only`` leaves eta and rho None."""
     U = np.asarray(U, dtype=np.float64)
     if U.ndim != 2 or U.shape[1] != germ.n or len(U) == 0:
         raise ValueError(f"directions must have shape (N, {germ.n}), N >= 1")
@@ -233,8 +239,10 @@ def ricci_expanded_batch(norm: NormModel, germ: Germ, U) -> CurvatureReport:
         u = U[s:s + BATCH_BLOCK]
         jet = norm.jet(np.hstack([u, np.zeros((len(u), germ.p))]), row=s,
                        normal=germ.p)
-        blocks.append(_ricci_block(germ, u, jet.partial_tensors(4), s))
-    return CurvatureReport(*(np.concatenate(f) for f in zip(*blocks)))
+        blocks.append(_ricci_block(germ, u, jet.partial_tensors(4), s,
+                                   ric_only))
+    return CurvatureReport(*(None if f[0] is None else np.concatenate(f)
+                             for f in zip(*blocks)))
 
 
 # -- oracle route -------------------------------------------------------------

@@ -140,6 +140,8 @@ def adapt_germ(raw_d1, raw_d2, raw_d3, basis=None):
     adapted germ (raw_d1 = 0) is the identity.
     """
     raw_d1 = np.asarray(raw_d1, dtype=np.float64)
+    if not np.isfinite(raw_d1).all():
+        raise ValueError("raw_d1 must be finite")
     p, n = raw_d1.shape
     N = n + p
     basis = np.eye(N) if basis is None else np.asarray(basis, dtype=np.float64)

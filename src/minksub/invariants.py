@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from math import cos, pi
 from statistics import NormalDist
 
 import numpy as np
@@ -82,23 +83,53 @@ def nullity(germ: Germ) -> tuple:
 
 
 def point_type(germ: Germ, seed: int = 0):
-    """Point type t(P): exact for p <= 2, sampled Interval bounds for p >= 3.
+    """Point type t(P): exact for p <= 2 and, outside a band around the
+    cut, for n = 2; otherwise sampled Interval bounds for p >= 3.
 
     For p <= 2 it is the type of the pencil of the second fundamental
     forms (d2[0] and 0 when p = 1, so both orientations of the single
     normal count), and 0 when they all vanish; the common kernel L(P)
-    only adds zero eigenvalues to every member.  For p >= 3 the normal
-    sphere is sampled from ``seed`` and only bounds are reported.
+    only adds zero eigenvalues to every member.  For p = 1 that is the
+    smaller inertia count of cos(pi/4) d2[0], the member pencil_type's
+    sweep evaluates; for n = 2, ``_surface_type`` decides by a closed
+    form; pencil_type's sweep takes the rest of p = 2.  For p >= 3 the
+    normal sphere is sampled from ``seed`` and only bounds are reported.
     """
-    if germ.p <= 2:
-        A2 = germ.d2[1] if germ.p == 2 else np.zeros_like(germ.d2[0])
-        pen = pencils.SymPencil.make(germ.d2[0], A2)
+    if germ.p == 1:
+        pos, neg = pencils._eigvalsh_counts(cos(pi / 4) * germ.d2)
+        return int(min(pos[0], neg[0]))
+    t = _surface_type(germ.d2) if germ.n == 2 else None
+    if t is not None:
+        return t
+    if germ.p == 2:
+        pen = pencils.SymPencil.make(*germ.d2)
         return pencils.pencil_type(pen) if germ.d2.any() else 0
 
     forms = np.einsum("sa,aij->sij", _normal_table(seed, germ.p), germ.d2)
     pos, _ = pencils.max_rank_inertia(forms)
     bound = int(pos.min())
     return Interval(bound, bound)
+
+
+def _surface_type(d2: np.ndarray):
+    """t(P) of n = 2 forms A_a = [[a, c], [c, b]], or None in the band.
+
+    det(xi . A) = xi^T Q xi with Q_ab = (a_a b_b + a_b b_a)/2 - c_a c_b, so
+    a definite member exists iff lambda_max(Q) > 0: t = 0 when the member
+    at Q's top eigenvector counts as definite or all forms vanish, t = 1
+    when lambda_max(Q) < -EIG_TOL max |d2|^2 (every member is indefinite),
+    else None.  Q is formed from d2 / max |d2|, which cannot overflow."""
+    scale = np.abs(d2).max()
+    if not scale:
+        return 0
+    a, c, _, b = d2.reshape(-1, 4).T / scale
+    ab = np.outer(a, b)
+    lam, vec = np.linalg.eigh(0.5 * (ab + ab.T) - np.outer(c, c))
+    pos, neg = pencils._eigvalsh_counts((vec[:, -1] @ d2.reshape(-1, 4))
+                                        .reshape(1, 2, 2))
+    if max(pos[0], neg[0]) == 2:
+        return 0
+    return 1 if lam[-1] < -pencils.EIG_TOL else None
 
 
 @lru_cache(maxsize=NORMAL_TABLES)
@@ -179,7 +210,8 @@ class AuditReport:
 def _grid_min_ric(norm: NormModel, germ: Germ, grid: int | None):
     dirs = sphere_grid(germ.n, default_grid(germ.n) if grid is None else grid)
     with np.errstate(all="ignore"):     # a non-finite field is named
-        rics = ricci_expanded_batch(norm, germ, dirs).require_finite().Ric
+        rics = ricci_expanded_batch(norm, germ, dirs,
+                                    ric_only=True).require_finite().Ric
     k = int(np.argmin(rics))
     return float(rics[k]), dirs[k]
 

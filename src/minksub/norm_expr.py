@@ -49,6 +49,11 @@ class ArityError(ValueError):
     """A function was applied to the wrong number of arguments."""
 
 
+class NonFiniteConstant(ValueError):
+    """A constant subexpression, or a coefficient of a folded polynomial
+    subtree, overflows."""
+
+
 @dataclass(frozen=True)
 class Num:
     value: float
@@ -265,8 +270,9 @@ def fold(tree, dim: int) -> tuple:
     """The maximal polynomial subtrees of tree (numbers, variables, +, -, *,
     powers >= 0, division by a nonzero number) of degree 1..4, bare
     variables aside, and one Polynomials of them, whose jets ``evaluate``
-    takes as the subtrees' values."""
-    degrees, found = {}, {}
+    takes as the subtrees' values.  NonFiniteConstant when a constant
+    subtree or a coefficient is not finite."""
+    degrees, found, consts = {}, {}, {}
 
     def degree(node):
         if id(node) not in degrees:
@@ -284,10 +290,21 @@ def fold(tree, dim: int) -> tuple:
                 found.update((id(k), k) for k, dk in zip(kids, ds) if dk
                              and dk <= MAX_ORDER and not isinstance(k, Var))
             degrees[id(node)] = d
+            if d == 0 and not isinstance(node, Num):    # a constant
+                try:        # variables only occur as y^0, and nan^0 is 1
+                    value = _evaluate(node, (math.nan,) * dim, consts)
+                except OverflowError:                   # float ** int
+                    value = math.inf
+                if not math.isfinite(value):
+                    raise NonFiniteConstant("a constant subexpression is "
+                                            "not finite")
         return degrees[id(node)]
 
     degree(Sqrt(tree))      # a root that is no polynomial: tree may be one
     zero, memo = Jet4.variables(dim, np.zeros(dim)), {}   # jets about 0
-    nodes = tuple(found.values())
-    return nodes, Polynomials(dim, [_evaluate(x, zero, memo).coeffs
-                                    for x in nodes])
+    with np.errstate(all="ignore"):     # checked below
+        coeffs = [_evaluate(x, zero, memo).coeffs for x in found.values()]
+    if not all(np.isfinite(c).all() for c in coeffs):
+        raise NonFiniteConstant("a polynomial subtree has a non-finite "
+                                "coefficient")
+    return tuple(found.values()), Polynomials(dim, coeffs)

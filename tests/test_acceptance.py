@@ -11,6 +11,7 @@ import time
 import numpy as np
 
 import conftest
+from minksub import invariants
 from minksub import pencil as pc
 from minksub.curvature import ricci_expanded, ricci_oracle, zeta_check
 from minksub.example import find_example_params, verify_example
@@ -360,3 +361,44 @@ def test_criterion_9_auditors():
     ok = not bad
     verdict(9, ok, "hypersurface, codim-2 and ruled auditors CONSISTENT on "
                    f"200 randomized valid inputs each; violations: {bad[:3]}")
+
+
+def _decisive_audit_cases():
+    """Germs where the audits' verdict depends on Ric: t(P) = 2 for the
+    hypersurfaces (planted signatures (2, 2) at n = 4, (2, 3) and (3, 2) at
+    n = 5) and t(P) = 3 at n = 6, p = 2 (three complex pairs under a random
+    orthogonal congruence), each under a euclidean and a randers norm.
+    C9's dimensions n <= 3 cannot tell: there t <= 1 for p = 1 and t <= 2
+    for p = 2 whatever Ric is."""
+    rng = np.random.default_rng(114)
+    three_pairs = pc.build_canonical(pc.CanonicalData(l=0, n=(), s=3))
+    cases = []
+    for (n, p), k in itertools.product(((4, 1), (5, 1), (6, 2)), range(4)):
+        norm = random_randers(rng, n + p) if k % 2 else \
+            NormModel.euclidean(n + p)
+        V = np.linalg.qr(rng.standard_normal((n, n)))[0]
+        if p == 1:
+            signs = np.where(np.arange(n) < 2 + (n == 5) * (k > 1), 1.0, -1.0)
+            forms = [(V * (signs * rng.uniform(0.5, 2.0, n))) @ V.T]
+        else:
+            forms = [V.T @ A @ V for A in (three_pairs.A1, three_pairs.A2)]
+        d3 = 0.3 * sym3(rng.standard_normal((p, n, n, n)))
+        cases.append((norm, Germ.make(n, p, np.array(forms), d3),
+                      2 if p == 1 else 3, 512 if p == 1 else 1024))
+    return cases
+
+
+def test_auditors_can_fail(monkeypatch):
+    cases = _decisive_audit_cases()
+    for norm, germ, t, grid in cases:
+        audit = audit_hypersurface if germ.p == 1 else audit_codim2
+        rep = audit(norm, germ, grid=grid)
+        assert rep.type_t == t
+        assert rep.min_ric < -0.1
+        assert rep.verdict == "CONSISTENT", rep.notes
+    # the control: were Ric nonnegative on the grid, each would violate
+    monkeypatch.setattr(invariants, "_grid_min_ric",
+                        lambda norm, germ, grid: (1.0, np.eye(germ.n)[0]))
+    for norm, germ, t, grid in cases:
+        audit = audit_hypersurface if germ.p == 1 else audit_codim2
+        assert audit(norm, germ, grid=grid).verdict == "VIOLATION"

@@ -646,6 +646,43 @@ def test_zero_direction_exits_two(tmp_path, capsys, argv, direction):
     assert err == "config error: --direction: must not be zero\n"
 
 
+@pytest.mark.parametrize("argv", [["check-norm"], ["audit", "hyper"]])
+def test_overflowing_folded_constant_exits_two(tmp_path, capsys, argv):
+    # every literal is finite, their product is not: named at parse time,
+    # before a jet turns it into NaN
+    norm = {"kind": "expression", "dim": 3,
+            "text": "(y1^2 + y2^2 + y3^2) / 2 + 1e300 * 1e300 * y1^4"}
+    check_norm = argv == ["check-norm"]
+    cfg = write(tmp_path, "c.json", norm if check_norm else
+                {"norm": norm, "germ": PARABOLOID["germ"]})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")      # no RuntimeWarning escapes
+        code, out, err = run(capsys, [*argv, "--config", cfg])
+    assert (code, out) == (2, "")
+    pointer = "/text" if check_norm else "/norm/text"
+    assert err == (f"config error: {pointer}: a constant subexpression is "
+                   "not finite\n")
+
+
+@pytest.mark.parametrize("argv", [["curvature"], ["audit", "ruled"]])
+def test_underflowing_direction_exits_two(tmp_path, capsys, argv):
+    # u . u underflows to 0, so the norm would see a zero direction; a
+    # direction whose square overflows is left to the pipeline, which
+    # names the non-finite field
+    cfg = write(tmp_path, "c.json", PARABOLOID)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")      # no RuntimeWarning escapes
+        code, out, err = run(capsys, [*argv, "--config", cfg,
+                                      "--direction=1e-200,0"])
+        assert (code, out) == (2, "")
+        assert err == ("config error: --direction: must not be zero "
+                       "(its squared length underflows)\n")
+        code, out, err = run(capsys, [*argv, "--config", cfg,
+                                      "--direction=1e200,0"])
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and "not finite" in err
+
+
 @pytest.mark.parametrize("argv", [
     ["check-norm"],
     ["curvature", "--direction", "1,0"],

@@ -90,6 +90,15 @@ def test_adapt_germ_shears_frame_only():
     assert np.array_equal(adapt_germ(d1, g0.d2, g0.d3, B)[1], B @ shear)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_adapt_germ_rejects_a_non_finite_first_jet(bad):
+    g = random_germ(np.random.default_rng(3), 2, 1)
+    d1 = np.zeros((1, 2))
+    d1[0, 1] = bad
+    with pytest.raises(ValueError, match="raw_d1 must be finite"):
+        adapt_germ(d1, g.d2, g.d3)
+
+
 def test_frame_check_rejects_singular_basis():
     g = random_germ(np.random.default_rng(9), 1, 1)
     with pytest.raises(NonInvertibleFrame):

@@ -4,9 +4,11 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from minksub.curvature import ricci_expanded, ricci_expanded_batch
-from minksub.germ import Germ, sym3
+from minksub.germ import Germ, adapt_germ, sym3, transform_germ
 from minksub.invariants import (NORMAL_SAMPLES, NORMAL_TABLES,
                                 RULED_AGREE_TOL,
                                 Interval, NotRuledDirection, audit_codim2,
@@ -15,8 +17,10 @@ from minksub.invariants import (NORMAL_SAMPLES, NORMAL_TABLES,
                                 _normal_table, _sobol_points)
 from minksub.jets import BATCH_BLOCK, MAX_DIM
 from minksub.minkowski import NormModel
-from minksub.pencil import (SymPencil, max_rank_inertia, spectral_split,
-                            type_exact)
+from minksub.pencil import (EIG_TOL, SymPencil, max_rank_inertia,
+                            pencil_type, spectral_split, type_exact)
+from test_acceptance import _ruled_germ as ruled_germ
+from test_acceptance import random_germ, random_randers, unit
 
 
 def flat_germ(d2_list, n=None):
@@ -122,6 +126,10 @@ def drawn_point_type(germ, seed):
 
 @pytest.mark.parametrize("p", [3, 4])
 def test_sampled_point_type_matches_a_fresh_draw(p):
+    # at n = 2 the exact type is 0: p >= 3 generic forms span all of
+    # Sym(2), the identity included, and a planted kernel (k = 1) leaves
+    # multiples of one rank-one form.  The closed form certifies the first;
+    # the second has Q = 0, inside its band, and still samples
     rng = np.random.default_rng(70 + p)
     for n in range(2, 6):
         for planted in (False, True):
@@ -131,7 +139,27 @@ def test_sampled_point_type_matches_a_fresh_draw(p):
             g = flat_germ([U @ (M + M.T) @ U.T for M in S])
             assert nullity(g)[0] == k
             for seed in (0, 1, 5):
-                assert point_type(g, seed) == drawn_point_type(g, seed)
+                t = point_type(g, seed)
+                if n == 2 and not planted:
+                    assert t == 0 and not isinstance(t, Interval)
+                else:
+                    assert t == drawn_point_type(g, seed)
+                    assert n > 2 or t == Interval(0, 0)
+
+
+def test_thin_cone_surface_type_is_exact_where_sampling_misses():
+    # n = 2, p = 3: xi . d2 is definite only where |xi3| EPS > |(xi1, xi2)|,
+    # two caps covering about EPS^2 / 2 of the normal sphere, which the
+    # sampled normals of seeds 0-5 miss; Q's top eigenvector finds them
+    EPS = 0.005
+    g = flat_germ([np.diag([1.0, -1.0]), [[0.0, 1.0], [1.0, 0.0]],
+                   EPS * np.eye(2)])
+    for seed in range(6):
+        assert drawn_point_type(g, seed) == Interval(1, 1)
+        assert point_type(g, seed) == 0
+    assert np.linalg.eigvalsh(g.d2[2]).min() > 0.0
+    out = point_invariants(g).to_dict()
+    assert (out["type"], out["typeExact"]) == (0, True)
 
 
 def test_normal_table_is_drawn_once_per_seed_and_codimension(monkeypatch):
@@ -385,3 +413,132 @@ def test_require_finite_names_the_global_direction():
         one.require_finite()
     finite = ricci_expanded_batch(norm, germ, U[:k])
     assert finite.require_finite() is finite
+
+
+# -- closed-form point types against the pencil sweep -------------------------
+
+
+def pencil_point_type(germ):
+    """t(P) for p <= 2 through pencil_type's arc sweep, as point_type took
+    it for every such germ before the closed forms."""
+    A2 = germ.d2[1] if germ.p == 2 else np.zeros_like(germ.d2[0])
+    return pencil_type(SymPencil.make(germ.d2[0], A2)) if germ.d2.any() else 0
+
+
+def acceptance_germs():
+    """The germs of p <= 2 whose point type C8 and C9 take, replayed from
+    their seeds (C8: before and after each ambient change)."""
+    rng = np.random.default_rng(108)
+    random_randers(rng, 3), random_randers(rng, 4)
+    for _ in range(25):
+        n, p = (2, 1) if rng.uniform() < 0.5 else (2, 2)
+        random_randers(rng, n + p), random_germ(rng, n, p, scale=0.8)
+        unit(rng, n), rng.uniform(0.3, 3.0)
+    for k in range(100):
+        n, p = [(2, 1), (3, 1), (2, 2), (3, 2)][k % 4]
+        if k % 3 == 0:
+            w = np.zeros((n, n - 1))
+            w[1:, :] = np.eye(n - 1)
+            cores = rng.standard_normal((p, n - 1, n - 1))
+            germ = flat_germ(np.einsum("iu,puv,jv->pij", w,
+                                       cores + cores.swapaxes(1, 2), w))
+        else:
+            germ = random_germ(rng, n, p)
+        T = np.eye(n + p) + 0.3 * rng.standard_normal((n + p, n + p))
+        yield germ
+        yield adapt_germ(*transform_germ(germ, T))[0]
+    rng = np.random.default_rng(109)
+    for p in (1, 2):
+        for k in range(200):
+            n = 2 if k % 2 else 3
+            if k % 3:
+                random_randers(rng, n + p)
+            if p == 1 and k % 4 == 0:
+                m = rng.standard_normal((n, max(1, n - 1)))
+                sign = 1.0 if k % 8 else -1.0
+                yield Germ.make(n, 1, (sign * m @ m.T)[None], 0.4 * sym3(
+                    rng.standard_normal((1, n, n, n))))
+            else:
+                yield random_germ(rng, n, p)
+    for k in range(200):
+        n, p = [(2, 1), (3, 1), (3, 2)][k % 3]
+        if k % 3:
+            random_randers(rng, n + p)
+        yield ruled_germ(rng, n, p, escape=k % 2 == 0)
+
+
+def test_point_type_matches_pencil_type_on_the_acceptance_germs():
+    germs = list(acceptance_germs())
+    assert len(germs) == 800
+    assert [point_type(g) for g in germs] == [pencil_point_type(g)
+                                              for g in germs]
+
+
+def near_cut_form(rng, n, scale):
+    """A random symmetric form with one or two eigenvalues within 2x of
+    the EIG_TOL cut, on either side."""
+    ev = scale * rng.standard_normal(n)
+    cut = EIG_TOL * (1.0 + np.abs(ev).max())
+    for i in rng.choice(n, size=int(rng.integers(1, 3)), replace=False):
+        ev[i] = rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 2.0) * cut
+    V = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    return (V * ev) @ V.T
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 2), st.integers(2, 5),
+       st.sampled_from(["random", "cut", "proportional", "kernel"]),
+       st.floats(-3.0, 3.0), st.integers(0, 2 ** 32 - 1))
+def test_point_type_matches_pencil_type_near_the_cuts(p, n, kind, log_scale,
+                                                      seed):
+    rng = np.random.default_rng(seed)
+    scale = 10.0 ** log_scale
+
+    def form(m):
+        M = rng.standard_normal((m, m))
+        return scale * (M + M.T)
+
+    if kind == "cut":
+        forms = [near_cut_form(rng, n, scale) for _ in range(p)]
+    elif kind == "proportional":    # A2 = c A1 up to a tiny perturbation
+        A = form(n)
+        forms = [A, rng.standard_normal() * A
+                 + 10.0 ** rng.uniform(-14, -6) * form(n)][:p]
+    elif kind == "kernel":          # a common kernel up to a perturbation
+        k = int(rng.integers(1, n))
+        U = np.linalg.qr(rng.standard_normal((n, n)))[0][:, k:]
+        eps = 10.0 ** rng.uniform(-14, -6)
+        forms = [U @ form(n - k) @ U.T + eps * form(n) for _ in range(p)]
+    else:
+        forms = [form(n) for _ in range(p)]
+    g = flat_germ(forms)
+    assert point_type(g) == pencil_point_type(g)
+
+
+@pytest.mark.parametrize("family, n, p, grid", [
+    ("euclidean", 2, 1, 72), ("randers", 2, 2, 72), ("randers", 3, 1, 256),
+    ("expression", 3, 2, 256)])
+def test_audit_min_ric_is_the_full_contraction_minimum(family, n, p, grid):
+    rng = np.random.default_rng(31 + n + p)
+    norm = (NormModel.euclidean(n + p) if family == "euclidean" else
+            random_randers(rng, n + p) if family == "randers" else
+            NormModel.expression(" + ".join(
+                f"{1 + k / 4} * y{k + 1}^2" for k in range(n + p)) + " + "
+                "y1^4 / (y1^2 + y2^2) / 10", n + p))
+    germ = random_germ(rng, n, p)
+    audit = audit_hypersurface if p == 1 else audit_codim2
+    rep = audit(norm, germ, grid=grid)
+    dirs = sphere_grid(n, grid)
+    full = ricci_expanded_batch(norm, germ, dirs)
+    k = int(np.argmin(full.Ric))
+    assert rep.min_ric == full.Ric.min() == full.Ric[k]
+    assert np.array_equal(rep.argmin_direction, dirs[k])
+    # the Ric-only contraction leaves eta and rho out, every other field
+    # bit for bit the full one's
+    short = ricci_expanded_batch(norm, germ, dirs, ric_only=True)
+    for name, x in vars(short).items():
+        if name in ("eta", "rho"):
+            assert x is None
+        else:
+            assert np.array_equal(x, getattr(full, name)), name
+    assert short.require_finite() is short

@@ -1,6 +1,7 @@
 """Expression parser: shapes, precedence, errors, printing round-trips."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,9 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from minksub.jets import Jet4
-from minksub.norm_expr import (ArityError, Bin, ExprSyntaxError, Neg, Num,
-                               Pow, Sqrt, UnknownVariable, Var, evaluate,
-                               fold, parse_norm)
+from minksub.norm_expr import (ArityError, Bin, ExprSyntaxError, Neg,
+                               NonFiniteConstant, Num, Pow, Sqrt,
+                               UnknownVariable, Var, evaluate, fold,
+                               parse_norm)
 
 _PREC = {"+": 1, "-": 1, "*": 2, "/": 2}
 
@@ -254,6 +256,24 @@ def test_fold_finds_the_maximal_polynomial_subtrees():
     tree = parse_norm("(y1^2 + y2^2) / 2 - y1 * y2^3", 2)
     assert fold(tree, 2)[0] == (tree,)
     assert fold(parse_norm("sqrt(y1) + y2", 2), 2)[0] == ()
+
+
+@pytest.mark.parametrize("text, what", [
+    ("(y1^2 + y2^2) / 2 + 1e300 * 1e300 * 1e300", "constant"),
+    ("(y1^2 + y2^2) / 2 + 1e300 * 1e300 * y1^2", "constant"),
+    ("(y1^2 + y2^2) / 2 * (1 + 1e300 * 1e300 - 1e300 * 1e300)", "constant"),
+    ("sqrt(y1^2 + y2^2) * (1e200)^2", "constant"),
+    ("(y1^2 + y2^2) / 2 + 1e200 * y1^2 * 1e200", "coefficient"),
+])
+def test_fold_rejects_overflowing_constants_and_coefficients(text, what):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")      # no RuntimeWarning escapes
+        with pytest.raises(NonFiniteConstant, match=f"{what}.*not finite|"
+                                                    f"non-finite {what}"):
+            fold(parse_norm(text, 2), 2)
+    # large but finite constants still fold, and so does a constant y^0
+    assert fold(parse_norm("(y1^2 + y2^2) * 1e150 * 1e150", 2), 2)[0]
+    assert fold(parse_norm("(y1 + 2)^0 * 1e300 * y2^2", 2), 2)[0]
 
 
 @pytest.mark.parametrize("rows", [None, 5])
