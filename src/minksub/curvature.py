@@ -36,19 +36,22 @@ expressible entirely through the jets of H at the lifted direction
             + 2 G^j d2G^i/du^j du^k - dG^i/du^j dG^j/du^k.
 
   The spray is written once, in ``_spray``, and differentiated by two
-  schemes: on jets in the doubled variables (x, u), or under central
-  finite differences of one stacked :func:`spray_field` evaluation.
+  schemes: on jets in the doubled variables (x, u), with f^a_i, f^a_kl and
+  u written down as order-2 coefficient arrays, or under central finite
+  differences of one stacked :func:`spray_field` evaluation on a stencil
+  built once per n.
   Agreement of the two routes is the main correctness gate of the package.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .germ import COND_LIMIT, Germ, taylor_jets
-from .jets import BATCH_BLOCK, Jet4
+from .germ import COND_LIMIT, Germ
+from .jets import BATCH_BLOCK, Jet4, _tables
 from .minkowski import NormModel
 
 FD_STEP = 1e-4  # finite-difference oracle: step in x, and in u times 1 + |u|
@@ -252,16 +255,17 @@ def _spray(H, fi, fkl, u, solve):
     """G^i = 1/2 g^ij f^a_kl u^k u^l (H_ja + H_ab f^b_j).
 
     H is the ambient Hessian at the graph point over (x, u), fi = f^a_i(x)
-    and fkl = f^a_kl(x); ``solve(g, b)`` returns g^-1 b for columns b.  All
-    operations are numpy products on trailing axes, so the same code runs on
-    floats, on stacks of points (leading axes) and on jet tensors.
+    and fkl = f^a_kl(x); ``solve(g, b)`` returns g^-1 b for columns b.  With
+    F = (I; fi), M = F^T H gives g = M F and the right-hand side M_n kappa
+    (M_n its normal columns): three products.  All are numpy products on
+    trailing axes, so the same code runs on floats, on stacks of points
+    (leading axes) and on jet tensors.
     """
     n = u.shape[-1]
-    A, B = H[..., :n, n:], H[..., n:, n:]
-    Af, fB = A @ fi, fi.swapaxes(-1, -2) @ B
-    g = H[..., :n, :n] + Af + Af.swapaxes(-1, -2) + fB @ fi  # frame (I, fi)
+    M = H[..., :n, :] + fi.swapaxes(-1, -2) @ H[..., n:, :]
+    Mn = M[..., n:]
     kap = (fkl @ u[..., None, :, None])[..., 0] @ u[..., None]
-    return 0.5 * solve(g, (A + fB) @ kap)[..., 0]
+    return 0.5 * solve(M[..., :n] + Mn @ fi, Mn @ kap)[..., 0]
 
 
 def _neumann_solve(g: Jet4, b: Jet4) -> Jet4:
@@ -278,20 +282,33 @@ def _neumann_solve(g: Jet4, b: Jet4) -> Jet4:
     return x - E @ (x - E @ x)
 
 
+@lru_cache(maxsize=None)
+def _x_pairs(n: int) -> tuple:
+    """(j, k) for j <= k < n, and the coefficient index of x_j x_k in an
+    order-2 jet of the doubled variables (x, u)."""
+    j, k = np.triu_indices(n)
+    return j, k, _tables(2 * n).dense[2][2 * n * j + k]
+
+
 def _spray_jets(norm: NormModel, germ: Germ, u: np.ndarray) -> Jet4:
     """The order-2 jet tensor (n,) of G^i in the doubled variables
-    (x, u - u0); H at the lift is read to order 4."""
-    n = germ.n
-    dim = 2 * n
+    (x, u - u0); H at the lift is read to order 4.  f^a_i(x) = d2 x +
+    d3 x x / 2, f^a_kl(x) = d2 + d3 x and u are written down as coefficient
+    arrays, each bit for bit the Horner jet of taylor_jets in coordinate
+    jets (both terms of x_j x_k, j < k, in one sum)."""
+    n, p, dim = germ.n, germ.p, 2 * germ.n
     _, _, D2, D3, D4 = norm.jet(_lift(germ, u)).partial_tensors(4)
-    xu = Jet4.stack(Jet4.variables(dim, np.zeros(dim), 2))
-    xjets, du = xu[:n], xu[n:]
-    ujets = du + u
-    fi = taylor_jets([None, germ.d2, germ.d3], xjets)     # f^a_i(x)
-    fkl = taylor_jets([germ.d2, germ.d3], xjets)         # f^a_kl(x)
+    j, k, jk = _x_pairs(n)
+    half, size = 0.5 * germ.d3, _tables(dim).sizes[2]
+    fi, fkl, du = (np.zeros(s + (size,)) for s in ((p, n), (p, n, n), (n,)))
+    fi[..., 1:n + 1] = germ.d2
+    fi[..., jk] = half[..., j, k] + half[..., k, j] * (j < k)
+    du[:, n + 1:dim + 1] = np.eye(n)
+    fkl[..., 0], fkl[..., 1:n + 1] = germ.d2, germ.d3
+    fi, fkl, ujets = Jet4(dim, fi), Jet4(dim, fkl, 1), Jet4(dim, du, 1) + u
 
     # ambient displacement of the lifted direction: delta = yhat(x,u) - (u0, 0)
-    delta = Jet4(dim, np.concatenate([du.coeffs, (fi @ ujets).coeffs]))
+    delta = Jet4(dim, np.concatenate([du, (fi @ ujets).coeffs]))
     # second-order Taylor of every H_ab around the lift, composed with delta
     h2coef = (np.einsum("abc,cX->abX", D3, delta.coeffs)
               + 0.5 * np.einsum("abcd,cdX->abX", D4,
@@ -335,62 +352,57 @@ def spray_field(norm: NormModel, germ: Germ, x, u) -> np.ndarray:
     return _spray(H, fi, fkl, u, np.linalg.solve)
 
 
-def _ricci_oracle_fd(norm: NormModel, germ: Germ,
-                     u: np.ndarray) -> np.ndarray:
-    n = germ.n
-    step_u = FD_STEP * (1.0 + float(np.linalg.norm(u)))
-
-    # stencil first: at(w) is the row of point w in G; each partial reads G
-    rows = {}
+@lru_cache(maxsize=None)
+def _fd_stencil(n: int) -> tuple:
+    """The Richardson stencil of _ricci_oracle_fd in (x, u): its distinct
+    offsets in step multiples (rows, 2n), the centre first; per axis the
+    rows at +h/2, -h/2, +h, -h (2n, 2, 2); per mixed pair (i, j), Gxv's
+    (x_a, u_b) row-major and then Gvv's strict upper triangle, the rows at
+    ++, +-, -+, -- (P, 2, 4), half steps then whole; and the pairs' i, j."""
+    rows, eye = {(0.0,) * (2 * n): 0}, np.eye(2 * n)
 
     def at(w):
-        return rows.setdefault(w.tobytes(), len(rows))
+        return rows.setdefault(tuple(w), len(rows))
+    axis = [[[at(s * e), at(-s * e)] for s in (0.5, 1.0)] for e in eye]
+    i, j = np.array([(a, n + b) for a in range(n) for b in range(n)]
+                    + [(n + a, n + b) for a in range(n)
+                       for b in range(a + 1, n)]).T
+    mixed = [[[at(s * (a * eye[p] + b * eye[q])) for a, b in
+               ((1, 1), (1, -1), (-1, 1), (-1, -1))] for s in (0.5, 1.0)]
+             for p, q in zip(i, j)]
+    return np.array(list(rows)) + 0.0, np.array(axis), np.array(mixed), i, j
 
-    def extrapolate(fine, coarse):
-        return lambda G: (4.0 * fine(G) - coarse(G)) / 3.0
 
-    w0 = np.concatenate([np.zeros(n), u])
-    steps = np.concatenate([np.full(n, FD_STEP), np.full(n, step_u)])
-    c = at(w0)
-
-    def partial1(idx, h):
-        e = h * np.eye(2 * n)[idx]
-
-        def d(hh):
-            p, m = at(w0 + (hh / h) * e), at(w0 - (hh / h) * e)
-            return lambda G: (G[p] - G[m]) / (2 * hh)
-        return extrapolate(d(h / 2), d(h))
-
-    def partial2(i, j):
-        hi, hj = steps[i], steps[j]
-        ei, ej = np.eye(2 * n)[[i, j]]
-        if i == j:
-            def d(h):
-                p, m = at(w0 + h * ei), at(w0 - h * ei)
-                return lambda G: (G[p] - 2.0 * G[c] + G[m]) / h ** 2
-            return extrapolate(d(hi / 2), d(hi))
-
-        def d(scale):
-            a, b = scale * hi, scale * hj
-            pp, pm = at(w0 + a * ei + b * ej), at(w0 + a * ei - b * ej)
-            mp, mm = at(w0 - a * ei + b * ej), at(w0 - a * ei - b * ej)
-            return lambda G: (G[pp] - G[pm] - G[mp] + G[mm]) / (4 * a * b)
-        return extrapolate(d(0.5), d(1.0))
-
-    d1 = [partial1(k, steps[k]) for k in range(2 * n)]
-    dxv = [partial2(j, n + k) for j in range(n) for k in range(n)]
-    dvv = [(j, k, partial2(n + j, n + k)) for j in range(n)
-           for k in range(j, n)]
-
-    W = np.array([np.frombuffer(w) for w in rows])
+def _ricci_oracle_fd(norm: NormModel, germ: Germ,
+                     u: np.ndarray) -> np.ndarray:
+    """R^i_k from Richardson-extrapolated central differences of one stacked
+    spray_field call on the cached stencil; every difference is elementwise
+    arithmetic in the order of the per-point definition, so bit for bit."""
+    n = germ.n
+    step_u = FD_STEP * (1.0 + float(np.linalg.norm(u)))
+    offsets, axis, mixed, i, j = _fd_stencil(n)
+    # half and whole steps per axis; h ** 2 by the scalar pow the definition
+    # takes, which can differ from numpy's array square in the last bit
+    h = np.repeat([[FD_STEP / 2, FD_STEP], [step_u / 2, step_u]], n, 0)
+    sq = np.repeat([[(FD_STEP / 2) ** 2, FD_STEP ** 2],
+                    [(step_u / 2) ** 2, step_u ** 2]], n, 0)[..., None]
+    W = np.concatenate([np.zeros(n), u]) + offsets * h[:, 1]
     G = spray_field(norm, germ, W[:, :n], W[:, n:])
-    Gx = np.stack([f(G) for f in d1[:n]], axis=1)
-    Gv = np.stack([f(G) for f in d1[n:]], axis=1)
-    Gxv = np.stack([f(G) for f in dxv], axis=1).reshape(n, n, n)
-    Gvv = np.zeros((n, n, n))
-    for j, k, f in dvv:
-        Gvv[:, j, k] = Gvv[:, k, j] = f(G)
-    return _assemble_ricci(u, G[c], Gx, Gv, Gxv, Gvv)
+    A, M = G[axis], G[mixed]
+
+    def extrapolate(d):
+        return (4.0 * d[:, 0] - d[:, 1]) / 3.0
+    d1 = extrapolate((A[..., 0, :] - A[..., 1, :]) / (2 * h)[..., None])
+    dd = extrapolate((A[..., 0, :] - 2.0 * G[0] + A[..., 1, :]) / sq)[n:]
+    dm = extrapolate((M[..., 0, :] - M[..., 1, :] - M[..., 2, :]
+                      + M[..., 3, :]) / (4 * h[i] * h[j])[..., None])
+    Gvv, r = np.zeros((n, n, n)), np.arange(n)
+    Gvv[:, i[n * n:] - n, j[n * n:] - n] = dm[n * n:].T
+    Gvv[:, j[n * n:] - n, i[n * n:] - n] = dm[n * n:].T
+    Gvv[:, r, r] = dd.T
+    return _assemble_ricci(u, G[0], np.ascontiguousarray(d1[:n].T),
+                           np.ascontiguousarray(d1[n:].T),
+                           dm[:n * n].T.reshape(n, n, n), Gvv)
 
 
 def ricci_oracle(norm: NormModel, germ: Germ, u,
@@ -399,9 +411,12 @@ def ricci_oracle(norm: NormModel, germ: Germ, u,
 
     ``scheme`` selects jet differentiation of G(x, u) in doubled variables
     ("jet") or Richardson-extrapolated central differences with step
-    FD_STEP ("finite_difference").
+    FD_STEP ("finite_difference").  Under either scheme u must have shape
+    (n,) and finite entries, else ValueError.
     """
-    u = np.asarray(u, dtype=np.float64)
+    u = _lift(germ, u)[:germ.n]        # _lift checks the shape
+    if not np.isfinite(u).all():
+        raise ValueError("direction must be finite")
     if scheme == "jet":
         R = _ricci_oracle_jets(norm, germ, u)
     elif scheme == "finite_difference":

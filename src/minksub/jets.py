@@ -24,9 +24,10 @@ degree <= k, each summed in the same order, so bit for bit the prefix.
 A jet may carry leading axes, coefficients (..., ncoef): a jet tensor, such
 as one jet per base point or a matrix of jets.  Jets and floats mix with it
 entry by entry under numpy broadcasting, and ``@`` contracts leading axes
-as numpy's matmul; either product is one gather, one contraction for ``@``,
-and one bincount over row-shifted indices that sums in input order, so
-each entry of ``*`` is bit-identical to the product of single jets.
+as numpy's matmul; either product is one gather (``take`` on the last
+axis, so C-ordered factors), one contraction for ``@``, and one bincount
+over row-shifted indices that sums in input order, so each entry of ``*``
+is bit-identical to the product of single jets.
 
 Every jet also carries a structural degree bound ``deg``: each coefficient
 of a monomial of degree above ``deg`` is exactly 0.0.  A product gathers
@@ -452,8 +453,8 @@ def _matmul(a, b) -> Jet4:
                     b.deg, b.order, b.mask)
     mul_i, mul_j, mul_k, ncoef, deg, order, mask = _plan(
         a.dim, b.dim, a.deg, b.deg, a.order, b.order, a.mask, b.mask)
-    prod = np.einsum(f"{ia}t,{ib}t->{io}t", a.coeffs[..., mul_i],
-                     b.coeffs[..., mul_j])
+    prod = np.einsum(f"{ia}t,{ib}t->{io}t", a.coeffs.take(mul_i, -1),
+                     b.coeffs.take(mul_j, -1))
     return _jet(a.dim, _scatter(prod, mul_k, ncoef), deg, order, mask)
 
 

@@ -294,6 +294,8 @@ def validate_norm(model: NormModel, samples: int = VALIDATION_SAMPLES,
     directions with y1^2+y2^2 >= fraction^2 * |y|^2, certifying the norm on
     that cone complement only; the fraction must lie in [0, 1), and a cone
     too narrow for the draw cap (MAX_DRAWS_PER_SAMPLE) raises ConeTooNarrow.
+    A non-finite value, gradient or Hessian entry of H raises ValueError
+    naming its first direction, before any residual is formed.
     """
     if not 0.0 <= min_axis_fraction < 1.0:
         raise ValueError("min_axis_fraction must lie in [0, 1), got "
@@ -310,10 +312,15 @@ def validate_norm(model: NormModel, samples: int = VALIDATION_SAMPLES,
         notes.append(f"sample restricted to y1^2+y2^2 >= "
                      f"{min_axis_fraction ** 2:g} * |y|^2")
 
-    tensors = zip(*(model.jet(dirs[s:s + BATCH_BLOCK], 2, s)
-                    .partial_tensors(2)
-                    for s in range(0, len(dirs), BATCH_BLOCK)))
-    values, grads, hessians = (np.concatenate(t) for t in tensors)
+    with np.errstate(all="ignore"):
+        tensors = zip(*(model.jet(dirs[s:s + BATCH_BLOCK], 2, s)
+                        .partial_tensors(2)
+                        for s in range(0, len(dirs), BATCH_BLOCK)))
+        values, grads, hessians = (np.concatenate(t) for t in tensors)
+    bad = ~np.isfinite(np.column_stack([values, grads, hessians.reshape(
+        len(dirs), -1)])).all(1)
+    if bad.any():
+        raise ValueError(f"H is not finite at direction {np.argmax(bad)}")
     # stacked matmuls make per row the BLAS calls of y @ d1 and d2 @ y
     scale = 1.0 + np.abs(values)
     y_d1 = (dirs[:, None, :] @ grads[:, :, None])[:, 0, 0]

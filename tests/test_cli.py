@@ -66,6 +66,19 @@ def test_check_norm_invalid_exits_one(tmp_path, capsys):
     assert json.loads(out)["valid"] is False
 
 
+def test_check_norm_run_time_overflow_names_h(tmp_path, capsys):
+    # finite constants, so no constant subexpression overflows; H does
+    cfg = write(tmp_path, "n.json",
+                {"kind": "expression", "dim": 2,
+                 "text": "sqrt(y1^2 + y2^2) * 1e300 * 1e300"})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")      # no RuntimeWarning escapes
+        code, out, err = run(capsys, ["check-norm", "--config", cfg,
+                                      "--grid", "16"])
+    assert (code, out) == (1, "")
+    assert err == "error: H is not finite at direction 0\n"
+
+
 @pytest.mark.parametrize("fraction", ["1", "nan", "-0.5", "1.5"])
 def test_out_of_range_min_axis_fraction_exits_two(tmp_path, fraction):
     # a fresh interpreter with a timeout: a fraction of 1 used to spin

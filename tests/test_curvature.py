@@ -15,13 +15,13 @@ import numpy as np
 import pytest
 
 from minksub import curvature, minkowski
-from minksub.curvature import (FD_STEP, NonPDTensor, _pd_inverse,
-                               _ricci_oracle_jets, reports_to_csv,
+from minksub.curvature import (FD_STEP, NonPDTensor, _fd_stencil,
+                               _pd_inverse, _ricci_oracle_jets, reports_to_csv,
                                ricci_expanded, ricci_expanded_batch,
                                ricci_oracle, spray_field, zeta_check)
-from minksub.germ import COND_LIMIT, Germ, sym3
+from minksub.germ import COND_LIMIT, Germ, sym3, taylor_jets
 from minksub.invariants import sphere_grid
-from minksub.jets import BATCH_BLOCK
+from minksub.jets import BATCH_BLOCK, Jet4
 from minksub.minkowski import NormModel, validate_norm
 
 
@@ -586,6 +586,71 @@ def test_fd_oracle_equals_the_per_point_stencil(step):
         u = np.random.default_rng(k).standard_normal(germ.n)
         got = ricci_oracle(norm, germ, u, scheme="finite_difference")
         assert got == _fd_reference(norm, germ, u, step)
+
+
+def test_fd_oracle_squares_its_steps_as_the_definition_does():
+    # at this |u|, numpy's array square of the u-steps (half and whole)
+    # differs in the last bit from the definition's scalar h ** 2
+    u = np.array([0.8019849100065128, 0.0])
+    step_u = FD_STEP * (1.0 + float(np.linalg.norm(u)))
+    assert np.any(np.square([step_u / 2, step_u])
+                  != [(step_u / 2) ** 2, step_u ** 2])
+    for norm, germ in _batch_cases():
+        if germ.n == 2:
+            got = ricci_oracle(norm, germ, u, scheme="finite_difference")
+            assert got == _fd_reference(norm, germ, u, FD_STEP)
+
+
+@pytest.mark.parametrize("n, rows", [(2, 57), (3, 121)])
+def test_fd_stencil_has_the_distinct_points_of_the_definition(n, rows):
+    offsets, axis, mixed, i, j = _fd_stencil(n)
+    assert offsets.shape == (rows, 2 * n)
+    assert len(np.unique(offsets, axis=0)) == rows
+    assert not offsets[0].any()
+    # every row is read, by an axis or a mixed difference or as the centre
+    read = np.union1d(axis.ravel(), mixed.ravel())
+    assert np.array_equal(np.union1d(read, [0]), np.arange(rows))
+    assert len(i) == n * n + n * (n - 1) // 2 and np.all(i < j)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("p", [1, 2])
+def test_written_down_germ_jets_are_the_horner_jets(monkeypatch, n, p):
+    # f_i, f_kl and the u-jets the jet oracle hands to _spray, against
+    # taylor_jets in coordinate jets and Jet4.variables, which they replace
+    germ = random_germ(np.random.default_rng(10 * n + p), n, p)
+    u = np.random.default_rng(n + p).standard_normal(n)
+    seen, spray = [], curvature._spray
+
+    def spy(H, fi, fkl, uj, solve):
+        seen.extend([fi, fkl, uj])
+        return spray(H, fi, fkl, uj, solve)
+    monkeypatch.setattr(curvature, "_spray", spy)
+    ricci_oracle(NormModel.euclidean(n + p), germ, u)
+    dim = 2 * n
+    xu = Jet4.stack(Jet4.variables(dim, np.zeros(dim), 2))
+    want = [taylor_jets([None, germ.d2, germ.d3], xu[:n]),
+            taylor_jets([germ.d2, germ.d3], xu[:n]), xu[n:] + u]
+    for got, ref in zip(seen, want):
+        assert np.array_equal(got.coeffs, ref.coeffs)
+        assert (got.deg, got.order, got.mask) == (ref.deg, ref.order,
+                                                  ref.mask)
+
+
+@pytest.mark.parametrize("u, match", [
+    ([1.0, 0.0, 0.0], r"shape \(2,\)"), ([[1.0, 0.0]], r"shape \(2,\)"),
+    ([np.nan, 1.0], "finite"), ([np.inf, 0.0], "finite")])
+def test_ricci_oracle_checks_the_direction_before_either_scheme(u, match):
+    norm = NormModel.euclidean(3)
+    germ = Germ.make(2, 1, np.eye(2)[None], np.zeros((1, 2, 2, 2)))
+    errors = []
+    for scheme in ("jet", "finite_difference"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")      # no RuntimeWarning escapes
+            with pytest.raises(ValueError, match=match) as exc:
+                ricci_oracle(norm, germ, u, scheme=scheme)
+        errors.append(str(exc.value))
+    assert errors[0] == errors[1]
 
 
 @pytest.mark.parametrize("x_shape, u_shape", [

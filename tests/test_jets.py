@@ -631,6 +631,20 @@ def test_matmul_matches_the_per_entry_loop(shape_a, shape_b, kinds):
     _assert_within_degree(got)
 
 
+@pytest.mark.parametrize("shape_a, shape_b", _MATMUL_SHAPES)
+@pytest.mark.parametrize("kinds", ["jet@jet", "float@jet", "jet@float"])
+def test_matmul_returns_c_ordered_coefficients(shape_a, shape_b, kinds):
+    # jet@jet gathers its factors with take, as * does: a gather by
+    # coeffs[..., idx] comes out F-ordered, and einsum's last bits follow
+    # its operands' layout
+    rng = np.random.default_rng(41)
+    a = (_tensor(3, shape_a, rng) if kinds.startswith("jet")
+         else rng.uniform(-1.0, 1.0, shape_a))
+    b = (_tensor(3, shape_b, rng) if kinds.endswith("jet")
+         else rng.uniform(-1.0, 1.0, shape_b))
+    assert (a @ b).coeffs.flags.c_contiguous
+
+
 def test_matmul_respects_degree_bounds_bit_for_bit():
     # variables (deg 1) through a float map and back: no term is dropped
     # that is not an exact zero
