@@ -247,17 +247,19 @@ def _cmd_pencil_type(args) -> int:
 
 def _cmd_pencil_classify(args) -> int:
     pen, _, _ = pencil_from_config(_load_json(args.file))
-    ref = pencils._reference(pen)
-    gen, spec, error = pencils._genericity(pen, args.seed, ref)
+    # the three calls share the pencil's one reference search
+    gen = pencils.genericity_check(pen, args.seed)
     out = {"seed": args.seed, "genericity": gen.to_dict(),
            "spectral": None, "canonical": None, "topology": None,
-           "type": pencils._pencil_type(pen, ref), "notes": [],
+           "type": pencils.pencil_type(pen), "notes": [],
            "tolerances": {"eigTol": pencils.EIG_TOL,
                           "clusterTol": pencils.CLUSTER_TOL,
                           "canonicalAngleTol": pencils.CANONICAL_ANGLE_TOL,
                           "pencilCondLimit": pencils.PENCIL_COND_LIMIT}}
-    if spec is None:
-        out["notes"].append(f"spectral split unavailable: {error}")
+    try:
+        spec = pencils.spectral_split(pen)
+    except (pencils.NotSemisimple, pencils.SingularA2) as exc:
+        out["notes"].append(f"spectral split unavailable: {exc}")
     else:
         out["spectral"] = {"realPairs": [list(p) for p in spec.real_pairs],
                            "complexPairs": [list(p)
@@ -329,6 +331,15 @@ def _cmd_audit(args) -> int:
                                  ruledAgreeTol=inv.RULED_AGREE_TOL,
                                  ruledInLTol=inv.RULED_IN_L_TOL)
     else:
+        # a germ of the wrong shape is a usage error, not a failed audit
+        path = "" if "d2" in data else "/germ"    # as _germ_section read it
+        need_p = 1 if args.audit_cmd == "hyper" else 2
+        if germ.p != need_p:
+            raise ConfigError(f"{path}/p: audit {args.audit_cmd} needs "
+                              f"p = {need_p}, got {germ.p}")
+        if need_p == 1 and germ.n < 2:
+            raise ConfigError(f"{path}/n: audit hyper needs n >= 2, "
+                              f"got {germ.n}")
         report = (audit_hypersurface if args.audit_cmd == "hyper" else
                   audit_codim2)(norm, germ, grid=args.grid, tol=args.tol)
         out["grid"] = {"kind": "circle" if germ.n == 2 else "sobol",

@@ -20,6 +20,7 @@ eigvalsh-threshold counts either way.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import chain
 from math import atan2, cos, pi, sin
 
@@ -59,7 +60,8 @@ class ZeroPencil(ValueError):
 
 
 class SingularA2(ValueError):
-    """No well-conditioned member among the probes of ``_reference``."""
+    """No well-conditioned member among the probes of
+    ``SymPencil._reference``."""
 
 
 class NotSemisimple(ValueError):
@@ -94,6 +96,28 @@ class SymPencil:
         out = lam1 * self.A1
         out += lam2 * self.A2
         return out
+
+    @cached_property
+    def _reference(self):
+        """(b, c, singular values of B) for B = b . (A1, A2), C = c . (A1,
+        A2): the first of full rank at condition PENCIL_COND_LIMIT among A2,
+        A1, A1 + A2 (complements A1, A2, A1) and 2N + 1 angles t of the half
+        circle (complement at t + pi/2), else the first of largest rank,
+        which is the pencil's: rank drops at no more than N angles of the
+        half circle.  Searched once per pencil, on first use."""
+        N = self.dim
+        angles = (k * pi / (2 * N + 1) for k in range(2 * N + 1))
+        probes = chain([((0.0, 1.0), (1.0, 0.0)), ((1.0, 0.0), (0.0, 1.0)),
+                        ((1.0, 1.0), (1.0, 0.0))],
+                       (((cos(t), sin(t)), (-sin(t), cos(t))) for t in angles))
+        found = []
+        for b, c in probes:
+            sv = np.linalg.svd(self.member(*b), compute_uv=False)
+            rank = rank_mask(sv, 1 / PENCIL_COND_LIMIT).sum()
+            found.append((b, c, sv, rank))
+            if rank == N:
+                break
+        return max(found, key=lambda f: f[3])[:3]
 
 
 def _eigvalsh_counts(members: np.ndarray) -> tuple:
@@ -276,27 +300,6 @@ class SpectralData:
         return self.r + 2 * self.s
 
 
-def _reference(P: SymPencil):
-    """(b, c, singular values of B) for B = b . (A1, A2), C = c . (A1, A2):
-    the first of full rank at condition PENCIL_COND_LIMIT among A2, A1,
-    A1 + A2 (complements A1, A2, A1) and 2N + 1 angles t of the half
-    circle (complement at t + pi/2), else the first of largest rank, which
-    is the pencil's: rank drops at no more than N angles of the half
-    circle."""
-    N = P.dim
-    angles = (k * pi / (2 * N + 1) for k in range(2 * N + 1))
-    probes = chain([((0.0, 1.0), (1.0, 0.0)), ((1.0, 0.0), (0.0, 1.0)),
-                    ((1.0, 1.0), (1.0, 0.0))],
-                   (((cos(t), sin(t)), (-sin(t), cos(t))) for t in angles))
-    found = []
-    for b, c in probes:
-        sv = np.linalg.svd(P.member(*b), compute_uv=False)
-        found.append((b, c, sv, rank_mask(sv, 1 / PENCIL_COND_LIMIT).sum()))
-        if found[-1][3] == N:
-            break
-    return max(found, key=lambda f: f[3])[:3]
-
-
 def _cluster_1d(values: np.ndarray, tol: float) -> list:
     """Greedy chains of sorted scalars with gaps <= tol: [(center, count)]."""
     out = []
@@ -335,14 +338,9 @@ def spectral_split(P: SymPencil) -> SpectralData:
     the pencil, so the extracted (alpha, beta) data do not depend on
     which member was inverted.
     """
-    return _spectral_split(P, _reference(P))
-
-
-def _spectral_split(P: SymPencil, ref) -> SpectralData:
-    """spectral_split on the reference ``ref`` = _reference(P)."""
     A1, A2 = P.A1, P.A2
     N = P.dim
-    b, c, sv = ref
+    b, c, sv = P._reference
     if not rank_mask(sv, 1 / PENCIL_COND_LIMIT).all():
         raise SingularA2(f"no probe has condition below {PENCIL_COND_LIMIT:g}")
     B, C = P.member(*b), P.member(*c)
@@ -460,11 +458,7 @@ def pencil_type(P: SymPencil) -> int:
     The real parts of complex mu and the reference angle (a root when B
     is singular; never an empty list) add angles, which only split arcs.
     """
-    return _pencil_type(P, _reference(P))
-
-
-def _pencil_type(P: SymPencil, ref) -> int:   # on ref = _reference(P)
-    b, c, sv = ref
+    b, c, sv = P._reference
     if sv[0] == 0.0:
         raise ZeroPencil("both pencil matrices are zero")
     B, C = P.member(*b), P.member(*c)
@@ -638,37 +632,22 @@ class GenericityReport:
 
 def genericity_check(P: SymPencil, seed: int = 0) -> GenericityReport:
     """The three genericity conditions, reported rather than enforced."""
-    return _genericity(P, seed, _reference(P))[0]
-
-
-def _genericity(P: SymPencil, seed: int, ref) -> tuple:
-    """genericity_check on ref = _reference(P), with (split, error)."""
-    det_ok = bool(rank_mask(ref[2], 1 / PENCIL_COND_LIMIT).all())
-    notes, spectral, error = [], None, None
+    det_ok = bool(rank_mask(P._reference[2], 1 / PENCIL_COND_LIMIT).all())
     try:
-        spectral = _spectral_split(P, ref)
+        spectral = spectral_split(P)
     except (NotSemisimple, SingularA2) as exc:
-        error = exc
-        notes.append(("spectral split failed: " if isinstance(
-            exc, NotSemisimple) else "semisimplicity untested: ") + str(exc))
-    semisimple = spectral is not None
-    if spectral is not None:
-        method = "spectral"
-        smooth = True
-        angles = [atan2(b, a) % (2 * pi) for a, b in spectral.real_pairs]
-        for i in range(len(angles)):
-            for j in range(i + 1, len(angles)):
-                if abs(abs(angles[i] - angles[j]) - pi) <= ANTIPODAL_TOL:
-                    smooth = False
-                    notes.append(
-                        f"real directions {i} and {j} are antipodal: the "
-                        "origin lies in their convex hull")
-    else:
-        method = "sampled"
         smooth, extra = _smooth_sampled(P, seed)
-        notes.extend(extra)
-    return (GenericityReport(det_ok, semisimple, smooth, method,
-                             tuple(notes)), spectral, error)
+        return GenericityReport(det_ok, False, smooth, "sampled", (
+            ("spectral split failed: " if isinstance(exc, NotSemisimple)
+             else "semisimplicity untested: ") + str(exc), *extra))
+    notes = []
+    angles = [atan2(b, a) % (2 * pi) for a, b in spectral.real_pairs]
+    for i in range(len(angles)):
+        for j in range(i + 1, len(angles)):
+            if abs(abs(angles[i] - angles[j]) - pi) <= ANTIPODAL_TOL:
+                notes.append(f"real directions {i} and {j} are antipodal: "
+                             "the origin lies in their convex hull")
+    return GenericityReport(det_ok, True, not notes, "spectral", tuple(notes))
 
 
 def _smooth_sampled(P: SymPencil, seed: int) -> tuple:

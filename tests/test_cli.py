@@ -295,19 +295,15 @@ def test_pencil_classify_types_a_jordan_pencil(tmp_path, capsys):
      build_canonical(CanonicalData(l=1, n=(2,), s=1)).A2.tolist()),
     ([[0.0, 0.0], [0.0, 1.0]], [[0.0, 1.0], [1.0, 0.0]]),     # Jordan block
 ], ids=["canonical", "jordan"])
-def test_pencil_classify_searches_and_splits_once(tmp_path, capsys,
-                                                  monkeypatch, A1, A2):
+def test_pencil_classify_searches_once(tmp_path, capsys, reference_searches,
+                                       A1, A2):
+    # genericity_check splits the pencil and classify splits it again; the
+    # reference search behind both splits and the type runs once
     from minksub import pencil as pencils
-    calls = {"_reference": 0, "_spectral_split": 0}
-    for name in calls:
-        def spy(*args, _f=getattr(pencils, name), _name=name):
-            calls[_name] += 1
-            return _f(*args)
-        monkeypatch.setattr(pencils, name, spy)
     cfg = write(tmp_path, "p.json", {"A1": A1, "A2": A2})
     code, out, _ = run(capsys, ["pencil", "classify", "--file", cfg])
     assert code == 0
-    assert calls == {"_reference": 1, "_spectral_split": 1}
+    assert len(reference_searches) == 1
     # the shared search reports what the public functions report alone
     rep = json.loads(out)
     pen = pencils.SymPencil.make(A1, A2)
@@ -411,6 +407,24 @@ def test_audit_codim2(tmp_path, capsys):
     rep = json.loads(out)
     assert rep["verdict"] == "CONSISTENT"
     assert code == 0
+
+
+@pytest.mark.parametrize("audit, n, p, nested, message", [
+    ("hyper", 2, 2, True, "/germ/p: audit hyper needs p = 1, got 2"),
+    ("hyper", 1, 1, False, "/n: audit hyper needs n >= 2, got 1"),
+    ("codim2", 2, 1, True, "/germ/p: audit codim2 needs p = 2, got 1"),
+], ids=["hyper-p2", "hyper-n1", "codim2-p1"])
+def test_audit_on_a_germ_of_the_wrong_shape_exits_two(tmp_path, capsys, audit,
+                                                     n, p, nested, message):
+    germ = {"n": n, "p": p, "d2": np.stack([np.eye(n)] * p).tolist(),
+            "d3": np.zeros((p, n, n, n)).tolist()}
+    norm = {"kind": "euclidean", "dim": n + p}
+    config = {"norm": norm, "germ": germ} if nested else {**norm, **germ}
+    cfg = write(tmp_path, "c.json", config)
+    code, out, err = run(capsys, ["audit", audit, "--config", cfg])
+    assert code == 2
+    assert out == ""
+    assert err == f"config error: {message}\n"
 
 
 @pytest.mark.parametrize("n, grid_flag, grid", [

@@ -641,16 +641,27 @@ def test_written_down_germ_jets_are_the_horner_jets(monkeypatch, n, p):
     ([1.0, 0.0, 0.0], r"shape \(2,\)"), ([[1.0, 0.0]], r"shape \(2,\)"),
     ([np.nan, 1.0], "finite"), ([np.inf, 0.0], "finite")])
 def test_ricci_oracle_checks_the_direction_before_either_scheme(u, match):
+    # both oracle schemes and the expanded formula share _lift's check; the
+    # batch checks its rows and names the first non-finite one
     norm = NormModel.euclidean(3)
     germ = Germ.make(2, 1, np.eye(2)[None], np.zeros((1, 2, 2, 2)))
+    finite = match == "finite"
+    calls = [(lambda: ricci_oracle(norm, germ, u, scheme="jet"), match),
+             (lambda: ricci_oracle(norm, germ, u, scheme="finite_difference"),
+              match),
+             (lambda: ricci_expanded(norm, germ, u), match),
+             (lambda: ricci_expanded_batch(
+                 norm, germ, [[1.0, 0.0], u, u] if finite else [u]),
+              "^direction 1 must be finite$" if finite
+              else r"shape \(N, 2\)")]
     errors = []
-    for scheme in ("jet", "finite_difference"):
+    for call, want in calls:
         with warnings.catch_warnings():
             warnings.simplefilter("error")      # no RuntimeWarning escapes
-            with pytest.raises(ValueError, match=match) as exc:
-                ricci_oracle(norm, germ, u, scheme=scheme)
+            with pytest.raises(ValueError, match=want) as exc:
+                call()
         errors.append(str(exc.value))
-    assert errors[0] == errors[1]
+    assert errors[0] == errors[1] == errors[2]
 
 
 @pytest.mark.parametrize("x_shape, u_shape", [

@@ -116,6 +116,10 @@ CASES = {
     "pencil_classify": (["pencil", "classify"],
                         {"A1": CANONICAL.A1.tolist(),
                          "A2": CANONICAL.A2.tolist()}, 0),
+    # a 2x2 Jordan block: sampled genericity, no spectral split
+    "pencil_classify_jordan": (["pencil", "classify"],
+                               {"A1": [[0.0, 0.0], [0.0, 1.0]],
+                                "A2": [[0.0, 1.0], [1.0, 0.0]]}, 0),
     "pencil_common_zero": (["pencil", "common-zero"],
                            {"A1": [[1.0, 0, 0], [0, -1.0, 0], [0, 0, 0.0]],
                             "A2": [[0.0, 0, 0], [0, 1.0, 0], [0, 0, -1.0]],

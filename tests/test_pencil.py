@@ -348,28 +348,37 @@ def genericity_cases():
                                    [0.0, 0.0, 0.0]]))   # a common kernel
 
 
-def test_genericity_check_searches_the_probes_once(monkeypatch):
-    searches = []
-    real_reference = pencil_module._reference
-    real_split = pencil_module._spectral_split
+def test_genericity_check_searches_the_probes_once(reference_searches):
+    # genericity_check, spectral_split and pencil_type share one search per
+    # pencil object, in either order, and a fresh equal pencil searches
+    # again and reports the same
+    calls = {"genericity": lambda P: genericity_check(P, seed=3),
+             "split": spectral_split, "type": pencil_type}
 
-    def spy(P):
-        searches.append(P)
-        return real_reference(P)
+    def reports(P, order):
+        out = {}
+        for name in order:
+            try:
+                out[name] = calls[name](P)
+            except (NotSemisimple, SingularA2) as exc:
+                out[name] = str(exc)
+        return out
 
-    def two_searches(P, ref):
-        return real_split(P, pencil_module._reference(P))
-
-    monkeypatch.setattr(pencil_module, "_reference", spy)
     for P in genericity_cases():
-        searches.clear()
-        rep = genericity_check(P, seed=3)
-        assert len(searches) == 1
-        with monkeypatch.context() as m:
-            m.setattr(pencil_module, "_spectral_split", two_searches)
-            want = genericity_check(P, seed=3)
-        assert len(searches) == 3
-        assert rep == want
+        reference_searches.clear()
+        got = reports(P, ("genericity", "split", "type"))
+        assert len(reference_searches) == 1 and reference_searches[0] is P
+        Q = SymPencil.make(P.A1, P.A2)
+        assert reports(Q, ("type", "split", "genericity")) == got
+        assert len(reference_searches) == 2 and reference_searches[1] is Q
+
+
+def test_type_sampled_runs_no_reference_search(reference_searches):
+    # the search is lazy: a pencil that only reaches type_sampled skips it
+    for P in genericity_cases():
+        type_sampled(P, 64)
+        assert "_reference" not in vars(P)
+    assert reference_searches == []
 
 
 def test_genericity_flags_degenerate_determinant():
