@@ -109,7 +109,7 @@ def norm_from_config(data, path: str) -> NormModel:
     except ConfigError:
         raise
     except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
+        raise ConfigError(f"{path or '/'}: {exc}") from exc
     raise ConfigError(f"{path}/kind: unknown norm kind {kind!r}")
 
 
@@ -121,7 +121,7 @@ def germ_from_config(data, path: str) -> Germ:
     try:
         return Germ.make(n, p, d2, d3)
     except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
+        raise ConfigError(f"{path or '/'}: {exc}") from exc
 
 
 def _norm_section(data) -> NormModel:
@@ -298,8 +298,12 @@ def _cmd_verify_example(args) -> int:
         params = find_example_params(budget, grid=args.grid, seed=args.seed)
     else:
         data = _load_json(args.params)
-        params = ExampleParams(**{f.name: _number(data, f.name, "")
-                                  for f in fields(ExampleParams)})
+        values = {f.name: _number(data, f.name, "")
+                  for f in fields(ExampleParams)}
+        try:
+            params = ExampleParams(**values)
+        except ValueError as exc:   # the message starts with the key
+            raise ConfigError(f"/{exc}") from exc
     report = verify_example(params, grid=args.grid, seed=args.seed)
     out = report.to_dict()
     out["seed"] = args.seed
@@ -471,7 +475,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.handler(args)
-    except (ConfigError, ConeTooNarrow) as exc:
+    except (ConfigError, ConeTooNarrow, pencils.ZeroPencil) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, ZeroDivisionError, ArithmeticError,

@@ -53,6 +53,13 @@ class ExampleParams:
     eps3: float
     C: float
 
+    def __post_init__(self):    # the norm needs A, B > 0; f12 = sqrt(1 + eps3)
+        for k, ok, rule in (("A", self.A > 0.0, "> 0"),
+                            ("B", self.B > 0.0, "> 0"),
+                            ("eps3", self.eps3 >= -1.0, ">= -1")):
+            if not ok:
+                raise ValueError(f"{k}: must be {rule}, got {vars(self)[k]}")
+
     def to_dict(self) -> dict:
         return {"A": self.A, "B": self.B, "eps1": self.eps1,
                 "eps2": self.eps2, "eps3": self.eps3, "C": self.C}

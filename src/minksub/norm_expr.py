@@ -50,8 +50,8 @@ class ArityError(ValueError):
 
 
 class NonFiniteConstant(ValueError):
-    """A constant subexpression, or a coefficient of a folded polynomial
-    subtree, overflows."""
+    """A constant subexpression is undefined or overflows, or a coefficient
+    of a folded polynomial subtree overflows."""
 
 
 @dataclass(frozen=True)
@@ -271,8 +271,8 @@ def fold(tree, dim: int) -> tuple:
     powers >= 0, division by a nonzero number) of degree 1..4, bare
     variables aside, and one Polynomials of them, whose jets ``evaluate``
     takes as the subtrees' values.  NonFiniteConstant when a constant
-    subtree or a coefficient is not finite."""
-    degrees, found, consts = {}, {}, {}
+    subtree or a coefficient is not finite, or a constant is undefined."""
+    degrees, found, at_nan = {}, {}, {}
 
     def degree(node):
         if id(node) not in degrees:
@@ -290,17 +290,18 @@ def fold(tree, dim: int) -> tuple:
                 found.update((id(k), k) for k, dk in zip(kids, ds) if dk
                              and dk <= MAX_ORDER and not isinstance(k, Var))
             degrees[id(node)] = d
-            if d == 0 and not isinstance(node, Num):    # a constant
-                try:        # variables only occur as y^0, and nan^0 is 1
-                    value = _evaluate(node, (math.nan,) * dim, consts)
-                except OverflowError:                   # float ** int
-                    value = math.inf
-                if not math.isfinite(value):
-                    raise NonFiniteConstant("a constant subexpression is "
-                                            "not finite")
         return degrees[id(node)]
 
     degree(Sqrt(tree))      # a root that is no polynomial: tree may be one
+    try:    # at y = nan only constants raise; in them y is y^0 = nan^0 = 1
+        _evaluate(tree, (math.nan,) * dim, at_nan)
+    except OverflowError:                               # float ** int
+        raise NonFiniteConstant("a constant subexpression is not finite")
+    except (ZeroDivisionError, ValueError) as exc:      # 1/0, sqrt(-1)
+        raise NonFiniteConstant("a constant subexpression cannot be "
+                                f"evaluated: {exc}") from exc
+    if not all(math.isfinite(v) for k, v in at_nan.items() if degrees[k] == 0):
+        raise NonFiniteConstant("a constant subexpression is not finite")
     zero, memo = Jet4.variables(dim, np.zeros(dim)), {}   # jets about 0
     with np.errstate(all="ignore"):     # checked below
         coeffs = [_evaluate(x, zero, memo).coeffs for x in found.values()]

@@ -56,7 +56,7 @@ ZERO_SEARCH_BUDGET = 64
 
 
 class ZeroPencil(ValueError):
-    """Both matrices of the pencil vanish."""
+    """Both matrices of the pencil vanish; the reference search raises it."""
 
 
 class SingularA2(ValueError):
@@ -99,12 +99,15 @@ class SymPencil:
 
     @cached_property
     def _reference(self):
-        """(b, c, singular values of B) for B = b . (A1, A2), C = c . (A1,
-        A2): the first of full rank at condition PENCIL_COND_LIMIT among A2,
-        A1, A1 + A2 (complements A1, A2, A1) and 2N + 1 angles t of the half
-        circle (complement at t + pi/2), else the first of largest rank,
-        which is the pencil's: rank drops at no more than N angles of the
-        half circle.  Searched once per pencil, on first use."""
+        """(b, c, singular values of B, B has full rank) for B = b . (A1,
+        A2), C = c . (A1, A2): the first of full rank at condition
+        PENCIL_COND_LIMIT among A2, A1, A1 + A2 (complements A1, A2, A1)
+        and 2N + 1 angles t of the half circle (complement at t + pi/2),
+        else the first of largest rank, which is the pencil's: rank drops
+        at no more than N angles of the half circle.  ZeroPencil if A1 =
+        A2 = 0.  Searched once per pencil, on first use."""
+        if not (self.A1.any() or self.A2.any()):
+            raise ZeroPencil("both pencil matrices are zero")
         N = self.dim
         angles = (k * pi / (2 * N + 1) for k in range(2 * N + 1))
         probes = chain([((0.0, 1.0), (1.0, 0.0)), ((1.0, 0.0), (0.0, 1.0)),
@@ -113,11 +116,11 @@ class SymPencil:
         found = []
         for b, c in probes:
             sv = np.linalg.svd(self.member(*b), compute_uv=False)
-            rank = rank_mask(sv, 1 / PENCIL_COND_LIMIT).sum()
-            found.append((b, c, sv, rank))
+            rank = int(rank_mask(sv, 1 / PENCIL_COND_LIMIT).sum())
+            found.append((b, c, sv, rank == N, rank))
             if rank == N:
                 break
-        return max(found, key=lambda f: f[3])[:3]
+        return max(found, key=lambda f: f[4])[:4]
 
 
 def _eigvalsh_counts(members: np.ndarray) -> tuple:
@@ -340,8 +343,8 @@ def spectral_split(P: SymPencil) -> SpectralData:
     """
     A1, A2 = P.A1, P.A2
     N = P.dim
-    b, c, sv = P._reference
-    if not rank_mask(sv, 1 / PENCIL_COND_LIMIT).all():
+    b, c, _, full = P._reference
+    if not full:
         raise SingularA2(f"no probe has condition below {PENCIL_COND_LIMIT:g}")
     B, C = P.member(*b), P.member(*c)
     W = np.linalg.solve(B, C)
@@ -458,9 +461,7 @@ def pencil_type(P: SymPencil) -> int:
     The real parts of complex mu and the reference angle (a root when B
     is singular; never an empty list) add angles, which only split arcs.
     """
-    b, c, sv = P._reference
-    if sv[0] == 0.0:
-        raise ZeroPencil("both pencil matrices are zero")
+    b, c, sv, _ = P._reference
     B, C = P.member(*b), P.member(*c)
     d, V = np.linalg.eigh(B)
     Q = V[:, rank_mask(np.abs(d), 1 / PENCIL_COND_LIMIT, sv[0])]  # range of B
@@ -535,31 +536,23 @@ def canonical_from_spectral(S: SpectralData) -> CanonicalData:
                              "canonical (0, 1)")
     if S.r == 0:
         return CanonicalData(l=0, n=(), s=S.s)
-    angles = [atan2(b, a) % (2 * pi) for a, b in S.real_pairs]
-    reps = _cluster_2d([(th, 0.0) for th in sorted(angles)], tol)
-    # wrap-around: merge a cluster near 2*pi into one near 0
-    if len(reps) > 1 and reps[-1][0][0] - reps[0][0][0] > 2 * pi - tol:
-        (th0, _), c0 = reps[0]
-        (_, _), c1 = reps[-1]
-        reps = [((th0, 0.0), c0 + c1)] + reps[1:-1]
-    K = len(reps)
+    angles = sorted(atan2(b, a) % (2 * pi) for a, b in S.real_pairs)
+    # one direction per gap wider than tol around the circle
+    K = sum(t - u > tol for u, t in
+            zip(angles, angles[1:] + [angles[0] + 2 * pi]))
     if K % 2 == 0:
         raise ValueError(f"{K} distinct directions: canonical configurations "
                          "have an odd count")
     counts = [0] * K
-    for (th, _), count in reps:
-        hits = [j for j in range(1, K + 1)
-                if min(abs(th - 2 * pi * j / K),
-                       2 * pi - abs(th - 2 * pi * j / K)) <= tol]
-        if len(hits) != 1:
+    for th in angles:
+        j = round(th * K / (2 * pi))
+        if abs(th - 2 * pi * j / K) > tol:
             raise ValueError(f"direction angle {th:.9f} is not at a "
                              f"canonical position for K={K}")
-        counts[hits[0] % K] += count
-    # counts index: j mod K, so j=K landed at 0; rotate to order j=1..K
-    ordered = counts[1:] + counts[:1]
-    if any(c == 0 for c in ordered):
+        counts[(j - 1) % K] += 1    # j = 1..K, with j = 0 taken as K
+    if 0 in counts:
         raise ValueError("not all canonical angles are occupied")
-    return CanonicalData(l=(K + 1) // 2, n=tuple(ordered), s=S.s)
+    return CanonicalData(l=(K + 1) // 2, n=tuple(counts), s=S.s)
 
 
 @dataclass(frozen=True)
@@ -632,7 +625,7 @@ class GenericityReport:
 
 def genericity_check(P: SymPencil, seed: int = 0) -> GenericityReport:
     """The three genericity conditions, reported rather than enforced."""
-    det_ok = bool(rank_mask(P._reference[2], 1 / PENCIL_COND_LIMIT).all())
+    det_ok = P._reference[3]
     try:
         spectral = spectral_split(P)
     except (NotSemisimple, SingularA2) as exc:

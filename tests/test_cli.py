@@ -242,13 +242,24 @@ def test_pencil_type_finds_a_narrow_arc(tmp_path, capsys):
     assert (rep["type"], rep["method"]) == (0, "arcs")
 
 
-def test_zero_pencil_has_no_type(tmp_path, capsys):
+def test_zero_pencil_has_no_type(tmp_path, capsys, monkeypatch):
+    # a usage error, refused at the first reference read: classify runs
+    # no sampled descent first
+    from minksub import pencil as pencils
+    descents = []
+    monkeypatch.setattr(pencils, "_single_descent",
+                        lambda *a: descents.append(a))
     cfg = write(tmp_path, "p.json", {"A1": np.zeros((2, 2)).tolist(),
                                      "A2": np.zeros((2, 2)).tolist()})
     for command in ("type", "classify"):
         code, out, err = run(capsys, ["pencil", command, "--file", cfg])
-        assert code == 1 and out == ""
-        assert "both pencil matrices are zero" in err
+        assert (code, out) == (2, "")
+        assert err == "config error: both pencil matrices are zero\n"
+    assert descents == []
+    # zero quadrics still have common zeros: e1 solves them
+    monkeypatch.undo()
+    code, out, _ = run(capsys, ["pencil", "common-zero", "--file", cfg])
+    assert code == 0 and json.loads(out)["point"] == [1.0, 0.0]
 
 
 def test_pencil_classify_canonical(tmp_path, capsys):
@@ -525,6 +536,13 @@ def test_budget_below_one_exits_two(tmp_path, capsys, argv):
       "C": 100.0}, "/A: expected a number"),
     ({"A": float("nan"), "B": 10.0, "eps1": 0.1, "eps2": 0.1,
       "eps3": 0.001, "C": 100.0}, "/A: not finite"),
+    # out of the family's domain: f12 = sqrt(1 + eps3), and A, B > 0
+    ({"A": 10.0, "B": 10.0, "eps1": 0.1, "eps2": 0.1, "eps3": -2.0,
+      "C": 100.0}, "/eps3: must be >= -1, got -2.0"),
+    ({"A": -10.0, "B": 10.0, "eps1": 0.1, "eps2": 0.1, "eps3": 0.001,
+      "C": 100.0}, "/A: must be > 0, got -10.0"),
+    ({"A": 10.0, "B": 0.0, "eps1": 0.1, "eps2": 0.1, "eps3": 0.001,
+      "C": 100.0}, "/B: must be > 0, got 0.0"),
 ])
 def test_malformed_example_params_exit_two(tmp_path, capsys, params,
                                            pointer):
@@ -689,6 +707,33 @@ def test_overflowing_folded_constant_exits_two(tmp_path, capsys, argv):
     pointer = "/text" if check_norm else "/norm/text"
     assert err == (f"config error: {pointer}: a constant subexpression is "
                    "not finite\n")
+
+
+def test_undefined_expression_constant_exits_two(tmp_path, capsys):
+    # 1/0 is no polynomial constant: named when the norm is built, not
+    # when a jet first divides by it
+    cfg = write(tmp_path, "c.json",
+                {"kind": "expression", "dim": 3,
+                 "text": "(y1^2 + y2^2 + y3^2) / 2 + 1/0"})
+    code, out, err = run(capsys, ["check-norm", "--config", cfg])
+    assert (code, out) == (2, "")
+    assert err == ("config error: /text: a constant subexpression cannot be "
+                   "evaluated: float division by zero\n")
+
+
+@pytest.mark.parametrize("kind, cfg, message", [
+    ("check-norm", {"kind": "example4", "A": -10.0, "B": 10.0, "eps1": 0.1,
+                    "eps2": 0.1}, "A and B must be positive"),
+    ("invariants", {"n": 2, "p": 1, "d2": [[[1.0, 0.0], [0.0, 1.0]]],
+                    "d3": [[[[0.0, 0.0], [0.0, 0.0]]]]},
+     "d3 must have shape (1, 2, 2, 2)"),
+])
+def test_flat_config_errors_point_at_the_root(tmp_path, capsys, kind, cfg,
+                                              message):
+    path = write(tmp_path, "c.json", cfg)
+    code, out, err = run(capsys, [kind, "--config", path])
+    assert (code, out) == (2, "")
+    assert err.startswith(f"config error: /: {message}")
 
 
 @pytest.mark.parametrize("argv", [["curvature"], ["audit", "ruled"]])

@@ -264,16 +264,24 @@ def test_fold_finds_the_maximal_polynomial_subtrees():
     ("(y1^2 + y2^2) / 2 * (1 + 1e300 * 1e300 - 1e300 * 1e300)", "constant"),
     ("sqrt(y1^2 + y2^2) * (1e200)^2", "constant"),
     ("(y1^2 + y2^2) / 2 + 1e200 * y1^2 * 1e200", "coefficient"),
+    # a constant divisor, root or base that only a ring op would evaluate
+    ("(y1^2 + y2^2) / 2 + 1/0", "float division by zero"),
+    ("(y1^2 + y2^2) / 2 + 0*sqrt(0-1)", "math domain error"),
+    ("(y1^2 + y2^2) / 2 + (1-1)^-1", "negative power"),
+    ("(y1^2 + y2^2) / 2 + y1/(2-2)", "float division by zero"),
+    ("(y1^2 + y2^2) / 2 + sqrt(10)^700 * 0", "constant"),
 ])
 def test_fold_rejects_overflowing_constants_and_coefficients(text, what):
     with warnings.catch_warnings():
         warnings.simplefilter("error")      # no RuntimeWarning escapes
-        with pytest.raises(NonFiniteConstant, match=f"{what}.*not finite|"
-                                                    f"non-finite {what}"):
+        with pytest.raises(NonFiniteConstant, match=(
+                f"{what}.*not finite|non-finite {what}|"
+                f"constant subexpression cannot be evaluated: .*{what}")):
             fold(parse_norm(text, 2), 2)
     # large but finite constants still fold, and so does a constant y^0
     assert fold(parse_norm("(y1^2 + y2^2) * 1e150 * 1e150", 2), 2)[0]
     assert fold(parse_norm("(y1 + 2)^0 * 1e300 * y2^2", 2), 2)[0]
+    assert fold(parse_norm("(y1^2 + y2^2) / 2 + sqrt(2) * y1^2 / 10", 2), 2)
 
 
 @pytest.mark.parametrize("rows", [None, 5])

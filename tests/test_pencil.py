@@ -234,6 +234,50 @@ def test_canonical_recognition_rejects_off_angle_data():
         canonical_from_spectral(S)
 
 
+def canonical_angles(C):
+    K = 2 * C.l - 1
+    return [2 * np.pi * j / K for j, size in enumerate(C.n, start=1)
+            for _ in range(size)]
+
+
+def at_angles(angles, s=0, scales=None):
+    scales = np.ones(len(angles)) if scales is None else scales
+    return SpectralData(tuple((r * np.cos(t), r * np.sin(t))
+                              for r, t in zip(scales, angles)),
+                        ((0.0, 1.0),) * s)
+
+
+@pytest.mark.parametrize("C", [CanonicalData(l=1, n=(3,), s=1),
+                               CanonicalData(l=2, n=(1, 2, 2), s=0),
+                               CanonicalData(l=3, n=(2, 1, 1, 1, 1), s=1)],
+                         ids=str)
+def test_canonical_recognition_accepts_angles_within_half_tol(C):
+    tol = pencil_module.CANONICAL_ANGLE_TOL
+    rng = np.random.default_rng(12)
+    for _ in range(200):
+        angles = canonical_angles(C)
+        jitter = rng.uniform(-tol / 2, tol / 2, len(angles))
+        S = at_angles(angles + jitter, C.s, rng.uniform(0.2, 5.0, len(angles)))
+        assert canonical_from_spectral(S) == C
+
+
+def test_canonical_recognition_places_each_angle():
+    tol = pencil_module.CANONICAL_ANGLE_TOL
+    third = 2 * np.pi / 3
+    # three angles spread over 1.8 tol about one position, no gap wider
+    # than tol: one direction, each angle within tol of it
+    S = at_angles([third - 0.9 * tol, third, third + 0.9 * tol,
+                   2 * third, 0.0])
+    assert canonical_from_spectral(S) == CanonicalData(l=2, n=(3, 1, 1), s=0)
+    # a lone angle 1.5 tol from its position is refused, not averaged in
+    with pytest.raises(ValueError, match="not at a canonical position"):
+        canonical_from_spectral(at_angles([third + 1.5 * tol, 2 * third,
+                                           0.0]))
+    # an angle just below 2 pi sits at position K, as 0 does
+    S = at_angles([third, 2 * third, 0.0, 2 * np.pi - tol / 2])
+    assert canonical_from_spectral(S) == CanonicalData(l=2, n=(1, 1, 2), s=0)
+
+
 def test_canonical_validation():
     with pytest.raises(ValueError):
         CanonicalData(l=2, n=(1, 1), s=0)  # l=2 needs three block sizes
@@ -387,8 +431,22 @@ def test_genericity_flags_degenerate_determinant():
     A2 = np.zeros((3, 3))
     A2[0, 2] = A2[2, 0] = 1.0
     rep = genericity_check(SymPencil.make(A1, A2))
-    assert not rep.det_not_identically_zero
+    assert rep.det_not_identically_zero is False
     assert rep.method == "sampled"
+    rep = genericity_check(SymPencil.make(np.diag([2.0, 3.0]), np.eye(2)))
+    assert rep.det_not_identically_zero is True
+
+
+def test_reference_readers_refuse_a_zero_pencil(monkeypatch):
+    # the reference search decides "zero" before any split or descent
+    descents = []
+    monkeypatch.setattr(pencil_module, "_single_descent",
+                        lambda *a: descents.append(a))
+    P = SymPencil.make(np.zeros((3, 3)), np.zeros((3, 3)))
+    for routine in (spectral_split, genericity_check, pencil_type):
+        with pytest.raises(ZeroPencil, match="both pencil matrices are zero"):
+            routine(P)
+    assert descents == []
 
 
 def clifford_pencil():
