@@ -15,6 +15,16 @@ bracket the threshold (Golub & Van Loan, Matrix Computations, 8.3-8.4).
 Members with an eigenvalue inside that bracket, and stacks smaller than
 SCREEN_MIN_MEMBERS, take ``np.linalg.eigvalsh``; the counts equal the
 eigvalsh-threshold counts either way.
+
+``type_sampled`` first certifies whole runs of the half circle.  Members
+M(t) = cos t A1 + sin t A2 at angles s, t differ by at most |s - t| R in
+spectral norm, R = hypot(|A1|_2, |A2|_2), so by Weyl's inequality (Golub &
+Van Loan, Cor. 8.1.6) no eigenvalue moves further.  One eigvalsh of each
+block's middle member (the anchor) then fixes the counts of all
+CIRCLE_BLOCK members of the block when every anchor eigenvalue clears the
+threshold by the block's drift d = (reach + COUNT_MARGIN) R; COUNT_MARGIN
+covers the eigvalsh and rounding error of both the anchor and the member.
+Only the members of the other blocks are counted one by one.
 """
 
 from __future__ import annotations
@@ -52,6 +62,10 @@ SCREEN_MIN_MEMBERS = 128
 # measured on one thread, the fastest power of two for N = 3 and 4 and
 # within 20% of the fastest for N = 8
 SCREEN_CHUNK_ENTRIES = 32768
+# consecutive half-circle samples certified by one anchor eigvalsh: on one
+# thread 64 times like 32 over classify's pencils, 16 is 40% and 128 17%
+# slower
+CIRCLE_BLOCK = 32
 ZERO_SEARCH_BUDGET = 64
 
 
@@ -244,27 +258,69 @@ def max_rank_inertia(members: np.ndarray) -> tuple:
     The counts are the eigvalsh-threshold counts; ``_inertia_counts``
     obtains them by Sturm counts on large stacks.
     """
-    pos, neg = _inertia_counts(members)
+    return _at_max_rank(*_inertia_counts(members))
+
+
+def _at_max_rank(pos: np.ndarray, neg: np.ndarray) -> tuple:
+    """The counts of the members of largest rank pos + neg."""
     rank = pos + neg
     at_max = rank == rank.max()
     return pos[at_max], neg[at_max]
+
+
+def _circle_counts(P: SymPencil, th: np.ndarray) -> tuple:
+    """Positive and negative inertia counts of the members at angles th.
+
+    A block of CIRCLE_BLOCK consecutive angles is clear when every
+    eigenvalue lam of its middle member (the anchor, spectral radius rho)
+    has |lam| > EIG_TOL * (1 + rho + d) + d, d = (reach + COUNT_MARGIN) R
+    and reach the block's largest |t - t_anchor|.  By Weyl a member's
+    eigvalsh eigenvalues then lie within d of lam: its spectral radius is
+    at most rho + d, so its threshold is below |lam| - d, and it has the
+    anchor's signs and full rank.  The other blocks' members go through
+    ``_inertia_counts``.
+    """
+    c = np.cos(th)[:, None, None]
+    s = np.sin(th)[:, None, None]
+    starts = np.arange(0, len(th), CIRCLE_BLOCK)
+    sizes = np.diff(starts, append=len(th))
+    anchors = starts + sizes // 2
+    reach = np.maximum.reduceat(np.abs(th - np.repeat(th[anchors], sizes)),
+                                starts)
+    R = np.hypot(*np.abs(np.linalg.eigvalsh(np.stack([P.A1, P.A2]))).max(1))
+    drift = (reach + COUNT_MARGIN) * R
+    evals = np.linalg.eigvalsh(P.member(c[anchors], s[anchors]))
+    bound = EIG_TOL * (1.0 + np.abs(evals).max(axis=1) + drift) + drift
+    clear = (np.abs(evals) > bound[:, None]).all(axis=1)
+    pos = np.repeat((evals > 0.0).sum(axis=1), sizes)
+    neg = P.dim - pos
+    opened = ~np.repeat(clear, sizes)
+    if opened.any():
+        pos[opened], neg[opened] = _inertia_counts(
+            P.member(c[opened], s[opened]))
+    return pos, neg
 
 
 def type_sampled(P: SymPencil, samples: int = MEMBER_SAMPLES) -> int:
     """Minimum positive inertia over sampled maximal-rank members.
 
     Samples lam on the half-circle lam2 >= 0; the antipodal member -M has
-    swapped inertia, so both counts of every sample enter the minimum.
-    The counts are ``max_rank_inertia``'s: Sturm counts screened against
-    the threshold, eigvalsh only for members near it, equal to the
-    eigvalsh-threshold counts.
+    swapped inertia, so both counts of every sample enter the minimum,
+    taken over the maximal-rank members as ``max_rank_inertia`` takes it.
+    The counts are the eigvalsh-threshold counts, member for member, by a
+    Weyl certificate: one eigvalsh of the middle member of each block of
+    CIRCLE_BLOCK samples decides the whole block when its eigenvalues
+    clear the threshold by the block's drift (reach + COUNT_MARGIN) R, R =
+    hypot(|A1|_2, |A2|_2); COUNT_MARGIN covers the eigvalsh and rounding
+    error of both the anchor and the member.  The members of the other
+    blocks are counted one by one (``_inertia_counts``).
     """
     if samples < 8:
         raise ValueError("samples must be at least 8")
     if not (P.A1.any() or P.A2.any()):
         raise ZeroPencil("both pencil matrices are zero")
-    th = np.linspace(0.0, np.pi, samples, endpoint=False)[:, None, None]
-    pos, neg = max_rank_inertia(P.member(np.cos(th), np.sin(th)))
+    th = np.linspace(0.0, np.pi, samples, endpoint=False)
+    pos, neg = _at_max_rank(*_circle_counts(P, th))
     return int(min(pos.min(), neg.min()))
 
 
@@ -331,6 +387,11 @@ def _cluster_2d(points: list, tol: float) -> list:
     return out
 
 
+# (pencil, split) of the last successful spectral_split: one slot rather
+# than one split per pencil object, which would live as long as its pencil
+_last_split = (None, None)
+
+
 def spectral_split(P: SymPencil) -> SpectralData:
     """Decompose a generic pencil into real directions and complex blocks.
 
@@ -339,8 +400,19 @@ def spectral_split(P: SymPencil) -> SpectralData:
     angles) and C its complement; raises SingularA2 when none is.
     Root subspaces of that operator are the common invariant subspaces of
     the pencil, so the extracted (alpha, beta) data do not depend on
-    which member was inverted.
+    which member was inverted.  The last pencil object split keeps its
+    split, so ``genericity_check`` and a caller that asks next share one;
+    a failed split is not kept and raises again on every call.
     """
+    global _last_split
+    last, spec = _last_split
+    if last is not P:
+        spec = _split(P)
+        _last_split = P, spec
+    return spec
+
+
+def _split(P: SymPencil) -> SpectralData:
     A1, A2 = P.A1, P.A2
     N = P.dim
     b, c, _, full = P._reference

@@ -1,9 +1,12 @@
 """Symmetric pencils: spectra, types, canonical forms, topology, zeros."""
 
 import itertools
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import minksub.pencil as pencil_module
 from minksub.cli import pencil_from_config
@@ -13,8 +16,8 @@ from minksub.pencil import (EIG_TOL, CanonicalData, NotSemisimple, SingularA2,
                             canonical_from_spectral, classify_topology,
                             common_zero_search, genericity_check,
                             max_rank_inertia, pencil_type, spectral_split,
-                            type_exact, type_sampled, _inertia_counts,
-                            _residuals)
+                            type_exact, type_sampled, _circle_counts,
+                            _inertia_counts, _residuals)
 from reference import canonical_type
 
 
@@ -672,10 +675,12 @@ def near_threshold_members(rng, count, sign):
 
 
 def screen_corpus():
+    """(name, members, circle): circle is (A1, A2, samples) when the
+    members are ``half_circle(A1, A2, samples)``, else None."""
     rng = np.random.default_rng(131)
     for N in range(1, 9):
-        yield f"random N={N}", half_circle(random_sym(rng, N),
-                                           random_sym(rng, N))
+        circle = (random_sym(rng, N), random_sym(rng, N), 10000)
+        yield f"random N={N}", half_circle(*circle), circle
     # point_type's normal forms of p = 3 germs sharing the kernel e1: every
     # member has an exact zero eigenvalue
     for n in (3, 4):
@@ -683,7 +688,8 @@ def screen_corpus():
         d2[:, 1:, 1:] = [random_sym(rng, n - 1) for _ in range(3)]
         normals = rng.standard_normal((10000, 3))
         normals /= np.linalg.norm(normals, axis=1, keepdims=True)
-        yield f"kernel germ n={n}", np.einsum("sa,aij->sij", normals, d2)
+        yield (f"kernel germ n={n}", np.einsum("sa,aij->sij", normals, d2),
+               None)
     # a 2x2 Jordan block next to three real directions, congruently moved
     phis = rng.uniform(0.0, 2.0 * np.pi, 3)
     A1 = np.zeros((5, 5))
@@ -693,25 +699,26 @@ def screen_corpus():
     A1[2:, 2:] = np.diag(np.cos(phis))
     A2[2:, 2:] = np.diag(np.sin(phis))
     M = np.eye(5) + 0.3 * rng.standard_normal((5, 5))
-    yield "jordan", half_circle(M.T @ A1 @ M, M.T @ A2 @ M)
+    circle = (M.T @ A1 @ M, M.T @ A2 @ M, 10000)
+    yield "jordan", half_circle(*circle), circle
     # the member at angle 0 is the singular A1 itself; the second pencil
     # has a common kernel, so every member is exactly singular; zero member
-    members = half_circle(np.diag([1.0, 0.0, -2.0, 0.5]), random_sym(rng, 4))
-    yield "singular on the grid", members
+    circle = (np.diag([1.0, 0.0, -2.0, 0.5]), random_sym(rng, 4), 10000)
+    yield "singular on the grid", half_circle(*circle), circle
     A1 = np.zeros((4, 4))
     A2 = np.zeros((4, 4))
     A1[:3, :3] = random_sym(rng, 3)
     A2[:3, :3] = random_sym(rng, 3)
     members = half_circle(A1, A2, 3000)
     members[1500] = 0.0
-    yield "common kernel and a zero member", members
+    yield "common kernel and a zero member", members, None
     for sign in (1.0, -1.0):
-        yield f"near threshold {sign:+}", near_threshold_members(rng, 400,
-                                                                  sign)
+        yield (f"near threshold {sign:+}",
+               near_threshold_members(rng, 400, sign), None)
 
 
 @pytest.mark.parametrize("members", [pytest.param(members, id=name)
-                                     for name, members in screen_corpus()])
+                                     for name, members, _ in screen_corpus()])
 def test_screened_counts_equal_eigvalsh_counts(members):
     assert len(members) >= pencil_module.SCREEN_MIN_MEMBERS
     pos, neg = _inertia_counts(members)
@@ -741,3 +748,129 @@ def test_only_members_near_the_threshold_take_eigvalsh(monkeypatch):
     seen.clear()
     _inertia_counts(members[:pencil_module.SCREEN_MIN_MEMBERS - 1])
     assert [len(s) for s in seen] == [pencil_module.SCREEN_MIN_MEMBERS - 1]
+
+
+# -- certified half-circle counts ---------------------------------------------
+
+
+def assert_circle_counts(A1, A2, samples):
+    """_circle_counts equals eigvalsh and the threshold member for member
+    on the half circle of ``samples`` angles; returns the pencil."""
+    P = SymPencil.make(A1, A2)
+    th = np.linspace(0.0, np.pi, samples, endpoint=False)
+    pos, neg = _circle_counts(P, th)
+    # 10^5 members per reference pass keep the 10^6-sample arc's stack small
+    for start in range(0, samples, 100000):
+        window = slice(start, start + 100000)
+        want_pos, want_neg = eigvalsh_counts(
+            np.cos(th[window, None, None]) * P.A1
+            + np.sin(th[window, None, None]) * P.A2)
+        assert np.array_equal(pos[window], want_pos)
+        assert np.array_equal(neg[window], want_neg)
+    return P
+
+
+@pytest.mark.parametrize("circle", [
+    pytest.param(circle, id=name) for name, _, circle in screen_corpus()
+    if circle is not None])
+def test_circle_counts_equal_eigvalsh_counts(circle):
+    assert_circle_counts(*circle)
+
+
+@pytest.mark.parametrize("samples", [10000, 10**6])
+def test_circle_counts_on_the_narrow_arc(samples):
+    # the blocks around the 1e-4 arc open; test_pencil_type_finds_a_narrow_arc
+    # checks the answers, 1 and 0
+    P = narrow_arc_pencil()
+    assert_circle_counts(P.A1, P.A2, samples)
+
+
+@pytest.fixture
+def inertia_stacks(monkeypatch):
+    """The stacks that reach ``_inertia_counts``, one entry a call."""
+    real = pencil_module._inertia_counts
+    seen = []
+
+    def spy(members):
+        seen.append(members.copy())
+        return real(members)
+
+    monkeypatch.setattr(pencil_module, "_inertia_counts", spy)
+    return seen
+
+
+def test_complex_pairs_certify_every_block(inertia_stacks):
+    # every nonzero member has inertia (s, s), well clear of the threshold:
+    # the anchors decide the whole half circle
+    rng = np.random.default_rng(41)
+    S = SpectralData((), ((0.3, 1.0), (-0.5, 0.7), (0.1, 1.6)))
+    P = congruent(build_from_spectral(S),
+                  np.eye(6) + 0.3 * rng.standard_normal((6, 6)))
+    assert type_sampled(P) == 3
+    assert inertia_stacks == []
+    assert_circle_counts(P.A1, P.A2, 10000)
+    assert inertia_stacks == []
+
+
+def test_common_kernel_opens_every_block(inertia_stacks):
+    # every member is exactly singular, so no anchor clears the threshold
+    rng = np.random.default_rng(43)
+    A1 = np.zeros((4, 4))
+    A2 = np.zeros((4, 4))
+    A1[1:, 1:] = random_sym(rng, 3)
+    A2[1:, 1:] = random_sym(rng, 3)
+    P = assert_circle_counts(A1, A2, 3000)
+    assert len(inertia_stacks) == 1
+    assert np.array_equal(inertia_stacks[0], half_circle(P.A1, P.A2, 3000))
+
+
+@settings(max_examples=150, deadline=None)
+@given(N=st.integers(1, 8), samples=st.integers(8, 5000),
+       kind=st.sampled_from(["random", "kernel", "rank one", "integer"]),
+       log_scale=st.floats(-200.0, 200.0), seed=st.integers(0, 2 ** 32 - 1))
+def test_circle_counts_property(N, samples, kind, log_scale, seed):
+    rng = np.random.default_rng(seed)
+    if kind == "integer":
+        A1, A2 = (np.triu(rng.integers(-3, 4, (N, N))) for _ in range(2))
+        A1, A2 = (M + np.triu(M, 1).T for M in (A1, A2))
+    else:
+        A1, A2 = random_sym(rng, N), random_sym(rng, N)
+    if kind == "kernel":
+        A1[0] = A1[:, 0] = A2[0] = A2[:, 0] = 0.0
+    elif kind == "rank one":
+        v = rng.standard_normal(N)
+        A2 = np.outer(v, v)
+    scale = 10.0 ** log_scale
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert_circle_counts(scale * A1, scale * A2, samples)
+
+
+def test_consecutive_splits_of_one_pencil_share_one_computation(
+        monkeypatch):
+    splits = []
+    real = pencil_module._split
+
+    def spy(P):
+        splits.append(P)
+        return real(P)
+
+    monkeypatch.setattr(pencil_module, "_split", spy)
+    P = congruent(build_canonical(CanonicalData(l=2, n=(1, 2, 1), s=1)),
+                  np.eye(6) + 0.1 * np.ones((6, 6)))
+    assert genericity_check(P).method == "spectral"
+    assert spectral_split(P) is spectral_split(P)
+    assert list(map(id, splits)) == [id(P)]
+    # a failure is not kept: each call splits again and raises again
+    jordan = SymPencil.make(np.diag([1.0, 0.0]),
+                            np.array([[0.0, 1.0], [1.0, 0.0]]))
+    for _ in range(2):
+        with pytest.raises(NotSemisimple):
+            spectral_split(jordan)
+    assert list(map(id, splits)) == list(map(id, [P, jordan, jordan]))
+    # the failures left P's split in the one slot; an equal pencil object
+    # splits again and replaces it
+    assert spectral_split(P) is spectral_split(P)
+    Q = SymPencil.make(P.A1, P.A2)
+    assert spectral_split(Q) == spectral_split(P)
+    assert list(map(id, splits)) == list(map(id, [P, jordan, jordan, Q, P]))
