@@ -20,8 +20,7 @@ import numpy as np
 from . import example
 from . import invariants as inv
 from . import pencil as pencils
-from .curvature import (_require_pd_zeta, reports_to_csv, ricci_expanded,
-                        ricci_expanded_batch)
+from .curvature import reports_to_csv, ricci_expanded, ricci_expanded_batch
 from .example import ExampleParams, find_example_params, verify_example
 from .germ import COND_LIMIT, Germ
 from .invariants import (audit_codim2, audit_hypersurface, audit_ruled,
@@ -205,7 +204,6 @@ def _cmd_curvature(args) -> int:
     u = _parse_direction(args.direction, germ.n)
     with np.errstate(all="ignore"):     # a non-finite field is named
         rep = ricci_expanded(norm, germ, u).require_finite()
-    _require_pd_zeta(rep.zeta)
     parts = dict(zip(("cubicGroup", "zetaGroup", "etaGroup", "rhoGroup"),
                      rep.ric_parts))
     _emit_json({"u": rep.u, "S": rep.S, "Ric": rep.Ric, "ricParts": parts,
@@ -221,9 +219,8 @@ def _cmd_ricci_grid(args) -> int:
     norm = _norm_section(data)
     germ = _germ_section(data)
     grid = inv.default_grid(germ.n) if args.grid is None else args.grid
-    with np.errstate(all="ignore"):     # a non-finite field is named
-        sweep = ricci_expanded_batch(norm, germ, sphere_grid(germ.n, grid))
-    _emit(reports_to_csv(sweep.require_finite()), args.out)
+    sweep = ricci_expanded_batch(norm, germ, sphere_grid(germ.n, grid))
+    _emit(reports_to_csv(sweep), args.out)
     return 0
 
 
@@ -459,11 +456,10 @@ def main(argv=None) -> int:
         min_grid = (example.MIN_GRID
                     if args.command in ("verify-example", "find-params")
                     else 1)
-        if getattr(args, "grid", None) is not None and args.grid < min_grid:
-            parser.error(f"--grid must be at least {min_grid}, "
-                         f"got {args.grid}")
-        if getattr(args, "budget", None) is not None and args.budget < 1:
-            parser.error(f"--budget must be at least 1, got {args.budget}")
+        for flag, least in (("grid", min_grid), ("budget", 1), ("seed", 0)):
+            value = getattr(args, flag, None)
+            if value is not None and value < least:
+                parser.error(f"--{flag} must be at least {least}, got {value}")
         if not getattr(args, "auto", True) and args.budget is not None:
             parser.error("--budget needs --auto")
         if not 0.0 <= getattr(args, "tol", 0.0) < float("inf"):

@@ -135,17 +135,27 @@ def zeta_check(norm: NormModel, germ: Germ, u) -> tuple:
     d2 = norm.jet(_lift(germ, u), 2).hessian()
     g, A = d2[:n, :n], d2[:n, n:]
     zeta = _require_pd_zeta(
-        d2[n:, n:] - np.einsum("sa,sb->ab", _pd_inverse(g) @ A, A))
+        d2[None, n:, n:] - np.einsum("sa,sb->ab", _pd_inverse(g) @ A, A))[0]
     if germ.p > 1:
         return zeta, None
     ratio = np.linalg.det(d2) / np.linalg.det(g)
     return zeta, abs(zeta[0, 0] - ratio) / (1.0 + abs(ratio))
 
 
-def _require_pd_zeta(zeta: np.ndarray) -> np.ndarray:
-    """zeta (p, p), or NonPDZeta unless it is positive definite."""
-    if np.linalg.eigvalsh(zeta)[0] <= 0.0:
-        raise NonPDZeta("zeta is not positive definite at this direction")
+def _require_pd_zeta(zeta: np.ndarray, first: int | None = None):
+    """The stack zeta (R, p, p), or NonPDZeta naming row k, the first not
+    positive definite, as direction first + k (this direction when ``first``
+    is None); leading minors for p <= 2, else eigvalsh; NaN rows pass."""
+    a, p = zeta[:, 0, 0], zeta.shape[-1]
+    if p == 2:          # the lesser leading minor
+        a = np.minimum(a, a * zeta[:, 1, 1] - zeta[:, 1, 0] ** 2)
+    elif p > 2:         # the least eigenvalue; non-finite rows count as I
+        fin = np.isfinite(zeta).all(axis=(1, 2), keepdims=True)
+        a = np.linalg.eigvalsh(np.where(fin, zeta, np.eye(p)))[:, 0]
+    if (a <= 0.0).any():
+        raise NonPDZeta("zeta is not positive definite at " + (
+            "this direction" if first is None
+            else f"direction {first + int(np.argmax(a <= 0.0))}"))
     return zeta
 
 
@@ -166,9 +176,9 @@ def _ricci_block(germ: Germ, u: np.ndarray, tensors: tuple,
     """CurvatureReport's fields for the rows r of u (R, n), by matmuls over
     r, from H's partial tensors (h0, d1, ..., d4) at the lifts (u, 0), all
     with leading axis r and read only in entries of normal degree <= 2;
-    ``first`` numbers rows in _pd_inverse's errors.  ``ric_only`` leaves
-    eta and rho None and skips g^-1 Z and g^-1 . d4, which only they read;
-    every other field keeps its bits.
+    ``first`` numbers rows in the errors of the g and zeta gates.
+    ``ric_only`` leaves eta and rho None and skips g^-1 Z and g^-1 . d4,
+    which only they read; every other field keeps its bits.
     Per row, L = ((I_n, 0); E^T; (g^-1, 0)) puts every first u-derivative
     in one stack Z_k = L d3_k L[n:]^T (R_k = (d3_k E)[t], d_k zeta, d_k h
     in its first p columns, -d_k g^-1 in its last n).  Products sharing an
@@ -189,7 +199,7 @@ def _ricci_block(germ: Germ, u: np.ndarray, tensors: tuple,
     L[:, N:, t] = gi
     ET, E = L[:, n:N], L[:, n:N].swapaxes(1, 2)
     Z = L[:, None] @ (d3[:, t] @ L[:, None, n:].swapaxes(2, 3))
-    zeta = d2[:, s, s] - h.swapaxes(1, 2) @ A
+    zeta = _require_pd_zeta(d2[:, s, s] - h.swapaxes(1, 2) @ A, first)
     tr = -0.5 * Z[:, :, N:].trace(axis1=1, axis2=2)   # xi; d_k g^kj / 2
     xi, dg = tr[:, :p], tr[:, p:, None, None]
     D4 = d4[:, t, t].reshape(rows, n * n, -1)   # d4_kl as rows
@@ -234,10 +244,10 @@ def _ricci_block(germ: Germ, u: np.ndarray, tensors: tuple,
 
 def ricci_expanded_batch(norm: NormModel, germ: Germ, U,
                          ric_only: bool = False) -> CurvatureReport:
-    """ricci_expanded for each row of U (N, n): one report whose fields gain
-    a leading direction axis (ric_parts (N, 4)).  Each block of BATCH_BLOCK
-    rows takes one batched jet of H, bit for bit the per-direction jets, and
-    one _ricci_block contraction; ``ric_only`` leaves eta and rho None."""
+    """ricci_expanded for each row of U (N, n): one report, passed through
+    require_finite, whose fields gain a leading axis (ric_parts (N, 4)).
+    Each BATCH_BLOCK rows take one batched jet of H (bit for bit the single
+    jets) and one _ricci_block; ``ric_only`` leaves eta and rho None."""
     U = np.asarray(U, dtype=np.float64)
     if U.ndim != 2 or U.shape[1] != germ.n or len(U) == 0:
         raise ValueError(f"directions must have shape (N, {germ.n}), N >= 1")
@@ -245,14 +255,15 @@ def ricci_expanded_batch(norm: NormModel, germ: Germ, U,
     if bad.any():
         raise ValueError(f"direction {bad.argmax()} must be finite")
     blocks = []
-    for s in range(0, len(U), BATCH_BLOCK):
-        u = U[s:s + BATCH_BLOCK]
-        jet = norm.jet(np.hstack([u, np.zeros((len(u), germ.p))]), row=s,
-                       normal=germ.p)
-        blocks.append(_ricci_block(germ, u, jet.partial_tensors(4), s,
-                                   ric_only))
+    with np.errstate(all="ignore"):     # require_finite names the field
+        for s in range(0, len(U), BATCH_BLOCK):
+            u = U[s:s + BATCH_BLOCK]
+            jet = norm.jet(np.hstack([u, np.zeros((len(u), germ.p))]), row=s,
+                           normal=germ.p)
+            blocks.append(_ricci_block(germ, u, jet.partial_tensors(4), s,
+                                       ric_only))
     return CurvatureReport(*(None if f[0] is None else np.concatenate(f)
-                             for f in zip(*blocks)))
+                             for f in zip(*blocks))).require_finite()
 
 
 # -- oracle route -------------------------------------------------------------

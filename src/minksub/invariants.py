@@ -20,7 +20,7 @@ from statistics import NormalDist
 import numpy as np
 
 from . import pencil as pencils
-from .curvature import ricci_expanded, ricci_expanded_batch
+from .curvature import _lift, ricci_expanded, ricci_expanded_batch
 from .germ import Germ, rank_mask
 from .jets import MAX_DIM
 from .minkowski import NormModel
@@ -209,9 +209,7 @@ class AuditReport:
 
 def _grid_min_ric(norm: NormModel, germ: Germ, grid: int | None):
     dirs = sphere_grid(germ.n, default_grid(germ.n) if grid is None else grid)
-    with np.errstate(all="ignore"):     # a non-finite field is named
-        rics = ricci_expanded_batch(norm, germ, dirs,
-                                    ric_only=True).require_finite().Ric
+    rics = ricci_expanded_batch(norm, germ, dirs, ric_only=True).Ric
     k = int(np.argmin(rics))
     return float(rics[k]), dirs[k]
 
@@ -272,9 +270,7 @@ def audit_ruled(norm: NormModel, germ: Germ, ruling_direction,
     vanishing cubic: the full Ricci must equal the reduced contraction
     -zeta_ab g^il f^b_jl f^a_ir u^j u^r, and Ric(u) >= 0 must place u in
     L(P).  ``seed`` feeds the sampled point type for p >= 3."""
-    u = np.asarray(ruling_direction, dtype=np.float64)
-    if u.shape != (germ.n,):
-        raise ValueError(f"ruling direction must have shape ({germ.n},)")
+    u = _lift(germ, ruling_direction)[:germ.n]   # _lift checks the direction
     with np.errstate(over="ignore", invalid="ignore"):   # checked below
         scale2 = 1.0 + float(np.abs(germ.d2).max(initial=0.0)) * float(u @ u)
         scale3 = (1.0 + float(np.abs(germ.d3).max(initial=0.0))

@@ -158,6 +158,7 @@ def _tridiagonal(A: np.ndarray) -> tuple:
         v[0] -= alpha
         vv = np.einsum("ik,ik->k", v, v)
         beta = np.divide(2.0, vv, out=np.zeros_like(vv), where=vv > 0.0)
+        beta[vv == np.inf] = np.nan     # |v|^2 overflowed: eigvalsh decides
         S = A[k + 1:, k + 1:]  # S <- H S H, H = I - beta v v^T
         p = beta * np.einsum("ijk,jk->ik", S, v)
         w = p - (0.5 * beta * np.einsum("ik,ik->k", p, v)) * v

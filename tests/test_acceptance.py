@@ -11,6 +11,7 @@ import time
 import numpy as np
 
 import conftest
+from conftest import random_germ, random_randers
 from minksub import invariants
 from minksub import pencil as pc
 from minksub.curvature import ricci_expanded, ricci_oracle, zeta_check
@@ -29,21 +30,6 @@ def verdict(k: int, ok: bool, detail: str) -> None:
     line = f"ACCEPTANCE C{k}: {'PASS' if ok else 'FAIL'} - {detail}"
     conftest.ACCEPTANCE_LINES.append(line)
     assert ok, line
-
-
-def random_germ(rng, n, p, scale=1.0):
-    d2 = scale * rng.standard_normal((p, n, n))
-    d2 = 0.5 * (d2 + d2.swapaxes(1, 2))
-    d3 = scale * sym3(rng.standard_normal((p, n, n, n)))
-    return Germ.make(n, p, d2, d3)
-
-
-def random_randers(rng, dim):
-    m = rng.standard_normal((dim, dim)) * 0.3
-    a = np.eye(dim) + m @ m.T
-    b = rng.standard_normal(dim)
-    b *= 0.4 * rng.uniform(0.2, 1.0) / np.sqrt(b @ np.linalg.solve(a, b))
-    return NormModel.randers(a, b)
 
 
 def unit(rng, n):

@@ -168,6 +168,63 @@ def test_curvature_exits_one_on_a_non_positive_zeta(tmp_path, capsys):
     assert err == "error: zeta is not positive definite at this direction\n"
 
 
+# g = I at every direction, and zeta is not positive definite: everywhere
+# for "p1" and "p2"; for "twisted" along e2 but not along e1, so on
+# the 8-angle grid direction 1 is the first bad one
+NON_CONVEX = {
+    "p1": ("(y1^2 + y2^2 - y3^2) / 2", 3),
+    "p2": ("(y1^2 + y2^2 + y3^2 - y4^2) / 2", 4),
+    "twisted": ("(y1^2 + y2^2) / 2 + y3^2 * (y1^2 - 2*y2^2) / (y1^2 + y2^2)"
+                " / 2", 3)}
+ZETA_CASES = [
+    ("p1", [[1, 1]], "curvature --direction 1,0", "this direction"),
+    ("p1", [[1, 1]], "ricci-grid --grid 8", "direction 0"),
+    ("p1", [[1, 1]], "audit hyper --grid 8", "direction 0"),
+    ("p1", [[0, 1]], "audit ruled --direction 1,0", "this direction"),
+    ("p2", [[1, 1], [1, -1]], "curvature --direction 1,0", "this direction"),
+    ("p2", [[1, 1], [1, -1]], "ricci-grid --grid 8", "direction 0"),
+    ("p2", [[1, 1], [1, -1]], "audit codim2 --grid 8", "direction 0"),
+    ("p2", [[0, 1], [0, -1]], "audit ruled --direction 1,0", "this direction"),
+    ("twisted", [[1, 1]], "curvature --direction 1,1", "this direction"),
+    ("twisted", [[1, 1]], "ricci-grid --grid 8", "direction 1"),
+    ("twisted", [[1, 1]], "audit hyper --grid 8", "direction 1"),
+    ("twisted", [[1, 0]], "audit ruled --direction 0,1", "this direction"),
+]
+
+
+def _non_convex_config(tmp_path, norm, diagonals):
+    text, dim = NON_CONVEX[norm]
+    p = len(diagonals)
+    return write(tmp_path, "c.json", {
+        "norm": {"kind": "expression", "dim": dim, "text": text},
+        "germ": {"n": 2, "p": p,
+                 "d2": [np.diag(np.array(d, float)).tolist()
+                        for d in diagonals],
+                 "d3": np.zeros((p, 2, 2, 2)).tolist()}})
+
+
+@pytest.mark.parametrize("norm, diagonals, command, where", ZETA_CASES,
+                         ids=["-".join([c[0], *c[2].split(" --")[0].split()])
+                              for c in ZETA_CASES])
+def test_ricci_commands_exit_one_on_a_non_positive_zeta(
+        tmp_path, capsys, norm, diagonals, command, where):
+    cfg = _non_convex_config(tmp_path, norm, diagonals)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")      # no RuntimeWarning escapes
+        code, out, err = run(capsys, [*command.split(), "--config", cfg])
+    assert (code, out) == (1, "")
+    assert err == f"error: zeta is not positive definite at {where}\n"
+
+
+def test_curvature_reads_the_twisted_norm_where_zeta_is_definite(
+        tmp_path, capsys):
+    cfg = _non_convex_config(tmp_path, "twisted", [[1, 1]])
+    code, out, err = run(capsys, ["curvature", "--config", cfg,
+                                  "--direction", "1,0"])
+    assert (code, err) == (0, "")
+    assert json.loads(out)["zeta"] == [[1.0]]
+
+
 def test_curvature_deterministic_and_out_file(tmp_path, capsys):
     cfg = write(tmp_path, "c.json", RANDERS)
     dest = tmp_path / "rep.json"
@@ -526,6 +583,32 @@ def test_budget_below_one_exits_two(tmp_path, capsys, argv):
     code, out, err = run(capsys, [cfg if a == "c.json" else a for a in argv])
     assert code == 2 and out == ""
     assert "--budget must be at least 1" in err
+
+
+@pytest.mark.parametrize("command", [
+    "check-norm --config n.json",
+    "invariants --config c.json",
+    "pencil classify --file p.json",
+    "pencil common-zero --file p.json",
+    "verify-example --auto",
+    "find-params",
+    "audit ruled --config c.json --direction 0,1",
+], ids=lambda c: c.split(" --")[0].replace(" ", "-"))
+@pytest.mark.parametrize("seed", ["--seed -1", "--seed=-3"],
+                         ids=["separate", "joined"])
+def test_negative_seed_exits_two(tmp_path, capsys, command, seed):
+    paths = {"n.json": write(tmp_path, "n.json", PARABOLOID["norm"]),
+             "c.json": write(tmp_path, "c.json", {
+                 "norm": PARABOLOID["norm"],
+                 "germ": {**PARABOLOID["germ"],
+                          "d2": [np.diag([1.0, 0.0]).tolist()]}}),
+             "p.json": write(tmp_path, "p.json", {
+                 "A1": np.eye(2).tolist(),
+                 "A2": np.diag([1.0, -1.0]).tolist()})}
+    argv = f"{command} {seed}".split()
+    code, out, err = run(capsys, [paths.get(a, a) for a in argv])
+    assert code == 2 and out == ""
+    assert f"--seed must be at least 0, got {seed[-2:]}" in err
 
 
 @pytest.mark.parametrize("params, pointer", [

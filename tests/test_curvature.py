@@ -14,30 +14,17 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
+from conftest import random_germ, random_randers
 from minksub import curvature, minkowski
-from minksub.curvature import (FD_STEP, NonPDTensor, _fd_stencil,
-                               _pd_inverse, _ricci_oracle_jets, reports_to_csv,
+from minksub.curvature import (FD_STEP, NonPDTensor, NonPDZeta, _fd_stencil,
+                               _pd_inverse, _require_pd_zeta,
+                               _ricci_oracle_jets, reports_to_csv,
                                ricci_expanded, ricci_expanded_batch,
                                ricci_oracle, spray_field, zeta_check)
-from minksub.germ import COND_LIMIT, Germ, sym3, taylor_jets
+from minksub.germ import COND_LIMIT, Germ, taylor_jets
 from minksub.invariants import sphere_grid
 from minksub.jets import BATCH_BLOCK, Jet4
 from minksub.minkowski import NormModel, validate_norm
-
-
-def random_germ(rng, n, p, scale=1.0):
-    d2 = scale * rng.standard_normal((p, n, n))
-    d2 = 0.5 * (d2 + d2.swapaxes(1, 2))
-    d3 = scale * sym3(rng.standard_normal((p, n, n, n)))
-    return Germ.make(n, p, d2, d3)
-
-
-def random_randers(rng, dim):
-    m = rng.standard_normal((dim, dim)) * 0.3
-    a = np.eye(dim) + m @ m.T
-    b = rng.standard_normal(dim)
-    b *= 0.4 * rng.uniform(0.2, 1.0) / np.sqrt(b @ np.linalg.solve(a, b))
-    return NormModel.randers(a, b)
 
 
 def euclid_gauss_ric(germ, u):
@@ -463,6 +450,56 @@ def test_batch_names_the_direction_with_an_indefinite_tensor():
         ricci_expanded_batch(norm, germ, U)
     with pytest.raises(NonPDTensor):
         ricci_expanded(norm, germ, U[k])
+
+
+def _twisted(p):
+    """H = |y|^2/2 with its last normal square weighted by
+    (y1^2 - 2 y2^2) / (y1^2 + y2^2): g = I everywhere, and zeta is
+    positive definite along e1 and not along e2."""
+    text = " + ".join(f"y{i}^2" for i in range(1, p + 2))
+    norm = NormModel.expression(
+        f"({text}) / 2 + y{p + 2}^2 * (y1^2 - 2*y2^2) / (y1^2 + y2^2) / 2",
+        p + 2)
+    return norm, Germ.make(2, p, np.eye(2)[None].repeat(p, 0),
+                           np.zeros((p, 2, 2, 2)))
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
+@pytest.mark.parametrize("ric_only", [False, True])
+def test_batch_names_the_direction_with_a_non_positive_zeta(p, ric_only):
+    norm, germ = _twisted(p)
+    U = np.tile([1.0, 0.0], (2 * BATCH_BLOCK, 1))
+    k = BATCH_BLOCK + 3                 # in the second block
+    U[[k, k + 40]] = [0.0, 1.0]
+    with pytest.raises(NonPDZeta, match=f"^zeta is not positive definite "
+                                        f"at direction {k}$"):
+        ricci_expanded_batch(norm, germ, U, ric_only=ric_only)
+    with pytest.raises(NonPDZeta, match="^zeta is not positive definite "
+                                        "at this direction$"):
+        ricci_expanded(norm, germ, U[k])
+    rep = ricci_expanded_batch(norm, germ, U[:k], ric_only=ric_only)
+    assert np.array_equal(rep.zeta, np.eye(p)[None].repeat(k, 0))
+
+
+@pytest.mark.parametrize("zeta, bad", [
+    ([[1.0, 0.0], [0.0, -1.0]], True),          # indefinite
+    ([[-1.0, 0.0], [0.0, -1.0]], True),         # negative definite, det > 0
+    ([[1.0, 2.0], [2.0, 1.0]], True),           # a > 0 and det < 0
+    ([[1.0, 1.0], [1.0, 1.0]], True),           # singular
+    ([[2.0, 1.0], [1.0, 2.0]], False),
+    (np.diag([1.0, 2.0, -0.5]), True),
+    (np.diag([1.0, 2.0, 0.5]), False),
+])
+def test_zeta_gate_decides_each_row(zeta, bad):
+    # a leading NaN row is left for require_finite to name
+    zeta = np.asarray(zeta)
+    stack = np.array([np.full_like(zeta, np.nan), np.eye(len(zeta)), zeta])
+    if bad:
+        with pytest.raises(NonPDZeta, match="at direction 12$"):
+            _require_pd_zeta(stack, 10)
+    else:
+        assert _require_pd_zeta(stack, 10) is stack
+    assert (np.linalg.eigvalsh(zeta)[0] <= 0.0) == bad
 
 
 def _block_outputs(monkeypatch, block, norm, germ, U, X, V):

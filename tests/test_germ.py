@@ -3,19 +3,13 @@
 import numpy as np
 import pytest
 
+from conftest import random_germ
 from minksub.cli import germ_from_config
 from minksub.germ import (COND_LIMIT, Germ, NonInvertibleFrame, adapt_germ,
-                          rank_mask, sym3, taylor_jets, transform_germ)
+                          rank_mask, taylor_jets, transform_germ)
 from minksub.invariants import RANK_TOL
 from minksub.jets import Jet4
 from minksub.pencil import PENCIL_COND_LIMIT
-
-
-def random_germ(rng, n, p, scale=1.0):
-    d2 = scale * rng.standard_normal((p, n, n))
-    d2 = 0.5 * (d2 + d2.swapaxes(1, 2))
-    d3 = scale * sym3(rng.standard_normal((p, n, n, n)))
-    return Germ.make(n, p, d2, d3)
 
 
 def test_make_validates_shapes():

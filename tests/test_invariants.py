@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from minksub.curvature import ricci_expanded, ricci_expanded_batch
+from minksub.curvature import (ricci_expanded, ricci_expanded_batch,
+                               ricci_oracle)
 from minksub.germ import Germ, adapt_germ, sym3, transform_germ
 from minksub.invariants import (NORMAL_SAMPLES, NORMAL_TABLES,
                                 RULED_AGREE_TOL,
@@ -19,8 +20,9 @@ from minksub.jets import BATCH_BLOCK, MAX_DIM
 from minksub.minkowski import NormModel
 from minksub.pencil import (EIG_TOL, SymPencil, max_rank_inertia,
                             pencil_type, spectral_split, type_exact)
+from conftest import random_germ, random_randers
 from test_acceptance import _ruled_germ as ruled_germ
-from test_acceptance import random_germ, random_randers, unit
+from test_acceptance import unit
 
 
 def flat_germ(d2_list, n=None):
@@ -315,6 +317,22 @@ def test_audit_ruled_rejects_bent_directions():
         audit_ruled(NormModel.euclidean(3), g, np.array([0.0, 1.0]))
 
 
+@pytest.mark.parametrize("u, message", [
+    ([np.nan, 1.0], "^direction must be finite$"),
+    ([np.inf, 0.0], "^direction must be finite$"),
+    ([0.0, 1.0, 0.0], r"^direction must have shape \(2,\)$"),
+    ([[0.0, 1.0]], r"^direction must have shape \(2,\)$"),
+])
+def test_audit_ruled_checks_its_direction_as_the_oracle_does(u, message):
+    g = flat_germ([np.diag([1.0, 0.0])])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")      # no RuntimeWarning escapes
+        with pytest.raises(ValueError, match=message):
+            audit_ruled(NormModel.euclidean(3), g, u)
+        with pytest.raises(ValueError, match=message):
+            ricci_oracle(NormModel.euclidean(3), g, u)
+
+
 def test_audit_ruled_on_randers_norm():
     rng = np.random.default_rng(40)
     m = 0.2 * rng.standard_normal((3, 3))
@@ -402,12 +420,13 @@ def test_require_finite_names_the_global_direction():
     U = np.tile([1.0, 0.0], (300, 1))   # finite along e1
     k = 2 * BATCH_BLOCK + 5             # past the first two blocks
     U[k] = [0.6, 0.8]
-    with np.errstate(all="ignore"):
-        sweep = ricci_expanded_batch(norm, germ, U)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")      # no RuntimeWarning escapes
+        with pytest.raises(ValueError, match=f"^Rik is not finite at "
+                                             f"direction {k}$"):
+            ricci_expanded_batch(norm, germ, U)
+    with np.errstate(all="ignore"):     # ricci_expanded leaves it to callers
         one = ricci_expanded(norm, germ, U[k])
-    with pytest.raises(ValueError, match=f"^Rik is not finite at "
-                                         f"direction {k}$"):
-        sweep.require_finite()
     with pytest.raises(ValueError,
                        match="^Rik is not finite at this direction$"):
         one.require_finite()
