@@ -93,7 +93,11 @@ def point_type(germ: Germ, seed: int = 0):
     smaller inertia count of cos(pi/4) d2[0], the member pencil_type's
     sweep evaluates; for n = 2, ``_surface_type`` decides by a closed
     form; pencil_type's sweep takes the rest of p = 2.  For p >= 3 the
-    normal sphere is sampled from ``seed`` and only bounds are reported.
+    normal sphere is sampled from ``seed`` and only bounds are reported:
+    the minimum of pos over the table's maximal-rank members.  A member
+    with pos = 0 at ``_rank_ceiling``, which no member's rank exceeds,
+    makes it 0, so the first SCREEN_MIN_MEMBERS normals are counted first
+    and may end the count.
     """
     if germ.p == 1:
         pos, neg = pencils._eigvalsh_counts(cos(pi / 4) * germ.d2)
@@ -105,10 +109,31 @@ def point_type(germ: Germ, seed: int = 0):
         pen = pencils.SymPencil.make(*germ.d2)
         return pencils.pencil_type(pen) if germ.d2.any() else 0
 
-    forms = np.einsum("sa,aij->sij", _normal_table(seed, germ.p), germ.d2)
-    pos, _ = pencils.max_rank_inertia(forms)
+    ceiling, counts = _rank_ceiling(germ.d2), []
+    for part in np.split(_normal_table(seed, germ.p),
+                         [pencils.SCREEN_MIN_MEMBERS]):
+        counts.append(pencils._inertia_counts(
+            np.einsum("sa,aij->sij", part, germ.d2)))
+        pos, neg = counts[-1]
+        if np.any((pos == 0) & (neg == ceiling)):   # max rank, pos 0
+            return Interval(0, 0)
+    pos, _ = pencils._at_max_rank(*np.concatenate(counts, axis=1))
     bound = int(pos.min())
     return Interval(bound, bound)
+
+
+def _rank_ceiling(d2: np.ndarray) -> int:
+    """n - k: no unit-normal member M = xi . d2 has a larger counted rank.
+
+    |M x| <= |d2 x| for the stacked (p n x n) d2 (Cauchy-Schwarz), so its
+    k smallest singular values sv give M k eigenvalues within sv of 0.  k
+    counts those with sv + 2 COUNT_MARGIN R < EIG_TOL, R = sqrt(sum_a
+    |A_a|_2^2) >= |M|_2 covering the rounding of the SVD, of M and of
+    eigvalsh, so eigvalsh's threshold counts all k as zero."""
+    sv = np.linalg.svd(d2.reshape(-1, d2.shape[-1]), compute_uv=False)
+    R = np.linalg.norm(np.linalg.norm(d2, 2, axis=(1, 2)))
+    return d2.shape[-1] - int(np.sum(
+        sv + 2.0 * pencils.COUNT_MARGIN * R < pencils.EIG_TOL))
 
 
 def _surface_type(d2: np.ndarray):
@@ -283,10 +308,13 @@ def audit_ruled(norm: NormModel, germ: Germ, ruling_direction,
     if np.abs(germ.cubic(u)).max(initial=0.0) > RULED_TOL * scale3:
         raise NotRuledDirection("cubic contraction does not vanish")
 
-    rep = ricci_expanded(norm, germ, u)
-    gi = np.linalg.inv(rep.g)
-    fu = np.einsum("ajl,l->aj", germ.d2, u)
-    reduced = -float(np.einsum("il,ab,bl,ai->", gi, rep.zeta, fu, fu))
+    with np.errstate(all="ignore"):     # a non-finite field is named
+        rep = ricci_expanded(norm, germ, u).require_finite()
+        gi = np.linalg.inv(rep.g)
+        fu = np.einsum("ajl,l->aj", germ.d2, u)
+        reduced = -float(np.einsum("il,ab,bl,ai->", gi, rep.zeta, fu, fu))
+    if not np.isfinite(reduced):
+        raise ValueError("reduced is not finite at this direction")
     agree = abs(rep.Ric - reduced) <= RULED_AGREE_TOL * (1.0 + abs(rep.Ric))
 
     mu, basis = nullity(germ)

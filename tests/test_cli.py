@@ -901,6 +901,21 @@ def test_grid_commands_name_the_non_finite_field(tmp_path, capsys, argv, p):
     assert err == "error: Rik is not finite at direction 1\n"
 
 
+def test_audit_ruled_names_the_non_finite_field(tmp_path, capsys):
+    # kappa(e1) and the cubic vanish, so e1 is a ruling, but f(e1, .) =
+    # (0, 1e160) overflows R^i_k at e1
+    cfg = write(tmp_path, "c.json", {
+        "norm": {"kind": "euclidean", "dim": 3},
+        "germ": {"n": 2, "p": 1, "d2": [[[0.0, 1e160], [1e160, 0.0]]],
+                 "d3": np.zeros((1, 2, 2, 2)).tolist()}})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")      # no RuntimeWarning escapes
+        code, out, err = run(capsys, ["audit", "ruled", "--config", cfg,
+                                      "--direction", "1,0"])
+    assert (code, out) == (1, "")
+    assert err == "error: Rik is not finite at this direction\n"
+
+
 @pytest.mark.parametrize("direction, code, error", [
     ("1e150,0", 1, "error: cubic contraction scale is not finite: inf\n"),
     ("1e200,0", 1, "error: kappa(u) scale is not finite: inf\n"),

@@ -15,11 +15,13 @@ from minksub.invariants import (NORMAL_SAMPLES, NORMAL_TABLES,
                                 Interval, NotRuledDirection, audit_codim2,
                                 audit_hypersurface, audit_ruled, nullity,
                                 point_invariants, point_type, sphere_grid,
-                                _normal_table, _sobol_points)
+                                _normal_table, _rank_ceiling, _sobol_points)
 from minksub.jets import BATCH_BLOCK, MAX_DIM
 from minksub.minkowski import NormModel
-from minksub.pencil import (EIG_TOL, SymPencil, max_rank_inertia,
-                            pencil_type, spectral_split, type_exact)
+from minksub.pencil import (EIG_TOL, SCREEN_MIN_MEMBERS, SymPencil,
+                            _eigvalsh_counts, _inertia_counts,
+                            max_rank_inertia, pencil_type, spectral_split,
+                            type_exact)
 from conftest import random_germ, random_randers
 from test_acceptance import _ruled_germ as ruled_germ
 from test_acceptance import unit
@@ -29,6 +31,14 @@ def flat_germ(d2_list, n=None):
     d2 = np.asarray(d2_list, dtype=np.float64)
     p, n = d2.shape[0], d2.shape[1]
     return Germ.make(n, p, d2, np.zeros((p, n, n, n)))
+
+
+def planted_kernel(rng, n, p, k):
+    """p random forms on the complement of a random k-dimensional kernel,
+    and an orthonormal basis of that complement."""
+    U = np.linalg.qr(rng.standard_normal((n, n)))[0][:, k:]
+    S = rng.standard_normal((p, n - k, n - k))
+    return np.stack([U @ (M + M.T) @ U.T for M in S]), U
 
 
 def test_nullity_basic():
@@ -99,9 +109,7 @@ def test_point_type_on_planted_kernels_matches_the_restriction(p):
     for _ in range(30):
         n = int(rng.integers(2, 6))
         k = int(rng.integers(1, n))
-        U = np.linalg.qr(rng.standard_normal((n, n)))[0][:, k:]
-        S = rng.standard_normal((p, n - k, n - k))
-        g = flat_germ([U @ (M + M.T) @ U.T for M in S])
+        g = flat_germ(planted_kernel(rng, n, p, k)[0])
         assert nullity(g)[0] == k
         assert point_type(g) == restricted_point_type(g)
     assert point_type(flat_germ(np.zeros((p, 3, 3)))) == 0
@@ -136,9 +144,7 @@ def test_sampled_point_type_matches_a_fresh_draw(p):
     for n in range(2, 6):
         for planted in (False, True):
             k = int(rng.integers(1, n)) if planted else 0
-            U = np.linalg.qr(rng.standard_normal((n, n)))[0][:, k:]
-            S = rng.standard_normal((p, n - k, n - k))
-            g = flat_germ([U @ (M + M.T) @ U.T for M in S])
+            g = flat_germ(planted_kernel(rng, n, p, k)[0])
             assert nullity(g)[0] == k
             for seed in (0, 1, 5):
                 t = point_type(g, seed)
@@ -162,6 +168,84 @@ def test_thin_cone_surface_type_is_exact_where_sampling_misses():
     assert np.linalg.eigvalsh(g.d2[2]).min() > 0.0
     out = point_invariants(g).to_dict()
     assert (out["type"], out["typeExact"]) == (0, True)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(st.sampled_from([(n, p) for n in range(3, 7) for p in range(3, 6)
+                        if n + p <= MAX_DIM]),
+       st.sampled_from(["kernel", "thin cone", "perturbed"]),
+       st.one_of(st.floats(-2.0, 2.0), st.floats(-150.0, 150.0)),
+       st.sampled_from([1e-12, 1e-9, 3e-9, 1e-7]),
+       st.integers(0, 3), st.integers(0, 2 ** 32 - 1))
+def test_early_stop_keeps_the_whole_table_point_type(shape, kind, log_scale,
+                                                     eps, table, seed):
+    n, p = shape
+    rng = np.random.default_rng(seed)
+    d2, U = planted_kernel(rng, n, p, int(rng.integers(
+        0 if kind == "thin cone" else 1, n)))
+    if kind == "thin cone":     # definite members only near +-e_p
+        d2[-1] = 10.0 ** rng.uniform(-3, -1) * U @ U.T
+    elif kind == "perturbed":   # a kernel germ moved off its kernel
+        d2 += eps * planted_kernel(rng, n, p, 0)[0]
+    g = flat_germ(10.0 ** log_scale * d2)
+    assert point_type(g, table) == drawn_point_type(g, table)
+    ceiling = _rank_ceiling(g.d2)
+    if ceiling < n:
+        forms = np.einsum("sa,aij->sij", _normal_table(table, p), g.d2)
+        pos, neg = _eigvalsh_counts(forms)
+        assert (pos + neg <= ceiling).all()
+
+
+def definite_on_complement(corner):
+    """n = 4, p = 3: d2[0] is -diag(corner, 1, 2, 3) and the others are
+    small forms on e2..e4, so normals near -e1 give members of rank 3 that
+    are positive definite on the complement of e1 (pos 3) and normals near
+    +e1 members with pos 0; corner = 0 plants the kernel e1."""
+    d2 = 0.1 * planted_kernel(np.random.default_rng(33), 4, 3, 0)[0]
+    d2[:, 0, :] = d2[:, :, 0] = 0.0
+    d2[0] = -np.diag([corner, 1.0, 2.0, 3.0])
+    return flat_germ(d2)
+
+
+def test_point_type_counts_only_the_members_that_decide(monkeypatch):
+    # t = 0 with a witness among the first normals; t = 1 (the CLI's
+    # n = 3, p = 3 germ, no sampled member definite); and sigma = EIG_TOL
+    # just above the cut EIG_TOL - 2 COUNT_MARGIN R: every member still
+    # counts e1 as a zero, but the ceiling stays n, so no member reaches it
+    t1 = flat_germ([[[1.0, 0.0, 0.0], [0.0, -1.0, 0.0], [0.0, 0.0, 0.5]],
+                    [[0.0, 1.0, 0.0], [1.0, 0.0, 0.5], [0.0, 0.5, 0.0]],
+                    [[2.0, 0.0, 1.0], [0.0, 1.0, 0.0], [1.0, 0.0, -1.0]]])
+    germs = [definite_on_complement(0.0), t1, definite_on_complement(EIG_TOL)]
+    assert [_rank_ceiling(g.d2) for g in germs] == [3, 3, 4]
+    assert _rank_ceiling(definite_on_complement(EIG_TOL / 2).d2) == 3
+    expected = [drawn_point_type(g, 0) for g in germs]
+    assert expected == [Interval(0, 0), Interval(1, 1), Interval(0, 0)]
+    counted = []
+
+    def spy(members):
+        counted.append(len(members))
+        return _inertia_counts(members)
+
+    monkeypatch.setattr("minksub.pencil._inertia_counts", spy)
+    totals = []
+    for g, t in zip(germs, expected):
+        counted.clear()
+        assert point_type(g) == t
+        totals.append(sum(counted))
+    assert 0 < totals[0] <= SCREEN_MIN_MEMBERS
+    assert totals[1:] == [NORMAL_SAMPLES, NORMAL_SAMPLES]
+
+
+@pytest.mark.parametrize("p", [3, 4, 5])
+def test_table_slices_form_the_rows_of_the_full_table(p):
+    d2 = planted_kernel(np.random.default_rng(p), 3, p, 1)[0]
+    table = _normal_table(0, p)
+    full = np.einsum("sa,aij->sij", table, d2)
+    head = SCREEN_MIN_MEMBERS
+    assert np.array_equal(np.einsum("sa,aij->sij", table[:head], d2),
+                          full[:head])
+    assert np.array_equal(np.einsum("sa,aij->sij", table[head:], d2),
+                          full[head:])
 
 
 def test_normal_table_is_drawn_once_per_seed_and_codimension(monkeypatch):
