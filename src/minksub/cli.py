@@ -123,16 +123,26 @@ def germ_from_config(data, path: str) -> Germ:
         raise ConfigError(f"{path or '/'}: {exc}") from exc
 
 
-def _norm_section(data) -> NormModel:
-    if isinstance(data, dict) and "kind" in data:
-        return norm_from_config(data, "")
-    return norm_from_config(_require(data, "norm", ""), "/norm")
+def _section(data, key: str, marker: str) -> tuple:
+    """(object, JSON pointer) of the config's ``key`` section: the root of
+    a flat config, which has ``marker``, else data[key]."""
+    if isinstance(data, dict) and marker in data:
+        return data, ""
+    return _require(data, key, ""), f"/{key}"
 
 
-def _germ_section(data) -> Germ:
-    if isinstance(data, dict) and "d2" in data:
-        return germ_from_config(data, "")
-    return germ_from_config(_require(data, "germ", ""), "/germ")
+def _norm_and_germ(data) -> tuple:
+    """The config's norm and germ, and the germ's JSON pointer; the norm
+    must act on R^(n + p)."""
+    norm_data, norm_path = _section(data, "norm", "kind")
+    germ_data, germ_path = _section(data, "germ", "d2")
+    norm = norm_from_config(norm_data, norm_path)
+    germ = germ_from_config(germ_data, germ_path)
+    if norm.dim != germ.n + germ.p:
+        raise ConfigError(f"{norm_path or '/'}: norm dimension {norm.dim} "
+                          f"does not match the germ's n + p = "
+                          f"{germ.n + germ.p}")
+    return norm, germ, germ_path
 
 
 def pencil_from_config(data, path: str = ""):
@@ -188,7 +198,7 @@ def _emit_json(obj: dict, out: str | None) -> None:
 
 
 def _cmd_check_norm(args) -> int:
-    norm = _norm_section(_load_json(args.config))
+    norm = norm_from_config(*_section(_load_json(args.config), "norm", "kind"))
     report = validate_norm(norm, samples=args.grid, seed=args.seed,
                            min_axis_fraction=args.min_axis_fraction)
     out = report.to_dict()
@@ -198,9 +208,7 @@ def _cmd_check_norm(args) -> int:
 
 
 def _cmd_curvature(args) -> int:
-    data = _load_json(args.config)
-    norm = _norm_section(data)
-    germ = _germ_section(data)
+    norm, germ, _ = _norm_and_germ(_load_json(args.config))
     u = _parse_direction(args.direction, germ.n)
     with np.errstate(all="ignore"):     # a non-finite field is named
         rep = ricci_expanded(norm, germ, u).require_finite()
@@ -215,17 +223,14 @@ def _cmd_curvature(args) -> int:
 
 
 def _cmd_ricci_grid(args) -> int:
-    data = _load_json(args.config)
-    norm = _norm_section(data)
-    germ = _germ_section(data)
-    grid = inv.default_grid(germ.n) if args.grid is None else args.grid
-    sweep = ricci_expanded_batch(norm, germ, sphere_grid(germ.n, grid))
+    norm, germ, _ = _norm_and_germ(_load_json(args.config))
+    sweep = ricci_expanded_batch(norm, germ, sphere_grid(germ.n, args.grid))
     _emit(reports_to_csv(sweep), args.out)
     return 0
 
 
 def _cmd_invariants(args) -> int:
-    germ = _germ_section(_load_json(args.config))
+    germ = germ_from_config(*_section(_load_json(args.config), "germ", "d2"))
     out = point_invariants(germ, seed=args.seed).to_dict()
     out["seed"] = args.seed
     out["tolerances"] = {"rankTol": inv.RANK_TOL, "eigTol": pencils.EIG_TOL}
@@ -320,9 +325,7 @@ def _cmd_find_params(args) -> int:
 
 
 def _cmd_audit(args) -> int:
-    data = _load_json(args.config)
-    norm = _norm_section(data)
-    germ = _germ_section(data)
+    norm, germ, path = _norm_and_germ(_load_json(args.config))
     out = {"tolerances": {"ricNonnegTol": args.tol}}
     if args.audit_cmd == "ruled":
         u = _parse_direction(args.direction, germ.n)
@@ -333,7 +336,6 @@ def _cmd_audit(args) -> int:
                                  ruledInLTol=inv.RULED_IN_L_TOL)
     else:
         # a germ of the wrong shape is a usage error, not a failed audit
-        path = "" if "d2" in data else "/germ"    # as _germ_section read it
         need_p = 1 if args.audit_cmd == "hyper" else 2
         if germ.p != need_p:
             raise ConfigError(f"{path}/p: audit {args.audit_cmd} needs "
@@ -343,8 +345,6 @@ def _cmd_audit(args) -> int:
                               f"got {germ.n}")
         report = (audit_hypersurface if args.audit_cmd == "hyper" else
                   audit_codim2)(norm, germ, grid=args.grid, tol=args.tol)
-        out["grid"] = {"kind": "circle" if germ.n == 2 else "sobol",
-                       "directions": args.grid or inv.default_grid(germ.n)}
     out.update(report.to_dict())
     _emit_json(out, args.out)
     return 0 if report.verdict == "CONSISTENT" else 1

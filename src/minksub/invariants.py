@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import cos, pi
 from statistics import NormalDist
 
 import numpy as np
@@ -87,74 +86,21 @@ def point_type(germ: Germ, seed: int = 0):
     cut, for n = 2; otherwise sampled Interval bounds for p >= 3.
 
     For p <= 2 it is the type of the pencil of the second fundamental
-    forms (d2[0] and 0 when p = 1, so both orientations of the single
-    normal count), and 0 when they all vanish; the common kernel L(P)
-    only adds zero eigenvalues to every member.  For p = 1 that is the
-    smaller inertia count of cos(pi/4) d2[0], the member pencil_type's
-    sweep evaluates; for n = 2, ``_surface_type`` decides by a closed
-    form; pencil_type's sweep takes the rest of p = 2.  For p >= 3 the
-    normal sphere is sampled from ``seed`` and only bounds are reported:
-    the minimum of pos over the table's maximal-rank members.  A member
-    with pos = 0 at ``_rank_ceiling``, which no member's rank exceeds,
-    makes it 0, so the first SCREEN_MIN_MEMBERS normals are counted first
-    and may end the count.
+    forms (d2[0] and 0 when p = 1), and 0 when they all vanish; the common
+    kernel L(P) only adds zero eigenvalues to every member.  For p >= 3
+    the normal sphere is sampled from ``seed``.  pencil.py counts: see
+    ``form_type``, ``surface_type``, ``pencil_type`` and ``family_type``.
     """
     if germ.p == 1:
-        pos, neg = pencils._eigvalsh_counts(cos(pi / 4) * germ.d2)
-        return int(min(pos[0], neg[0]))
-    t = _surface_type(germ.d2) if germ.n == 2 else None
+        return pencils.form_type(germ.d2)
+    t = pencils.surface_type(germ.d2) if germ.n == 2 else None
     if t is not None:
         return t
     if germ.p == 2:
         pen = pencils.SymPencil.make(*germ.d2)
         return pencils.pencil_type(pen) if germ.d2.any() else 0
-
-    ceiling, counts = _rank_ceiling(germ.d2), []
-    for part in np.split(_normal_table(seed, germ.p),
-                         [pencils.SCREEN_MIN_MEMBERS]):
-        counts.append(pencils._inertia_counts(
-            np.einsum("sa,aij->sij", part, germ.d2)))
-        pos, neg = counts[-1]
-        if np.any((pos == 0) & (neg == ceiling)):   # max rank, pos 0
-            return Interval(0, 0)
-    pos, _ = pencils._at_max_rank(*np.concatenate(counts, axis=1))
-    bound = int(pos.min())
+    bound = pencils.family_type(germ.d2, _normal_table(seed, germ.p))
     return Interval(bound, bound)
-
-
-def _rank_ceiling(d2: np.ndarray) -> int:
-    """n - k: no unit-normal member M = xi . d2 has a larger counted rank.
-
-    |M x| <= |d2 x| for the stacked (p n x n) d2 (Cauchy-Schwarz), so its
-    k smallest singular values sv give M k eigenvalues within sv of 0.  k
-    counts those with sv + 2 COUNT_MARGIN R < EIG_TOL, R = sqrt(sum_a
-    |A_a|_2^2) >= |M|_2 covering the rounding of the SVD, of M and of
-    eigvalsh, so eigvalsh's threshold counts all k as zero."""
-    sv = np.linalg.svd(d2.reshape(-1, d2.shape[-1]), compute_uv=False)
-    R = np.linalg.norm(np.linalg.norm(d2, 2, axis=(1, 2)))
-    return d2.shape[-1] - int(np.sum(
-        sv + 2.0 * pencils.COUNT_MARGIN * R < pencils.EIG_TOL))
-
-
-def _surface_type(d2: np.ndarray):
-    """t(P) of n = 2 forms A_a = [[a, c], [c, b]], or None in the band.
-
-    det(xi . A) = xi^T Q xi with Q_ab = (a_a b_b + a_b b_a)/2 - c_a c_b, so
-    a definite member exists iff lambda_max(Q) > 0: t = 0 when the member
-    at Q's top eigenvector counts as definite or all forms vanish, t = 1
-    when lambda_max(Q) < -EIG_TOL max |d2|^2 (every member is indefinite),
-    else None.  Q is formed from d2 / max |d2|, which cannot overflow."""
-    scale = np.abs(d2).max()
-    if not scale:
-        return 0
-    a, c, _, b = d2.reshape(-1, 4).T / scale
-    ab = np.outer(a, b)
-    lam, vec = np.linalg.eigh(0.5 * (ab + ab.T) - np.outer(c, c))
-    pos, neg = pencils._eigvalsh_counts((vec[:, -1] @ d2.reshape(-1, 4))
-                                        .reshape(1, 2, 2))
-    if max(pos[0], neg[0]) == 2:
-        return 0
-    return 1 if lam[-1] < -pencils.EIG_TOL else None
 
 
 @lru_cache(maxsize=NORMAL_TABLES)
@@ -172,11 +118,6 @@ def point_invariants(germ: Germ, seed: int = 0) -> PointInvariants:
     mu, basis = nullity(germ)
     return PointInvariants(mu=mu, type_t=point_type(germ, seed),
                            null_basis=basis)
-
-
-def default_grid(n: int) -> int:
-    """Direction count used when no grid size is given."""
-    return 720 if n == 2 else 4096
 
 
 def _sobol_points(n: int, count: int) -> np.ndarray:
@@ -199,12 +140,15 @@ def _sobol_points(n: int, count: int) -> np.ndarray:
     return np.bitwise_xor.accumulate(steps, axis=0)[1:] * 2.0 ** -SOBOL_BITS
 
 
-def sphere_grid(n: int, count: int) -> np.ndarray:
-    """Deterministic direction grid: uniform angles for n = 2, else Sobol
-    points mapped coordinatewise through the inverse normal CDF
-    (``statistics.NormalDist``) and normalised."""
+def sphere_grid(n: int, count: int | None = None) -> np.ndarray:
+    """Deterministic grid of ``count`` directions (when None, 720 for n = 2
+    and 4096 else): uniform angles for n = 2, else Sobol points mapped
+    coordinatewise through the inverse normal CDF (``statistics.NormalDist``)
+    and normalised."""
     if not 1 <= n <= MAX_DIM:
         raise ValueError(f"sphere dimension must be in 1..{MAX_DIM}, got {n}")
+    if count is None:
+        count = 720 if n == 2 else 4096
     if count < 1:
         raise ValueError(f"direction count must be positive, got {count}")
     if n == 2:
@@ -222,6 +166,7 @@ class AuditReport:
     mu: int
     verdict: str
     notes: tuple
+    grid: dict | None = None    # the sampled direction grid; None if ruled
 
     def to_dict(self) -> dict:
         return {"minRic": self.min_ric,
@@ -229,14 +174,17 @@ class AuditReport:
                 "type": _type_json(self.type_t),
                 "mu": self.mu,
                 "verdict": self.verdict,
-                "notes": list(self.notes)}
+                "notes": list(self.notes),
+                **({} if self.grid is None else {"grid": self.grid})}
 
 
 def _grid_min_ric(norm: NormModel, germ: Germ, grid: int | None):
-    dirs = sphere_grid(germ.n, default_grid(germ.n) if grid is None else grid)
+    """(min Ric, its direction, the grid) over ``sphere_grid``'s directions."""
+    dirs = sphere_grid(germ.n, grid)
     rics = ricci_expanded_batch(norm, germ, dirs, ric_only=True).Ric
     k = int(np.argmin(rics))
-    return float(rics[k]), dirs[k]
+    return float(rics[k]), dirs[k], {
+        "kind": "circle" if germ.n == 2 else "sobol", "directions": len(dirs)}
 
 
 def audit_hypersurface(norm: NormModel, germ: Germ,
@@ -248,7 +196,7 @@ def audit_hypersurface(norm: NormModel, germ: Germ,
         raise ValueError("hypersurface audit needs codimension 1")
     if germ.n < 2:
         raise ValueError("hypersurface audit needs n >= 2")
-    min_ric, arg = _grid_min_ric(norm, germ, grid)
+    min_ric, arg, used = _grid_min_ric(norm, germ, grid)
     mu, _ = nullity(germ)
     t = point_type(germ)
     semidefinite = t == 0  # for p = 1, t is the smaller inertia count
@@ -265,7 +213,7 @@ def audit_hypersurface(norm: NormModel, germ: Germ,
                      "nonnegative Ricci and t != 1")
     elif hypotheses:
         notes.append("second fundamental form is semidefinite as required")
-    return AuditReport(min_ric, arg, t, mu, verdict, tuple(notes))
+    return AuditReport(min_ric, arg, t, mu, verdict, tuple(notes), used)
 
 
 def audit_codim2(norm: NormModel, germ: Germ,
@@ -274,7 +222,7 @@ def audit_codim2(norm: NormModel, germ: Germ,
     """Codimension-2 check: Ric >= 0 on the grid must force t(P) <= 2."""
     if germ.p != 2:
         raise ValueError("codimension-2 audit needs p = 2")
-    min_ric, arg = _grid_min_ric(norm, germ, grid)
+    min_ric, arg, used = _grid_min_ric(norm, germ, grid)
     mu, _ = nullity(germ)
     t = point_type(germ)
 
@@ -286,7 +234,7 @@ def audit_codim2(norm: NormModel, germ: Germ,
         notes.append(f"t(P) = {t} > 2 despite nonnegative Ricci")
     elif min_ric >= -tol:
         notes.append(f"t(P) = {t} <= 2 as required")
-    return AuditReport(min_ric, arg, t, mu, verdict, tuple(notes))
+    return AuditReport(min_ric, arg, t, mu, verdict, tuple(notes), used)
 
 
 def audit_ruled(norm: NormModel, germ: Germ, ruling_direction,

@@ -108,10 +108,15 @@ class _Tables:
         return len(self.monos)
 
 
-@lru_cache(maxsize=None)
-def _tables(dim: int) -> _Tables:
+def check_dim(dim: int) -> None:
+    """ValueError unless 1 <= dim <= MAX_DIM; call it before sizing arrays."""
     if not 1 <= dim <= MAX_DIM:
         raise ValueError(f"jet dimension must be in 1..{MAX_DIM}, got {dim}")
+
+
+@lru_cache(maxsize=None)
+def _tables(dim: int) -> _Tables:
+    check_dim(dim)
     monos, sizes = [], []
     for deg in range(MAX_ORDER + 1):
         monos.extend(combinations_with_replacement(range(dim), deg))

@@ -48,7 +48,7 @@ from typing import Callable
 import numpy as np
 
 from .germ import sym_matrix
-from .jets import BATCH_BLOCK, MAX_ORDER, Jet4, Polynomials, form
+from .jets import BATCH_BLOCK, MAX_ORDER, Jet4, Polynomials, check_dim, form
 from .norm_expr import evaluate, fold, parse_norm
 
 AXIS_EXCLUSION = 1e-12  # excluded when off-axis |y|^2 < AXIS_EXCLUSION*|y|^2
@@ -113,6 +113,7 @@ class NormModel:
     def euclidean(dim: int) -> "NormModel":
         if dim < 1:
             raise ValueError("dimension must be positive")
+        check_dim(dim)      # before np.eye(dim) asks for dim^2 floats
         pieces = Polynomials(dim, form(0.5 * np.eye(dim), np.zeros(dim)))
         return NormModel("euclidean", dim, partial(_polynomial_h, pieces),
                          {"kind": "euclidean", "dim": dim})
@@ -159,6 +160,7 @@ class NormModel:
 
     @staticmethod
     def expression(text: str, dim: int) -> "NormModel":
+        check_dim(dim)      # before fold allocates per variable
         tree = parse_norm(text, dim)
         return NormModel("expression", dim,
                          partial(_expression_h, tree, fold(tree, dim)),

@@ -8,23 +8,18 @@ complex blocks), recognizes canonical angle configurations, classifies the
 topology of {phi1 = phi2 = 0} intersected with the unit sphere, and
 searches for common zeros of a quadratic pair together with two cubics.
 
-Sampled inertia (``max_rank_inertia``) counts the eigenvalues of large
-member stacks against the zero threshold without computing them:
-Householder tridiagonalisation, then Sturm-sequence counts at shifts that
-bracket the threshold (Golub & Van Loan, Matrix Computations, 8.3-8.4).
-Members with an eigenvalue inside that bracket, and stacks smaller than
-SCREEN_MIN_MEMBERS, take ``np.linalg.eigvalsh``; the counts equal the
-eigvalsh-threshold counts either way.
-
-``type_sampled`` first certifies whole runs of the half circle.  Members
-M(t) = cos t A1 + sin t A2 at angles s, t differ by at most |s - t| R in
-spectral norm, R = hypot(|A1|_2, |A2|_2), so by Weyl's inequality (Golub &
-Van Loan, Cor. 8.1.6) no eigenvalue moves further.  One eigvalsh of each
-block's middle member (the anchor) then fixes the counts of all
-CIRCLE_BLOCK members of the block when every anchor eigenvalue clears the
-threshold by the block's drift d = (reach + COUNT_MARGIN) R; COUNT_MARGIN
-covers the eigvalsh and rounding error of both the anchor and the member.
-Only the members of the other blocks are counted one by one.
+Every inertia count of the package is made here, against one threshold:
+eigenvalues within EIG_TOL (1 + spectral radius) of zero count as zero.
+``_inertia_counts`` gives these counts for a stack of members, large
+stacks screened by Sturm counts on Householder tridiagonal forms (Golub &
+Van Loan, Matrix Computations, 8.3-8.4), and ``_max_rank_mins`` takes the
+least counts over the members of maximal rank.  The types built on them
+are ``pencil_type`` (exact arcs), ``type_sampled`` (the half circle,
+certified blockwise by Weyl's inequality) and the three that
+``invariants.point_type`` dispatches to: ``form_type`` (p = 1),
+``surface_type`` (n = 2, closed form) and ``family_type`` (p >= 3,
+sampled normals, ended early by a witness at ``_rank_ceiling``).  Both
+certificates bound the members' spectral norms by R = ``_radius``.
 """
 
 from __future__ import annotations
@@ -251,22 +246,19 @@ def _inertia_counts(members: np.ndarray) -> tuple:
     return pos, neg
 
 
-def max_rank_inertia(members: np.ndarray) -> tuple:
-    """Positive and negative inertia counts of the maximal-rank members.
-
-    ``members`` stacks symmetric matrices; eigenvalues within
-    EIG_TOL * (1 + spectral radius) of zero count as zero, member by member.
-    The counts are the eigvalsh-threshold counts; ``_inertia_counts``
-    obtains them by Sturm counts on large stacks.
-    """
-    return _at_max_rank(*_inertia_counts(members))
-
-
-def _at_max_rank(pos: np.ndarray, neg: np.ndarray) -> tuple:
-    """The counts of the members of largest rank pos + neg."""
+def _max_rank_mins(pos: np.ndarray, neg: np.ndarray) -> tuple:
+    """(least pos, least neg) among the members of largest rank pos + neg.
+    The type of a family closed under M -> -M, whose counts swap, is the
+    smaller of the two."""
     rank = pos + neg
     at_max = rank == rank.max()
-    return pos[at_max], neg[at_max]
+    return int(pos[at_max].min()), int(neg[at_max].min())
+
+
+def _radius(forms: np.ndarray) -> float:
+    """R = sqrt(sum_a |A_a|_2^2) of stacked symmetric forms: no unit
+    combination xi . A has a larger spectral norm (Cauchy-Schwarz)."""
+    return float(np.hypot.reduce(np.abs(np.linalg.eigvalsh(forms)).max(1)))
 
 
 def _circle_counts(P: SymPencil, th: np.ndarray) -> tuple:
@@ -274,12 +266,13 @@ def _circle_counts(P: SymPencil, th: np.ndarray) -> tuple:
 
     A block of CIRCLE_BLOCK consecutive angles is clear when every
     eigenvalue lam of its middle member (the anchor, spectral radius rho)
-    has |lam| > EIG_TOL * (1 + rho + d) + d, d = (reach + COUNT_MARGIN) R
-    and reach the block's largest |t - t_anchor|.  By Weyl a member's
-    eigvalsh eigenvalues then lie within d of lam: its spectral radius is
-    at most rho + d, so its threshold is below |lam| - d, and it has the
-    anchor's signs and full rank.  The other blocks' members go through
-    ``_inertia_counts``.
+    has |lam| > EIG_TOL * (1 + rho + d) + d, d = (reach + COUNT_MARGIN) R,
+    R = ``_radius`` of (A1, A2) and reach the block's largest |t -
+    t_anchor|; COUNT_MARGIN covers the eigvalsh and rounding error of the
+    anchor and the member.  By Weyl a member's eigvalsh eigenvalues then
+    lie within d of lam: its spectral radius is at most rho + d, so its
+    threshold is below |lam| - d, and it has the anchor's signs and full
+    rank.  The other blocks' members go through ``_inertia_counts``.
     """
     c = np.cos(th)[:, None, None]
     s = np.sin(th)[:, None, None]
@@ -288,8 +281,7 @@ def _circle_counts(P: SymPencil, th: np.ndarray) -> tuple:
     anchors = starts + sizes // 2
     reach = np.maximum.reduceat(np.abs(th - np.repeat(th[anchors], sizes)),
                                 starts)
-    R = np.hypot(*np.abs(np.linalg.eigvalsh(np.stack([P.A1, P.A2]))).max(1))
-    drift = (reach + COUNT_MARGIN) * R
+    drift = (reach + COUNT_MARGIN) * _radius(np.stack([P.A1, P.A2]))
     evals = np.linalg.eigvalsh(P.member(c[anchors], s[anchors]))
     bound = EIG_TOL * (1.0 + np.abs(evals).max(axis=1) + drift) + drift
     clear = (np.abs(evals) > bound[:, None]).all(axis=1)
@@ -306,23 +298,74 @@ def type_sampled(P: SymPencil, samples: int = MEMBER_SAMPLES) -> int:
     """Minimum positive inertia over sampled maximal-rank members.
 
     Samples lam on the half-circle lam2 >= 0; the antipodal member -M has
-    swapped inertia, so both counts of every sample enter the minimum,
-    taken over the maximal-rank members as ``max_rank_inertia`` takes it.
-    The counts are the eigvalsh-threshold counts, member for member, by a
-    Weyl certificate: one eigvalsh of the middle member of each block of
-    CIRCLE_BLOCK samples decides the whole block when its eigenvalues
-    clear the threshold by the block's drift (reach + COUNT_MARGIN) R, R =
-    hypot(|A1|_2, |A2|_2); COUNT_MARGIN covers the eigvalsh and rounding
-    error of both the anchor and the member.  The members of the other
-    blocks are counted one by one (``_inertia_counts``).
+    swapped inertia, so both counts of every sample enter the minimum over
+    the maximal-rank members.  ``_circle_counts`` gives the eigvalsh-
+    threshold counts, member for member, by a Weyl certificate (Golub &
+    Van Loan, Cor. 8.1.6) on blocks of CIRCLE_BLOCK samples.
     """
     if samples < 8:
         raise ValueError("samples must be at least 8")
     if not (P.A1.any() or P.A2.any()):
         raise ZeroPencil("both pencil matrices are zero")
     th = np.linspace(0.0, np.pi, samples, endpoint=False)
-    pos, neg = _at_max_rank(*_circle_counts(P, th))
-    return int(min(pos.min(), neg.min()))
+    return min(_max_rank_mins(*_circle_counts(P, th)))
+
+
+def form_type(forms: np.ndarray) -> int:
+    """Type of one form, forms[0]: the smaller inertia count of the member
+    cos(pi/4) forms[0] that pencil_type's sweep of (forms[0], 0) takes."""
+    return min(_max_rank_mins(*_eigvalsh_counts(cos(pi / 4) * forms)))
+
+
+def surface_type(forms: np.ndarray):
+    """Type of 2 x 2 forms A_a = [[a, c], [c, b]], or None in the band.
+
+    det(xi . A) = xi^T Q xi with Q_ab = (a_a b_b + a_b b_a)/2 - c_a c_b, so
+    a definite member exists iff lambda_max(Q) > 0: the type is 0 when the
+    member at Q's top eigenvector counts as definite or all forms vanish,
+    1 when lambda_max(Q) < -EIG_TOL max |A|^2 (every member is
+    indefinite), else None.  Q is formed from A / max |A|, which cannot
+    overflow."""
+    scale = np.abs(forms).max()
+    if not scale:
+        return 0
+    a, c, _, b = forms.reshape(-1, 4).T / scale
+    ab = np.outer(a, b)
+    lam, vec = np.linalg.eigh(0.5 * (ab + ab.T) - np.outer(c, c))
+    pos, neg = _eigvalsh_counts((vec[:, -1] @ forms.reshape(-1, 4))
+                                .reshape(1, 2, 2))
+    if max(pos[0], neg[0]) == 2:
+        return 0
+    return 1 if lam[-1] < -EIG_TOL else None
+
+
+def family_type(forms: np.ndarray, normals: np.ndarray) -> int:
+    """Smallest pos over the maximal-rank members xi . forms, xi a row of
+    ``normals`` (unit vectors): the sampled type of p >= 3 forms.
+
+    A member with pos = 0 at ``_rank_ceiling``, which no member's rank
+    exceeds, makes it 0, so the first SCREEN_MIN_MEMBERS normals are
+    counted first and may end the count."""
+    ceiling, counts = _rank_ceiling(forms), []
+    for part in np.split(normals, [SCREEN_MIN_MEMBERS]):
+        counts.append(_inertia_counts(np.einsum("sa,aij->sij", part, forms)))
+        pos, neg = counts[-1]
+        if np.any((pos == 0) & (neg == ceiling)):   # max rank, pos 0
+            return 0
+    return _max_rank_mins(*np.concatenate(counts, axis=1))[0]
+
+
+def _rank_ceiling(forms: np.ndarray) -> int:
+    """N - k: no unit combination M = xi . forms has a larger counted rank.
+
+    |M x| <= |F x| for the stacked (p N x N) forms F (Cauchy-Schwarz), so
+    its k smallest singular values sv give M k eigenvalues within sv of 0.
+    k counts those with sv + 2 COUNT_MARGIN R < EIG_TOL; R = ``_radius`` >=
+    |M|_2 scales the rounding of the SVD, of M and of eigvalsh, so
+    eigvalsh's threshold counts all k as zero."""
+    sv = np.linalg.svd(forms.reshape(-1, forms.shape[-1]), compute_uv=False)
+    return forms.shape[-1] - int(np.sum(
+        sv + 2.0 * COUNT_MARGIN * _radius(forms) < EIG_TOL))
 
 
 @dataclass(frozen=True)
@@ -542,8 +585,8 @@ def pencil_type(P: SymPencil) -> int:
     th = np.arctan2(c[1] - mu * b[1], c[0] - mu * b[0])
     crit = np.unique(np.append(th, atan2(b[1], b[0])) % np.pi)
     mids = (crit + np.diff(crit, append=crit[0] + np.pi) / 2.0)[:, None, None]
-    pos, neg = max_rank_inertia(P.member(np.cos(mids), np.sin(mids)))
-    return int(min(pos.min(), neg.min()))
+    return min(_max_rank_mins(*_inertia_counts(
+        P.member(np.cos(mids), np.sin(mids)))))
 
 
 @dataclass(frozen=True)

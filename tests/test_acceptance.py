@@ -384,7 +384,8 @@ def test_auditors_can_fail(monkeypatch):
         assert rep.verdict == "CONSISTENT", rep.notes
     # the control: were Ric nonnegative on the grid, each would violate
     monkeypatch.setattr(invariants, "_grid_min_ric",
-                        lambda norm, germ, grid: (1.0, np.eye(germ.n)[0]))
+                        lambda norm, germ, grid: (1.0, np.eye(germ.n)[0],
+                                                  None))
     for norm, germ, t, grid in cases:
         audit = audit_hypersurface if germ.p == 1 else audit_codim2
         assert audit(norm, germ, grid=grid).verdict == "VIOLATION"

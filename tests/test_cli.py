@@ -15,6 +15,8 @@ from minksub import cli, example
 from minksub import invariants as inv
 from minksub.invariants import point_invariants
 from minksub.pencil import CanonicalData, build_canonical
+from test_golden import (CODIM3, EXAMPLE4, EXPRESSION4, RANDERS4, SURFACE,
+                         SURFACE2, strict_csv_rows, strict_json)
 
 PARABOLOID = {
     "norm": {"kind": "euclidean", "dim": 3},
@@ -495,6 +497,41 @@ def test_audit_on_a_germ_of_the_wrong_shape_exits_two(tmp_path, capsys, audit,
     assert err == f"config error: {message}\n"
 
 
+@pytest.mark.parametrize("offset", [-1, 1], ids=["too-small", "too-large"])
+@pytest.mark.parametrize("nested", [True, False], ids=["nested", "flat"])
+@pytest.mark.parametrize("argv", [
+    ["curvature", "--direction", "1,0"],
+    ["ricci-grid", "--grid", "4"],
+    ["audit", "hyper", "--grid", "8"],
+    ["audit", "codim2", "--grid", "8"],
+    ["audit", "ruled", "--direction", "1,0"],
+], ids=["curvature", "ricci-grid", "audit-hyper", "audit-codim2",
+        "audit-ruled"])
+def test_a_norm_not_on_r_n_plus_p_exits_two(tmp_path, capsys, argv, nested,
+                                            offset):
+    p = 1 if argv[1:2] == ["hyper"] else 2
+    germ = {"n": 2, "p": p, "d2": np.stack([np.eye(2)] * p).tolist(),
+            "d3": np.zeros((p, 2, 2, 2)).tolist()}
+    norm = {"kind": "euclidean", "dim": 2 + p + offset}
+    config = {"norm": norm, "germ": germ} if nested else {**norm, **germ}
+    cfg = write(tmp_path, "c.json", config)
+    code, out, err = run(capsys, [*argv, "--config", cfg])
+    assert (code, out) == (2, "")
+    pointer = "/norm" if nested else "/"
+    assert err == (f"config error: {pointer}: norm dimension {2 + p + offset} "
+                   f"does not match the germ's n + p = {2 + p}\n")
+
+
+def test_a_jet_dimension_out_of_range_exits_two_before_allocating(
+        tmp_path, capsys):
+    # np.eye(10**9) would ask for 8e18 bytes; the range check comes first
+    cfg = write(tmp_path, "n.json", {"kind": "euclidean", "dim": 10**9})
+    code, out, err = run(capsys, ["check-norm", "--config", cfg])
+    assert (code, out) == (2, "")
+    assert err == ("config error: /: jet dimension must be in 1..8, "
+                   "got 1000000000\n")
+
+
 @pytest.mark.parametrize("n, grid_flag, grid", [
     (2, ["--grid", "72"], {"kind": "circle", "directions": 72}),
     (3, ["--grid", "100"], {"kind": "sobol", "directions": 100}),
@@ -938,6 +975,115 @@ def test_audit_ruled_rejects_an_overflowing_direction(
     assert (got, err) == (code, error)
     if code == 0:
         assert json.loads(out)["verdict"] == "CONSISTENT"
+
+
+def _kernel4_germ():
+    # n = 4, p = 3: e1 is the common kernel, and the members near +-e1 of
+    # the normal sphere are definite on its complement
+    d2 = np.zeros((3, 4, 4))
+    d2[0] = -np.diag(np.arange(4.0))
+    d2[1, 1, 2] = d2[1, 2, 1] = 0.5
+    d2[2, 2, 3] = d2[2, 3, 2] = -0.5
+    d2[2, 1, 1] = 0.25
+    return {"n": 4, "p": 3, "d2": d2.tolist(),
+            "d3": np.zeros((3, 4, 4, 4)).tolist()}
+
+
+def _type3_zero_config():
+    pen = build_canonical(CanonicalData(l=0, n=(), s=3))
+    rng = np.random.default_rng(0)
+    return {"A1": pen.A1.tolist(), "A2": pen.A2.tolist(),
+            "psi1": rng.uniform(-1, 1, (6, 6, 6)).tolist(),
+            "psi2": rng.uniform(-1, 1, (6, 6, 6)).tolist()}
+
+
+# an expression norm mixing folded polynomial pieces with sqrt, a negative
+# power and a degree-6 term
+MIXED = {"norm": {"kind": "expression", "dim": 3,
+                  "text": "(y1^2 + 2*y2^2 + y3^2) / 2 + (sqrt(y1^2 + y2^2 "
+                          "+ y3^2) + y3/5)^2 / 8 + y1^6 * (y1^2 + y2^2 "
+                          "+ y3^2)^-2 / 20"},
+         "germ": SURFACE}
+# a hyperbolic pair next to the real direction (1, 0)
+PENCIL3 = {"A1": np.diag([1.0, -1.0, 1.0]).tolist(),
+           "A2": [[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]}
+# name -> (argv without the config flag, config, exit code, the CSV's row
+# count or the values the JSON report must hold)
+CORPUS = {
+    # 300 directions cross batch-block boundaries (jets.BATCH_BLOCK)
+    "ricci-grid-codim2-blocks": (["ricci-grid", "--grid", "300"],
+                                 {"norm": RANDERS4, "germ": SURFACE2}, 0, 300),
+    "ricci-grid-expression-codim2-blocks": (
+        ["ricci-grid", "--grid", "300"],
+        {"norm": EXPRESSION4, "germ": SURFACE2}, 0, 300),
+    "check-norm-example4-off-axis-cone": (
+        ["check-norm", "--grid", "200", "--min-axis-fraction", "0.5"],
+        EXAMPLE4, 0, {"valid": True}),
+    "check-norm-mixed": (["check-norm"], MIXED["norm"], 0, {"valid": True}),
+    "curvature-mixed": (["curvature", "--direction", "1,0.5"], MIXED, 0, {}),
+    "ricci-grid-mixed": (["ricci-grid", "--grid", "64"], MIXED, 0, 64),
+    # no sampled member is definite: all 10^4 normals count
+    "invariants-codim3-whole-table": (["invariants", "--seed", "5"], CODIM3,
+                                      0, {"type": [1, 1],
+                                          "typeExact": False}),
+    # a member of the first normals is definite off the kernel
+    "invariants-kernel4-witness": (["invariants", "--seed", "5"],
+                                   _kernel4_germ(), 0,
+                                   {"type": [0, 0], "typeExact": False,
+                                    "mu": 1}),
+    # definite members only where |xi3| / 200 > |(xi1, xi2)|: sampled
+    # normals miss them, the closed form does not
+    "invariants-thin-cone": (["invariants"], {
+        "n": 2, "p": 3,
+        "d2": [[[1.0, 0.0], [0.0, -1.0]], [[0.0, 1.0], [1.0, 0.0]],
+               (0.005 * np.eye(2)).tolist()],
+        "d3": np.zeros((3, 2, 2, 2)).tolist()},
+        0, {"type": 0, "typeExact": True}),
+    "pencil-type-3x3": (["pencil", "type"], PENCIL3, 0, {"type": 1}),
+    "pencil-classify-3x3": (["pencil", "classify"], PENCIL3, 0, {
+        "type": 1, "genericity": {"method": "spectral"},
+        "canonical": {"l": 1, "n": [1], "s": 1}}),
+    "pencil-common-zero-type3": (["pencil", "common-zero"],
+                                 _type3_zero_config(), 0, {"found": True}),
+}
+
+
+def _part(report, want):
+    """The entries of ``report`` that ``want`` names, nested dicts alike."""
+    if isinstance(want, dict):
+        return {k: _part(report[k], v) for k, v in want.items()}
+    return report
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS))
+def test_corpus_exits_and_prints_strictly(tmp_path, capsys, name):
+    argv, config, expected_code, expected = CORPUS[name]
+    flag = "--file" if argv[0] == "pencil" else "--config"
+    cfg = write(tmp_path, "c.json", config)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")      # no RuntimeWarning escapes
+        code, out, err = run(capsys, [*argv, flag, cfg])
+    assert (code, err) == (expected_code, "")
+    if argv[0] == "ricci-grid":
+        assert strict_csv_rows(out) == expected
+    else:
+        assert _part(strict_json(out), expected) == expected
+
+
+@pytest.mark.parametrize("argv", [["ricci-grid", "--grid", "4"],
+                                  ["audit", "hyper", "--grid", "8"]])
+def test_grid_commands_name_a_non_finite_first_direction(tmp_path, capsys,
+                                                         argv):
+    # R^i_k overflows wherever u1 is not tiny, so at direction 0 (e1)
+    cfg = write(tmp_path, "c.json", {
+        "norm": {"kind": "euclidean", "dim": 3},
+        "germ": {"n": 2, "p": 1, "d2": [[[1e160, 0.0], [0.0, 1.0]]],
+                 "d3": np.zeros((1, 2, 2, 2)).tolist()}})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")      # no RuntimeWarning escapes
+        code, out, err = run(capsys, [*argv, "--config", cfg])
+    assert (code, out) == (1, "")
+    assert err == "error: Rik is not finite at direction 0\n"
 
 
 def test_json_output_is_strict():

@@ -2,7 +2,10 @@
 
 Each case runs ``minksub`` in-process on a config written from the table
 below and compares stdout with ``tests/golden/<case>.out`` and the exit
-code with the table.  After a deliberate output change, regenerate with
+code with the table; stdout must also parse as strict JSON (no NaN or
+Infinity) or, for sweeps, strict CSV (``strict_json``, ``strict_csv_rows``,
+which ``test_cli.py`` shares).  After a deliberate output change, regenerate
+with
 
     PYTHONPATH=src python tests/test_golden.py
 
@@ -10,6 +13,7 @@ and list every changed file, with its reason, in the change log.
 """
 
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -143,6 +147,24 @@ CASES = {
 }
 
 
+def strict_json(text: str):
+    """The report, parsed with NaN and Infinity refused."""
+    def refuse(constant):
+        raise ValueError(f"non-finite JSON constant {constant}")
+    return json.loads(text, parse_constant=refuse)
+
+
+def strict_csv_rows(text: str) -> int:
+    """The number of rows after the header; each must have the header's
+    width and only finite numbers."""
+    header, *rows = text.splitlines()
+    width = len(header.split(","))
+    for row in rows:
+        cells = [float(c) for c in row.split(",")]
+        assert len(cells) == width and all(map(math.isfinite, cells)), row
+    return len(rows)
+
+
 def run_case(name, directory: Path):
     argv, config, code = CASES[name]
     path = directory / f"{name}.json"
@@ -158,6 +180,10 @@ def test_golden_output(name, tmp_path, capsys):
     out = capsys.readouterr().out
     assert code == expected_code
     assert out == (GOLDEN / f"{name}.out").read_text()
+    if argv[0] == "ricci-grid":
+        strict_csv_rows(out)
+    else:
+        strict_json(out)
 
 
 def regenerate() -> None:

@@ -15,12 +15,12 @@ from minksub.invariants import (NORMAL_SAMPLES, NORMAL_TABLES,
                                 Interval, NotRuledDirection, audit_codim2,
                                 audit_hypersurface, audit_ruled, nullity,
                                 point_invariants, point_type, sphere_grid,
-                                _normal_table, _rank_ceiling, _sobol_points)
+                                _normal_table, _sobol_points)
 from minksub.jets import BATCH_BLOCK, MAX_DIM
 from minksub.minkowski import NormModel
 from minksub.pencil import (EIG_TOL, SCREEN_MIN_MEMBERS, SymPencil,
-                            _eigvalsh_counts, _inertia_counts,
-                            max_rank_inertia, pencil_type, spectral_split,
+                            _eigvalsh_counts, _inertia_counts, _max_rank_mins,
+                            _rank_ceiling, pencil_type, spectral_split,
                             type_exact)
 from conftest import random_germ, random_randers
 from test_acceptance import _ruled_germ as ruled_germ
@@ -98,7 +98,7 @@ def restricted_point_type(germ):
     W = np.linalg.svd(basis, full_matrices=True)[0][:, mu:]
     forms = [W.T @ A @ W for A in germ.d2]
     if germ.p == 1:
-        pos, neg = max_rank_inertia(forms[0][None])
+        pos, neg = _inertia_counts(forms[0][None])
         return int(min(pos[0], neg[0]))
     return type_exact(spectral_split(SymPencil.make(*forms)))
 
@@ -130,7 +130,7 @@ def drawn_point_type(germ, seed):
         (NORMAL_SAMPLES, germ.p))
     normals /= np.linalg.norm(normals, axis=1, keepdims=True)
     forms = np.einsum("sa,aij->sij", normals, germ.d2)
-    bound = int(max_rank_inertia(forms)[0].min())
+    bound = _max_rank_mins(*_inertia_counts(forms))[0]
     return Interval(bound, bound)
 
 
@@ -364,7 +364,24 @@ def test_audit_codim2_consistent():
     assert rep.verdict == "CONSISTENT"
     rep_dict = rep.to_dict()
     assert set(rep_dict) == {"minRic", "argminDirection", "type", "mu",
-                             "verdict", "notes"}
+                             "verdict", "notes", "grid"}
+
+
+@pytest.mark.parametrize("n, grid, expected", [
+    (2, None, {"kind": "circle", "directions": 720}),
+    (2, 60, {"kind": "circle", "directions": 60}),
+    (3, 100, {"kind": "sobol", "directions": 100}),
+])
+def test_grid_audits_report_the_grid_they_sampled(n, grid, expected):
+    hyper = audit_hypersurface(NormModel.euclidean(n + 1), paraboloid(n),
+                               grid=grid)
+    codim2 = audit_codim2(NormModel.euclidean(n + 2),
+                          flat_germ([np.eye(n), np.eye(n)]), grid=grid)
+    for rep in (hyper, codim2):
+        assert rep.grid == expected and rep.to_dict()["grid"] == expected
+    ruled = audit_ruled(NormModel.euclidean(3),
+                        flat_germ([np.diag([1.0, 0.0])]), np.array([0.0, 1.0]))
+    assert ruled.grid is None and "grid" not in ruled.to_dict()
 
 
 def test_audit_codim2_requires_codim_two():

@@ -12,6 +12,7 @@ from minksub.curvature import (ricci_expanded, ricci_expanded_batch,
 from minksub.germ import Germ
 from minksub.invariants import sphere_grid
 from minksub.jets import BATCH_BLOCK, Jet4
+from minksub import minkowski
 from minksub.minkowski import (AXIS_EXCLUSION, MAX_DRAWS_PER_SAMPLE,
                                ConeTooNarrow, NormModel, SingularDirection,
                                _near_ray_probes, _sample_directions,
@@ -40,6 +41,22 @@ def test_euclidean_basics():
     assert np.allclose(jet.partial_tensors(1)[1], y)
     assert np.allclose(jet.hessian(), np.eye(3))
     assert np.allclose(jet.partial_tensors(4)[3], 0.0)
+
+
+def test_constructors_check_the_jet_dimension_before_allocating(monkeypatch):
+    # np.eye(10**9) would ask for 8e18 bytes, which numpy refuses outright,
+    # so a constructor that allocated first fails here without allocating
+    with pytest.raises(ValueError, match=r"^jet dimension must be in 1\.\.8, "
+                                         "got 1000000000$"):
+        NormModel.euclidean(10**9)
+    with pytest.raises(ValueError, match="^dimension must be positive$"):
+        NormModel.euclidean(0)
+    # fold allocates per variable: the range check must come before it
+    folded = []
+    monkeypatch.setattr(minkowski, "fold", lambda *args: folded.append(args))
+    with pytest.raises(ValueError, match="got 1000000000$"):
+        NormModel.expression("y1^2", 10**9)
+    assert folded == []
 
 
 def test_randers_against_symbolic_oracle():

@@ -15,9 +15,9 @@ from minksub.pencil import (EIG_TOL, CanonicalData, NotSemisimple, SingularA2,
                             build_canonical, build_from_spectral,
                             canonical_from_spectral, classify_topology,
                             common_zero_search, genericity_check,
-                            max_rank_inertia, pencil_type, spectral_split,
-                            type_exact, type_sampled, _circle_counts,
-                            _inertia_counts, _residuals)
+                            pencil_type, spectral_split, type_exact,
+                            type_sampled, _circle_counts, _inertia_counts,
+                            _max_rank_mins, _residuals)
 from reference import canonical_type
 
 
@@ -69,7 +69,7 @@ def test_member_in_place_equals_the_two_products_summed():
 
 def test_inertia_counts():
     def counts(M):
-        pos, neg = max_rank_inertia(M[None])
+        pos, neg = _inertia_counts(M[None])
         return int(pos[0]), int(neg[0])
 
     assert counts(np.diag([1.0, -2.0, 0.0])) == (1, 1)
@@ -631,11 +631,14 @@ def test_pencil_type_matches_the_spectral_route():
         assert pencil_type(P) == type_exact(S)
 
 
-def test_max_rank_inertia_keeps_only_maximal_rank_members():
+def test_max_rank_mins_keeps_only_maximal_rank_members():
     members = np.stack([np.diag([1.0, -1.0, 0.0]), np.diag([2.0, 0.0, 0.0]),
                         np.diag([-1.0, -1.0, 0.0])])
-    pos, neg = max_rank_inertia(members)
-    assert pos.tolist() == [1, 0] and neg.tolist() == [1, 2]
+    pos, neg = _inertia_counts(members)
+    assert pos.tolist() == [1, 1, 0] and neg.tolist() == [1, 0, 2]
+    # diag(2, 0, 0) has neg 0 but rank 1: it does not count
+    assert _max_rank_mins(pos, neg) == (0, 1)
+    assert _max_rank_mins(pos[:2], neg[:2]) == (1, 1)
 
 
 # -- screened inertia counts --------------------------------------------------
