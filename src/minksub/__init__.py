@@ -14,10 +14,10 @@ from .example import (ExampleParams, ExampleReport, NoParamsFound,
                       build_example, find_example_params, ric_closed_form,
                       verify_example)
 from .germ import Germ, adapt_germ, transform_germ
-from .invariants import (AuditReport, Interval, NotRuledDirection,
-                         PointInvariants, audit_codim2, audit_hypersurface,
-                         audit_ruled, nullity, point_invariants, point_type,
-                         sphere_grid)
+from .invariants import (AuditReport, AuditScopeError, Interval,
+                         NotRuledDirection, PointInvariants, audit_codim2,
+                         audit_hypersurface, audit_ruled, nullity,
+                         point_invariants, point_type, sphere_grid)
 from .jets import (DivisionByZeroJet, Jet4, NegativeSqrtJet, OrderExceeded)
 from .minkowski import (ConeTooNarrow, NormModel, SingularDirection,
                         ValidationReport, validate_norm)

@@ -335,16 +335,11 @@ def _cmd_audit(args) -> int:
                                  ruledAgreeTol=inv.RULED_AGREE_TOL,
                                  ruledInLTol=inv.RULED_IN_L_TOL)
     else:
-        # a germ of the wrong shape is a usage error, not a failed audit
-        need_p = 1 if args.audit_cmd == "hyper" else 2
-        if germ.p != need_p:
-            raise ConfigError(f"{path}/p: audit {args.audit_cmd} needs "
-                              f"p = {need_p}, got {germ.p}")
-        if need_p == 1 and germ.n < 2:
-            raise ConfigError(f"{path}/n: audit hyper needs n >= 2, "
-                              f"got {germ.n}")
-        report = (audit_hypersurface if args.audit_cmd == "hyper" else
-                  audit_codim2)(norm, germ, grid=args.grid, tol=args.tol)
+        try:
+            report = (audit_hypersurface if args.audit_cmd == "hyper" else
+                      audit_codim2)(norm, germ, grid=args.grid, tol=args.tol)
+        except inv.AuditScopeError as exc:  # a usage error, not a failure
+            raise ConfigError(f"{path}/{exc}") from exc
     out.update(report.to_dict())
     _emit_json(out, args.out)
     return 0 if report.verdict == "CONSISTENT" else 1
@@ -462,8 +457,10 @@ def main(argv=None) -> int:
                 parser.error(f"--{flag} must be at least {least}, got {value}")
         if not getattr(args, "auto", True) and args.budget is not None:
             parser.error("--budget needs --auto")
-        if not 0.0 <= getattr(args, "tol", 0.0) < float("inf"):
-            parser.error(f"--tol must be finite and >= 0, got {args.tol}")
+        try:
+            inv.check_tol(getattr(args, "tol", 0.0))
+        except ValueError as exc:
+            parser.error(f"--{exc}")
         if not 0.0 <= getattr(args, "min_axis_fraction", 0.0) < 1.0:
             parser.error("--min-axis-fraction must lie in [0, 1), "
                          f"got {args.min_axis_fraction}")
@@ -474,8 +471,7 @@ def main(argv=None) -> int:
     except (ConfigError, ConeTooNarrow, pencils.ZeroPencil) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, ZeroDivisionError, ArithmeticError,
-            RuntimeError) as exc:
+    except (ValueError, ArithmeticError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

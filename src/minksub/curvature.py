@@ -459,10 +459,13 @@ def reports_to_csv(reports) -> str:
         reports = CurvatureReport(*map(np.array, zip(
             *(vars(r).values() for r in reports))))
     fields = [np.asarray(getattr(reports, f)) for f in _CSV_FIELDS]
-    rows = len(fields[0])
-    lines = [",".join("_".join([name, *(str(i + 1) for i in index)])
-                      for name, f in zip(_CSV_FIELDS, fields)
-                      for index in np.ndindex(f.shape[1:]))]
-    table = np.concatenate([f.reshape(rows, -1) for f in fields], axis=1)
-    lines += [",".join(map(repr, row)) for row in table.tolist()]
-    return "\n".join(lines) + "\n"
+    return _csv(["_".join([name, *(str(i + 1) for i in index)])
+                 for name, f in zip(_CSV_FIELDS, fields)
+                 for index in np.ndindex(f.shape[1:])],
+                np.concatenate([f.reshape(len(f), -1) for f in fields], 1))
+
+
+def _csv(header, table: np.ndarray) -> str:
+    """A header line, then one line of repr floats per row of ``table``."""
+    rows = (",".join(map(repr, row)) for row in table.tolist())
+    return "\n".join([",".join(header), *rows]) + "\n"

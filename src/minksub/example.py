@@ -26,7 +26,7 @@ from math import sqrt
 import numpy as np
 
 # ricci_expanded stays importable here for tracing wrappers (perfbench)
-from .curvature import ricci_expanded, ricci_expanded_batch  # noqa: F401
+from .curvature import _csv, ricci_expanded, ricci_expanded_batch  # noqa: F401
 from .germ import Germ
 from .minkowski import NormModel, validate_norm
 
@@ -159,11 +159,8 @@ class ExampleReport:
     def csv_text(self) -> str:
         if self.angles is None or self.ric_pipeline is None:
             return ""
-        lines = ["angle,ricClosed,ricPipeline"]
-        for th, rc, rp in zip(self.angles, self.ric_closed,
-                              self.ric_pipeline):
-            lines.append(f"{float(th)!r},{float(rc)!r},{float(rp)!r}")
-        return "\n".join(lines) + "\n"
+        return _csv(("angle", "ricClosed", "ricPipeline"), np.column_stack(
+            [self.angles, self.ric_closed, self.ric_pipeline]))
 
 
 def _grid_angles(grid: int) -> np.ndarray:

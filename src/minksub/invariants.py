@@ -43,6 +43,10 @@ class NotRuledDirection(ValueError):
     """The supplied direction does not annihilate kappa and the cubic."""
 
 
+class AuditScopeError(ValueError):
+    """A germ outside an audit's case; the message starts with its field."""
+
+
 @dataclass(frozen=True)
 class Interval:
     """Sampled bounds for the point type in codimension three and higher.
@@ -187,23 +191,37 @@ def _grid_min_ric(norm: NormModel, germ: Germ, grid: int | None):
         "kind": "circle" if germ.n == 2 else "sobol", "directions": len(dirs)}
 
 
+def check_tol(tol: float) -> None:
+    """Refuse an audit tolerance outside [0, inf): nan, inf or negative."""
+    if not 0.0 <= tol < np.inf:
+        raise ValueError(f"tol must be finite and >= 0, got {tol}")
+
+
+def _grid_audit(norm: NormModel, germ: Germ, grid: int | None, tol: float,
+                p: int) -> tuple:
+    """Both grid audits' start: check tol and that the germ is in the p
+    audit's case, then return (min Ric, its direction, grid, mu, t, notes)."""
+    check_tol(tol)
+    name = "hyper" if p == 1 else "codim2"
+    if germ.p != p:
+        raise AuditScopeError(f"p: audit {name} needs p = {p}, got {germ.p}")
+    if p == 1 and germ.n < 2:
+        raise AuditScopeError(f"n: audit hyper needs n >= 2, got {germ.n}")
+    min_ric, arg, used = _grid_min_ric(norm, germ, grid)
+    mu, _ = nullity(germ)
+    notes = []
+    if min_ric < -tol:
+        notes.append(f"hypothesis Ric >= 0 fails: min Ric = {min_ric!r}")
+    return min_ric, arg, used, mu, point_type(germ), notes
+
+
 def audit_hypersurface(norm: NormModel, germ: Germ,
                        grid: int | None = None,
                        tol: float = RIC_NONNEG_TOL) -> AuditReport:
     """Hypersurface check: Ric >= 0 on the grid and t(P) != 1 must force a
     semidefinite second fundamental form."""
-    if germ.p != 1:
-        raise ValueError("hypersurface audit needs codimension 1")
-    if germ.n < 2:
-        raise ValueError("hypersurface audit needs n >= 2")
-    min_ric, arg, used = _grid_min_ric(norm, germ, grid)
-    mu, _ = nullity(germ)
-    t = point_type(germ)
+    min_ric, arg, used, mu, t, notes = _grid_audit(norm, germ, grid, tol, p=1)
     semidefinite = t == 0  # for p = 1, t is the smaller inertia count
-
-    notes = []
-    if min_ric < -tol:
-        notes.append(f"hypothesis Ric >= 0 fails: min Ric = {min_ric!r}")
     if t == 1:
         notes.append("hypothesis t != 1 fails: t(P) = 1")
     hypotheses = min_ric >= -tol and t != 1
@@ -220,15 +238,7 @@ def audit_codim2(norm: NormModel, germ: Germ,
                  grid: int | None = None,
                  tol: float = RIC_NONNEG_TOL) -> AuditReport:
     """Codimension-2 check: Ric >= 0 on the grid must force t(P) <= 2."""
-    if germ.p != 2:
-        raise ValueError("codimension-2 audit needs p = 2")
-    min_ric, arg, used = _grid_min_ric(norm, germ, grid)
-    mu, _ = nullity(germ)
-    t = point_type(germ)
-
-    notes = []
-    if min_ric < -tol:
-        notes.append(f"hypothesis Ric >= 0 fails: min Ric = {min_ric!r}")
+    min_ric, arg, used, mu, t, notes = _grid_audit(norm, germ, grid, tol, p=2)
     verdict = ("CONSISTENT" if (min_ric < -tol or t <= 2) else "VIOLATION")
     if verdict == "VIOLATION":
         notes.append(f"t(P) = {t} > 2 despite nonnegative Ricci")
@@ -243,6 +253,7 @@ def audit_ruled(norm: NormModel, germ: Germ, ruling_direction,
     vanishing cubic: the full Ricci must equal the reduced contraction
     -zeta_ab g^il f^b_jl f^a_ir u^j u^r, and Ric(u) >= 0 must place u in
     L(P).  ``seed`` feeds the sampled point type for p >= 3."""
+    check_tol(tol)
     u = _lift(germ, ruling_direction)[:germ.n]   # _lift checks the direction
     with np.errstate(over="ignore", invalid="ignore"):   # checked below
         scale2 = 1.0 + float(np.abs(germ.d2).max(initial=0.0)) * float(u @ u)
@@ -265,7 +276,7 @@ def audit_ruled(norm: NormModel, germ: Germ, ruling_direction,
         raise ValueError("reduced is not finite at this direction")
     agree = abs(rep.Ric - reduced) <= RULED_AGREE_TOL * (1.0 + abs(rep.Ric))
 
-    mu, basis = nullity(germ)
+    mu, _ = nullity(germ)
     in_L = np.abs(fu).max(initial=0.0) <= RULED_IN_L_TOL * scale2
 
     notes = [f"reduced contraction = {reduced!r}"]

@@ -135,6 +135,16 @@ def test_find_params_first_success_is_seventh_combination():
                                       eps3=0.001, C=100.0)
 
 
+def test_csv_text_is_the_per_angle_repr_loop():
+    # csv_text shares reports_to_csv's writer; these are the bytes of a
+    # header line and one line of repr floats per angle
+    rep = ex.verify_example(DEFAULT)
+    lines = ["angle,ricClosed,ricPipeline"]
+    for th, rc, rp in zip(rep.angles, rep.ric_closed, rep.ric_pipeline):
+        lines.append(f"{float(th)!r},{float(rc)!r},{float(rp)!r}")
+    assert rep.csv_text() == "\n".join(lines) + "\n"
+
+
 def test_report_csv_shape():
     rep = ex.verify_example(DEFAULT, grid=360)
     lines = rep.csv_text().strip().split("\n")

@@ -1,5 +1,6 @@
 """Pointwise invariants, direction grids, and the proposition auditors."""
 
+import re
 import warnings
 
 import numpy as np
@@ -11,7 +12,7 @@ from minksub.curvature import (ricci_expanded, ricci_expanded_batch,
                                ricci_oracle)
 from minksub.germ import Germ, adapt_germ, sym3, transform_germ
 from minksub.invariants import (NORMAL_SAMPLES, NORMAL_TABLES,
-                                RULED_AGREE_TOL,
+                                RULED_AGREE_TOL, AuditScopeError,
                                 Interval, NotRuledDirection, audit_codim2,
                                 audit_hypersurface, audit_ruled, nullity,
                                 point_invariants, point_type, sphere_grid,
@@ -387,6 +388,41 @@ def test_grid_audits_report_the_grid_they_sampled(n, grid, expected):
 def test_audit_codim2_requires_codim_two():
     with pytest.raises(ValueError):
         audit_codim2(NormModel.euclidean(3), paraboloid(2), grid=16)
+
+
+@pytest.mark.parametrize("audit, d2, message", [
+    (audit_hypersurface, [np.eye(2)] * 2, "p: audit hyper needs p = 1, got 2"),
+    (audit_hypersurface, [np.eye(1)], "n: audit hyper needs n >= 2, got 1"),
+    (audit_codim2, [np.eye(2)], "p: audit codim2 needs p = 2, got 1"),
+], ids=["hyper-p2", "hyper-n1", "codim2-p1"])
+def test_grid_audits_refuse_a_germ_outside_their_case_before_sampling(
+        monkeypatch, audit, d2, message):
+    # the message starts with the field, so the CLI only adds its pointer
+    sampled = []
+    monkeypatch.setattr("minksub.invariants._grid_min_ric",
+                        lambda *args: sampled.append(args))
+    germ = flat_germ(d2)
+    with pytest.raises(AuditScopeError, match=f"^{re.escape(message)}$"):
+        audit(NormModel.euclidean(germ.n + germ.p), germ, grid=16)
+    assert sampled == []
+
+
+@pytest.mark.parametrize("tol", [np.nan, np.inf, -1e-8],
+                         ids=["nan", "inf", "negative"])
+@pytest.mark.parametrize("audit, forms, extra", [
+    (audit_hypersurface, [np.diag([1.0, 1.0, -1.0, -1.0])], {"grid": 256}),
+    (audit_codim2, [np.eye(2), np.diag([1.0, -1.0])], {"grid": 60}),
+    (audit_ruled, [np.diag([1.0, 0.0])],
+     {"ruling_direction": np.array([0.0, 1.0])}),
+], ids=["hyper", "codim2", "ruled"])
+def test_audits_refuse_a_tolerance_outside_zero_to_infinity(audit, forms,
+                                                           extra, tol):
+    # accepted, tol = inf would read this hyper germ (min Ric -1) as a
+    # VIOLATION, and tol = nan would drop every "Ric >= 0 fails" note
+    germ = flat_germ(forms)
+    with pytest.raises(ValueError, match="^" + re.escape(
+            f"tol must be finite and >= 0, got {tol}") + "$"):
+        audit(NormModel.euclidean(germ.n + germ.p), germ, tol=tol, **extra)
 
 
 def test_audit_ruled_cylinder():
