@@ -12,7 +12,7 @@ from .curvature import (CurvatureReport, NonPDTensor, NonPDZeta,
                         ricci_oracle, spray_field, zeta_check)
 from .example import (ExampleParams, ExampleReport, NoParamsFound,
                       build_example, find_example_params, ric_closed_form,
-                      verify_example)
+                      search_example, verify_example)
 from .germ import Germ, adapt_germ, transform_germ
 from .invariants import (AuditReport, AuditScopeError, Interval,
                          NotRuledDirection, PointInvariants, audit_codim2,

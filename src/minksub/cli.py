@@ -182,76 +182,62 @@ def _parse_direction(text: str, n: int) -> np.ndarray:
     return np.asarray(parts)
 
 
-def _emit(text: str, out: str | None) -> None:
-    sys.stdout.write(text)
-    if out:
-        Path(out).write_text(text)
-
-
-def _emit_json(obj: dict, out: str | None) -> None:
+def _emit_json(obj: dict) -> str:
     # numpy arrays and scalars serialize through their tolist()
-    _emit(json.dumps(obj, sort_keys=True, indent=2, allow_nan=False,
-                     default=lambda x: x.tolist()) + "\n", out)
+    return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False,
+                      default=lambda x: x.tolist()) + "\n"
 
 
 # -- subcommand handlers ------------------------------------------------------
+# Each returns (report, passed): a dict for JSON, or CSV text; main stamps
+# the seed, prints the report and writes --out.
 
 
-def _cmd_check_norm(args) -> int:
+def _cmd_check_norm(args) -> tuple:
     norm = norm_from_config(*_section(_load_json(args.config), "norm", "kind"))
     report = validate_norm(norm, samples=args.grid, seed=args.seed,
                            min_axis_fraction=args.min_axis_fraction)
-    out = report.to_dict()
-    out["norm"] = norm.to_config()
-    _emit_json(out, args.out)
-    return 0 if report.valid else 1
+    return {**report.to_dict(), "norm": norm.to_config()}, report.valid
 
 
-def _cmd_curvature(args) -> int:
+def _cmd_curvature(args) -> tuple:
     norm, germ, _ = _norm_and_germ(_load_json(args.config))
     u = _parse_direction(args.direction, germ.n)
     with np.errstate(all="ignore"):     # a non-finite field is named
         rep = ricci_expanded(norm, germ, u).require_finite()
     parts = dict(zip(("cubicGroup", "zetaGroup", "etaGroup", "rhoGroup"),
                      rep.ric_parts))
-    _emit_json({"u": rep.u, "S": rep.S, "Ric": rep.Ric, "ricParts": parts,
-                "g": rep.g, "h": rep.h, "kappa": rep.kappa, "G": rep.G,
-                "xi": rep.xi, "zeta": rep.zeta, "eta": rep.eta, "rho": rep.rho,
-                "Rik": rep.Rik, "tolerances": {"condLimit": COND_LIMIT}},
-               args.out)
-    return 0
+    return {"u": rep.u, "S": rep.S, "Ric": rep.Ric, "ricParts": parts,
+            "g": rep.g, "h": rep.h, "kappa": rep.kappa, "G": rep.G,
+            "xi": rep.xi, "zeta": rep.zeta, "eta": rep.eta, "rho": rep.rho,
+            "Rik": rep.Rik, "tolerances": {"condLimit": COND_LIMIT}}, True
 
 
-def _cmd_ricci_grid(args) -> int:
+def _cmd_ricci_grid(args) -> tuple:
     norm, germ, _ = _norm_and_germ(_load_json(args.config))
     sweep = ricci_expanded_batch(norm, germ, sphere_grid(germ.n, args.grid))
-    _emit(reports_to_csv(sweep), args.out)
-    return 0
+    return reports_to_csv(sweep), True
 
 
-def _cmd_invariants(args) -> int:
+def _cmd_invariants(args) -> tuple:
     germ = germ_from_config(*_section(_load_json(args.config), "germ", "d2"))
-    out = point_invariants(germ, seed=args.seed).to_dict()
-    out["seed"] = args.seed
-    out["tolerances"] = {"rankTol": inv.RANK_TOL, "eigTol": pencils.EIG_TOL}
-    _emit_json(out, args.out)
-    return 0
+    return {**point_invariants(germ, seed=args.seed).to_dict(),
+            "tolerances": {"rankTol": inv.RANK_TOL,
+                           "eigTol": pencils.EIG_TOL}}, True
 
 
-def _cmd_pencil_type(args) -> int:
+def _cmd_pencil_type(args) -> tuple:
     pen, _, _ = pencil_from_config(_load_json(args.file))
-    _emit_json({"type": pencils.pencil_type(pen), "method": "arcs",
-                "tolerances": {"eigTol": pencils.EIG_TOL,
-                               "pencilCondLimit": pencils.PENCIL_COND_LIMIT}},
-               args.out)
-    return 0
+    return {"type": pencils.pencil_type(pen), "method": "arcs",
+            "tolerances": {"eigTol": pencils.EIG_TOL,
+                           "pencilCondLimit": pencils.PENCIL_COND_LIMIT}}, True
 
 
-def _cmd_pencil_classify(args) -> int:
+def _cmd_pencil_classify(args) -> tuple:
     pen, _, _ = pencil_from_config(_load_json(args.file))
     # the three calls share the pencil's one reference search
     gen = pencils.genericity_check(pen, args.seed)
-    out = {"seed": args.seed, "genericity": gen.to_dict(),
+    out = {"genericity": gen.to_dict(),
            "spectral": None, "canonical": None, "topology": None,
            "type": pencils.pencil_type(pen), "notes": [],
            "tolerances": {"eigTol": pencils.EIG_TOL,
@@ -273,11 +259,10 @@ def _cmd_pencil_classify(args) -> int:
             out["topology"] = pencils.classify_topology(canon).to_dict()
         except ValueError as exc:
             out["notes"].append(f"not at canonical angles: {exc}")
-    _emit_json(out, args.out)
-    return 0
+    return out, True
 
 
-def _cmd_pencil_common_zero(args) -> int:
+def _cmd_pencil_common_zero(args) -> tuple:
     pen, T1, T2 = pencil_from_config(_load_json(args.file))
     point = pencils.common_zero_search(pen.A1, pen.A2, T1, T2,
                                        budget=args.budget, seed=args.seed)
@@ -286,18 +271,16 @@ def _cmd_pencil_common_zero(args) -> int:
     if found:
         vals = pencils._residuals(pen.A1, pen.A2, T1, T2, point)
         residual = float(np.sqrt(vals @ vals))
-    _emit_json({"found": found,
-                "point": point if found else None,
-                "residual": residual,
-                "budget": args.budget, "seed": args.seed,
-                "tolerances": {"residualSq": pencils.RESIDUAL_SQ}}, args.out)
-    return 0 if found else 1
+    return {"found": found, "point": point, "residual": residual,
+            "budget": args.budget,
+            "tolerances": {"residualSq": pencils.RESIDUAL_SQ}}, found
 
 
-def _cmd_verify_example(args) -> int:
+def _cmd_verify_example(args) -> tuple:
     if args.auto:
         budget = example.SEARCH_BUDGET if args.budget is None else args.budget
-        params = find_example_params(budget, grid=args.grid, seed=args.seed)
+        report = example.search_example(budget, grid=args.grid,
+                                        seed=args.seed)
     else:
         data = _load_json(args.params)
         values = {f.name: _number(data, f.name, "")
@@ -306,31 +289,26 @@ def _cmd_verify_example(args) -> int:
             params = ExampleParams(**values)
         except ValueError as exc:   # the message starts with the key
             raise ConfigError(f"/{exc}") from exc
-    report = verify_example(params, grid=args.grid, seed=args.seed)
-    out = report.to_dict()
-    out["seed"] = args.seed
-    out["tolerances"] = {"relTol": example.REL_TOL,
-                         "gridRefinementRad": example.REFINE_HALF_WIDTH}
-    _emit_json(out, args.out)
+        report = verify_example(params, grid=args.grid, seed=args.seed)
     if args.csv:
         Path(args.csv).write_text(report.csv_text())
-    return 0 if report.verdict == "SUCCESS" else 1
+    tolerances = {"relTol": example.REL_TOL,
+                  "gridRefinementRad": example.REFINE_HALF_WIDTH}
+    return ({**report.to_dict(), "tolerances": tolerances},
+            report.verdict == "SUCCESS")
 
 
-def _cmd_find_params(args) -> int:
+def _cmd_find_params(args) -> tuple:
     params = find_example_params(args.budget, grid=args.grid, seed=args.seed)
-    _emit_json({"params": params.to_dict(), "budget": args.budget,
-                "seed": args.seed}, args.out)
-    return 0
+    return {"params": params.to_dict(), "budget": args.budget}, True
 
 
-def _cmd_audit(args) -> int:
+def _cmd_audit(args) -> tuple:
     norm, germ, path = _norm_and_germ(_load_json(args.config))
     out = {"tolerances": {"ricNonnegTol": args.tol}}
     if args.audit_cmd == "ruled":
         u = _parse_direction(args.direction, germ.n)
         report = audit_ruled(norm, germ, u, tol=args.tol, seed=args.seed)
-        out["seed"] = args.seed
         out["tolerances"].update(ruledTol=inv.RULED_TOL,
                                  ruledAgreeTol=inv.RULED_AGREE_TOL,
                                  ruledInLTol=inv.RULED_IN_L_TOL)
@@ -341,8 +319,7 @@ def _cmd_audit(args) -> int:
         except inv.AuditScopeError as exc:  # a usage error, not a failure
             raise ConfigError(f"{path}/{exc}") from exc
     out.update(report.to_dict())
-    _emit_json(out, args.out)
-    return 0 if report.verdict == "CONSISTENT" else 1
+    return out, report.verdict == "CONSISTENT"
 
 
 # -- parser -------------------------------------------------------------------
@@ -467,7 +444,15 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.handler(args)
+        report, passed = args.handler(args)
+        if isinstance(report, dict):    # JSON, not CSV text
+            if "seed" in args:
+                report["seed"] = args.seed
+            report = _emit_json(report)     # a non-finite field exits 1
+        sys.stdout.write(report)
+        if args.out:
+            Path(args.out).write_text(report)
+        return 0 if passed else 1
     except (ConfigError, ConeTooNarrow, pencils.ZeroPencil) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -170,7 +170,9 @@ def _grid_angles(grid: int) -> np.ndarray:
     windows = [np.linspace(k * np.pi / 3.0 - REFINE_HALF_WIDTH,
                            k * np.pi / 3.0 + REFINE_HALF_WIDTH,
                            REFINE_POINTS) for k in range(6)]
-    return np.unique(np.concatenate([base] + windows) % (2.0 * np.pi))
+    # np.unique's own sort and mask: np.unique would import numpy.ma
+    angles = np.sort(np.concatenate([base] + windows) % (2.0 * np.pi))
+    return angles[np.append(True, angles[1:] != angles[:-1])]
 
 
 def verify_example(params: ExampleParams, grid: int = GRID,
@@ -264,20 +266,24 @@ SEARCH_GRID = {
 SEARCH_BUDGET = 729  # the whole grid
 
 
-def find_example_params(search_budget: int = SEARCH_BUDGET,
-                        grid: int = GRID, seed: int = 0) -> ExampleParams:
-    """First parameter combination on the logarithmic grid that verifies.
-
-    Iterates the grid in fixed lexicographic order (A, B, eps1, eps2,
-    eps3, C), so the result is a pure function of the budget, grid and
-    seed.
-    """
+def search_example(search_budget: int = SEARCH_BUDGET, grid: int = GRID,
+                   seed: int = 0) -> ExampleReport:
+    """SUCCESS report of the first combination on the logarithmic grid
+    that verifies, in fixed lexicographic order (A, B, eps1, eps2, eps3,
+    C): a pure function of the budget, grid and seed."""
     if search_budget < 1:
         raise ValueError("search budget must be positive")
     combos = list(islice(product(*SEARCH_GRID.values()), search_budget))
-    for A, B, e1, e2, e3, C in combos:
-        params = ExampleParams(A=A, B=B, eps1=e1, eps2=e2, eps3=e3, C=C)
-        if verify_example(params, grid=grid, seed=seed).verdict == "SUCCESS":
-            return params
+    for values in combos:
+        params = ExampleParams(**dict(zip(SEARCH_GRID, values)))
+        report = verify_example(params, grid=grid, seed=seed)
+        if report.verdict == "SUCCESS":
+            return report
     raise NoParamsFound(f"no parameters verified within {len(combos)} "
                         "combinations")
+
+
+def find_example_params(search_budget: int = SEARCH_BUDGET,
+                        grid: int = GRID, seed: int = 0) -> ExampleParams:
+    """Parameters of ``search_example``'s report."""
+    return search_example(search_budget, grid, seed).params

@@ -205,8 +205,8 @@ def _grid_audit(norm: NormModel, germ: Germ, grid: int | None, tol: float,
     name = "hyper" if p == 1 else "codim2"
     if germ.p != p:
         raise AuditScopeError(f"p: audit {name} needs p = {p}, got {germ.p}")
-    if p == 1 and germ.n < 2:
-        raise AuditScopeError(f"n: audit hyper needs n >= 2, got {germ.n}")
+    if germ.n < 2:
+        raise AuditScopeError(f"n: audit {name} needs n >= 2, got {germ.n}")
     min_ric, arg, used = _grid_min_ric(norm, germ, grid)
     mu, _ = nullity(germ)
     notes = []

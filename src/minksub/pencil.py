@@ -314,7 +314,8 @@ def type_sampled(P: SymPencil, samples: int = MEMBER_SAMPLES) -> int:
 def form_type(forms: np.ndarray) -> int:
     """Type of one form, forms[0]: the smaller inertia count of the member
     cos(pi/4) forms[0] that pencil_type's sweep of (forms[0], 0) takes."""
-    return min(_max_rank_mins(*_eigvalsh_counts(cos(pi / 4) * forms)))
+    pos, neg = _eigvalsh_counts(cos(pi / 4) * forms)
+    return int(min(pos[0], neg[0]))
 
 
 def surface_type(forms: np.ndarray):
@@ -583,7 +584,9 @@ def pencil_type(P: SymPencil) -> int:
     Q = V[:, rank_mask(np.abs(d), 1 / PENCIL_COND_LIMIT, sv[0])]  # range of B
     mu = np.linalg.eigvals(np.linalg.solve(Q.T @ B @ Q, Q.T @ C @ Q)).real
     th = np.arctan2(c[1] - mu * b[1], c[0] - mu * b[0])
-    crit = np.unique(np.append(th, atan2(b[1], b[0])) % np.pi)
+    # np.unique's own sort and mask: np.unique would import numpy.ma
+    crit = np.sort(np.append(th, atan2(b[1], b[0])) % np.pi)
+    crit = crit[np.append(True, crit[1:] != crit[:-1])]
     mids = (crit + np.diff(crit, append=crit[0] + np.pi) / 2.0)[:, None, None]
     return min(_max_rank_mins(*_inertia_counts(
         P.member(np.cos(mids), np.sin(mids)))))

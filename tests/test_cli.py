@@ -483,7 +483,8 @@ def test_audit_codim2(tmp_path, capsys):
     ("hyper", 2, 2, True, "/germ/p: audit hyper needs p = 1, got 2"),
     ("hyper", 1, 1, False, "/n: audit hyper needs n >= 2, got 1"),
     ("codim2", 2, 1, True, "/germ/p: audit codim2 needs p = 2, got 1"),
-], ids=["hyper-p2", "hyper-n1", "codim2-p1"])
+    ("codim2", 1, 2, True, "/germ/n: audit codim2 needs n >= 2, got 1"),
+], ids=["hyper-p2", "hyper-n1", "codim2-p1", "codim2-n1"])
 def test_audit_on_a_germ_of_the_wrong_shape_exits_two(tmp_path, capsys, audit,
                                                      n, p, nested, message):
     germ = {"n": n, "p": p, "d2": np.stack([np.eye(n)] * p).tolist(),
@@ -695,6 +696,33 @@ def test_find_params_grid_reaches_verify_example(monkeypatch, capsys):
     assert code == 1  # the first combination does not verify
 
 
+def test_verify_example_auto_verifies_each_candidate_once(tmp_path, capsys,
+                                                          monkeypatch):
+    # the search's SUCCESS report is the one printed: 7 candidates, and
+    # no second verification of the winner
+    seen = []
+    real = example.verify_example
+
+    def spy(params, grid=example.GRID, seed=0):
+        seen.append(params)
+        return real(params, grid=grid, seed=seed)
+
+    monkeypatch.setattr(example, "verify_example", spy)
+    monkeypatch.setattr(cli, "verify_example", spy)
+    auto_csv, params_csv = tmp_path / "auto.csv", tmp_path / "params.csv"
+    code, auto_out, _ = run(capsys, ["verify-example", "--auto",
+                                     "--csv", str(auto_csv)])
+    assert code == 0
+    assert len(seen) == len(set(seen)) == 7
+    # the same bytes as verifying the winner on its own
+    params = write(tmp_path, "params.json", seen[-1].to_dict())
+    code, params_out, _ = run(capsys, ["verify-example", "--params", params,
+                                       "--csv", str(params_csv)])
+    assert code == 0 and len(seen) == 8
+    assert auto_out == params_out
+    assert auto_csv.read_bytes() == params_csv.read_bytes()
+
+
 def test_config_error_unknown_kind(tmp_path, capsys):
     cfg = write(tmp_path, "c.json", {"kind": "bogus", "dim": 3})
     code, _, err = run(capsys, ["check-norm", "--config", cfg])
@@ -724,6 +752,24 @@ def test_config_error_expression_syntax(tmp_path, capsys):
     code, _, err = run(capsys, ["check-norm", "--config", cfg])
     assert code == 2
     assert "/text" in err
+
+
+@pytest.mark.parametrize("argv, config, message", [
+    (["check-norm", "--config"], {"kind": "euclidean", "dim": 3.0},
+     "/dim: expected an integer"),
+    (["check-norm", "--config"], {"kind": "expression", "dim": 2, "text": 5},
+     "/text: expected a string"),
+    (["pencil", "common-zero", "--file"],
+     {"A1": np.eye(2).tolist(), "A2": np.diag([1.0, -1.0]).tolist(),
+      "psi1": np.zeros((2, 2)).tolist()},
+     "/psi1: expected shape (2,2,2), got (2, 2)"),
+], ids=["integer", "expression-text", "psi1-shape"])
+def test_config_reader_type_errors_exit_two(tmp_path, capsys, argv, config,
+                                            message):
+    cfg = write(tmp_path, "c.json", config)
+    code, out, err = run(capsys, [*argv, cfg])
+    assert (code, out) == (2, "")
+    assert err == f"config error: {message}\n"
 
 
 def test_config_error_unreadable_and_malformed(tmp_path, capsys):
@@ -1088,7 +1134,21 @@ def test_grid_commands_name_a_non_finite_first_direction(tmp_path, capsys,
 
 def test_json_output_is_strict():
     with pytest.raises(ValueError):
-        cli._emit_json({"Ric": float("nan")}, None)
+        cli._emit_json({"Ric": float("nan")})
+
+
+def test_a_non_finite_report_field_exits_one(tmp_path, capsys, monkeypatch):
+    # main encodes the report inside its error mapping: nothing is printed
+    monkeypatch.setattr(cli, "_cmd_pencil_type",
+                        lambda args: ({"type": float("inf")}, True))
+    cfg = write(tmp_path, "p.json", {"A1": np.eye(2).tolist(),
+                                     "A2": np.eye(2).tolist()})
+    out_file = tmp_path / "out.json"
+    code, out, err = run(capsys, ["pencil", "type", "--file", cfg,
+                                  "--out", str(out_file)])
+    assert (code, out) == (1, "") and not out_file.exists()
+    assert err == ("error: Out of range float values are not JSON "
+                   "compliant: inf\n")
 
 
 def test_invariants_seed_reaches_the_sampler(tmp_path, capsys):
@@ -1164,3 +1224,28 @@ def test_cli_import_leaves_scipy_unloaded(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.count("\n") > 64
     assert '"verdict": "CONSISTENT"' in proc.stdout
+
+
+def test_type_and_example_commands_leave_numpy_ma_unloaded(tmp_path):
+    # np.unique's first call in a process imports numpy.ma: the sort and
+    # neighbour mask that replace it keep a cold call from paying for that
+    pen = build_canonical(CanonicalData(l=1, n=(2,), s=1))
+    cfg = write(tmp_path, "p.json",
+                {"A1": pen.A1.tolist(), "A2": pen.A2.tolist()})
+    script = textwrap.dedent("""
+        import sys
+        from minksub.cli import main
+        cfg = sys.argv[1]
+        for argv in (["pencil", "type", "--file", cfg],
+                     ["pencil", "classify", "--file", cfg],
+                     ["verify-example", "--auto"]):
+            if main(argv) != 0:
+                sys.exit(f"{argv[0]} failed")
+        print("numpy.ma" in sys.modules)
+        """)
+    src = Path(cli.__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, "-c", script, cfg],
+                          env=dict(os.environ, PYTHONPATH=str(src)),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False"

@@ -394,7 +394,8 @@ def test_audit_codim2_requires_codim_two():
     (audit_hypersurface, [np.eye(2)] * 2, "p: audit hyper needs p = 1, got 2"),
     (audit_hypersurface, [np.eye(1)], "n: audit hyper needs n >= 2, got 1"),
     (audit_codim2, [np.eye(2)], "p: audit codim2 needs p = 2, got 1"),
-], ids=["hyper-p2", "hyper-n1", "codim2-p1"])
+    (audit_codim2, [np.eye(1)] * 2, "n: audit codim2 needs n >= 2, got 1"),
+], ids=["hyper-p2", "hyper-n1", "codim2-p1", "codim2-n1"])
 def test_grid_audits_refuse_a_germ_outside_their_case_before_sampling(
         monkeypatch, audit, d2, message):
     # the message starts with the field, so the CLI only adds its pointer
