@@ -244,21 +244,17 @@ def _cmd_pencil_classify(args) -> tuple:
                           "clusterTol": pencils.CLUSTER_TOL,
                           "canonicalAngleTol": pencils.CANONICAL_ANGLE_TOL,
                           "pencilCondLimit": pencils.PENCIL_COND_LIMIT}}
-    try:
+    try:    # json writes the tuples below as arrays
         spec = pencils.spectral_split(pen)
+        out["spectral"] = {"realPairs": spec.real_pairs,
+                           "complexPairs": spec.complex_pairs}
+        canon = pencils.canonical_from_spectral(spec)
+        out["canonical"] = {"l": canon.l, "n": canon.n, "s": canon.s}
+        out["topology"] = pencils.classify_topology(canon).to_dict()
     except (pencils.NotSemisimple, pencils.SingularA2) as exc:
         out["notes"].append(f"spectral split unavailable: {exc}")
-    else:
-        out["spectral"] = {"realPairs": [list(p) for p in spec.real_pairs],
-                           "complexPairs": [list(p)
-                                            for p in spec.complex_pairs]}
-        try:
-            canon = pencils.canonical_from_spectral(spec)
-            out["canonical"] = {"l": canon.l, "n": list(canon.n),
-                                "s": canon.s}
-            out["topology"] = pencils.classify_topology(canon).to_dict()
-        except ValueError as exc:
-            out["notes"].append(f"not at canonical angles: {exc}")
+    except ValueError as exc:
+        out["notes"].append(f"not at canonical angles: {exc}")
     return out, True
 
 

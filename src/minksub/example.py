@@ -157,10 +157,13 @@ class ExampleReport:
                 "notes": list(self.notes)}
 
     def csv_text(self) -> str:
-        if self.angles is None or self.ric_pipeline is None:
-            return ""
-        return _csv(("angle", "ricClosed", "ricPipeline"), np.column_stack(
-            [self.angles, self.ric_closed, self.ric_pipeline]))
+        """Per-angle closed form, and the pipeline once step (c) ran."""
+        header = ["angle", "ricClosed"]
+        columns = [self.angles, self.ric_closed]
+        if self.ric_pipeline is not None:
+            header.append("ricPipeline")
+            columns.append(self.ric_pipeline)
+        return _csv(header, np.column_stack(columns))
 
 
 def _grid_angles(grid: int) -> np.ndarray:

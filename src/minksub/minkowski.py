@@ -290,15 +290,18 @@ def validate_norm(model: NormModel, samples: int = VALIDATION_SAMPLES,
 
     Checks the two Euler identities (y.grad H = 2H and Hess(H).y = grad H)
     and strong convexity (positive definite Hessian) on a uniform sphere
-    sample.  With ``min_axis_fraction`` zero and an excluded ray declared,
-    extra probes approach the ray; a singular model is then honestly
-    reported invalid.  Passing a positive fraction restricts the sample to
-    directions with y1^2+y2^2 >= fraction^2 * |y|^2, certifying the norm on
-    that cone complement only; the fraction must lie in [0, 1), and a cone
-    too narrow for the draw cap (MAX_DRAWS_PER_SAMPLE) raises ConeTooNarrow.
+    sample of ``samples`` >= 1 directions.  With ``min_axis_fraction`` zero
+    and an excluded ray declared, extra probes approach the ray; a singular
+    model is then honestly reported invalid.  Passing a positive fraction
+    restricts the sample to directions with y1^2+y2^2 >= fraction^2 * |y|^2,
+    certifying the norm on that cone complement only; the fraction must lie
+    in [0, 1), and a cone too narrow for the draw cap (MAX_DRAWS_PER_SAMPLE)
+    raises ConeTooNarrow.
     A non-finite value, gradient or Hessian entry of H raises ValueError
     naming its first direction, before any residual is formed.
     """
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
     if not 0.0 <= min_axis_fraction < 1.0:
         raise ValueError("min_axis_fraction must lie in [0, 1), got "
                          f"{min_axis_fraction}")

@@ -404,21 +404,9 @@ class SpectralData:
         return self.r + 2 * self.s
 
 
-def _cluster_1d(values: np.ndarray, tol: float) -> list:
-    """Greedy chains of sorted scalars with gaps <= tol: [(center, count)]."""
-    out = []
-    start = 0
-    values = np.sort(values)
-    for i in range(1, len(values) + 1):
-        if i == len(values) or values[i] - values[i - 1] > tol:
-            chunk = values[start:i]
-            out.append((float(chunk.mean()), len(chunk)))
-            start = i
-    return out
-
-
-def _cluster_2d(points: list, tol: float) -> list:
-    """Greedy clusters of 2d points within tol: [((x, y), count)]."""
+def _clusters(points: list, tol: float) -> list:
+    """Greedy clusters of 2d points within tol of a running centroid, in
+    sorted order: [((x, y), count)].  Real eigenvalues come as (x, 0.0)."""
     out = []
     for pt in sorted(points):
         for k, (center, count) in enumerate(out):
@@ -470,13 +458,13 @@ def _split(P: SymPencil) -> SpectralData:
     ctol = CLUSTER_TOL * (1.0 + specrad)
     ntol = EIG_TOL * (1.0 + specrad)
 
-    real_evals = np.array([e.real for e in evals if abs(e.imag) <= ctol])
+    real_evals = [(e.real, 0.0) for e in evals if abs(e.imag) <= ctol]
     complex_evals = [(e.real, e.imag) for e in evals if e.imag > ctol]
     if len(real_evals) + 2 * len(complex_evals) != N:
         raise NotSemisimple("unpaired complex eigenvalues")
 
     real_pairs = []
-    for center, mult in _cluster_1d(real_evals, ctol):
+    for (center, _), mult in _clusters(real_evals, ctol):
         _, sv, vt = np.linalg.svd(C - center * B)
         K = vt[~rank_mask(sv, ntol * (1.0 + abs(center)),
                           max(1.0, float(np.abs(B).max(initial=0.0))))].T
@@ -502,7 +490,7 @@ def _split(P: SymPencil) -> SpectralData:
                 raise NotSemisimple("direction annihilated by both forms")
 
     complex_pairs = []
-    for (re, im), mult in _cluster_2d(complex_evals, ctol):
+    for (re, im), mult in _clusters(complex_evals, ctol):
         Wsq = W @ W - 2.0 * re * W + (re * re + im * im) * np.eye(N)
         _, sv, vt = np.linalg.svd(Wsq)
         K = vt[~rank_mask(sv, ntol, 1.0 + sv[0])].T

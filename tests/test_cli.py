@@ -418,13 +418,19 @@ def test_verify_example_success_and_csv(tmp_path, capsys):
 
 
 def test_verify_example_failure_exit(tmp_path, capsys):
-    params = write(tmp_path, "params.json",
-                   {"A": 10.0, "B": 10.0, "eps1": 0.1, "eps2": 0.1,
-                    "eps3": -0.001, "C": 100.0})
-    code, out, _ = run(capsys, ["verify-example", "--params", params,
-                                "--grid", "360"])
-    assert code == 1
-    assert json.loads(out)["verdict"] == "FAILURE"
+    for eps3 in (-0.001, 0.1):      # step (a) fails, then step (b)
+        params = write(tmp_path, "params.json",
+                       {"A": 10.0, "B": 10.0, "eps1": 0.1, "eps2": 0.1,
+                        "eps3": eps3, "C": 100.0})
+        csv = tmp_path / "sweep.csv"
+        code, out, _ = run(capsys, ["verify-example", "--params", params,
+                                    "--grid", "360", "--csv", str(csv)])
+        assert code == 1
+        assert json.loads(out)["verdict"] == "FAILURE"
+        # the closed form was computed; the pipeline never ran
+        text = csv.read_text()
+        assert text.startswith("angle,ricClosed\n")
+        assert strict_csv_rows(text) == len(example._grid_angles(360))
 
 
 def test_verify_example_needs_a_source(tmp_path, capsys):

@@ -1,10 +1,11 @@
 """Golden CLI corpus: stdout of fixed commands must not change by a byte.
 
-Each case runs ``minksub`` in-process on a config written from the table
-below and compares stdout with ``tests/golden/<case>.out`` and the exit
-code with the table; stdout must also parse as strict JSON (no NaN or
-Infinity) or, for sweeps, strict CSV (``strict_json``, ``strict_csv_rows``,
-which ``test_cli.py`` shares).  After a deliberate output change, regenerate
+Each case runs ``minksub`` in-process, on a config written from the table
+below where it has one, and compares stdout with
+``tests/golden/<case>.out`` and the exit code with the table; stdout must
+also parse as strict JSON (no NaN or Infinity) or, for sweeps, strict CSV
+(``strict_json``, ``strict_csv_rows``, which ``test_cli.py`` shares).
+Every ``.out`` file has a case.  After a deliberate output change, regenerate
 with
 
     PYTHONPATH=src python tests/test_golden.py
@@ -62,6 +63,8 @@ for _idx in ((0, 0, 1), (0, 1, 0), (1, 0, 0)):
 EXAMPLE_D3[0, 1, 1, 1] = -100.0
 EXAMPLE_SURFACE = _germ(2, 1, [[[1.0, F12], [F12, 1.0]]],
                         EXAMPLE_D3.tolist())
+EXAMPLE_PARAMS = {"A": 10.0, "B": 10.0, "eps1": 0.1, "eps2": 0.1,
+                  "eps3": 0.001, "C": 100.0}
 SURFACE2 = _germ(2, 2, [[[2.0, 0.5], [0.5, -1.0]], [[0.0, 1.0], [1.0, 0.5]]],
                  (np.array([0.1, -0.05])[:, None, None, None]
                   * np.ones((2, 2, 2, 2))).tolist())
@@ -79,7 +82,7 @@ CUBIC = np.zeros((3, 3, 3))
 CUBIC[0, 0, 0] = 1.0
 CUBIC[0, 1, 2] = -1.0
 
-# case -> (argv without the config flag, config, exit code)
+# case -> (argv without the config flag, config or None, exit code)
 CASES = {
     "check_norm_euclidean": (["check-norm", "--grid", "200"],
                              {"kind": "euclidean", "dim": 3}, 0),
@@ -130,6 +133,19 @@ CASES = {
                             "psi1": CUBIC.tolist()}, 0),
     "audit_hyper": (["audit", "hyper", "--grid", "64"],
                     {"norm": RANDERS4, "germ": HYPER3}, 0),
+    "audit_codim2": (["audit", "codim2", "--grid", "64"],
+                     {"norm": RANDERS5, "germ": CODIM2}, 0),
+    # e1 is a ruling direction: kappa(e1) = 0 and the cubic vanishes
+    "audit_ruled": (["audit", "ruled", "--direction", "1,0"],
+                    {"norm": RANDERS3,
+                     "germ": _germ(2, 1, [[[0.0, 1.0], [1.0, 0.5]]])}, 0),
+    "verify_example": (["verify-example", "--grid", "360"],
+                       EXAMPLE_PARAMS, 0),
+    # step (b) fails: the closed-form minimum is negative
+    "verify_example_failure": (["verify-example", "--grid", "360"],
+                               {**EXAMPLE_PARAMS, "eps3": 0.1}, 1),
+    # the seventh combination is the first to verify
+    "find_params": (["find-params", "--budget", "7"], None, 0),
     "ricci_grid": (["ricci-grid", "--grid", "32"],
                    {"norm": RANDERS4, "germ": HYPER3}, 0),
     "ricci_grid_codim2": (["ricci-grid", "--grid", "24"],
@@ -167,9 +183,12 @@ def strict_csv_rows(text: str) -> int:
 
 def run_case(name, directory: Path):
     argv, config, code = CASES[name]
+    if config is None:
+        return code, argv
     path = directory / f"{name}.json"
     path.write_text(json.dumps(config))
-    flag = "--file" if argv[0] == "pencil" else "--config"
+    flag = {"pencil": "--file",
+            "verify-example": "--params"}.get(argv[0], "--config")
     return code, [*argv, flag, str(path)]
 
 
@@ -184,6 +203,10 @@ def test_golden_output(name, tmp_path, capsys):
         strict_csv_rows(out)
     else:
         strict_json(out)
+
+
+def test_every_golden_file_has_a_case():
+    assert sorted(path.stem for path in GOLDEN.glob("*.out")) == sorted(CASES)
 
 
 def regenerate() -> None:

@@ -293,6 +293,16 @@ def test_validate_norm_rejects_fractions_outside_unit_interval(fraction):
                       min_axis_fraction=fraction)
 
 
+@pytest.mark.parametrize("model", [NormModel.euclidean(3),
+                                   NormModel.example4(10.0, 10.0, 0.1, 0.1)])
+@pytest.mark.parametrize("samples", [0, -3])
+def test_validate_norm_rejects_fewer_than_one_sample(model, samples):
+    # example4 would otherwise report on its 200 axis probes alone
+    with pytest.raises(ValueError, match=f"^samples must be at least 1, "
+                                         f"got {samples}$"):
+        validate_norm(model, samples=samples)
+
+
 def test_too_narrow_cone_raises_after_the_draw_cap():
     # the cone y1^2 + y2^2 >= f^2 |y|^2 covers sqrt(1 - f^2) of the sphere
     model = NormModel.example4(10.0, 10.0, 0.1, 0.1)

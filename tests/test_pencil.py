@@ -10,14 +10,15 @@ from hypothesis import strategies as st
 
 import minksub.pencil as pencil_module
 from minksub.cli import pencil_from_config
-from minksub.pencil import (EIG_TOL, CanonicalData, NotSemisimple, SingularA2,
-                            SpectralData, SymPencil, TopologyLabel, ZeroPencil,
+from minksub.pencil import (CLUSTER_TOL, EIG_TOL, CanonicalData,
+                            NotSemisimple, SingularA2, SpectralData,
+                            SymPencil, TopologyLabel, ZeroPencil,
                             build_canonical, build_from_spectral,
                             canonical_from_spectral, classify_topology,
                             common_zero_search, genericity_check,
                             pencil_type, spectral_split, type_exact,
-                            type_sampled, _circle_counts, _inertia_counts,
-                            _max_rank_mins, _residuals)
+                            type_sampled, _circle_counts, _clusters,
+                            _inertia_counts, _max_rank_mins, _residuals)
 from reference import canonical_type
 
 
@@ -129,6 +130,27 @@ def test_spectral_split_repeated_eigenvalue():
     got = sorted(S1.real_pairs)
     want = sorted(S0.real_pairs)
     pairs_close(got, want, tol=1e-8)
+
+
+def test_one_clustering_rule_for_real_and_complex_eigenvalues():
+    tol = CLUSTER_TOL
+    rng = np.random.default_rng(5)
+    # reals come as (x, 0.0); up to three per cluster, the running mean is
+    # np.mean's bits
+    for count in (1, 2, 3, 6):
+        xs = 0.7 + rng.uniform(0.0, tol / 4, count)
+        [((center, im), got)] = _clusters([(x, 0.0) for x in xs], tol)
+        assert got == count and im == 0.0
+        if count <= 3:
+            assert center == np.mean(np.sort(xs))
+        assert abs(center - xs.mean()) <= tol / 4
+    far = [(x, 0.0) for x in (0.7, 0.7 + 2 * tol, 0.7 + 1e-9)]
+    assert [n for _, n in _clusters(far, tol)] == [2, 1]
+    # real parts within tol of each other, imaginary parts not: a chain of
+    # sorted real parts would join all three
+    mixed = [(0.5, 1.0), (0.5 + 1e-9, 2.0), (0.5 + 2e-9, 1.0)]
+    assert _clusters(mixed, tol) == [
+        (((mixed[0][0] + mixed[2][0]) / 2, 1.0), 2), (mixed[1], 1)]
 
 
 def test_spectral_split_singular_a2_uses_swap():
